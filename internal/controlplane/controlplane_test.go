@@ -247,7 +247,11 @@ func TestProgressRejectsNegativeReports(t *testing.T) {
 	}
 }
 
-func TestRunLoopSchedulesPeriodically(t *testing.T) {
+// TestServeSchedulesPeriodically polls the observable it asserts — the
+// quota landing at the data plane. A round marks the job Running under
+// the scheduler lock and pushes after unlocking, so a poll on
+// Jobs()[0].Running can win the race against the push it then checks.
+func TestServeSchedulesPeriodically(t *testing.T) {
 	pol, err := policy.Build(policy.GavelKind, policy.SiloD, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -262,23 +266,25 @@ func TestRunLoopSchedulesPeriodically(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
-	go sched.RunLoop(5*time.Millisecond, stop, nil)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		sched.Serve(ServeConfig{Interval: 5 * time.Millisecond}, stop, nil)
+	}()
 	deadline := time.After(2 * time.Second)
-	for {
-		jobs := sched.Jobs()
-		if len(jobs) == 1 && jobs[0].Running {
-			break
-		}
+	for mgr.Quota("ds-a") <= 0 {
 		select {
 		case <-deadline:
 			close(stop)
-			t.Fatal("RunLoop never scheduled the job")
+			t.Fatal("Serve never pushed the job's quota to the data plane")
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
 	close(stop)
-	if got := mgr.Quota("ds-a"); got <= 0 {
-		t.Errorf("loop did not push quotas to the data plane: %v", got)
+	<-served
+	// Running is set before the push, so it must hold once the push landed.
+	if jobs := sched.Jobs(); len(jobs) != 1 || !jobs[0].Running {
+		t.Errorf("quota pushed for a job not marked running: %+v", jobs)
 	}
 }
 

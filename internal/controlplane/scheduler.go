@@ -125,7 +125,10 @@ type roundScratch struct {
 	remote     map[string]unit.Bandwidth
 	quotaKeys  []string
 	remoteKeys []string
-	val        core.ValidateScratch
+	// solve owns the policy call: memo, Assign and validation. Its memo
+	// is what lets a round in which nothing the policy reads changed
+	// (heartbeats and progress only) skip the solve.
+	solve *core.Round
 	// booked is the per-dataset quota most recently pushed to the data
 	// plane, persisted across rounds (never cleared). It classifies each
 	// new quota as a decrease or a raise. Job records can't answer that:
@@ -171,6 +174,7 @@ func NewSchedulerServer(cluster core.Cluster, pol core.Policy, dp DataPlane, clo
 			quotas:    make(map[string]unit.Bytes),
 			remote:    make(map[string]unit.Bandwidth),
 			booked:    make(map[string]unit.Bytes),
+			solve:     core.NewRound(pol, false),
 		}},
 	}
 	s.met = newSchedMetrics(s.registry)
@@ -487,7 +491,12 @@ func (s *SchedulerServer) allocationsLocked() (map[string]unit.Bytes, map[string
 	quotas := make(map[string]unit.Bytes, len(s.active))
 	remote := make(map[string]unit.Bandwidth, len(s.active))
 	for id, j := range s.active {
-		quotas[j.req.Dataset] = j.quota
+		// A job submitted since the last round carries no quota yet; it
+		// must not zero the quota of a dataset it shares, whichever of
+		// the sharers the map yields last.
+		if j.quota >= quotas[j.req.Dataset] {
+			quotas[j.req.Dataset] = j.quota
+		}
 		remote[id] = j.remoteIO
 	}
 	return quotas, remote
@@ -506,15 +515,16 @@ func (s *SchedulerServer) updateNodeGaugesLocked() {
 // pushes the result to the data plane. Jobs running on capacity that
 // died since the last round lose their GPUs and rejoin the queue.
 func (s *SchedulerServer) Schedule() error {
-	return s.ScheduleCtx(context.Background())
+	return s.schedule(context.Background())
 }
 
-// ScheduleCtx is Schedule with context propagation through the
-// critical section: the round checks ctx before taking the lock,
-// before the policy solve, and between the push phases, so a round
-// whose deadline passed releases the scheduler instead of finishing a
-// doomed push sequence against a dead data plane.
-func (s *SchedulerServer) ScheduleCtx(ctx context.Context) error {
+// schedule is the round Schedule and RunRound share, with context
+// propagation through the critical section: the round checks ctx
+// before taking the lock, before the policy solve, and between the push
+// phases, so a round whose deadline passed releases the scheduler
+// instead of finishing a doomed push sequence against a dead data
+// plane.
+func (s *SchedulerServer) schedule(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("controlplane: schedule round: %w", err)
 	}
@@ -596,8 +606,8 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 		return fmt.Errorf("controlplane: schedule round: %w", err)
 	}
 	now := unit.Time(wall.Sub(s.epoch).Seconds())
-	a := s.policy.Assign(eff, now, views)
-	if err := a.ValidateWith(eff, views, &sc.val); err != nil {
+	a, _, err := sc.solve.Solve(eff, now, views)
+	if err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("controlplane: policy %s: %w", s.policy.Name(), err) // silod:alloc error path
 	}
@@ -739,13 +749,6 @@ func (s *SchedulerServer) Jobs() []JobStatus {
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].JobID < out[k].JobID })
 	return out
-}
-
-// RunLoop schedules every interval until stop closes — the daemon's
-// background loop. It is Serve with defaults: full drains, no round
-// deadline, a real ticker.
-func (s *SchedulerServer) RunLoop(interval time.Duration, stop <-chan struct{}, onErr func(error)) {
-	s.Serve(ServeConfig{Interval: interval}, stop, onErr)
 }
 
 func (s *SchedulerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {

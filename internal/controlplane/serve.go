@@ -122,7 +122,7 @@ func (s *SchedulerServer) drainAdmission(batch int) (admitted int) {
 func (s *SchedulerServer) RunRound(ctx context.Context, cfg ServeConfig) error {
 	start := s.clock()
 	s.drainAdmission(cfg.Batch)
-	err := s.ScheduleCtx(ctx)
+	err := s.schedule(ctx)
 	dur := s.clock().Sub(start)
 	s.met.roundSeconds.Observe(dur.Seconds())
 	s.met.lastRoundSeconds.Set(dur.Seconds())

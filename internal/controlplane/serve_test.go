@@ -180,9 +180,9 @@ func TestRoundWatchdog(t *testing.T) {
 	}
 	// Wedge the clock forward mid-round via a policy that advances it.
 	slow := &clockAdvancingPolicy{inner: s.policy, vc: vc, step: 10 * time.Millisecond}
-	s.mu.Lock()
-	s.policy = slow
-	s.mu.Unlock()
+	s.round.mu.Lock()
+	s.round.sc.solve = core.NewRound(slow, false)
+	s.round.mu.Unlock()
 	if err := s.Submit(tenantSubmit("a", "std", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +212,13 @@ func (p *clockAdvancingPolicy) Assign(c core.Cluster, now unit.Time, views []cor
 	return p.inner.Assign(c, now, views)
 }
 
-// TestScheduleCtxCancelled: a cancelled context aborts the round before
+// TestRunRoundCancelled: a cancelled context aborts the round before
 // the solve and reports a wrapped context error.
-func TestScheduleCtxCancelled(t *testing.T) {
+func TestRunRoundCancelled(t *testing.T) {
 	s, _ := newServeStack(t, admission.Config{Capacity: 8})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := s.ScheduleCtx(ctx)
+	err := s.RunRound(ctx, ServeConfig{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled round error = %v, want context.Canceled", err)
 	}

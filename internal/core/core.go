@@ -151,10 +151,9 @@ func (a Assignment) Validate(c Cluster, jobs []JobView) error {
 }
 
 // ValidateScratch holds the map and key buffers Validate needs, so a
-// caller validating every scheduling round (the sim engines, the
-// control plane's round loop) can recycle them instead of allocating
-// fresh ones per solve. The zero value is ready to use; contents are
-// overwritten on every ValidateWith call.
+// caller validating every scheduling round (Round) can recycle them
+// instead of allocating fresh ones per solve. The zero value is ready
+// to use; contents are overwritten on every ValidateWith call.
 type ValidateScratch struct {
 	byID map[string]JobView
 	keys []string
@@ -242,15 +241,15 @@ type Policy interface {
 	Assign(c Cluster, now unit.Time, jobs []JobView) Assignment
 }
 
-// PureAssigner is the optional Policy extension that lets engines skip
+// PureAssigner is the optional Policy extension that lets Round skip
 // redundant solves. PureAssign reports that Assign is a pure function
 // of (cluster, jobs): the same inputs always produce an equivalent
 // Assignment, independent of the wall-clock `now` argument, call
-// history, and any internal randomness. Engines that see unchanged
+// history, and any internal randomness. A Round that sees unchanged
 // inputs may then reuse the previous solve's result. Policies whose
 // ordering depends on `now` (e.g. deficit-based fairness) or that draw
 // random numbers (e.g. Quiver's profiling noise) must report false —
-// or simply not implement the interface, which engines treat the same.
+// or simply not implement the interface, which Round treats the same.
 type PureAssigner interface {
 	PureAssign() bool
 }
@@ -282,7 +281,7 @@ const (
 // Assign's output provably does not depend on; when the only
 // differences between two job lists fall inside that set (and the
 // policy is pure), a fresh solve would reproduce the memoized
-// assignment byte for byte, so engines reuse it. Declaring a field the
+// assignment byte for byte, so Round reuses it. Declaring a field the
 // policy actually reads silently corrupts simulations — declarations
 // are cross-checked by the relevance fuzz tests in internal/policy and
 // each one must carry a silod:pure-requires marker naming the Assign
@@ -297,7 +296,7 @@ type DeltaAssigner interface {
 // across rounds (memoized sub-solves, warm-started bisection brackets).
 // SetFullResolve(true) drops that state and forces every round to
 // re-solve from scratch: the byte-identity reference the gates compare
-// against. Engines forward Config.FullResolve here at run start.
+// against. NewRound forwards its fullResolve argument here.
 type FullResolver interface {
 	SetFullResolve(full bool)
 }
@@ -363,9 +362,9 @@ func ViewsEquivalent(a, b []JobView, ignore ViewFields) bool {
 	return true
 }
 
-// PolicyIgnoredFields returns the ignore mask the engines may use for
-// p: the declared mask when p is a pure DeltaAssigner, zero (exact
-// match) otherwise.
+// PolicyIgnoredFields returns the ignore mask Round may use for p: the
+// declared mask when p is a pure DeltaAssigner, zero (exact match)
+// otherwise.
 func PolicyIgnoredFields(p Policy) ViewFields {
 	da, ok := p.(DeltaAssigner)
 	if !ok || !da.PureAssign() {
@@ -593,9 +592,9 @@ const equalShareIgnored = FieldProfile | FieldRemainingBytes | FieldAttainedByte
 //
 // silod:pure-requires: (*Framework).Schedule, equalShareFallback
 func (p frameworkPolicy) IgnoredViewFields() ViewFields {
-	mask := policyIgnored(p.f.Policy)
+	mask := PolicyIgnoredFields(p.f.Policy)
 	if p.f.Fallback != nil {
-		mask &= policyIgnored(p.f.Fallback)
+		mask &= PolicyIgnoredFields(p.f.Fallback)
 	} else {
 		mask &= equalShareIgnored
 	}
@@ -617,16 +616,6 @@ func (p frameworkPolicy) SetFullResolve(full bool) {
 func policyPure(p Policy) bool {
 	pa, ok := p.(PureAssigner)
 	return ok && pa.PureAssign()
-}
-
-// policyIgnored returns p's declared ignore mask, or zero when p is
-// not a pure DeltaAssigner.
-func policyIgnored(p Policy) ViewFields {
-	da, ok := p.(DeltaAssigner)
-	if !ok || !da.PureAssign() {
-		return 0
-	}
-	return da.IgnoredViewFields()
 }
 
 // AsPolicy returns the framework as a Policy.

@@ -14,7 +14,7 @@ import (
 //   - its body calls Done or Wait on a sync.WaitGroup, tying its
 //     lifetime to a waiter;
 //   - it is a named call taking a channel or context.Context argument,
-//     delegating shutdown to the callee (e.g. `go s.RunLoop(stop)`).
+//     delegating shutdown to the callee (e.g. `go s.Serve(cfg, stop, onErr)`).
 //
 // Anything else — fire-and-forget goroutines that outlive their
 // spawner — must carry a justified lint.allow entry. Leaked goroutines

@@ -9,8 +9,8 @@ import (
 )
 
 // PureCheck machine-verifies the // silod:pure annotation language that
-// backs core.PureAssigner: the solve-skip memo in the simulator replays
-// a cached assignment only when the policy's Assign is a pure function
+// backs core.PureAssigner: core.Round's solve-skip memo replays a
+// cached assignment only when the policy's Assign is a pure function
 // of (cluster, jobs), so a wrong purity claim silently corrupts seeded
 // replay. Before this analyzer the claims lived in prose in
 // internal/policy/pure.go; now they are a compile gate.
@@ -34,10 +34,10 @@ import (
 //     conversion, a pure-stdlib function, or a method of an interface
 //     named in the assume= list.
 //
-// assume= is the bridge to runtime vetting: StorageAllocator and Policy
-// values are checked dynamically by allocatorPure/policyPure, so a call
-// through those interfaces is pure exactly when the runtime gate says
-// so. The analyzer verifies everything else and trusts the named
+// assume= is the bridge to runtime vetting: StorageAllocator values are
+// checked dynamically by policy.allocatorPure and Policy values by
+// core.NewRound (their PureAssign declaration), so a call through
+// those interfaces is pure exactly when the runtime gate says so. The analyzer verifies everything else and trusts the named
 // interface — naming it in the annotation is the auditable record.
 //
 // silod:pure-requires is the reverse edge: a PureAssign method that

@@ -16,7 +16,7 @@ var wallclockPkgs = []string{
 
 // wallclockBanned are the time-package functions that read or block on
 // the wall clock. Constructors like time.NewTicker are allowed: they
-// show up only in explicitly real-time daemon loops (RunLoop), which
+// show up only in explicitly real-time daemon loops (Serve), which
 // take their cadence as a parameter.
 var wallclockBanned = map[string]string{
 	"Now":   "inject a clock (func() time.Time or the simulator's virtual clock)",

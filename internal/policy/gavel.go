@@ -24,8 +24,8 @@ import (
 //     objective is computed against an estimator that overestimates
 //     IO-bottlenecked jobs.
 //   - Enhanced Gavel solves Eq. 9 with SiloDPerf: the exact max-min
-//     storage program (MaxMinStorage) divides cache and remote IO to
-//     maximize the minimum normalized performance.
+//     storage program (MaxMinSolver.Storage) divides cache and remote
+//     IO to maximize the minimum normalized performance.
 type Gavel struct {
 	Enhanced bool
 	Storage  StorageAllocator

@@ -66,7 +66,7 @@ func TestMaxMinSolverWarmMatchesCold(t *testing.T) {
 	views := randViews(rng, 24)
 	for round := 0; round < 120; round++ {
 		got := warm.Storage(cache, io, views)
-		want := MaxMinStorage(cache, io, views)
+		want := (&MaxMinSolver{Cold: true}).Storage(cache, io, views)
 		if len(got) != len(want) {
 			t.Fatalf("round %d: %d allocs warm, %d cold", round, len(got), len(want))
 		}
@@ -79,7 +79,7 @@ func TestMaxMinSolverWarmMatchesCold(t *testing.T) {
 		quota := DatasetQuotas(views, want)
 		running := views[:len(views)/2]
 		gotBW := warm.Bandwidth(cl, io, running, quota)
-		wantBW := MaxMinBandwidth(cl, io, running, quota)
+		wantBW := (&MaxMinSolver{Cold: true}).Bandwidth(cl, io, running, quota)
 		if len(gotBW) != len(wantBW) {
 			t.Fatalf("round %d: %d grants warm, %d cold", round, len(gotBW), len(wantBW))
 		}

@@ -32,31 +32,6 @@ type StorageAlloc struct {
 	Perf     unit.Bandwidth // resulting SiloDPerf
 }
 
-// MaxMinStorage solves the storage part of Eq. 9 exactly: maximize the
-// minimum normalized performance min_j SiloDPerf(j, R_j)/SiloDPerf(j,
-// R_equal) subject to Σ cache <= totalCache and Σ remoteIO <= totalIO,
-// then progressively fills: jobs whose performance saturates at f* are
-// frozen at their minimal allocation and the remaining resources are
-// re-maximized over the rest, and any final slack is spent by cache
-// efficiency. Datasets shared by several jobs are charged once and the
-// merged demand is considered jointly (§6).
-//
-// The inner feasibility test exploits the closed form (Eq. 4): to give
-// job j throughput t with cache c it needs remote IO t·(1-c/d), so a
-// byte of cache on dataset D saves Σ_{j∈D} t_j/d bytes/s of bandwidth —
-// cache therefore goes to datasets in decreasing order of that ratio,
-// and feasibility reduces to a single bandwidth comparison.
-//
-// MaxMinStorage is the cold reference: every call solves from scratch.
-// Long-lived callers (Gavel) hold a MaxMinSolver, which memoizes the
-// whole program on its true inputs and warm-starts the bisections while
-// producing byte-identical allocations.
-func MaxMinStorage(totalCache unit.Bytes, totalIO unit.Bandwidth, jobs []core.JobView) map[string]StorageAlloc {
-	var s MaxMinSolver
-	s.Cold = true
-	return s.Storage(totalCache, totalIO, jobs)
-}
-
 // storageSig is the relevance projection of one job into the storage
 // program: the only JobView fields solveStorage reads. Two job lists
 // with equal signatures produce byte-identical allocations, which is
@@ -124,9 +99,27 @@ func (s *MaxMinSolver) Reset() {
 	s.bwHint = lambdaWarm{}
 }
 
-// Storage returns the max-min storage allocation for jobs. The returned
-// map is owned by the solver: treat it as read-only and valid until the
-// next Storage call. The memo fast path below is byte-identical to a
+// Storage solves the storage part of Eq. 9 exactly: maximize the
+// minimum normalized performance min_j SiloDPerf(j, R_j)/SiloDPerf(j,
+// R_equal) subject to Σ cache <= totalCache and Σ remoteIO <= totalIO,
+// then progressively fills: jobs whose performance saturates at f* are
+// frozen at their minimal allocation and the remaining resources are
+// re-maximized over the rest, and any final slack is spent by cache
+// efficiency. Datasets shared by several jobs are charged once and the
+// merged demand is considered jointly (§6).
+//
+// The inner feasibility test exploits the closed form (Eq. 4): to give
+// job j throughput t with cache c it needs remote IO t·(1-c/d), so a
+// byte of cache on dataset D saves Σ_{j∈D} t_j/d bytes/s of bandwidth —
+// cache therefore goes to datasets in decreasing order of that ratio,
+// and feasibility reduces to a single bandwidth comparison.
+//
+// The returned map is owned by the solver: treat it as read-only and
+// valid until the next Storage call. A Cold solver is the reference:
+// every call solves from scratch. Long-lived callers (Gavel) keep a
+// warm one, which memoizes the whole program on its true inputs and
+// warm-starts the bisections while producing byte-identical
+// allocations. The memo fast path below is byte-identical to a
 // full solve only while solveStorage stays a pure function of
 // (totalCache, totalIO, the storageSig projection of jobs) — which the
 // lint machinery checks via the annotation on solveStorage.
@@ -454,7 +447,7 @@ func (p *lambdaProbe) split(remCache, lambda float64) {
 // requiredIO sums the bandwidth the split at the current targets needs:
 // t_j · (1 - c/d) per job, the steady-state demand at the planned cache
 // (Eq. 2). Warm-up transients are the bandwidth program's concern
-// (MaxMinBandwidth sizes actual grants effective-aware); the cache
+// (Bandwidth sizes actual grants effective-aware); the cache
 // program plans the steady state, as the paper's formulation does.
 // Groups are scanned in first-encounter order so the float accumulation
 // order — and with it the feasibility verdict at the bisection
@@ -698,7 +691,7 @@ func mergeSharedCache(jobs []core.JobView, out map[string]StorageAlloc) {
 	}
 }
 
-// MaxMinBandwidth solves the bandwidth-only max-min program with cache
+// Bandwidth solves the bandwidth-only max-min program with cache
 // quotas fixed: maximize min_j min(f*, b_j/(1-q_j/d_j)) / perfEqual_j
 // subject to Σ b_j <= total, where perfEqual is SiloDPerf under the
 // equal storage division among the n running jobs. Grants are sized
@@ -708,21 +701,12 @@ func mergeSharedCache(jobs []core.JobView, out map[string]StorageAlloc) {
 // is monotone in the normalized rate λ, so bisection is exact; leftover
 // bandwidth (from jobs capped at f*) should be spent by the caller.
 //
-// MaxMinBandwidth is the cold reference; Gavel routes through
-// MaxMinSolver.Bandwidth, whose warm-started bisection returns the same
-// grants bit for bit.
-func MaxMinBandwidth(cl core.Cluster, total unit.Bandwidth, running []core.JobView,
-	quota map[string]unit.Bytes) map[string]unit.Bandwidth {
-	var s MaxMinSolver
-	s.Cold = true
-	return s.Bandwidth(cl, total, running, quota)
-}
-
-// Bandwidth is the warm-started bandwidth program. needed(λ) is a sum
-// of terms min(λ·pe, f*)·missEff, each nondecreasing in λ, so verdict
-// deduction from evaluated bounds is exact (not merely assumed): the
-// warm run evaluates needed at the same trajectory's mids only where
-// the evaluated bracket has not already decided them.
+// A Cold solver is the reference; a warm one returns the same grants
+// bit for bit. needed(λ) is a sum of terms min(λ·pe, f*)·missEff, each
+// nondecreasing in λ, so verdict deduction from evaluated bounds is
+// exact (not merely assumed): the warm run evaluates needed at the same
+// trajectory's mids only where the evaluated bracket has not already
+// decided them.
 func (s *MaxMinSolver) Bandwidth(cl core.Cluster, total unit.Bandwidth, running []core.JobView,
 	quota map[string]unit.Bytes) map[string]unit.Bandwidth {
 	out := make(map[string]unit.Bandwidth, len(running))

@@ -60,13 +60,13 @@ const prefetchDepth = 64
 
 // batchSim is the batch engine.
 type batchSim struct {
+	jobSet
 	cfg   Config
 	q     *eventq.Queue
 	pool  cache.Pool
-	jobs  []*jobRT
-	byID  map[string]*jobRT
 	bjobs map[string]*batchJob
 	rng   *simrng.RNG
+	round *core.Round
 
 	// inj replays the fault schedule; eff is the degraded capacity every
 	// scheduling decision uses instead of cfg.Cluster. faultPreempt
@@ -89,8 +89,6 @@ type batchSim struct {
 	// Scratch buffers reused across scheduling rounds (the engine is
 	// single-threaded); each is valid only until the method that filled
 	// it runs again.
-	actBuf     []*jobRT
-	runBuf     []*jobRT
 	viewsBuf   []core.JobView
 	keysBuf    []string
 	hitsBuf    []float64
@@ -101,21 +99,6 @@ type batchSim struct {
 	residIdx   []int
 	shareBuf   []unit.Bandwidth
 	divider    remoteio.Divider
-	valScratch core.ValidateScratch
-
-	// Solve-skip memo: the last (effective cluster, views) the policy
-	// solved against and the assignment it produced. Valid only for
-	// pure policies (core.PureAssigner); see reschedule.
-	solvePure  bool
-	solveOK    bool
-	lastEff    core.Cluster
-	lastViews  []core.JobView
-	lastAssign core.Assignment
-	// ignoreFields widens the memo from exact-match to delta-aware: it
-	// holds the JobView fields the (pure) policy declares it never
-	// reads (core.DeltaAssigner). Zero for impure policies and in
-	// full-resolve mode.
-	ignoreFields core.ViewFields
 
 	// Event batching: tickEvent is the single armed periodic tick
 	// (re-armed, not stacked, by each round) and roundPending coalesces
@@ -128,32 +111,14 @@ type batchSim struct {
 // runBatch executes the batch engine.
 func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 	s := &batchSim{
-		cfg:   cfg,
-		q:     eventq.New(),
-		byID:  make(map[string]*jobRT),
-		bjobs: make(map[string]*batchJob),
-		rng:   simrng.New(cfg.Seed),
-		series: map[string]*stats.Series{
-			"throughput":      {Name: "throughput"},
-			"ideal":           {Name: "ideal"},
-			"remoteio":        {Name: "remoteio"},
-			"fairness":        {Name: "fairness"},
-			"cache_alloc":     {Name: "cache_alloc"},
-			"cache_effective": {Name: "cache_effective"},
-		},
+		cfg:    cfg,
+		q:      eventq.New(),
+		bjobs:  make(map[string]*batchJob),
+		rng:    simrng.New(cfg.Seed),
+		round:  core.NewRound(cfg.Policy, cfg.FullResolve),
+		series: newSeries(),
 	}
 	s.met = newSimMetrics(cfg)
-	s.solvePure = policyPure(cfg.Policy)
-	if fr, ok := cfg.Policy.(core.FullResolver); ok {
-		fr.SetFullResolve(cfg.FullResolve)
-	}
-	if cfg.FullResolve {
-		// Reference mode: every round re-solves from scratch; the
-		// identity tests diff this against the memoized fast path.
-		s.solvePure = false
-	} else {
-		s.ignoreFields = core.PolicyIgnoredFields(cfg.Policy)
-	}
 	// The batch engine drives the real pools, so block-level hit/miss/
 	// eviction counters come straight from the cache package.
 	pm := cache.NewPoolMetrics(cfg.Metrics, cfg.System.String())
@@ -166,17 +131,7 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		qp.SetMetrics(pm)
 		s.pool = qp
 	}
-	ordered := append([]workload.JobSpec(nil), specs...)
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].Submit < ordered[j].Submit {
-			return true
-		}
-		if ordered[j].Submit < ordered[i].Submit {
-			return false
-		}
-		return ordered[i].ID < ordered[j].ID
-	})
-	for _, spec := range ordered {
+	for _, spec := range orderSpecs(specs) {
 		blocks, err := dataset.New(spec.Dataset.Name, spec.Dataset.Size, cfg.BlockSize)
 		if err != nil {
 			return nil, err
@@ -187,7 +142,6 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		spec.Dataset.Size = unit.Bytes(blocks.Num) * cfg.BlockSize
 		rt := newJobRT(spec, cfg.System)
 		s.jobs = append(s.jobs, rt)
-		s.byID[spec.ID] = rt
 		if err := s.pool.Register(rt.dsKey, blocks.Num, cfg.BlockSize); err != nil {
 			return nil, err
 		}
@@ -274,38 +228,11 @@ func (s *batchSim) describeStuck() string {
 	return out
 }
 
-// active returns arrived, unfinished jobs. The slice is scratch, valid
-// until the next call.
-func (s *batchSim) active() []*jobRT {
-	now := unit.Time(s.q.Now())
-	out := s.actBuf[:0]
-	for _, j := range s.jobs {
-		if !j.done && j.spec.Submit <= now {
-			out = append(out, j)
-		}
-	}
-	s.actBuf = out
-	return out
-}
-
-// runningJobs returns jobs holding GPUs. The slice is scratch, valid
-// until the next call.
-func (s *batchSim) runningJobs() []*jobRT {
-	out := s.runBuf[:0]
-	for _, j := range s.jobs {
-		if j.running && !j.done {
-			out = append(out, j)
-		}
-	}
-	s.runBuf = out
-	return out
-}
-
 // reschedule runs the policy, applies quotas and rates, and re-arms the
 // periodic tick.
 func (s *batchSim) reschedule() {
 	now := unit.Time(s.q.Now())
-	act := s.active()
+	act := s.active(now)
 	views := resize(&s.viewsBuf, len(act))
 	for i, j := range act {
 		views[i] = j.view()
@@ -324,29 +251,11 @@ func (s *batchSim) reschedule() {
 		views[i].EffectiveCached = eff
 		views[i].CachedBytes = cached
 	}
-	var a core.Assignment
-	if s.solveOK && s.eff == s.lastEff &&
-		core.ViewsEquivalent(views, s.lastViews, s.ignoreFields) {
-		// Pure policy, unchanged relevant inputs: the previous solve's
-		// assignment is still the answer (re-applying it is a no-op on
-		// every observable), so the solve is skipped. Fields in
-		// ignoreFields are ones the policy provably never reads
-		// (core.DeltaAssigner), so e.g. FIFO keeps its memo while jobs
-		// merely make progress between rounds.
-		a = s.lastAssign
-	} else {
-		// Solve and validate against the *effective* capacity so a
-		// post-fault re-solve cannot over-grant GPUs, cache, or bandwidth.
-		a = s.cfg.Policy.Assign(s.eff, now, views)
-		if err := a.ValidateWith(s.eff, views, &s.valScratch); err != nil {
-			panic(fmt.Sprintf("sim(batch): invalid assignment at t=%v from %s: %v", now, s.cfg.Policy.Name(), err))
-		}
-		if s.solvePure {
-			s.lastEff = s.eff
-			s.lastViews = append(s.lastViews[:0], views...)
-			s.lastAssign = a
-			s.solveOK = true
-		}
+	// Solve and validate against the *effective* capacity so a
+	// post-fault re-solve cannot over-grant GPUs, cache, or bandwidth.
+	a, _, err := s.round.Solve(s.eff, now, views)
+	if err != nil {
+		panic(fmt.Sprintf("sim(batch): invalid assignment at t=%v from %s: %v", now, s.cfg.Policy.Name(), err))
 	}
 	// Apply cache quotas and IO allocations BEFORE (re)starting any
 	// pipeline: a newly kicked job issues its first block access

@@ -31,8 +31,9 @@ type dsRT struct {
 const subByteResidue unit.Bytes = 0.5
 
 type fluidSim struct {
+	jobSet
 	cfg      Config
-	jobs     []*jobRT
+	round    *core.Round
 	byID     map[string]*jobRT
 	datasets map[string]*dsRT
 	epochIdx map[string]int // job -> completed-epoch count
@@ -62,8 +63,6 @@ type fluidSim struct {
 	// step; allocating them fresh dominated the allocation profile, and
 	// the engine is single-threaded so one set of buffers suffices.
 	// Each is valid only until the method that filled it runs again.
-	actBuf     []*jobRT
-	runBuf     []*jobRT
 	viewsBuf   []core.JobView
 	keysBuf    []string
 	hitsBuf    []float64
@@ -79,7 +78,6 @@ type fluidSim struct {
 	residIdx   []int
 	shareBuf   []unit.Bandwidth
 	divider    remoteio.Divider
-	valScratch core.ValidateScratch
 
 	// LRU stream-layout memo: which jobs share a dataset key, the
 	// sorted key order, and each job's stream index depend only on the
@@ -102,21 +100,6 @@ type fluidSim struct {
 	realizedBuf map[string]unit.Bandwidth
 	effSumBuf   map[string]float64
 	effCntBuf   map[string]int
-
-	// Solve-skip memo: the last (effective cluster, views) the policy
-	// solved against and the assignment it produced. Valid only for
-	// pure policies (core.PureAssigner); see reschedule.
-	solvePure  bool
-	solveOK    bool
-	lastEff    core.Cluster
-	lastViews  []core.JobView
-	lastAssign core.Assignment
-	// ignoreFields widens the memo from exact-match to delta-aware:
-	// JobView fields the (pure) policy declares it never reads
-	// (core.DeltaAssigner) are excluded from the comparison, so e.g.
-	// FIFO keeps its memoized solve while jobs merely make progress.
-	// Zero for impure policies and in full-resolve mode.
-	ignoreFields core.ViewFields
 
 	// Rate memo: jobRates is a deterministic function of inputs that
 	// only change at discrete points (assignment application, fault
@@ -145,18 +128,9 @@ func runFluid(cfg Config, specs []workload.JobSpec) (*Result, error) {
 			return nil, fmt.Errorf("sim: job %s uses curriculum learning; use Engine: Batch", spec.ID)
 		}
 	}
-	ordered := append([]workload.JobSpec(nil), specs...)
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].Submit < ordered[j].Submit {
-			return true
-		}
-		if ordered[j].Submit < ordered[i].Submit {
-			return false
-		}
-		return ordered[i].ID < ordered[j].ID
-	})
 	s := &fluidSim{
 		cfg:         cfg,
+		round:       core.NewRound(cfg.Policy, cfg.FullResolve),
 		byID:        make(map[string]*jobRT),
 		datasets:    make(map[string]*dsRT),
 		epochIdx:    make(map[string]int),
@@ -164,16 +138,9 @@ func runFluid(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		realizedBuf: make(map[string]unit.Bandwidth),
 		effSumBuf:   make(map[string]float64),
 		effCntBuf:   make(map[string]int),
-		series: map[string]*stats.Series{
-			"throughput":      {Name: "throughput"},
-			"ideal":           {Name: "ideal"},
-			"remoteio":        {Name: "remoteio"},
-			"fairness":        {Name: "fairness"},
-			"cache_alloc":     {Name: "cache_alloc"},
-			"cache_effective": {Name: "cache_effective"},
-		},
+		series:      newSeries(),
 	}
-	for _, spec := range ordered {
+	for _, spec := range orderSpecs(specs) {
 		j := newJobRT(spec, cfg.System)
 		s.jobs = append(s.jobs, j)
 		s.byID[spec.ID] = j
@@ -181,18 +148,6 @@ func runFluid(cfg Config, specs []workload.JobSpec) (*Result, error) {
 	s.met = newSimMetrics(cfg)
 	s.met.initTenants(s.jobs)
 	s.met.submitAll(s.jobs)
-	s.solvePure = policyPure(cfg.Policy)
-	if fr, ok := cfg.Policy.(core.FullResolver); ok {
-		fr.SetFullResolve(cfg.FullResolve)
-	}
-	if cfg.FullResolve {
-		// Reference mode: every round re-solves from scratch and every
-		// step recomputes rates; the identity tests diff this against
-		// the memoized fast path.
-		s.solvePure = false
-	} else {
-		s.ignoreFields = core.PolicyIgnoredFields(cfg.Policy)
-	}
 	inj, err := faults.NewInjector(cfg.Cluster, cfg.Faults, cfg.Metrics, cfg.Timeline)
 	if err != nil {
 		return nil, err
@@ -226,72 +181,22 @@ func (s *fluidSim) ds(j *jobRT) *dsRT {
 	return d
 }
 
-// active returns the jobs that have arrived and are not finished. The
-// slice is scratch, valid until the next call.
-func (s *fluidSim) active() []*jobRT {
-	out := s.actBuf[:0]
-	for _, j := range s.jobs {
-		if !j.done && j.spec.Submit <= s.now {
-			out = append(out, j)
-		}
-	}
-	s.actBuf = out
-	return out
-}
-
-// runningJobs returns the jobs currently holding GPUs. The slice is
-// scratch, valid until the next call.
-func (s *fluidSim) runningJobs() []*jobRT {
-	out := s.runBuf[:0]
-	for _, j := range s.jobs {
-		if j.running && !j.done {
-			out = append(out, j)
-		}
-	}
-	s.runBuf = out
-	return out
-}
-
 // reschedule runs the policy over active jobs and applies the
 // assignment to the fluid state.
 func (s *fluidSim) reschedule() error {
-	act := s.active()
-	if cap(s.viewsBuf) < len(act) {
-		s.viewsBuf = make([]core.JobView, 0, len(act))
-	}
-	views := s.viewsBuf[:len(act)]
+	act := s.active(s.now)
+	views := resize(&s.viewsBuf, len(act))
 	for i, j := range act {
 		views[i] = j.view()
 		views[i].CachedBytes = minBytes(s.ds(j).cached, j.spec.Dataset.Size)
 	}
-	var a core.Assignment
-	reused := s.solveOK && s.eff == s.lastEff &&
-		core.ViewsEquivalent(views, s.lastViews, s.ignoreFields)
-	if reused {
-		// Pure policy, unchanged relevant inputs: the previous solve's
-		// assignment is still the answer. Fields in ignoreFields are
-		// ones the policy provably never reads (core.DeltaAssigner), so
-		// "unchanged" is checked only on the fields that could steer the
-		// solve. Re-applying the assignment below is a no-op on every
-		// observable (quotas, IO allocations, GPU transitions all
-		// compare equal), so skipping the solve cannot change results.
-		a = s.lastAssign
-	} else {
-		// The policy solves against the *effective* capacity: after a
-		// fault the re-solve must not over-grant GPUs, cache, or
-		// bandwidth, and Assignment validation enforces it against the
-		// same view.
-		a = s.cfg.Policy.Assign(s.eff, s.now, views)
-		if err := a.ValidateWith(s.eff, views, &s.valScratch); err != nil {
-			return fmt.Errorf("sim: at t=%v policy %s produced invalid assignment: %w",
-				s.now, s.cfg.Policy.Name(), err)
-		}
-		if s.solvePure {
-			s.lastEff = s.eff
-			s.lastViews = append(s.lastViews[:0], views...)
-			s.lastAssign = a
-			s.solveOK = true
-		}
+	// The policy solves against the *effective* capacity: after a fault
+	// the re-solve must not over-grant GPUs, cache, or bandwidth, and
+	// Assignment validation enforces it against the same view.
+	a, reused, err := s.round.Solve(s.eff, s.now, views)
+	if err != nil {
+		return fmt.Errorf("sim: at t=%v policy %s produced invalid assignment: %w",
+			s.now, s.cfg.Policy.Name(), err)
 	}
 	s.met.reschedules.Inc()
 	// A reused assignment with no running-set transitions leaves every

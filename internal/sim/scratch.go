@@ -1,7 +1,5 @@
 package sim
 
-import "repro/internal/core"
-
 // resize returns a length-n slice backed by *buf, reallocating only
 // when the capacity is insufficient. Element contents are unspecified
 // (they may hold stale data from a previous use), so callers must
@@ -29,13 +27,4 @@ func samePtrs[T any](a, b []*T) bool {
 		}
 	}
 	return true
-}
-
-// policyPure reports whether the policy declares, via
-// core.PureAssigner, that identical inputs always produce an
-// equivalent assignment — the precondition for the engines' solve-skip
-// memo.
-func policyPure(p core.Policy) bool {
-	pa, ok := p.(core.PureAssigner)
-	return ok && pa.PureAssign()
 }

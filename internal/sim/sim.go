@@ -20,6 +20,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/estimator"
@@ -242,6 +243,66 @@ func Run(cfg Config, jobs []workload.JobSpec) (*Result, error) {
 	default:
 		return runFluid(c, jobs)
 	}
+}
+
+// orderSpecs returns a copy of the trace in (Submit, ID) order — the
+// order both engines create, arrive and scan jobs in.
+func orderSpecs(specs []workload.JobSpec) []workload.JobSpec {
+	ordered := append([]workload.JobSpec(nil), specs...)
+	sort.Slice(ordered, func(i, j int) bool {
+		if ordered[i].Submit < ordered[j].Submit {
+			return true
+		}
+		if ordered[j].Submit < ordered[i].Submit {
+			return false
+		}
+		return ordered[i].ID < ordered[j].ID
+	})
+	return ordered
+}
+
+// newSeries returns the empty Result.Timelines both engines fill.
+func newSeries() map[string]*stats.Series {
+	out := make(map[string]*stats.Series, 6)
+	for _, name := range []string{"throughput", "ideal", "remoteio", "fairness", "cache_alloc", "cache_effective"} {
+		out[name] = &stats.Series{Name: name}
+	}
+	return out
+}
+
+// jobSet is the engine-shared job table: every job of the run in
+// (Submit, ID) order, plus the scratch its two scans reuse (the engines
+// are single-threaded).
+type jobSet struct {
+	jobs   []*jobRT
+	actBuf []*jobRT
+	runBuf []*jobRT
+}
+
+// active returns the jobs that have arrived by now and are not
+// finished. The slice is scratch, valid until the next call.
+func (s *jobSet) active(now unit.Time) []*jobRT {
+	out := s.actBuf[:0]
+	for _, j := range s.jobs {
+		if !j.done && j.spec.Submit <= now {
+			out = append(out, j)
+		}
+	}
+	s.actBuf = out
+	return out
+}
+
+// runningJobs returns the jobs currently holding GPUs. The slice is
+// scratch, valid until the next call.
+func (s *jobSet) runningJobs() []*jobRT {
+	out := s.runBuf[:0]
+	for _, j := range s.jobs {
+		if j.running && !j.done {
+			out = append(out, j)
+		}
+	}
+	s.runBuf = out
+	return out
 }
 
 // jobRT is the engine-shared per-job runtime state.

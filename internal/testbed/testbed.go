@@ -194,7 +194,8 @@ func Run(cfg Config, specs []workload.JobSpec) (*Result, error) {
 
 	// Scheduler goroutine: periodic allocation rounds.
 	tb := &bed{cfg: cfg, mgr: mgr, jobs: jobs, start: start, met: newBedMetrics(cfg),
-		failc: make(chan struct{}), inj: inj, eff: inj.Effective()}
+		failc: make(chan struct{}), inj: inj, eff: inj.Effective(),
+		solve: core.NewRound(cfg.Policy, false)}
 	for _, j := range jobs { // all testbed jobs submit at t=0
 		tb.met.tl.RecordAt(0, metrics.EventSubmit, j.spec.ID, float64(j.spec.NumGPUs), "gpus_requested")
 	}
@@ -287,12 +288,13 @@ type bed struct {
 	start time.Time
 	met   bedMetrics
 
-	// inj and eff belong to the scheduler: the initial round runs before
-	// the round goroutine starts, and after that only the round
+	// inj, eff and solve belong to the scheduler: the initial round runs
+	// before the round goroutine starts, and after that only the round
 	// goroutine touches them, so rounds see a consistent capacity view
 	// while job goroutines hit the (internally locked) manager.
-	inj *faults.Injector
-	eff core.Cluster
+	inj   *faults.Injector
+	eff   core.Cluster
+	solve *core.Round
 
 	mu    sync.Mutex
 	err   error // guarded by mu (first fatal error of the run)
@@ -396,8 +398,8 @@ func (b *bed) round() error {
 		return nil
 	}
 	b.met.rounds.Inc()
-	a := b.cfg.Policy.Assign(b.eff, now, views)
-	if err := a.Validate(b.eff, views); err != nil {
+	a, _, err := b.solve.Solve(b.eff, now, views)
+	if err != nil {
 		return fmt.Errorf("testbed: infeasible assignment: %w", err)
 	}
 	// Cache quotas.
