@@ -18,12 +18,6 @@ vet:
 lint:
 	$(GO) run ./cmd/silodlint -root .
 
-# lint-diff reports only the packages changed since BASE (plus their
-# reverse dependencies); the whole module is still analyzed. CI uses it
-# on pull requests; pushes to main run the full sweep.
-lint-diff:
-	$(GO) run ./cmd/silodlint -root . -diff $(or $(BASE),origin/main)
-
 # lint-why demonstrates the -why trace on the known-bad fixture: the
 # seeded detclose finding prints its root-to-witness call path. The
 # grep is the assertion — the smoke fails unless a full path (root,
@@ -68,9 +62,11 @@ serve:
 # test once.
 verify: build vet lint race
 
+# bench runs the repository's benchmark (BENCHMARK.json): five
+# workloads, end-to-end and per-layer metrics, correctness checks that
+# exit 1. See docs/performance.md.
 bench:
-	$(GO) test -bench=. -benchmem ./...
-	SILOD_BENCH=1 $(GO) test . -run 'TestEmitBenchPR5|TestEmitBenchPR10' -v -timeout 30m
+	$(GO) run ./bench -workload all
 
 # baseline regenerates BENCH_baseline.json from the metrics counters.
 baseline:

@@ -6,7 +6,6 @@
 //
 //	silodhollow -nodes 10000 -jobs 1000000 -rounds 200 -seed 42
 //	silodhollow -nodes 1000 -jobs 50000 -out hollow.json
-//	silodhollow -baseline hollow.json        # fail on >20% p50 regression
 package main
 
 import (
@@ -41,7 +40,6 @@ func run(args []string, w io.Writer) error {
 	system := fs.String("system", "SiloD", "cache system (SiloD, Alluxio, CoorDL, Quiver)")
 	seed := fs.Int64("seed", 42, "trace seed")
 	out := fs.String("out", "", "write the result as JSON to this file")
-	baseline := fs.String("baseline", "", "compare against a prior -out file; fail on >20% p50 round-latency regression")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -88,32 +86,6 @@ func run(args []string, w io.Writer) error {
 		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
 			return err
 		}
-	}
-	if *baseline != "" {
-		return compareBaseline(w, *baseline, res)
-	}
-	return nil
-}
-
-// compareBaseline fails the run if the p50 round latency regressed more
-// than 20% against a previously recorded result.
-func compareBaseline(w io.Writer, path string, res *hollow.Result) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base hollow.Result
-	if err := json.Unmarshal(buf, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if base.RoundLatency.P50 <= 0 {
-		return fmt.Errorf("baseline %s has no p50 round latency", path)
-	}
-	ratio := float64(res.RoundLatency.P50) / float64(base.RoundLatency.P50)
-	fmt.Fprintf(w, "baseline p50 %v -> %v (%.2fx)\n", base.RoundLatency.P50, res.RoundLatency.P50, ratio)
-	if ratio > 1.20 {
-		return fmt.Errorf("p50 round latency regressed %.0f%% over baseline %s (%v -> %v, limit 20%%)",
-			(ratio-1)*100, path, base.RoundLatency.P50, res.RoundLatency.P50)
 	}
 	return nil
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	silodlint [-root dir] [-allow file] [-disable a,b] [-workers n] [-diff ref] [-why] [-list] [-json] [-v]
+//	silodlint [-root dir] [-allow file] [-disable a,b] [-workers n] [-why] [-list] [-json] [-v]
 //
 // Diagnostics print one per line as
 //
@@ -16,13 +16,9 @@
 // object per line ({"path","line","col","analyzer","message"}), for
 // editor and CI integrations.
 //
-// -diff <ref> lints only the packages whose files changed since the
-// git ref, plus their reverse dependencies inside the module — the
-// whole module is still loaded and analyzed (the whole-program
-// analyzers need it), only the reporting is restricted. A diff that
-// touches no .go file falls back to a full run. -why appends the
-// whole-program call path under each finding that carries one
-// (detclose traces root → call → witness). See docs/static-analysis.md.
+// -why appends the whole-program call path under each finding that
+// carries one (detclose traces root → call → witness). See
+// docs/static-analysis.md.
 package main
 
 import (
@@ -31,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"time"
@@ -64,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as one JSON object per line")
 	workers := fs.Int("workers", 0, "analysis worker goroutines (0 = GOMAXPROCS, 1 = sequential); output is identical either way")
-	diffRef := fs.String("diff", "", "report only packages changed since this git ref (plus reverse deps); non-Go diffs fall back to a full run")
 	why := fs.Bool("why", false, "print the whole-program call path under findings that carry one")
 	verbose := fs.Bool("v", false, "print load/run statistics to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -92,22 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		opts.Disable[name] = true
-	}
-
-	if *diffRef != "" {
-		changed, ok, err := changedSince(*root, *diffRef)
-		if err != nil {
-			fmt.Fprintf(stderr, "silodlint: -diff: %v\n", err)
-			return 2
-		}
-		if ok {
-			opts.ChangedFiles = changed
-			if *verbose {
-				fmt.Fprintf(stderr, "silodlint: diff vs %s: %d changed .go file(s)\n", *diffRef, len(changed))
-			}
-		} else if *verbose {
-			fmt.Fprintf(stderr, "silodlint: diff vs %s touches no .go file; running full\n", *diffRef)
-		}
 	}
 
 	file := *allowPath
@@ -175,38 +153,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// changedSince lists the files changed in root since the git ref,
-// relative to the module root. ok is false when the diff touches no
-// .go file — the caller falls back to a full run, so config-only
-// changes (go.mod, lint.allow, CI) never silently skip the gate.
-func changedSince(root, ref string) (changed []string, ok bool, err error) {
-	// --relative keeps paths module-root-relative even when the module
-	// is not at the git repository's top level.
-	cmd := exec.Command("git", "diff", "--name-only", "--relative", ref, "--", ".")
-	cmd.Dir = root
-	out, err := cmd.Output()
-	if err != nil {
-		if ee, isExit := err.(*exec.ExitError); isExit && len(ee.Stderr) > 0 {
-			return nil, false, fmt.Errorf("git diff %s: %s", ref, strings.TrimSpace(string(ee.Stderr)))
-		}
-		return nil, false, fmt.Errorf("git diff %s: %v", ref, err)
-	}
-	changed = []string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		if line = strings.TrimSpace(line); line == "" {
-			continue
-		}
-		changed = append(changed, line)
-		if strings.HasSuffix(line, ".go") {
-			ok = true
-		}
-	}
-	// An empty diff is a valid (empty) change set — nothing to report.
-	// Only a non-empty diff with no .go file falls back to a full run.
-	if len(changed) == 0 {
-		ok = true
-	}
-	return changed, ok, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -246,110 +245,6 @@ func TestWhyFlag(t *testing.T) {
 	_, plain, _ := runLint(t, "-root", badmod)
 	if strings.Contains(plain, "\troot ") {
 		t.Errorf("trace printed without -why:\n%s", plain)
-	}
-}
-
-// gitBadmod copies the badmod fixture into a fresh git repository and
-// returns its path plus a helper that commits the current state.
-func gitBadmod(t *testing.T) (string, func(msg string)) {
-	t.Helper()
-	dir := t.TempDir()
-	if err := filepath.WalkDir(badmod, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(badmod, path)
-		dst := filepath.Join(dir, rel)
-		if d.IsDir() {
-			return os.MkdirAll(dst, 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(dst, data, 0o644)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	git := func(args ...string) {
-		t.Helper()
-		cmd := exec.Command("git", args...)
-		cmd.Dir = dir
-		cmd.Env = append(os.Environ(),
-			"GIT_AUTHOR_NAME=t", "GIT_AUTHOR_EMAIL=t@t",
-			"GIT_COMMITTER_NAME=t", "GIT_COMMITTER_EMAIL=t@t")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("git %v: %v\n%s", args, err, out)
-		}
-	}
-	git("init", "-q", "-b", "main")
-	git("add", ".")
-	git("commit", "-q", "-m", "seed")
-	return dir, func(msg string) {
-		git("add", ".")
-		git("commit", "-q", "-m", msg)
-	}
-}
-
-// TestDiffMode covers -diff end to end on a git-initialized badmod
-// copy: an unchanged tree reports nothing, a change to one package
-// reports only that package (plus reverse deps), and a non-Go change
-// falls back to the full run.
-func TestDiffMode(t *testing.T) {
-	if _, err := exec.LookPath("git"); err != nil {
-		t.Skip("git not installed")
-	}
-	dir, _ := gitBadmod(t)
-
-	// No changes since HEAD: nothing to report, even though the module
-	// has 24 findings.
-	code, stdout, _ := runLint(t, "-root", dir, "-diff", "HEAD")
-	if code != 0 || stdout != "" {
-		t.Fatalf("clean diff: code = %d, stdout:\n%s", code, stdout)
-	}
-
-	// Touch one package: only its findings (slo.go's tenant package has
-	// no reverse deps inside badmod) come back.
-	slo := filepath.Join(dir, "internal", "tenant", "slo.go")
-	data, err := os.ReadFile(slo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(slo, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runLint(t, "-root", dir, "-diff", "HEAD")
-	if code != 1 {
-		t.Fatalf("diff run: code = %d\nstderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "exhaust: switch over closed enum tenant.sloClass") ||
-		!strings.Contains(stdout, "lockcheck: write to r.tenants") {
-		t.Errorf("diff run missing the tenant package's findings:\n%s", stdout)
-	}
-	if strings.Contains(stdout, "internal/cache/") || strings.Contains(stdout, "internal/experiments/") {
-		t.Errorf("diff run reports packages the change cannot affect:\n%s", stdout)
-	}
-
-	// A non-Go change falls back to the full run: all 24 findings.
-	if err := os.WriteFile(slo, data, 0o644); err != nil { // revert
-		t.Fatal(err)
-	}
-	gomod := filepath.Join(dir, "go.mod")
-	mod, err := os.ReadFile(gomod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(gomod, append(mod, "// touched\n"...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = runLint(t, "-root", dir, "-diff", "HEAD")
-	if code != 1 || !strings.Contains(stderr, "24 finding(s)") {
-		t.Errorf("non-Go diff should run full: code = %d, stderr:\n%s", code, stderr)
-	}
-
-	// An unknown ref is a usage error, not a silent full run.
-	if code, _, _ = runLint(t, "-root", dir, "-diff", "no-such-ref"); code != 2 {
-		t.Errorf("bad ref: code = %d, want 2", code)
 	}
 }
 

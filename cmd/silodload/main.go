@@ -1,9 +1,9 @@
 // Command silodload replays a seeded, bursty submission storm against
 // a scheduler's online serving mode and reports what survived: the
 // sustained admission rate, shed fractions per SLO tier, and submit /
-// round latency quantiles, written as JSON for the benchmark suite.
+// round latency quantiles, printed as JSON (and written to -out).
 //
-//	silodload -seed 42 -jobs 400 -mean-iat 5ms -cv 2 -out BENCH_pr9.json
+//	silodload -seed 42 -jobs 400 -mean-iat 5ms -cv 2 -out load.json
 //
 // With no -addr the generator self-hosts: it boots an in-process
 // scheduler (FIFO on SiloD, queued-submission mode, bounded admission
@@ -52,8 +52,7 @@ type tierReport struct {
 	ShedFraction float64 `json:"shed_fraction"`
 }
 
-// benchReport is the JSON artifact silodload emits (BENCH_pr9.json in
-// the benchmark suite).
+// benchReport is the JSON document silodload emits.
 type benchReport struct {
 	Spec            loadgen.Spec          `json:"spec"`
 	WallSeconds     float64               `json:"wall_seconds"`
@@ -87,7 +86,7 @@ func run(args []string) error {
 	stdW := fs.Float64("std-weight", 2, "standard tier weight")
 	shedW := fs.Float64("shed-weight", 2, "sheddable tier weight")
 	addr := fs.String("addr", "", "scheduler base URL (empty = self-host in process)")
-	out := fs.String("out", "BENCH_pr9.json", "report path (empty = stdout only)")
+	out := fs.String("out", "", "also write the report to this file")
 	gpus := fs.Int("gpus", 8, "self-host: cluster GPUs")
 	cacheStr := fs.String("cache", "100GB", "self-host: cluster cache")
 	remoteStr := fs.String("remote", "200MB", "self-host: remote IO bandwidth")

@@ -79,7 +79,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-max-gpus", "0"},
 	}
 	for _, args := range bad {
-		if err := run(append(args, "-out", "")); err == nil {
+		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}

@@ -10,9 +10,6 @@ import (
 	"repro/internal/unit"
 )
 
-// DefaultBlockSize is the block granularity datasets are cached at.
-const DefaultBlockSize = 64 * unit.MB
-
 // BlockID indexes a block within a dataset.
 type BlockID int32
 

@@ -77,14 +77,6 @@ func (c *Client) SetRetry(attempts int, backoff time.Duration, rng *simrng.RNG) 
 	}
 }
 
-// SetAttemptTimeout bounds each individual attempt (not the whole
-// retried request).
-func (c *Client) SetAttemptTimeout(d time.Duration) {
-	if d > 0 {
-		c.http.Timeout = d
-	}
-}
-
 // doJSON posts (or GETs, for nil body) and decodes the response into
 // out when non-nil, retrying transient failures — transport errors,
 // 5xx responses, and 429s that carry a Retry-After hint — with capped

@@ -189,20 +189,6 @@ func (m *Manager) ResizeEgress(newCapacity unit.Bandwidth) {
 	}
 }
 
-// CacheCapacity reports the pool's current capacity.
-func (m *Manager) CacheCapacity() unit.Bytes {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pool.Capacity()
-}
-
-// EgressCapacity reports the ledger's current egress capacity.
-func (m *Manager) EgressCapacity() unit.Bandwidth {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ledger.Capacity()
-}
-
 // ReadResult describes one block read.
 type ReadResult struct {
 	Hit bool
@@ -304,13 +290,6 @@ func (m *Manager) Quota(dataset string) unit.Bytes {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.pool.Quota(dataset)
-}
-
-// TotalCached reports the pool-wide cached bytes.
-func (m *Manager) TotalCached() unit.Bytes {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pool.TotalCachedBytes()
 }
 
 // Snapshot serializes the manager's allocation state (not cache

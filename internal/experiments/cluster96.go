@@ -162,11 +162,6 @@ func minInt(a, b int) int {
 	return b
 }
 
-// CDFSeries exposes a full JCT CDF for a system (Figure 10b raw form).
-func (r *Figure10Result) CDFSeries(cs policy.CacheSystem) []stats.CDFPoint {
-	return stats.CDF(r.Results[cs].JCTs())
-}
-
 // FidelityRow is one system's fluid-vs-batch comparison at 96-GPU
 // scale.
 type FidelityRow struct {

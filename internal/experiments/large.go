@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -311,7 +310,3 @@ func (r *AblationNoIOResult) Table() *report.Table {
 		r.WithoutControl.Makespan.Minutes(), r.WithoutControl.AvgFairness())
 	return t
 }
-
-// ClusterFor exposes the preset used by the large experiments, for the
-// CLI.
-func ClusterFor(gpus int) core.Cluster { return clusterPreset(gpus) }

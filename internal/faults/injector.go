@@ -52,9 +52,6 @@ func NewInjector(base core.Cluster, sched *Schedule, reg *metrics.Registry, tl *
 	return in, nil
 }
 
-// Base returns the undegraded cluster.
-func (in *Injector) Base() core.Cluster { return in.base }
-
 // Effective returns the current degraded capacity view. Policies and
 // Assignment validation must use this, never the base cluster, so a
 // post-fault re-solve cannot over-grant GPUs, cache, or bandwidth.
@@ -129,14 +126,6 @@ func (in *Injector) Next(now unit.Time) (Event, bool) {
 func (in *Injector) Finish(now unit.Time) {
 	in.accrueTo(now)
 	in.met.publish(in)
-}
-
-// CountPreemptions records jobs preempted as a direct consequence of a
-// fault (node loss or crash), for the chaos counters. The victims are
-// charged to the standard SLO tier; engines that know the victim's
-// class use CountPreemptionsSLO.
-func (in *Injector) CountPreemptions(n int) {
-	in.CountPreemptionsSLO(tenant.Standard, n)
 }
 
 // CountPreemptionsSLO records fault preemptions attributed to the

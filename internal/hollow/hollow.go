@@ -3,8 +3,8 @@
 // heartbeating nodes and a synthetic job trace, with no data plane
 // behind it — allocation pushes land in a digesting sink. The simulator
 // answers "what would the cluster do"; hollow answers "how fast can the
-// control plane itself decide", the round-latency and rounds/sec
-// numbers BENCH_pr10.json records.
+// control plane itself decide": round latency and rounds/sec
+// (docs/performance.md records the reference run and its push digest).
 //
 // Everything the scheduler sees is deterministic: the scheduler runs on
 // a virtual clock, the trace comes from a seeded generator, and the

@@ -63,33 +63,3 @@ func TestDetcloseRecursiveTrace(t *testing.T) {
 	}
 	t.Fatalf("no RootRec finding in:\n%s", formatDiags(diags))
 }
-
-// TestAffectedDirs pins the -diff closure over a synthetic import
-// graph: a change to a leaf package pulls in every transitive importer
-// and nothing else.
-func TestAffectedDirs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	l := testLoader(t)
-	pkgs, err := l.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// internal/unit is imported (transitively) by the simulator stack;
-	// internal/lint is not an importer of it.
-	affected := AffectedDirs(pkgs, l.Module, []string{"internal/unit/unit.go"})
-	for _, want := range []string{"internal/unit", "internal/sim", "internal/experiments"} {
-		if !affected[want] {
-			t.Errorf("change to internal/unit should affect %s; affected = %v", want, affected)
-		}
-	}
-	if affected["internal/lint"] {
-		t.Errorf("internal/lint does not import internal/unit but is marked affected")
-	}
-	// A non-Go change affects nothing at this layer (the CLI falls back
-	// to a full run for such diffs).
-	if got := AffectedDirs(pkgs, l.Module, []string{"README.md"}); len(got) != 0 {
-		t.Errorf("non-Go change produced affected dirs: %v", got)
-	}
-}

@@ -2,10 +2,8 @@ package lint
 
 import (
 	"go/types"
-	"path"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/runner"
 )
@@ -21,14 +19,6 @@ type Options struct {
 	// thread-safe — but analysis is embarrassingly parallel across
 	// packages, and output is byte-identical at any worker count.
 	Workers int
-	// ChangedFiles restricts *reporting* to the packages containing the
-	// listed files (module-root-relative, slash-separated) plus their
-	// transitive reverse import dependencies — the -diff mode. The
-	// whole module is still loaded and analyzed (whole-program
-	// analyzers need every summary to judge anything), so a diff run
-	// costs load time, not soundness. nil means full reporting; an
-	// empty non-nil slice reports nothing.
-	ChangedFiles []string
 }
 
 // Result is the outcome of linting one module.
@@ -99,9 +89,6 @@ func Run(root string, opts Options) (*Result, error) {
 			res.Diagnostics[i].Trace[t].Pos.Filename = relPath(loader.Root, res.Diagnostics[i].Trace[t].Pos.Filename)
 		}
 	}
-	if opts.ChangedFiles != nil {
-		res.Diagnostics = filterAffected(res.Diagnostics, pkgs, loader.Module, opts.ChangedFiles)
-	}
 	sort.Slice(res.Diagnostics, func(i, j int) bool {
 		a, b := res.Diagnostics[i], res.Diagnostics[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -116,13 +103,6 @@ func Run(root string, opts Options) (*Result, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return res, nil
-}
-
-// AnalyzePackage runs the enabled analyzers over one loaded package
-// and returns raw (absolute-position) diagnostics. Global analyzers'
-// Finish hooks do not run here — use Run for whole-module results.
-func AnalyzePackage(loader *Loader, pkg *Package, opts Options) []Diagnostic {
-	return analyzePackage(loader, pkg, opts, make(map[string]any))
 }
 
 func analyzePackage(loader *Loader, pkg *Package, opts Options, shared map[string]any) []Diagnostic {
@@ -152,72 +132,6 @@ func analyzePackage(loader *Loader, pkg *Package, opts Options, shared map[strin
 		out = append(out, pass.diags...)
 	}
 	return out
-}
-
-// filterAffected keeps the diagnostics belonging to changed packages
-// and their transitive reverse import dependencies — the -diff scope.
-func filterAffected(diags []Diagnostic, pkgs []*Package, module string, changed []string) []Diagnostic {
-	affected := AffectedDirs(pkgs, module, changed)
-	out := diags[:0]
-	for _, d := range diags {
-		if affected[path.Dir(d.Pos.Filename)] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// AffectedDirs computes the module-root-relative package directories
-// touched by the changed files, closed under reverse imports: a change
-// to internal/unit affects every package that (transitively) imports
-// it. Used by the -diff mode and unit-tested directly.
-func AffectedDirs(pkgs []*Package, module string, changed []string) map[string]bool {
-	// pkgDir maps import path -> root-relative dir ("." for the root
-	// package), mirroring how relPath rewrites diagnostic filenames.
-	pkgDir := func(ip string) string {
-		rel := strings.TrimPrefix(strings.TrimPrefix(ip, module), "/")
-		if rel == "" {
-			return "."
-		}
-		return rel
-	}
-	// Reverse import edges, module-internal only.
-	importers := make(map[string][]string) // imported path -> importing paths
-	for _, p := range pkgs {
-		if p.Types == nil {
-			continue
-		}
-		for _, imp := range p.Types.Imports() {
-			dep := imp.Path()
-			if dep == module || strings.HasPrefix(dep, module+"/") {
-				importers[dep] = append(importers[dep], p.Path)
-			}
-		}
-	}
-	changedDirs := make(map[string]bool)
-	for _, f := range changed {
-		if strings.HasSuffix(f, ".go") {
-			changedDirs[path.Dir(path.Clean(filepath.ToSlash(f)))] = true
-		}
-	}
-	affected := make(map[string]bool)
-	var queue []string
-	for _, p := range pkgs {
-		if changedDirs[pkgDir(p.Path)] {
-			queue = append(queue, p.Path)
-		}
-	}
-	for len(queue) > 0 {
-		ip := queue[0]
-		queue = queue[1:]
-		dir := pkgDir(ip)
-		if affected[dir] {
-			continue
-		}
-		affected[dir] = true
-		queue = append(queue, importers[ip]...)
-	}
-	return affected
 }
 
 // relPath rewrites an absolute filename to a slash-separated path

@@ -145,14 +145,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// Bounds returns the bucket upper bounds (without the implicit +Inf).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
 // cumulative returns the cumulative per-bucket counts, one entry per
 // bound plus the +Inf bucket.
 func (h *Histogram) cumulative() []int64 {

@@ -22,16 +22,9 @@ func admitGangs(grants map[string]int, totalGPUs int, ordered []core.JobView) {
 	}
 }
 
-// runningFirst returns jobs reordered so currently running jobs come
-// first (in queue order), implementing non-preemptive admission.
-//
-// silod:pure
-func runningFirst(ordered []core.JobView) []core.JobView {
-	return runningFirstInto(nil, ordered)
-}
-
-// runningFirstInto is runningFirst with a caller-owned destination
-// buffer (reused via dst[:0]).
+// runningFirstInto reorders jobs into dst (reused via dst[:0]) so
+// currently running jobs come first, in queue order — non-preemptive
+// admission.
 //
 // silod:pure
 func runningFirstInto(dst []core.JobView, ordered []core.JobView) []core.JobView {
@@ -49,15 +42,8 @@ func runningFirstInto(dst []core.JobView, ordered []core.JobView) []core.JobView
 	return out
 }
 
-// admittedViews filters jobs down to those with a GPU grant.
-//
-// silod:pure
-func admittedViews(jobs []core.JobView, grants map[string]int) []core.JobView {
-	return admittedViewsInto(nil, jobs, grants)
-}
-
-// admittedViewsInto is admittedViews with a caller-owned destination
-// buffer (reused via dst[:0]).
+// admittedViewsInto filters jobs down to those with a GPU grant, into
+// dst (reused via dst[:0]).
 //
 // silod:pure
 func admittedViewsInto(dst []core.JobView, jobs []core.JobView, grants map[string]int) []core.JobView {

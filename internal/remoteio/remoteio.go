@@ -171,13 +171,11 @@ func FairShare(capacity unit.Bandwidth, demands []Demand) map[string]unit.Bandwi
 	return out
 }
 
-// Divider computes the same divisions as FairShare/EqualShare into
-// index-aligned slices, recycling its sort scratch across calls — for
-// callers (the sim engines' Che fixed point) that divide bandwidth
-// thousands of times per run. Grants are byte-identical to the map
-// variants': the progressive filling visits demands in the same
-// (want, then JobID) order via an index permutation, which is unique
-// because job IDs are.
+// Divider divides bandwidth into index-aligned slices, recycling its
+// sort scratch across calls — for callers (the sim engines' Che fixed
+// point) that divide bandwidth thousands of times per run. The
+// progressive filling visits demands in (want, then JobID) order via an
+// index permutation, which is unique because job IDs are.
 type Divider struct {
 	idx   []int
 	wants []float64
@@ -229,9 +227,14 @@ func (dv *Divider) FairShareInto(out []unit.Bandwidth, capacity unit.Bandwidth, 
 	return out
 }
 
-// EqualShareInto returns EqualShare's grants with grants[i] belonging
-// to demands[i]. The result aliases out's backing array when capacity
-// allows and is valid until the next call.
+// EqualShareInto models the provider-side egress throttle that applies
+// when no scheduler controls remote IO (§2.1, §7.2): every running job
+// gets an equal static share of the egress capacity, capped at its
+// demand. Unlike FairShare there is no redistribution — a cached job's
+// unused share idles, which is exactly the inefficiency SiloD's remote
+// IO management removes. grants[i] belongs to demands[i]; the result
+// aliases out's backing array when capacity allows and is valid until
+// the next call.
 //
 // silod:pure
 func (dv *Divider) EqualShareInto(out []unit.Bandwidth, capacity unit.Bandwidth, demands []Demand) []unit.Bandwidth {
@@ -249,31 +252,6 @@ func (dv *Divider) EqualShareInto(out []unit.Bandwidth, capacity unit.Bandwidth,
 			w = share
 		}
 		out = append(out, unit.Bandwidth(w))
-	}
-	return out
-}
-
-// EqualShare models the provider-side egress throttle that applies when
-// no scheduler controls remote IO (§2.1, §7.2): every running job gets
-// an equal static share of the egress capacity, capped at its demand.
-// Unlike FairShare there is no redistribution — a cached job's unused
-// share idles, which is exactly the inefficiency SiloD's remote IO
-// management removes.
-func EqualShare(capacity unit.Bandwidth, demands []Demand) map[string]unit.Bandwidth {
-	out := make(map[string]unit.Bandwidth, len(demands))
-	if len(demands) == 0 {
-		return out
-	}
-	share := float64(capacity) / float64(len(demands))
-	for _, d := range demands {
-		w := float64(d.Want)
-		if w < 0 {
-			w = 0
-		}
-		if w > share {
-			w = share
-		}
-		out[d.JobID] = unit.Bandwidth(w)
 	}
 	return out
 }

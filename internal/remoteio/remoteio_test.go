@@ -90,17 +90,18 @@ func TestFairShareProperties(t *testing.T) {
 }
 
 func TestEqualShare(t *testing.T) {
-	out := EqualShare(unit.MBpsOf(90), []Demand{
+	var d Divider
+	out := d.EqualShareInto(nil, unit.MBpsOf(90), []Demand{
 		{"tiny", unit.MBpsOf(5)},
 		{"big1", unit.MBpsOf(100)},
 		{"big2", unit.MBpsOf(100)},
 	})
 	// Each share = 30; tiny capped at demand; the unused 25 idles.
-	if out["tiny"].MBpsValue() != 5 {
-		t.Errorf("tiny = %v", out["tiny"])
+	if out[0].MBpsValue() != 5 {
+		t.Errorf("tiny = %v", out[0])
 	}
-	if out["big1"].MBpsValue() != 30 || out["big2"].MBpsValue() != 30 {
-		t.Errorf("bigs = %v / %v", out["big1"], out["big2"])
+	if out[1].MBpsValue() != 30 || out[2].MBpsValue() != 30 {
+		t.Errorf("bigs = %v / %v", out[1], out[2])
 	}
 	var sum float64
 	for _, v := range out {

@@ -6,14 +6,10 @@ import (
 	"sort"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eventq"
-	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/remoteio"
 	"repro/internal/simrng"
-	"repro/internal/stats"
 	"repro/internal/unit"
 	"repro/internal/workload"
 )
@@ -60,45 +56,19 @@ const prefetchDepth = 64
 
 // batchSim is the batch engine.
 type batchSim struct {
-	jobSet
-	cfg   Config
+	engine
 	q     *eventq.Queue
 	pool  cache.Pool
 	bjobs map[string]*batchJob
 	rng   *simrng.RNG
-	round *core.Round
-
-	// inj replays the fault schedule; eff is the degraded capacity every
-	// scheduling decision uses instead of cfg.Cluster. faultPreempt
-	// marks the next round as fault-driven (stopped jobs roll back).
-	inj          *faults.Injector
-	eff          core.Cluster
-	faultPreempt bool
-
-	res        *Result
-	series     map[string]*stats.Series
-	met        *simMetrics
-	finished   int
-	lastFinish unit.Time
 
 	// Windowed throughput accounting.
 	lastSampleT     float64
 	bytesSinceSamp  float64
 	remoteSinceSamp float64
 
-	// Scratch buffers reused across scheduling rounds (the engine is
-	// single-threaded); each is valid only until the method that filled
-	// it runs again.
-	viewsBuf   []core.JobView
-	keysBuf    []string
-	hitsBuf    []float64
-	grantsBuf  []unit.Bandwidth
-	demandsBuf []float64
-	demandBuf  []remoteio.Demand
-	residBuf   []remoteio.Demand
-	residIdx   []int
-	shareBuf   []unit.Bandwidth
-	divider    remoteio.Divider
+	// floorBuf is refreshRates' per-job demand floor (see there).
+	floorBuf []float64
 
 	// Event batching: tickEvent is the single armed periodic tick
 	// (re-armed, not stacked, by each round) and roundPending coalesces
@@ -111,14 +81,10 @@ type batchSim struct {
 // runBatch executes the batch engine.
 func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 	s := &batchSim{
-		cfg:    cfg,
-		q:      eventq.New(),
-		bjobs:  make(map[string]*batchJob),
-		rng:    simrng.New(cfg.Seed),
-		round:  core.NewRound(cfg.Policy, cfg.FullResolve),
-		series: newSeries(),
+		q:     eventq.New(),
+		bjobs: make(map[string]*batchJob),
+		rng:   simrng.New(cfg.Seed),
 	}
-	s.met = newSimMetrics(cfg)
 	// The batch engine drives the real pools, so block-level hit/miss/
 	// eviction counters come straight from the cache package.
 	pm := cache.NewPoolMetrics(cfg.Metrics, cfg.System.String())
@@ -131,6 +97,7 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		qp.SetMetrics(pm)
 		s.pool = qp
 	}
+	var jobs []*jobRT
 	for _, spec := range orderSpecs(specs) {
 		blocks, err := dataset.New(spec.Dataset.Name, spec.Dataset.Size, cfg.BlockSize)
 		if err != nil {
@@ -141,7 +108,7 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		// can never be admitted and trickles in remotely every epoch.
 		spec.Dataset.Size = unit.Bytes(blocks.Num) * cfg.BlockSize
 		rt := newJobRT(spec, cfg.System)
-		s.jobs = append(s.jobs, rt)
+		jobs = append(jobs, rt)
 		if err := s.pool.Register(rt.dsKey, blocks.Num, cfg.BlockSize); err != nil {
 			return nil, err
 		}
@@ -166,14 +133,10 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		submit := float64(spec.Submit)
 		s.q.Schedule(submit, func() { s.requestRound() })
 	}
-	s.met.initTenants(s.jobs)
-	s.met.submitAll(s.jobs)
-	inj, err := faults.NewInjector(cfg.Cluster, cfg.Faults, cfg.Metrics, cfg.Timeline)
-	if err != nil {
+	var err error
+	if s.engine, err = newEngine(cfg, jobs); err != nil {
 		return nil, err
 	}
-	s.inj = inj
-	s.eff = inj.Effective()
 	if cfg.Faults != nil {
 		// One queue event per distinct fault time; the injector drains
 		// every event due at that instant (FIFO within ties).
@@ -186,7 +149,6 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 			}
 		}
 	}
-	s.res = &Result{Timelines: s.series}
 	// Periodic rescheduling ticks are (re)armed by reschedule itself.
 	total := len(s.jobs)
 	maxEvents := 500_000_000
@@ -203,13 +165,8 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 				s.finished, total, s.describeStuck())
 		}
 	}
-	s.inj.Finish(unit.Time(s.q.Now()))
-	s.met.flushBytes()
-	s.met.flushTenantTrained(s.jobs)
 	s.sample(true)
-	s.res.Makespan = s.lastFinish.Sub(0)
-	sort.Slice(s.res.Jobs, func(i, j int) bool { return s.res.Jobs[i].ID < s.res.Jobs[j].ID })
-	return s.res, nil
+	return s.finish(unit.Time(s.q.Now())), nil
 }
 
 // describeStuck reports the pipeline state of unfinished jobs, for the
@@ -288,35 +245,14 @@ func (s *batchSim) reschedule() {
 			}
 		}
 	}
+	s.applyRemoteIO(now, act, a)
 	for _, j := range act {
-		bw := a.RemoteIO[j.spec.ID]
-		if bw.Changed(j.remoteIO) {
-			s.met.tl.RecordAt(s.q.Now(), metrics.EventIOAlloc, j.spec.ID, float64(bw), "bytes_per_sec")
-		}
-		j.remoteIO = bw
-	}
-	for _, j := range act {
-		g := a.GPUs[j.spec.ID]
-		wasRunning := j.running
-		j.gpus = g
-		j.running = g > 0
-		s.met.transition(now, j, wasRunning)
-		if j.running && !j.started {
-			j.started = true
-			j.start = now
-		}
-		if j.running && !wasRunning {
+		started, stopped := s.grantGPUs(now, j, a.GPUs[j.spec.ID])
+		if started {
 			s.kick(s.bjobs[j.spec.ID])
 		}
-		if !j.running && wasRunning {
-			bj := s.bjobs[j.spec.ID]
-			s.pause(bj)
-			if s.faultPreempt {
-				// Fault-driven preemption: the node (and the epoch's
-				// uncheckpointed progress) is gone.
-				s.rollback(bj)
-				s.inj.CountPreemptionsSLO(j.spec.SLO, 1)
-			}
+		if stopped {
+			s.halt(j, s.faultPreempt)
 		}
 	}
 	s.faultPreempt = false
@@ -348,69 +284,32 @@ func (s *batchSim) requestRound() {
 	})
 }
 
-// onFault drains the injector's due events into batch state, then runs
-// a scheduling round against the degraded (or recovered) capacity.
+// onFault lands the faults due now, then runs a scheduling round
+// against the degraded (or recovered) capacity.
 func (s *batchSim) onFault() {
-	now := unit.Time(s.q.Now())
-	applied := false
-	for {
-		before := s.inj.Effective()
-		ev, ok := s.inj.Next(now)
-		if !ok {
-			break
-		}
-		applied = true
-		s.eff = s.inj.Effective()
-		switch ev.Kind {
-		case faults.KindGPULoss:
-			s.faultPreempt = true
-		case faults.KindCacheLoss:
-			// The failed cache node held a uniform share of the pool's
-			// blocks: invalidate that fraction, then shrink capacity so
-			// admissions respect the surviving nodes. Hit ratios
-			// re-derive from the shrunken pool on the next access.
-			frac := 0.0
-			if before.Cache > 0 {
-				frac = 1 - float64(s.eff.Cache)/float64(before.Cache)
-			}
-			s.pool.EvictFraction(frac)
-			s.pool.Resize(s.eff.Cache)
-		case faults.KindCacheRestore:
-			// Capacity returns empty; jobs re-warm it.
-			s.pool.Resize(s.eff.Cache)
-		case faults.KindJobCrash:
-			if bj, ok := s.bjobs[ev.Job]; ok {
-				s.crash(bj)
-			}
-		case faults.KindGPURestore, faults.KindIOLoss, faults.KindIORestore:
-			// Capacity-only kinds: restored GPUs are picked up and IO is
-			// re-throttled by the scheduling round below; no pool surgery
-			// and no preemption.
-		}
-	}
-	if applied {
+	if s.drainFaults(unit.Time(s.q.Now()), s) > 0 {
 		s.requestRound()
 	}
 }
 
-// crash kills one job's execution: it loses its GPUs and its current
-// epoch's progress, then re-enters the queue (the scheduler restarts it
-// on a later round). The cache survives — it lives on other nodes (§6).
-func (s *batchSim) crash(bj *batchJob) {
-	j := bj.rt
-	if j.done || !j.started {
-		return
+// cacheResized implements faultReactor: invalidate the lost fraction of
+// the pool's blocks, then resize so admissions respect the surviving
+// (or restored) nodes. Hit ratios re-derive from the pool on the next
+// access.
+func (s *batchSim) cacheResized(before unit.Bytes) {
+	if s.eff.Cache < before {
+		s.pool.EvictFraction(1 - float64(s.eff.Cache)/float64(before))
 	}
-	if j.running {
-		s.pause(bj)
-		j.running = false
-		j.gpus = 0
-		s.met.preemptions.Inc()
-		s.met.tenantPreempt(j.spec.Tenant)
-		s.met.tl.RecordAt(s.q.Now(), metrics.EventPreempt, j.spec.ID, 0, "crash")
-		s.inj.CountPreemptionsSLO(j.spec.SLO, 1)
+	s.pool.Resize(s.eff.Cache)
+}
+
+// halt implements faultReactor.
+func (s *batchSim) halt(j *jobRT, lostEpoch bool) {
+	bj := s.bjobs[j.spec.ID]
+	s.pause(bj)
+	if lostEpoch {
+		s.rollback(bj)
 	}
-	s.rollback(bj)
 }
 
 // rollback discards the current epoch's partial progress: the pipeline
@@ -466,77 +365,19 @@ func (s *batchSim) observedHit(j *jobRT) float64 {
 func (s *batchSim) refreshRates() {
 	running := s.runningJobs()
 	hits := resize(&s.hitsBuf, len(running))
+	floor := resize(&s.floorBuf, len(running))
 	for i, j := range running {
 		hits[i] = s.observedHit(j)
-	}
-	grants := s.grants(running, hits)
-	for i, j := range running {
-		bj := s.bjobs[j.spec.ID]
-		s.setFetchRate(bj, grants[i])
-	}
-}
-
-// grants mirrors the fluid engine's bandwidth division so the two
-// engines agree (a requirement for the Table 6 fidelity result).
-func (s *batchSim) grants(running []*jobRT, hits []float64) []unit.Bandwidth {
-	out := resize(&s.grantsBuf, len(running))
-	demands := resize(&s.demandsBuf, len(running))
-	var allocated float64
-	anyAlloc := false
-	for i, j := range running {
-		out[i] = 0
-		demands[i] = float64(j.profile.IdealThroughput) * (1 - hits[i])
 		// An in-flight transfer is instantaneous demand regardless of
 		// the analytic miss ratio (the pool already counts the block as
 		// admitted): give it enough bandwidth to land within a round,
 		// or a fully-warmed job's final straggler block never arrives.
-		if bj := s.bjobs[j.spec.ID]; bj.fetchLeft > 0 {
-			if floor := float64(bj.fetchLeft) / float64(s.cfg.ReschedInterval); floor > demands[i] {
-				demands[i] = floor
-			}
-		}
-		if !s.cfg.DisableIOControl && j.remoteIO > 0 {
-			out[i] = j.remoteIO
-			allocated += float64(j.remoteIO)
-			anyAlloc = true
-		}
+		floor[i] = float64(s.bjobs[j.spec.ID].fetchLeft) / float64(s.cfg.ReschedInterval)
 	}
-	if !anyAlloc || s.cfg.DisableIOControl {
-		// Provider-controlled static fair share (see the fluid engine):
-		// equal egress split capped at demand, unused remainder idles.
-		ds := resize(&s.demandBuf, len(running))
-		for i, j := range running {
-			ds[i] = remoteio.Demand{JobID: j.spec.ID, Want: unit.Bandwidth(demands[i])}
-		}
-		s.shareBuf = s.divider.EqualShareInto(s.shareBuf, s.eff.RemoteIO, ds)
-		copy(out, s.shareBuf)
-		return out
-	}
-	if s.cfg.DisableWorkConserving {
-		return out
-	}
-	leftover := float64(s.eff.RemoteIO) - allocated
-	if leftover <= 0 {
-		return out
-	}
-	resid := s.residBuf[:0]
-	residIdx := s.residIdx[:0]
+	grants := s.remoteIOGrants(running, hits, floor)
 	for i, j := range running {
-		extra := demands[i] - float64(out[i])
-		if extra > 1e-9 {
-			resid = append(resid, remoteio.Demand{JobID: j.spec.ID, Want: unit.Bandwidth(extra)})
-			residIdx = append(residIdx, i)
-		}
+		s.setFetchRate(s.bjobs[j.spec.ID], grants[i])
 	}
-	s.residBuf, s.residIdx = resid, residIdx
-	if len(resid) == 0 {
-		return out
-	}
-	s.shareBuf = s.divider.FairShareInto(s.shareBuf, unit.Bandwidth(leftover), resid)
-	for k, i := range residIdx {
-		out[i] += s.shareBuf[k]
-	}
-	return out
 }
 
 // setFetchRate updates a job's remote rate, rescheduling any in-flight
@@ -679,18 +520,7 @@ func (s *batchSim) computeDone(bj *batchJob) {
 	bj.rt.attained += adv
 	s.bytesSinceSamp += float64(adv)
 	if bj.blocksDone >= bj.blocksTotal {
-		now := unit.Time(s.q.Now())
-		bj.rt.done = true
-		bj.rt.running = false
-		bj.rt.remaining = 0
-		bj.rt.finish = now
-		s.finished++
-		if now > s.lastFinish {
-			s.lastFinish = now
-		}
-		st := JobStat{ID: bj.rt.spec.ID, Submit: bj.rt.spec.Submit, Start: bj.rt.start, Finish: now}
-		s.res.Jobs = append(s.res.Jobs, st)
-		s.met.jobDone(now, st, bj.rt.spec.Tenant)
+		s.complete(unit.Time(s.q.Now()), bj.rt)
 		if bj.fetchEvent != nil {
 			s.q.Cancel(bj.fetchEvent)
 			bj.fetchEvent = nil
@@ -745,17 +575,7 @@ func (s *batchSim) sample(force bool) {
 	s.met.utilization(running, rio, s.eff.RemoteIO)
 	s.series["fairness"].Append(t, fairnessRatio(s.eff, running, func(j *jobRT) unit.Bandwidth {
 		// Instantaneous estimate from pool state and current rate.
-		h := s.observedHit(j)
-		miss := 1 - h
-		if miss <= 1e-12 {
-			return j.profile.IdealThroughput
-		}
-		bj := s.bjobs[j.spec.ID]
-		f := unit.Bandwidth(float64(bj.rate) / miss)
-		if f > j.profile.IdealThroughput {
-			f = j.profile.IdealThroughput
-		}
-		return f
+		return j.throughputAt(s.bjobs[j.spec.ID].rate, s.observedHit(j))
 	}))
 	var alloc float64
 	if qp, ok := s.pool.(*cache.QuotaPool); ok {

@@ -58,7 +58,7 @@ func BenchmarkFluidJobRates(b *testing.B) {
 	if len(jobs) > 32 {
 		jobs = jobs[:32]
 	}
-	s := &fluidSim{cfg: Config{Cluster: cl, System: policy.SiloD}, eff: cl}
+	s := &fluidSim{engine: engine{cfg: Config{Cluster: cl, System: policy.SiloD}, eff: cl}}
 	for _, spec := range jobs {
 		j := newJobRT(spec, policy.SiloD)
 		j.running = true

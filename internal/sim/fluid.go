@@ -7,11 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/remoteio"
-	"repro/internal/stats"
 	"repro/internal/unit"
 	"repro/internal/workload"
 )
@@ -24,60 +20,31 @@ type dsRT struct {
 	cached unit.Bytes
 }
 
-// fluidSim is the fluid engine state.
 // subByteResidue is the completion threshold for fluid integration:
 // float advance steps leave sub-byte residue on remaining/epochLeft,
 // which counts as finished rather than scheduling another step.
 const subByteResidue unit.Bytes = 0.5
 
+// fluidSim is the fluid engine state.
 type fluidSim struct {
-	jobSet
-	cfg      Config
-	round    *core.Round
-	byID     map[string]*jobRT
+	engine
 	datasets map[string]*dsRT
 	epochIdx map[string]int // job -> completed-epoch count
 
-	// inj replays the fault schedule; eff is the current degraded
-	// capacity every scheduling decision uses instead of cfg.Cluster.
-	inj *faults.Injector
-	eff core.Cluster
-	// faultPreempt marks the next scheduling round as fault-driven:
-	// jobs it stops lost their node, so their epoch progress rolls back.
-	faultPreempt bool
-
 	now        unit.Time
 	nextArrive int
-	res        *Result
 	lastSample unit.Time
-
-	series map[string]*stats.Series
-	events int
-	met    *simMetrics
 
 	// placement tracks gangs on physical servers when configured.
 	placement *cluster.Cluster
 
-	// Scratch buffers reused across integration steps. The fluid loop
-	// recomputes the active/running sets and per-job rate vectors every
-	// step; allocating them fresh dominated the allocation profile, and
-	// the engine is single-threaded so one set of buffers suffices.
-	// Each is valid only until the method that filled it runs again.
-	viewsBuf   []core.JobView
-	keysBuf    []string
-	hitsBuf    []float64
+	// Scratch for jobRates and the Che fixed point, recomputed every
+	// integration step; see engine for the lifetime rule.
 	ratesBuf   []unit.Bandwidth
-	grantsBuf  []unit.Bandwidth
-	demandsBuf []float64
 	lruRates   []float64
 	lruPrev    []float64
 	lruIdx     []int
 	streamsBuf []cache.FluidStream
-	demandBuf  []remoteio.Demand
-	residBuf   []remoteio.Demand
-	residIdx   []int
-	shareBuf   []unit.Bandwidth
-	divider    remoteio.Divider
 
 	// LRU stream-layout memo: which jobs share a dataset key, the
 	// sorted key order, and each job's stream index depend only on the
@@ -129,32 +96,21 @@ func runFluid(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		}
 	}
 	s := &fluidSim{
-		cfg:         cfg,
-		round:       core.NewRound(cfg.Policy, cfg.FullResolve),
-		byID:        make(map[string]*jobRT),
 		datasets:    make(map[string]*dsRT),
 		epochIdx:    make(map[string]int),
 		usersBuf:    make(map[string]int),
 		realizedBuf: make(map[string]unit.Bandwidth),
 		effSumBuf:   make(map[string]float64),
 		effCntBuf:   make(map[string]int),
-		series:      newSeries(),
 	}
+	var jobs []*jobRT
 	for _, spec := range orderSpecs(specs) {
-		j := newJobRT(spec, cfg.System)
-		s.jobs = append(s.jobs, j)
-		s.byID[spec.ID] = j
+		jobs = append(jobs, newJobRT(spec, cfg.System))
 	}
-	s.met = newSimMetrics(cfg)
-	s.met.initTenants(s.jobs)
-	s.met.submitAll(s.jobs)
-	inj, err := faults.NewInjector(cfg.Cluster, cfg.Faults, cfg.Metrics, cfg.Timeline)
-	if err != nil {
+	var err error
+	if s.engine, err = newEngine(cfg, jobs); err != nil {
 		return nil, err
 	}
-	s.inj = inj
-	s.eff = inj.Effective()
-	s.res = &Result{Timelines: s.series}
 	if cfg.Servers > 0 {
 		pl, err := cluster.New(cfg.Servers, cfg.GPUsPerServer, unit.Bytes(float64(cfg.Cluster.Cache)/float64(cfg.Servers)))
 		if err != nil {
@@ -165,10 +121,7 @@ func runFluid(cfg Config, specs []workload.JobSpec) (*Result, error) {
 	if err := s.loop(); err != nil {
 		return nil, err
 	}
-	s.met.flushBytes()
-	s.met.flushTenantTrained(s.jobs)
-	s.res.Events = s.events
-	return s.res, nil
+	return s.finish(s.now), nil
 }
 
 // ds returns (creating on demand) the cache-key state for a job.
@@ -208,25 +161,14 @@ func (s *fluidSim) reschedule() error {
 	rateDirty := !reused
 	// GPUs: grant/revoke.
 	for _, j := range act {
-		g := a.GPUs[j.spec.ID]
-		wasRunning := j.running
-		if wasRunning != (g > 0) {
+		started, stopped := s.grantGPUs(s.now, j, a.GPUs[j.spec.ID])
+		if started || stopped {
 			rateDirty = true
 		}
-		j.gpus = g
-		j.running = g > 0
-		s.met.transition(s.now, j, wasRunning)
-		if !j.running && wasRunning && s.faultPreempt {
-			// Fault-driven preemption: the node (and the epoch's
-			// uncheckpointed progress) is gone.
-			j.rollbackEpoch()
-			s.inj.CountPreemptionsSLO(j.spec.SLO, 1)
+		if stopped {
+			s.halt(j, s.faultPreempt)
 		}
-		if j.running && !j.started {
-			j.started = true
-			j.start = s.now
-		}
-		if j.running && !wasRunning {
+		if started {
 			// (Re)admission: the effective cache for the rest of this
 			// epoch is whatever was cached before now.
 			j.effCached = minBytes(s.ds(j).cached, j.spec.Dataset.Size)
@@ -240,9 +182,6 @@ func (s *fluidSim) reschedule() error {
 					s.res.SpannedGangs++
 				}
 			}
-		}
-		if !j.running && wasRunning && s.placement != nil {
-			s.placement.Release(j.spec.ID)
 		}
 	}
 	// Cache quotas (quota-based systems only; LRU manages itself).
@@ -280,14 +219,7 @@ func (s *fluidSim) reschedule() error {
 			s.applyQuota(key, 0)
 		}
 	}
-	// Remote IO allocations.
-	for _, j := range act {
-		bw := a.RemoteIO[j.spec.ID]
-		if bw.Changed(j.remoteIO) {
-			s.met.tl.RecordAt(float64(s.now), metrics.EventIOAlloc, j.spec.ID, float64(bw), "bytes_per_sec")
-		}
-		j.remoteIO = bw
-	}
+	s.applyRemoteIO(s.now, act, a)
 	if rateDirty {
 		s.rateGen++
 	}
@@ -295,64 +227,31 @@ func (s *fluidSim) reschedule() error {
 	return nil
 }
 
-// applyFaults drains the injector's due events into fluid state. Each
-// batch lands immediately before a scheduling round, so the policy
-// re-solves against the degraded (or recovered) capacity.
-func (s *fluidSim) applyFaults() {
-	for {
-		before := s.inj.Effective()
-		ev, ok := s.inj.Next(s.now)
-		if !ok {
-			return
+// cacheResized implements faultReactor: after a loss, contents and
+// effective snapshots scale by the survival ratio, and hit ratios
+// re-derive from the shrunken snapshot on the next rate computation.
+func (s *fluidSim) cacheResized(before unit.Bytes) {
+	if s.eff.Cache >= before {
+		return
+	}
+	ratio := float64(s.eff.Cache) / float64(before)
+	for _, d := range s.datasets {
+		d.cached = unit.Bytes(float64(d.cached) * ratio)
+	}
+	for _, j := range s.jobs {
+		if !j.done {
+			j.effCached = unit.Bytes(float64(j.effCached) * ratio)
 		}
-		s.events++
-		s.eff = s.inj.Effective()
-		switch ev.Kind {
-		case faults.KindGPULoss:
-			// The next round re-solves with fewer GPUs; whoever it
-			// stops was on the lost node and rolls back an epoch.
-			s.faultPreempt = true
-		case faults.KindCacheLoss:
-			// The failed cache node held a uniform share of every
-			// dataset's blocks: contents and effective snapshots scale
-			// by the survival ratio, and hit ratios re-derive from the
-			// shrunken snapshot on the next rate computation.
-			ratio := 0.0
-			if before.Cache > 0 {
-				ratio = float64(s.eff.Cache) / float64(before.Cache)
-			}
-			for _, d := range s.datasets {
-				d.cached = unit.Bytes(float64(d.cached) * ratio)
-			}
-			for _, j := range s.jobs {
-				if !j.done {
-					j.effCached = unit.Bytes(float64(j.effCached) * ratio)
-				}
-			}
-		case faults.KindJobCrash:
-			j, ok := s.byID[ev.Job]
-			if !ok || j.done || !j.started {
-				break
-			}
-			if j.running {
-				j.running = false
-				j.gpus = 0
-				s.met.preemptions.Inc()
-				s.met.tenantPreempt(j.spec.Tenant)
-				s.met.tl.RecordAt(float64(s.now), metrics.EventPreempt, j.spec.ID, 0, "crash")
-				s.inj.CountPreemptionsSLO(j.spec.SLO, 1)
-				if s.placement != nil {
-					s.placement.Release(j.spec.ID)
-				}
-			}
-			// The restarted process replays its epoch from the last
-			// boundary; the cache survives the crash (§6).
-			j.rollbackEpoch()
-		case faults.KindCacheRestore, faults.KindGPURestore, faults.KindIOLoss, faults.KindIORestore:
-			// Capacity-only kinds: restored cache comes back empty (jobs
-			// re-warm it) and GPU/IO changes land when the next round
-			// re-solves against s.eff; no per-job state changes here.
-		}
+	}
+}
+
+// halt implements faultReactor.
+func (s *fluidSim) halt(j *jobRT, lostEpoch bool) {
+	if lostEpoch {
+		j.rollbackEpoch()
+	}
+	if s.placement != nil {
+		s.placement.Release(j.spec.ID)
 	}
 }
 
@@ -396,7 +295,7 @@ func (s *fluidSim) applyQuota(key string, q unit.Bytes) {
 //
 // silod:hotpath — runs on every simulator event; all buffers are
 // sim-owned scratch grown via resize.
-func (s *fluidSim) jobRates(running []*jobRT) (hits []float64, rates, grants []unit.Bandwidth) {
+func (s *fluidSim) jobRates(running []*jobRT) (hits []float64, rates []unit.Bandwidth) {
 	if s.rateMemoOK && s.rateGen == s.lastRateGen && samePtrs(running, s.lastRateJobs) {
 		// No rate-relevant input changed since the last computation
 		// (reschedule, epoch warm-up and fault transitions all bump
@@ -404,13 +303,13 @@ func (s *fluidSim) jobRates(running []*jobRT) (hits []float64, rates, grants []u
 		// buffers still hold the exact answer — including the full Che
 		// fixed point for LRU systems — so recomputing is a no-op.
 		n := len(running)
-		return s.hitsBuf[:n], s.ratesBuf[:n], s.grantsBuf[:n]
+		return s.hitsBuf[:n], s.ratesBuf[:n]
 	}
 	s.rateMemoOK = false
 	hits = resize(&s.hitsBuf, len(running))
 	rates = resize(&s.ratesBuf, len(running))
 	if len(running) == 0 {
-		return hits, rates, nil
+		return hits, rates
 	}
 	if s.cfg.System.UsesLRU() {
 		s.lruHits(running, hits)
@@ -422,26 +321,16 @@ func (s *fluidSim) jobRates(running []*jobRT) (hits []float64, rates, grants []u
 			}
 		}
 	}
-	grants = s.bandwidthGrants(running, hits)
+	grants := s.remoteIOGrants(running, hits, nil)
 	for i, j := range running {
-		miss := 1 - hits[i]
-		fstar := j.profile.IdealThroughput
-		if miss <= 1e-12 {
-			rates[i] = fstar
-			continue
-		}
-		f := unit.Bandwidth(float64(grants[i]) / miss)
-		if f > fstar {
-			f = fstar
-		}
-		rates[i] = f
+		rates[i] = j.throughputAt(grants[i], hits[i])
 	}
 	if !s.cfg.FullResolve {
 		s.lastRateGen = s.rateGen
 		s.lastRateJobs = append(s.lastRateJobs[:0], running...)
 		s.rateMemoOK = true
 	}
-	return hits, rates, grants
+	return hits, rates
 }
 
 // lruHits runs the Che fixed point: hit ratios depend on loading rates,
@@ -508,14 +397,9 @@ func (s *fluidSim) lruHits(running []*jobRT, hits []float64) {
 			}
 			hits[i] = h
 		}
-		grants := s.bandwidthGrants(running, hits)
+		grants := s.remoteIOGrants(running, hits, nil)
 		for i, j := range running {
-			miss := 1 - hits[i]
-			f := float64(j.profile.IdealThroughput)
-			if miss > 1e-12 {
-				f = math.Min(f, float64(grants[i])/miss)
-			}
-			rates[i] = f
+			rates[i] = float64(j.throughputAt(grants[i], hits[i]))
 		}
 		// Exact convergence: each iteration is a deterministic function
 		// of the rate vector alone, so once an iteration reproduces its
@@ -541,72 +425,8 @@ func (s *fluidSim) lruHits(running []*jobRT, hits []float64) {
 	}
 }
 
-// bandwidthGrants divides the remote IO capacity. Scheduler allocations
-// are honored when present and IO control is enabled; the remainder (or
-// everything, for uncontrolled systems) is divided max-min fairly over
-// residual demands.
-//
-// silod:hotpath — called from jobRates and from every Che fixed-point
-// iteration; reuses the sim's grant/demand scratch buffers.
-func (s *fluidSim) bandwidthGrants(running []*jobRT, hits []float64) []unit.Bandwidth {
-	grants := resize(&s.grantsBuf, len(running))
-	demands := resize(&s.demandsBuf, len(running))
-	var allocated float64
-	anyAlloc := false
-	for i, j := range running {
-		grants[i] = 0
-		demands[i] = float64(j.profile.IdealThroughput) * (1 - hits[i])
-		if !s.cfg.DisableIOControl && j.remoteIO > 0 {
-			grants[i] = j.remoteIO
-			allocated += float64(j.remoteIO)
-			anyAlloc = true
-		}
-	}
-	capTotal := float64(s.eff.RemoteIO)
-	if !anyAlloc || s.cfg.DisableIOControl {
-		// Provider-controlled static fair share: equal egress split per
-		// running job, capped at demand, with no redistribution of the
-		// unused remainder — the throttle a cloud storage frontend
-		// applies when nothing smarter manages remote IO (§2.1, §7.2).
-		ds := resize(&s.demandBuf, len(running))
-		for i, j := range running {
-			ds[i] = remoteio.Demand{JobID: j.spec.ID, Want: unit.Bandwidth(demands[i])}
-		}
-		s.shareBuf = s.divider.EqualShareInto(s.shareBuf, s.eff.RemoteIO, ds)
-		copy(grants, s.shareBuf)
-		return grants
-	}
-	if s.cfg.DisableWorkConserving {
-		return grants
-	}
-	// Work-conserving: unallocated (or unused) bandwidth is fair-shared
-	// over jobs whose demand exceeds their grant.
-	leftover := capTotal - allocated
-	if leftover <= 0 {
-		return grants
-	}
-	resid := s.residBuf[:0]
-	residIdx := s.residIdx[:0]
-	for i, j := range running {
-		extra := demands[i] - float64(grants[i])
-		if extra > 1e-9 {
-			resid = append(resid, remoteio.Demand{JobID: j.spec.ID, Want: unit.Bandwidth(extra)})
-			residIdx = append(residIdx, i)
-		}
-	}
-	s.residBuf, s.residIdx = resid, residIdx
-	if len(resid) == 0 {
-		return grants
-	}
-	s.shareBuf = s.divider.FairShareInto(s.shareBuf, unit.Bandwidth(leftover), resid)
-	for k, i := range residIdx {
-		grants[i] += s.shareBuf[k]
-	}
-	return grants
-}
-
 // sample records the timeline metrics at the current time.
-func (s *fluidSim) sample(running []*jobRT, hits []float64, rates, grants []unit.Bandwidth, force bool) {
+func (s *fluidSim) sample(running []*jobRT, hits []float64, rates []unit.Bandwidth, force bool) {
 	if !force && s.now.Sub(s.lastSample) < s.cfg.MetricsInterval {
 		return
 	}
@@ -626,7 +446,6 @@ func (s *fluidSim) sample(running []*jobRT, hits []float64, rates, grants []unit
 	// throughput: the performance jobs actually experience under the
 	// current allocation, warm-up effects included — plans that flatter
 	// cold caches earn no credit.
-	_ = grants
 	realized := s.realizedBuf
 	clear(realized)
 	for i, j := range running {
@@ -673,47 +492,38 @@ func (s *fluidSim) sample(running []*jobRT, hits []float64, rates, grants []unit
 
 // loop is the main fluid integration loop.
 func (s *fluidSim) loop() error {
-	nextTick := s.now
-	lastFinish := unit.Time(0)
 	totalJobs := len(s.jobs)
-	finished := 0
-	for finished < totalJobs {
+	for s.finished < totalJobs {
 		if s.now.Elapsed() > s.cfg.MaxSimTime {
 			return fmt.Errorf("sim: exceeded max simulated time %v with %d/%d jobs finished",
-				s.cfg.MaxSimTime, finished, totalJobs)
+				s.cfg.MaxSimTime, s.finished, totalJobs)
 		}
 		// Decision point: land due faults, then (re)schedule against
 		// whatever capacity survives.
-		s.applyFaults()
+		s.res.Events += s.drainFaults(s.now, s)
 		if err := s.reschedule(); err != nil {
 			return err
 		}
-		s.events++
+		s.res.Events++
 		// Determine the next decision point.
-		nextTick = s.now.Add(s.cfg.ReschedInterval)
-		horizon := nextTick
+		horizon := s.now.Add(s.cfg.ReschedInterval)
 		if at, ok := s.inj.NextAt(); ok && at < horizon {
 			horizon = at
 		}
+		for s.nextArrive < totalJobs && s.jobs[s.nextArrive].spec.Submit <= s.now {
+			s.nextArrive++
+		}
 		if s.nextArrive < totalJobs {
-			at := s.jobs[s.nextArrive].spec.Submit
-			// Advance nextArrive past already-arrived jobs.
-			for s.nextArrive < totalJobs && s.jobs[s.nextArrive].spec.Submit <= s.now {
-				s.nextArrive++
-			}
-			if s.nextArrive < totalJobs {
-				at = s.jobs[s.nextArrive].spec.Submit
-				if at < horizon {
-					horizon = at
-				}
+			if at := s.jobs[s.nextArrive].spec.Submit; at < horizon {
+				horizon = at
 			}
 		}
 		// Integrate until the horizon, handling completions and epoch
 		// boundaries as they occur.
 		for s.now < horizon {
 			running := s.runningJobs()
-			hits, rates, grants := s.jobRates(running)
-			s.sample(running, hits, rates, grants, false)
+			hits, rates := s.jobRates(running)
+			s.sample(running, hits, rates, false)
 			if len(running) == 0 {
 				s.now = horizon
 				break
@@ -728,13 +538,9 @@ func (s *fluidSim) loop() error {
 				if d := float64(j.remaining) / r; d < dt {
 					dt = d
 				}
-				if !s.cfg.System.UsesLRU() {
-					if d := float64(j.epochLeft) / r; d < dt {
-						dt = d
-					}
-				} else if d := float64(j.epochLeft) / r; d < dt {
-					// Epoch boundaries still advance the per-job epoch
-					// counter used for LRU warm-up.
+				// Epoch boundaries matter to every system: quota caches
+				// become effective there, LRU counts them for warm-up.
+				if d := float64(j.epochLeft) / r; d < dt {
 					dt = d
 				}
 			}
@@ -747,9 +553,8 @@ func (s *fluidSim) loop() error {
 			var prefRate float64
 			if s.cfg.EnablePrefetch && !s.cfg.System.UsesLRU() {
 				var used float64
-				for i, j := range running {
+				for i := range running {
 					used += float64(rates[i]) * (1 - hits[i])
-					_ = j
 				}
 				leftover := float64(s.eff.RemoteIO) - used
 				if leftover > 1e-6 {
@@ -799,17 +604,7 @@ func (s *fluidSim) loop() error {
 					}
 				}
 				if j.remaining <= subByteResidue {
-					j.remaining = 0
-					j.done = true
-					j.running = false
-					j.finish = s.now
-					finished++
-					if s.now > lastFinish {
-						lastFinish = s.now
-					}
-					st := JobStat{ID: j.spec.ID, Submit: j.spec.Submit, Start: j.start, Finish: j.finish}
-					s.res.Jobs = append(s.res.Jobs, st)
-					s.met.jobDone(s.now, st, j.spec.Tenant)
+					s.complete(s.now, j)
 					if s.placement != nil {
 						s.placement.Release(j.spec.ID)
 					}
@@ -820,7 +615,7 @@ func (s *fluidSim) loop() error {
 				if j.epochLeft <= subByteResidue {
 					// Epoch boundary: the pass filled the cache up to
 					// quota, and everything cached is now effective.
-					s.events++
+					s.res.Events++
 					s.epochIdx[j.spec.ID]++
 					s.met.tl.RecordAt(float64(s.now), metrics.EventEpoch, j.spec.ID,
 						float64(s.epochIdx[j.spec.ID]), "epochs_completed")
@@ -848,13 +643,9 @@ func (s *fluidSim) loop() error {
 			}
 		}
 	}
-	// Final sample and makespan.
-	s.inj.Finish(s.now)
 	running := s.runningJobs()
-	hits, rates, grants := s.jobRates(running)
-	s.sample(running, hits, rates, grants, true)
-	s.res.Makespan = lastFinish.Sub(0)
-	sort.Slice(s.res.Jobs, func(i, j int) bool { return s.res.Jobs[i].ID < s.res.Jobs[j].ID })
+	hits, rates := s.jobRates(running)
+	s.sample(running, hits, rates, true)
 	return nil
 }
 

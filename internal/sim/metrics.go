@@ -154,20 +154,18 @@ func (m *simMetrics) transition(now unit.Time, j *jobRT, wasRunning bool) {
 		m.tl.RecordAt(float64(now), metrics.EventSchedule, j.spec.ID, float64(j.gpus), "gpus")
 	}
 	if !j.running && wasRunning && !j.done {
-		m.preemptions.Inc()
-		if ts := m.ten[tenantLabel(j.spec.Tenant)]; ts != nil {
-			ts.preemptions.Inc()
-		}
-		m.tl.RecordAt(float64(now), metrics.EventPreempt, j.spec.ID, 0, "")
+		m.preempt(now, j, "")
 	}
 }
 
-// tenantPreempt bumps the per-tenant preemption counter for paths that
-// bypass transition (job crashes).
-func (m *simMetrics) tenantPreempt(tenantID string) {
-	if ts := m.ten[tenantLabel(tenantID)]; ts != nil {
+// preempt records a job losing its GPUs; note says why when it was not
+// a scheduling decision ("crash").
+func (m *simMetrics) preempt(now unit.Time, j *jobRT, note string) {
+	m.preemptions.Inc()
+	if ts := m.ten[tenantLabel(j.spec.Tenant)]; ts != nil {
 		ts.preemptions.Inc()
 	}
+	m.tl.RecordAt(float64(now), metrics.EventPreempt, j.spec.ID, 0, note)
 }
 
 // jobDone records a completion: counters (aggregate and per-tenant),

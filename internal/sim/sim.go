@@ -15,6 +15,10 @@
 //     model per job — the paper's "granularity of mini-batch". It is
 //     used for the micro-benchmarks, curriculum learning, and for
 //     validating the fluid engine's fidelity.
+//
+// Both embed one chassis (engine.go) that owns what does not depend on
+// how time advances: the remote-IO throttle, applying a round's grants,
+// the fault drain and the job bookkeeping.
 package sim
 
 import (
@@ -316,7 +320,6 @@ type jobRT struct {
 	running   bool
 	started   bool
 	start     unit.Time
-	finish    unit.Time
 	done      bool
 
 	gpus     int
@@ -347,6 +350,21 @@ func (j *jobRT) rollbackEpoch() {
 		j.attained = 0
 	}
 	j.epochLeft = j.epochSize
+}
+
+// throughputAt is the job's end-to-end throughput when it may fetch
+// remotely at rate remote and hit of its reads are served from cache:
+// min(f*, remote/(1-hit)), the hit-ratio form of Eq. 3-4.
+func (j *jobRT) throughputAt(remote unit.Bandwidth, hit float64) unit.Bandwidth {
+	fstar := j.profile.IdealThroughput
+	miss := 1 - hit
+	if miss <= 1e-12 {
+		return fstar
+	}
+	if f := unit.Bandwidth(float64(remote) / miss); f < fstar {
+		return f
+	}
+	return fstar
 }
 
 // view builds the scheduler's JobView.

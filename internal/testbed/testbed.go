@@ -410,9 +410,11 @@ func (b *bed) round() error {
 			return fmt.Errorf("testbed: allocate cache for %s: %w", key, err)
 		}
 	}
-	// Remote IO: honor policy allocations, then distribute leftovers
-	// (and everything, for uncontrolled systems) fair-share by demand,
-	// mirroring the simulator's work-conserving throttle.
+	// Remote IO: honor policy allocations, then water-fill the leftover
+	// (or everything, when the policy allocated nothing) over residual
+	// demand. Not the simulator's throttle (sim.engine.remoteIOGrants):
+	// with nothing allocated that one splits egress equally and lets the
+	// unused remainder idle, and it has no 2% demand floor.
 	demands := make([]remoteio.Demand, 0, len(views))
 	grants := make(map[string]float64, len(views))
 	var allocated float64
