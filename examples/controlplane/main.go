@@ -110,5 +110,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\npersisted annotations: %d jobs, %d datasets, %d cache quotas\n",
-		len(ann.Jobs), len(ann.Datasets), len(ann.CacheQuota))
+		len(ann.Jobs), len(ann.Datasets), len(ann.Quotas))
 }

@@ -155,23 +155,6 @@ type JobStatus struct {
 	Done           bool           `json:"done"`
 }
 
-// Annotations is the persisted allocation state — the analogue of the
-// pod annotations Kubernetes keeps for SiloD ("the allocation of remote
-// IO and cache is stored in pod annotation", §6). A recovering data
-// manager replays it.
-type Annotations struct {
-	CacheQuota map[string]unit.Bytes     `json:"cache_quota"`
-	RemoteIO   map[string]unit.Bandwidth `json:"remote_io"`
-	Jobs       map[string]string         `json:"jobs"` // job -> dataset
-	Datasets   map[string]DatasetGeom    `json:"datasets"`
-}
-
-// DatasetGeom mirrors datamgr.DatasetGeom.
-type DatasetGeom struct {
-	Size      unit.Bytes `json:"size"`
-	BlockSize unit.Bytes `json:"block_size"`
-}
-
 // ErrorResponse carries an error over the wire.
 type ErrorResponse struct {
 	Error string `json:"error"`

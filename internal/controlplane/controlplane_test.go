@@ -2,8 +2,11 @@ package controlplane
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,49 +104,83 @@ func TestEndToEndScheduleAndAllocate(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryFromAnnotations is the paper's recovery story end to
+// end (§6 fault tolerance): the data manager crashes, and a fresh one is
+// rebuilt from nothing but the scheduler's persisted annotations —
+// fetched over the wire and replayed through /v1/restore — then keeps
+// taking the scheduler's rounds.
 func TestCrashRecoveryFromAnnotations(t *testing.T) {
 	pol, err := policy.Build(policy.FIFOKind, policy.SiloD, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedC, dmC, sched, stop := newStack(t, pol)
-	defer stop()
-	if err := schedC.SubmitJob(submitReq("a", 2, unit.GiB(50))); err != nil {
+	// The data manager's address outlives the manager behind it.
+	var dm atomic.Pointer[DataManagerServer]
+	dm.Store(NewDataManagerServer(datamgr.New(unit.GiB(100), unit.MBpsOf(100), 1, nil)))
+	dmSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dm.Load().ServeHTTP(w, r)
+	}))
+	defer dmSrv.Close()
+	dmC := NewClient(dmSrv.URL)
+	sched, err := NewSchedulerServer(core.Cluster{GPUs: 8, Cache: unit.GiB(100), RemoteIO: unit.MBpsOf(100)}, pol, dmC, time.Now)
+	if err != nil {
 		t.Fatal(err)
+	}
+	schedSrv := httptest.NewServer(sched)
+	defer schedSrv.Close()
+	schedC := NewClient(schedSrv.URL)
+
+	shared := submitReq("b", 1, unit.GiB(50))
+	shared.Dataset = "ds-a"
+	for _, req := range []SubmitJobRequest{submitReq("a", 2, unit.GiB(50)), shared, submitReq("c", 1, unit.GiB(80))} {
+		if err := schedC.SubmitJob(req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := schedC.TriggerSchedule(); err != nil {
 		t.Fatal(err)
 	}
-	ann := sched.Annotations()
-	if ann.Jobs["a"] != "ds-a" {
-		t.Fatalf("annotations missing job a: %+v", ann)
+	ann, err := schedC.Annotations()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ann.CacheQuota["ds-a"] <= 0 {
+	if ann.Jobs["a"] != "ds-a" || ann.Jobs["b"] != "ds-a" || ann.Jobs["c"] != "ds-c" {
+		t.Fatalf("annotations lost a job binding: %+v", ann)
+	}
+	if ann.Quotas["ds-a"] <= 0 {
 		t.Fatalf("annotations missing cache quota: %+v", ann)
 	}
 
-	// Simulate a data manager crash: build a fresh one and restore from
-	// the snapshot assembled out of annotations (§6 fault tolerance).
-	snap, err := dmC.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Crash: every allocation the old manager held is gone. The fresh
+	// one sees the annotations and nothing else.
 	fresh := datamgr.New(unit.GiB(100), unit.MBpsOf(100), 2, nil)
-	freshSrv := httptest.NewServer(NewDataManagerServer(fresh))
-	defer freshSrv.Close()
-	freshC := NewClient(freshSrv.URL)
-	if err := freshC.Restore(snap); err != nil {
+	dm.Store(NewDataManagerServer(fresh))
+	if err := dmC.Restore(ann); err != nil {
 		t.Fatal(err)
 	}
-	st, err := freshC.Stats("a")
-	if err != nil {
-		t.Fatal(err)
+	check := func(when string) {
+		t.Helper()
+		for _, j := range sched.Jobs() {
+			st, err := fresh.Stats(j.JobID)
+			if err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+			if st.Dataset != j.Dataset || st.RemoteIO != j.RemoteIO {
+				t.Errorf("%s: job %s holds %s at %v, scheduler decided %s at %v",
+					when, j.JobID, st.Dataset, st.RemoteIO, j.Dataset, j.RemoteIO)
+			}
+			if got := fresh.Quota(j.Dataset); got != j.CacheQuota {
+				t.Errorf("%s: dataset %s quota %v, scheduler decided %v", when, j.Dataset, got, j.CacheQuota)
+			}
+		}
 	}
-	if st.Dataset != "ds-a" {
-		t.Fatalf("restored manager lost job binding: %+v", st)
+	check("after restore")
+	if err := schedC.TriggerSchedule(); err != nil {
+		t.Fatalf("round against the restored data manager: %v", err)
 	}
-	if got := fresh.Quota("ds-a"); got != snap.Quotas["ds-a"] {
-		t.Fatalf("restored quota %v != snapshot %v", got, snap.Quotas["ds-a"])
+	check("after the next round")
+	if n := sched.Registry().Snapshot().CounterValue("silod_sched_push_errors_total", nil); n != 0 {
+		t.Errorf("%v push errors against the restored data manager", n)
 	}
 }
 
@@ -309,10 +346,10 @@ func TestAPIJSONRoundTrip(t *testing.T) {
 	// The wire types must round-trip through JSON without loss; a field
 	// rename would silently break mixed-version deployments.
 	snap := Annotations{
-		CacheQuota: map[string]unit.Bytes{"ds": unit.GiB(10)},
-		RemoteIO:   map[string]unit.Bandwidth{"j": unit.MBpsOf(50)},
-		Jobs:       map[string]string{"j": "ds"},
-		Datasets:   map[string]DatasetGeom{"ds": {Size: unit.GiB(10), BlockSize: 64 * unit.MB}},
+		Quotas:   map[string]unit.Bytes{"ds": unit.GiB(10)},
+		RemoteIO: map[string]unit.Bandwidth{"j": unit.MBpsOf(50)},
+		Jobs:     map[string]string{"j": "ds"},
+		Datasets: map[string]datamgr.DatasetGeom{"ds": {Size: unit.GiB(10), BlockSize: 64 * unit.MB}},
 	}
 	buf, err := json.Marshal(snap)
 	if err != nil {
@@ -322,13 +359,11 @@ func TestAPIJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.CacheQuota["ds"] != snap.CacheQuota["ds"] ||
-		back.RemoteIO["j"] != snap.RemoteIO["j"] ||
-		back.Datasets["ds"] != snap.Datasets["ds"] {
+	if !reflect.DeepEqual(back, snap) {
 		t.Errorf("round trip lost data: %+v", back)
 	}
-	for _, key := range []string{"cache_quota", "remote_io", "jobs", "datasets"} {
-		if !strings.Contains(string(buf), key) {
+	for _, key := range []string{"quotas", "remote_io", "jobs", "datasets"} {
+		if !strings.Contains(string(buf), `"`+key+`"`) {
 			t.Errorf("wire format missing %q: %s", key, buf)
 		}
 	}

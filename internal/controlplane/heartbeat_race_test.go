@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,12 +36,38 @@ func (c *lockClock) advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
+// serialPlane fails any Table 3 call that overlaps another one. Rounds
+// and revival re-pushes share one push routine under one lock, so their
+// call sequences must never interleave.
+type serialPlane struct {
+	DataPlane
+	inFlight atomic.Int32
+}
+
+func (p *serialPlane) serially(call func() error) error {
+	defer p.inFlight.Add(-1)
+	if p.inFlight.Add(1) != 1 {
+		return errors.New("allocation pushed while another push sequence was mid-call")
+	}
+	runtime.Gosched() // hold the call open long enough to be caught
+	return call()
+}
+
+func (p *serialPlane) AllocateCacheSize(dataset string, size unit.Bytes) error {
+	return p.serially(func() error { return p.DataPlane.AllocateCacheSize(dataset, size) })
+}
+
+func (p *serialPlane) AllocateRemoteIO(jobID string, speed unit.Bandwidth) error {
+	return p.serially(func() error { return p.DataPlane.AllocateRemoteIO(jobID, speed) })
+}
+
 // TestHeartbeatRevivalRacesScheduleRound runs node death/revival
 // heartbeats, schedule rounds, and a quota-bound submit/complete storm
 // concurrently, then checks the two ledgers the race could corrupt:
 // the tenant admission ledger must balance to zero (every admit
 // released exactly once — no lost quota), and the final round must not
-// double-allocate GPUs past the cluster.
+// double-allocate GPUs past the cluster. Along the way no revival
+// re-push may overlap a round's push.
 func TestHeartbeatRevivalRacesScheduleRound(t *testing.T) {
 	const (
 		clusterGPUs = 8
@@ -57,7 +85,7 @@ func TestHeartbeatRevivalRacesScheduleRound(t *testing.T) {
 	clk := &lockClock{t: time.Unix(0, 0)}
 	s, err := NewSchedulerServer(
 		core.Cluster{GPUs: clusterGPUs, Cache: unit.TiB(10), RemoteIO: unit.GBpsOf(100)},
-		pol, LocalDataPlane{Mgr: mgr}, clk.now)
+		pol, &serialPlane{DataPlane: LocalDataPlane{Mgr: mgr}}, clk.now)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,6 +56,14 @@ func newSchedMetrics(r *metrics.Registry) schedMetrics {
 	}
 }
 
+// roundDone counts a finished round and publishes its job gauges.
+func (m *schedMetrics) roundDone(running, gpus, queued int) {
+	m.rounds.Inc()
+	m.running.Set(float64(running))
+	m.gpusAlloc.Set(float64(gpus))
+	m.queueDepth.Set(float64(queued))
+}
+
 // Registry returns the scheduler's metrics registry (never nil).
 func (s *SchedulerServer) Registry() *metrics.Registry { return s.registry }
 

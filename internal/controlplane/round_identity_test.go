@@ -3,7 +3,6 @@ package controlplane
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -110,10 +109,9 @@ func TestRoundMemoChangesNoPush(t *testing.T) {
 	memo, ref := build(false), build(true)
 
 	// do applies one scripted step to both schedulers and compares what
-	// reached the data plane. A revival heartbeat re-pushes from a map,
-	// so its batch compares as a set; a round's push order is part of
-	// the contract.
-	do := func(what string, ordered bool, f func(*SchedulerServer) error) {
+	// reached the data plane, in order: the push order of a round and of
+	// a revival re-push is part of the contract.
+	do := func(what string, f func(*SchedulerServer) error) {
 		t.Helper()
 		var logs [2][]string
 		for i, sd := range []side{memo, ref} {
@@ -121,9 +119,6 @@ func TestRoundMemoChangesNoPush(t *testing.T) {
 				t.Fatalf("%s: %v", what, err)
 			}
 			logs[i] = sd.plane.take()
-			if !ordered {
-				sort.Strings(logs[i])
-			}
 		}
 		if !reflect.DeepEqual(logs[0], logs[1]) {
 			t.Fatalf("%s: data-plane calls differ\nmemo: %q\nref:  %q", what, logs[0], logs[1])
@@ -147,7 +142,7 @@ func TestRoundMemoChangesNoPush(t *testing.T) {
 				req.Dataset = fmt.Sprintf("ds-%d", rng.Intn(5))
 				req.DatasetSize = unit.GiB(float64(20 + 10*rng.Intn(3)))
 				submitted++
-				do("submit "+req.JobID, true, func(s *SchedulerServer) error { return s.Submit(req) })
+				do("submit "+req.JobID, func(s *SchedulerServer) error { return s.Submit(req) })
 				live = append(live, liveJob{id: req.JobID, total: req.TotalBytes})
 			}
 		}
@@ -157,7 +152,7 @@ func TestRoundMemoChangesNoPush(t *testing.T) {
 			j.attained += j.total / 16
 			done := r%8 == 5 && rng.Intn(3) == 0
 			rep := ProgressRequest{JobID: j.id, AttainedBytes: j.attained, Done: done}
-			do("progress "+j.id, true, func(s *SchedulerServer) error { return s.Progress(rep) })
+			do("progress "+j.id, func(s *SchedulerServer) error { return s.Progress(rep) })
 			if !done {
 				keep = append(keep, j)
 			}
@@ -170,9 +165,9 @@ func TestRoundMemoChangesNoPush(t *testing.T) {
 				continue
 			}
 			hb := HeartbeatRequest{Node: fmt.Sprintf("n%d", n), GPUs: 4, Cache: cl.Cache / nodes}
-			do("heartbeat "+hb.Node, false, func(s *SchedulerServer) error { return s.Heartbeat(hb) })
+			do("heartbeat "+hb.Node, func(s *SchedulerServer) error { return s.Heartbeat(hb) })
 		}
-		do(fmt.Sprintf("round %d", r), true, (*SchedulerServer).Schedule)
+		do(fmt.Sprintf("round %d", r), (*SchedulerServer).Schedule)
 		if a, b := memo.sched.Jobs(), ref.sched.Jobs(); !reflect.DeepEqual(a, b) {
 			t.Fatalf("round %d: job tables differ\nmemo: %+v\nref:  %+v", r, a, b)
 		}

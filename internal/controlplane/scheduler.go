@@ -37,12 +37,17 @@ type schedJob struct {
 	attained  unit.Bytes       // guarded by SchedulerServer.mu
 	effective unit.Bytes       // guarded by SchedulerServer.mu
 	cached    unit.Bytes       // guarded by SchedulerServer.mu
-	attached  bool             // guarded by SchedulerServer.mu (data plane knows the job)
 	running   bool             // guarded by SchedulerServer.mu
 	done      bool             // guarded by SchedulerServer.mu
 	gpus      int              // guarded by SchedulerServer.mu
-	quota     unit.Bytes       // guarded by SchedulerServer.mu
-	remoteIO  unit.Bandwidth   // guarded by SchedulerServer.mu
+	remoteIO  unit.Bandwidth   // guarded by SchedulerServer.mu (decided; see book.go)
+	bookedIO  unit.Bandwidth   // only push touches it, under schedRound.mu (acknowledged)
+}
+
+// remaining is the work a job has left; never negative, though a
+// progress report may overshoot TotalBytes.
+func remaining(total, attained unit.Bytes) unit.Bytes {
+	return max(0, total-attained)
 }
 
 // nodeState tracks one heartbeating node's capacity contribution.
@@ -74,6 +79,7 @@ type SchedulerServer struct {
 	dp       DataPlane
 	jobs     map[string]*schedJob  // guarded by mu
 	active   map[string]*schedJob  // guarded by mu (attached and not done: the round's working set)
+	quotas   map[string]unit.Bytes // guarded by mu (decided per-dataset cache quota; see book.go)
 	requests map[string]string     // guarded by mu (submit request ID -> job ID)
 	nodes    map[string]*nodeState // guarded by mu
 	nodeIDs  []string              // guarded by mu (node names, kept sorted incrementally)
@@ -89,11 +95,7 @@ type SchedulerServer struct {
 	mux       *http.ServeMux
 	registry  *metrics.Registry
 	met       schedMetrics
-	// round serializes Schedule rounds and owns their scratch:
-	// interleaved push sequences from two concurrent rounds could
-	// violate the decrease-before-raise order, and serialization gives
-	// the scratch a single owner.
-	round schedRound
+	round     schedRound // serializes rounds and revival re-pushes; owns their scratch
 	// tenants and admission are nil in the untenanted (flat pool)
 	// deployment; ConfigureTenants sets both before serving starts.
 	tenants   *tenant.Registry
@@ -104,37 +106,30 @@ type SchedulerServer struct {
 	draining bool             // guarded by mu (SIGTERM drain: new submits get 503)
 }
 
-// schedRound serializes Schedule rounds and carries the scratch they
-// reuse. Its mutex is deliberately separate from SchedulerServer.mu:
-// rounds hold it across the data-plane push, which must not block
-// heartbeats and progress reports.
+// schedRound serializes push sequences — Schedule rounds and revival
+// re-pushes, which interleaved could violate the decrease-before-raise
+// order — and carries the scratch they reuse. Its mutex is deliberately
+// separate from SchedulerServer.mu: it is held across the data-plane
+// push, which must not block progress reports and steady heartbeats.
 type schedRound struct {
 	mu sync.Mutex
 	sc roundScratch // guarded by mu
 }
 
-// roundScratch holds the buffers a Schedule round reuses from round to
-// round, mirroring core.Assignment.Reset: maps are cleared, not
-// reallocated. One round runs at a time (schedRound.mu), so the scratch
-// has a single owner.
+// roundScratch holds the buffers reused from round to round, mirroring
+// core.Assignment.Reset: slices are truncated, not reallocated. Its
+// single owner is whoever holds schedRound.mu.
 type roundScratch struct {
-	views      []core.JobView
-	byID       map[string]*schedJob
-	oldRemote  map[string]unit.Bandwidth
-	quotas     map[string]unit.Bytes
-	remote     map[string]unit.Bandwidth
-	quotaKeys  []string
-	remoteKeys []string
+	views []core.JobView
 	// solve owns the policy call: memo, Assign and validation. Its memo
 	// is what lets a round in which nothing the policy reads changed
 	// (heartbeats and progress only) skip the solve.
 	solve *core.Round
-	// booked is the per-dataset quota most recently pushed to the data
-	// plane, persisted across rounds (never cleared). It classifies each
-	// new quota as a decrease or a raise. Job records can't answer that:
-	// a dataset shared by an old job and one submitted this round would
-	// report either the old quota or zero depending on map iteration
-	// order, flipping the push phase nondeterministically.
+	// quotas and remote are the push lists, in push order; booked is the
+	// per-dataset quota the data plane last accepted, never cleared
+	// (book.go).
+	quotas []quotaPush
+	remote []remotePush
 	booked map[string]unit.Bytes
 }
 
@@ -159,6 +154,7 @@ func NewSchedulerServer(cluster core.Cluster, pol core.Policy, dp DataPlane, clo
 		dp:       dp,
 		jobs:     make(map[string]*schedJob),
 		active:   make(map[string]*schedJob),
+		quotas:   make(map[string]unit.Bytes),
 		requests: make(map[string]string),
 		nodes:    make(map[string]*nodeState),
 		liveness: DefaultNodeLivenessTimeout,
@@ -166,15 +162,9 @@ func NewSchedulerServer(cluster core.Cluster, pol core.Policy, dp DataPlane, clo
 		epoch:    clock(),
 		mux:      http.NewServeMux(),
 		registry: metrics.NewRegistry("scheduler"),
-		// The round scratch maps are born here so the hot round never
-		// allocates them.
 		round: schedRound{sc: roundScratch{
-			byID:      make(map[string]*schedJob),
-			oldRemote: make(map[string]unit.Bandwidth),
-			quotas:    make(map[string]unit.Bytes),
-			remote:    make(map[string]unit.Bandwidth),
-			booked:    make(map[string]unit.Bytes),
-			solve:     core.NewRound(pol, false),
+			booked: make(map[string]unit.Bytes),
+			solve:  core.NewRound(pol, false),
 		}},
 	}
 	s.met = newSchedMetrics(s.registry)
@@ -252,9 +242,9 @@ func (s *SchedulerServer) Submit(req SubmitJobRequest) error {
 	}
 	s.mu.Unlock()
 	s.met.submitted.Inc()
-	// The job is in the table but not yet attached: rounds and revival
-	// re-pushes skip it until the data plane knows it, so a concurrent
-	// scheduler cannot push allocations for a job mid-attach.
+	// The job is in the table but not yet in the active index: rounds and
+	// revival re-pushes skip it until the data plane knows it, so a
+	// concurrent scheduler cannot push allocations for a job mid-attach.
 	if err := s.dp.RegisterDataset(req.Dataset, req.DatasetSize, 0); err != nil {
 		s.rollbackSubmit(req)
 		return err
@@ -265,7 +255,6 @@ func (s *SchedulerServer) Submit(req SubmitJobRequest) error {
 	}
 	s.mu.Lock()
 	if j, ok := s.jobs[req.JobID]; ok {
-		j.attached = true
 		s.active[req.JobID] = j
 	}
 	s.mu.Unlock()
@@ -333,7 +322,7 @@ func (s *SchedulerServer) SetNodeLivenessTimeout(d time.Duration) {
 
 // Heartbeat registers or refreshes a node's capacity contribution. A
 // node returning from the dead triggers an immediate re-push of the
-// current allocations to the data plane, so a data manager that lost
+// decided allocation to the data plane, so a data manager that lost
 // state with the node converges without waiting for the next round.
 func (s *SchedulerServer) Heartbeat(req HeartbeatRequest) error {
 	if err := req.Validate(); err != nil {
@@ -357,12 +346,6 @@ func (s *SchedulerServer) Heartbeat(req HeartbeatRequest) error {
 	n.cache = req.Cache
 	n.lastSeen = s.clock()
 	n.live = true
-	var quotas map[string]unit.Bytes
-	var remote map[string]unit.Bandwidth
-	if revived {
-		s.met.nodeRecoveries.Inc()
-		quotas, remote = s.allocationsLocked()
-	}
 	if changed {
 		// Only a membership or capacity change moves the effective
 		// cluster; the steady-state heartbeat (same node, same capacity)
@@ -373,19 +356,11 @@ func (s *SchedulerServer) Heartbeat(req HeartbeatRequest) error {
 	}
 	s.mu.Unlock()
 	s.met.heartbeats.Inc()
-	for ds, q := range quotas {
-		if err := s.dp.AllocateCacheSize(ds, q); err != nil {
-			s.met.pushErrors.Inc()
-			return err
-		}
+	if !revived {
+		return nil
 	}
-	for id, bw := range remote {
-		if err := s.dp.AllocateRemoteIO(id, bw); err != nil {
-			s.met.pushErrors.Inc()
-			return err
-		}
-	}
-	return nil
+	s.met.nodeRecoveries.Inc()
+	return s.repush()
 }
 
 // Nodes lists the known nodes, sorted by name.
@@ -485,23 +460,6 @@ func (s *SchedulerServer) effectiveClusterLocked() core.Cluster {
 	return eff
 }
 
-// allocationsLocked snapshots the live jobs' persisted allocations (the
-// annotation state) for re-pushing. The caller holds s.mu.
-func (s *SchedulerServer) allocationsLocked() (map[string]unit.Bytes, map[string]unit.Bandwidth) {
-	quotas := make(map[string]unit.Bytes, len(s.active))
-	remote := make(map[string]unit.Bandwidth, len(s.active))
-	for id, j := range s.active {
-		// A job submitted since the last round carries no quota yet; it
-		// must not zero the quota of a dataset it shares, whichever of
-		// the sharers the map yields last.
-		if j.quota >= quotas[j.req.Dataset] {
-			quotas[j.req.Dataset] = j.quota
-		}
-		remote[id] = j.remoteIO
-	}
-	return quotas, remote
-}
-
 // updateNodeGaugesLocked refreshes the node-liveness gauges. The caller
 // holds s.mu.
 func (s *SchedulerServer) updateNodeGaugesLocked() {
@@ -534,12 +492,9 @@ func (s *SchedulerServer) schedule(ctx context.Context) error {
 }
 
 // scheduleRound is the allocation round's hot body; the caller holds
-// round.mu and passes its scratch. The round runs continuously against every active job in the
-// cluster, so it reuses the round scratch instead of building fresh
-// maps — at datacenter scale (thousands of nodes, a long tail of
-// finished jobs) the per-round map churn dominated round latency. The
-// active index keeps the view pass proportional to live jobs, not to
-// everything ever submitted.
+// round.mu and passes its scratch, which the round reuses instead of
+// building fresh buffers. The active index keeps every pass proportional
+// to live jobs, not to everything ever submitted.
 //
 // silod:hotpath
 func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) error {
@@ -548,10 +503,6 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 	// Unattached jobs (mid-Submit) are absent from the active index: the
 	// data plane cannot accept allocations for them yet.
 	for id, j := range s.active {
-		rem := j.req.TotalBytes - j.attained
-		if rem < 0 {
-			rem = 0
-		}
 		views = append(views, core.JobView{
 			ID:      id,
 			NumGPUs: j.req.NumGPUs,
@@ -561,7 +512,7 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 			},
 			DatasetKey:      j.req.Dataset,
 			DatasetSize:     j.req.DatasetSize,
-			RemainingBytes:  rem,
+			RemainingBytes:  remaining(j.req.TotalBytes, j.attained),
 			AttainedBytes:   j.attained,
 			EffectiveCached: j.effective,
 			CachedBytes:     j.cached,
@@ -582,22 +533,14 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 		// Total compute loss: nothing can run. Preempt everything back to
 		// the queue and skip the policy round (policies assume GPUs > 0);
 		// allocations resume once a node heartbeats again.
-		var queued int
-		for _, j := range s.jobs {
-			if j.done {
-				continue
-			}
+		for _, j := range s.active {
 			if j.running {
 				j.running = false
 				j.gpus = 0
 				s.met.preemptions.Inc()
 			}
-			queued++
 		}
-		s.met.rounds.Inc()
-		s.met.running.Set(0)
-		s.met.gpusAlloc.Set(0)
-		s.met.queueDepth.Set(float64(queued))
+		s.met.roundDone(0, 0, len(s.active))
 		s.mu.Unlock()
 		return nil
 	}
@@ -611,119 +554,33 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 		s.mu.Unlock()
 		return fmt.Errorf("controlplane: policy %s: %w", s.policy.Name(), err) // silod:alloc error path
 	}
-	byID := sc.byID
-	clear(byID)
-	for i := range views {
-		byID[views[i].ID] = s.active[views[i].ID]
-	}
-	var runningJobs, gpusAlloc, queued int
-	// Every known job gets an explicit entry — a job the policy dropped
+	// Every active job gets an explicit entry — a job the policy dropped
 	// (preempted after a node loss) must release its data-plane
-	// allocation, not silently keep it.
-	clear(sc.oldRemote)
-	clear(sc.quotas)
-	clear(sc.remote)
-	for id, j := range byID {
+	// allocation, not silently keep it. Views are sorted by ID, so the
+	// remote push list is born in push order.
+	var runningJobs, gpusAlloc int
+	clear(s.quotas)
+	sc.remote = sc.remote[:0]
+	for i := range views {
+		j := s.active[views[i].ID]
 		was := j.running
-		sc.oldRemote[id] = j.remoteIO
-		j.gpus = a.GPUs[id]
+		j.gpus = a.GPUs[views[i].ID]
 		j.running = j.gpus > 0
 		if was && !j.running {
 			s.met.preemptions.Inc()
 		}
-		j.remoteIO = a.RemoteIO[id]
-		j.quota = a.CacheQuota[j.req.Dataset]
-		sc.remote[id] = j.remoteIO
-		sc.quotas[j.req.Dataset] = j.quota
+		j.remoteIO = a.RemoteIO[views[i].ID]
+		s.quotas[j.req.Dataset] = a.CacheQuota[j.req.Dataset]
+		sc.remote = append(sc.remote, remotePush{j, j.remoteIO})
 		if j.running {
 			runningJobs++
 			gpusAlloc += j.gpus
-		} else {
-			queued++
 		}
 	}
-	s.met.rounds.Inc()
-	s.met.running.Set(float64(runningJobs))
-	s.met.gpusAlloc.Set(float64(gpusAlloc))
-	s.met.queueDepth.Set(float64(queued))
+	sc.quotas = sortedQuotasInto(sc.quotas, s.quotas)
+	s.met.roundDone(runningJobs, gpusAlloc, len(views)-runningJobs)
 	s.mu.Unlock()
-
-	// Push to the data plane outside the lock, decreases before raises:
-	// the ledger and cache pool enforce capacity on every call, so a
-	// raise issued while a shrunken job's old allocation is still booked
-	// would be rejected as oversubscription.
-	sc.quotaKeys = sortedKeysInto(sc.quotaKeys, sc.quotas)
-	sc.remoteKeys = sortedKeysInto(sc.remoteKeys, sc.remote)
-	if err := s.pushAllocations(sc, false); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("controlplane: schedule round: %w", err)
-	}
-	return s.pushAllocations(sc, true)
-}
-
-// pushAllocations pushes the round's allocation deltas in one
-// direction over the pre-sorted key lists: decreases (grow=false)
-// before raises (grow=true). The caller holds round.mu and passes its
-// scratch.
-//
-// silod:hotpath
-func (s *SchedulerServer) pushAllocations(sc *roundScratch, grow bool) error {
-	for _, ds := range sc.quotaKeys {
-		if q := sc.quotas[ds]; (q > sc.booked[ds]) == grow {
-			if err := s.dp.AllocateCacheSize(ds, q); err != nil {
-				s.met.pushErrors.Inc()
-				return err
-			}
-			// Recorded push-by-push, not per round: after a mid-sequence
-			// error the next round reclassifies against what actually
-			// landed at the data plane.
-			sc.booked[ds] = q
-		}
-	}
-	for _, id := range sc.remoteKeys {
-		if bw := sc.remote[id]; (bw > sc.oldRemote[id]) == grow {
-			if err := s.dp.AllocateRemoteIO(id, bw); err != nil {
-				s.met.pushErrors.Inc()
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// sortedKeysInto fills dst with m's keys in sorted order, for
-// deterministic data-plane push sequences, reusing dst's capacity.
-func sortedKeysInto[V any](dst []string, m map[string]V) []string {
-	dst = dst[:0]
-	for k := range m {
-		dst = append(dst, k)
-	}
-	sort.Strings(dst)
-	return dst
-}
-
-// Annotations returns the persisted allocation state for recovery.
-func (s *SchedulerServer) Annotations() Annotations {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := Annotations{
-		CacheQuota: make(map[string]unit.Bytes),
-		RemoteIO:   make(map[string]unit.Bandwidth),
-		Jobs:       make(map[string]string),
-		Datasets:   make(map[string]DatasetGeom),
-	}
-	for id, j := range s.jobs {
-		if j.done {
-			continue
-		}
-		out.Jobs[id] = j.req.Dataset
-		out.RemoteIO[id] = j.remoteIO
-		out.CacheQuota[j.req.Dataset] = j.quota
-		out.Datasets[j.req.Dataset] = DatasetGeom{Size: j.req.DatasetSize, BlockSize: 64 * unit.MB}
-	}
-	return out
+	return s.push(ctx, sc)
 }
 
 // Jobs lists the scheduler's job view, sorted by ID.
@@ -732,18 +589,14 @@ func (s *SchedulerServer) Jobs() []JobStatus {
 	defer s.mu.Unlock()
 	out := make([]JobStatus, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		rem := j.req.TotalBytes - j.attained
-		if rem < 0 {
-			rem = 0
-		}
 		out = append(out, JobStatus{
 			SubmitJobRequest: j.req,
 			Running:          j.running,
 			GPUs:             j.gpus,
-			CacheQuota:       j.quota,
+			CacheQuota:       s.quotas[j.req.Dataset],
 			RemoteIO:         j.remoteIO,
 			AttainedBytes:    j.attained,
-			RemainingBytes:   rem,
+			RemainingBytes:   remaining(j.req.TotalBytes, j.attained),
 			Done:             j.done,
 		})
 	}

@@ -13,6 +13,7 @@ package datamgr
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -331,27 +332,36 @@ func (m *Manager) Snapshot() Snapshot {
 
 // Restore rebuilds a fresh manager's allocation state from a snapshot,
 // the recovery path the paper describes (reconstructing from pod
-// annotations after a Data Manager crash).
+// annotations after a Data Manager crash). Everything replays in sorted
+// key order, so the pool's RNG draws and any error are deterministic.
 func (m *Manager) Restore(s Snapshot) error {
-	for name, g := range s.Datasets {
+	for _, name := range sortedKeys(s.Datasets) {
+		g := s.Datasets[name]
 		if err := m.RegisterDataset(name, g.Size, g.BlockSize); err != nil {
 			return err
 		}
 	}
-	for name, q := range s.Quotas {
-		if err := m.AllocateCacheSize(name, q); err != nil {
+	for _, name := range sortedKeys(s.Quotas) {
+		if err := m.AllocateCacheSize(name, s.Quotas[name]); err != nil {
 			return err
 		}
 	}
-	for id, ds := range s.Jobs {
-		if err := m.AttachJob(id, ds); err != nil {
+	for _, id := range sortedKeys(s.Jobs) {
+		if err := m.AttachJob(id, s.Jobs[id]); err != nil {
 			return err
 		}
-		if bw, ok := s.RemoteIO[id]; ok {
-			if err := m.AllocateRemoteIO(id, bw); err != nil {
-				return err
-			}
+		if err := m.AllocateRemoteIO(id, s.RemoteIO[id]); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

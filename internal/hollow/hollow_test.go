@@ -91,3 +91,30 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal("zero-node config accepted")
 	}
 }
+
+// TestPushStreamPinned pins the scheduler's push stream — every
+// data-plane call of every round, in order — on two shapes small enough
+// for tier-1. The constants were captured at commit b9ba5cf, before the
+// control plane's apply-and-push half was rewritten around one
+// allocation book; like the 10k-node digest in docs/performance.md they
+// move only with a deliberate, documented change of the push contract.
+func TestPushStreamPinned(t *testing.T) {
+	for _, tc := range []struct {
+		sched policy.SchedulerKind
+		want  string
+	}{
+		{policy.FIFOKind, "b56db84425d7dac8"},
+		{policy.SJFKind, "0eb381730bf2698a"},
+	} {
+		cfg := smallConfig(42)
+		cfg.Nodes, cfg.Jobs, cfg.Datasets, cfg.Rounds, cfg.JobRounds = 48, 3000, 16, 30, 4
+		cfg.Scheduler = tc.sched
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Digest != tc.want {
+			t.Errorf("%v x SiloD push digest %s, want %s", tc.sched, res.Digest, tc.want)
+		}
+	}
+}

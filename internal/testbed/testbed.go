@@ -456,7 +456,9 @@ func (b *bed) round() error {
 	// Apply decreases before increases: replacing rates one at a time
 	// against a live ledger would otherwise transiently oversubscribe
 	// (job A's new high rate lands while job B still holds last round's
-	// high rate).
+	// high rate). Classified against mgr.Stats, not a scheduler-side book
+	// like controlplane's: applyFaults rescales the ledger behind the
+	// round's back, so only the manager knows what each job holds.
 	type update struct {
 		id     string
 		scaled unit.Bandwidth
