@@ -109,8 +109,11 @@ func TestGracefulDrain(t *testing.T) {
 				if err != nil {
 					// The listener closed before this connection was
 					// accepted: not an in-flight request, so a refusal
-					// is the clean outcome. Anything else is a tear.
+					// — or a reset of a connect still in the listen
+					// backlog — is the clean outcome. Anything else is a
+					// tear.
 					if !strings.Contains(err.Error(), "connection refused") &&
+						!strings.Contains(err.Error(), "connect: connection reset by peer") &&
 						!strings.Contains(err.Error(), "EOF") {
 						mu.Lock()
 						torn = append(torn, err.Error())

@@ -32,16 +32,30 @@ import (
 // recovering data manager takes: fresh.Restore(sched.Annotations()).
 type Annotations = datamgr.Snapshot
 
-// quotaPush and remotePush are push-list entries: the decided
+// quotaPush and jobPush are push-list entries: the decided
 // allocation copied out from under s.mu, so the push runs without it.
 type quotaPush struct {
 	dataset string
 	size    unit.Bytes
 }
 
-type remotePush struct {
-	job   *schedJob // for its immutable ID and its bookedIO
+type jobPush struct {
+	id    string
+	job   *schedJob // for its bookedIO
 	speed unit.Bandwidth
+}
+
+// activeLocked fills dst, reusing its capacity, with the jobs the data
+// plane can take allocations for (attached, so not mid-Submit; not done)
+// in ID order, speeds zero. Sorting (ID, record) pairs before touching a
+// record lets every later pass read the records once, in that order.
+func (s *SchedulerServer) activeLocked(dst []jobPush) []jobPush {
+	dst = dst[:0]
+	for id, j := range s.active {
+		dst = append(dst, jobPush{id: id, job: j})
+	}
+	slices.SortFunc(dst, func(a, b jobPush) int { return strings.Compare(a.id, b.id) })
+	return dst
 }
 
 // sortedQuotasInto fills dst with m's entries in dataset order, reusing
@@ -81,9 +95,9 @@ func (s *SchedulerServer) push(ctx context.Context, sc *roundScratch) error {
 				sc.booked[p.dataset] = p.size
 			}
 		}
-		for _, p := range sc.remote {
+		for _, p := range sc.jobs {
 			if (p.speed > p.job.bookedIO) == grow {
-				if err := s.dp.AllocateRemoteIO(p.job.req.JobID, p.speed); err != nil {
+				if err := s.dp.AllocateRemoteIO(p.id, p.speed); err != nil {
 					s.met.pushErrors.Inc()
 					return err
 				}
@@ -104,12 +118,11 @@ func (s *SchedulerServer) repush() error {
 	s.mu.Lock()
 	snap := s.snapshotLocked()
 	sc.quotas = sortedQuotasInto(sc.quotas, snap.Quotas)
-	sc.remote = sc.remote[:0]
-	for id, bw := range snap.RemoteIO {
-		sc.remote = append(sc.remote, remotePush{s.active[id], bw})
+	sc.jobs = s.activeLocked(sc.jobs)
+	for i := range sc.jobs {
+		sc.jobs[i].speed = snap.RemoteIO[sc.jobs[i].id]
 	}
 	s.mu.Unlock()
-	slices.SortFunc(sc.remote, func(a, b remotePush) int { return strings.Compare(a.job.req.JobID, b.job.req.JobID) })
 	return s.push(context.Background(), sc)
 }
 

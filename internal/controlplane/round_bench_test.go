@@ -68,8 +68,7 @@ func benchScheduler(tb testing.TB, jobs, nodes int) *SchedulerServer {
 // BenchmarkScheduleRound measures the steady-state allocation round —
 // the silod:hotpath loop — including the policy solve and the
 // data-plane push. The round scratch makes allocs/op flat in the round
-// count; hotalloc lint-gates the residual (policy internals and the
-// waived sort).
+// count; hotalloc lint-gates the residual (policy internals).
 func BenchmarkScheduleRound(b *testing.B) {
 	for _, size := range []struct{ jobs, nodes int }{{64, 8}, {512, 64}} {
 		b.Run(fmt.Sprintf("jobs%d_nodes%d", size.jobs, size.nodes), func(b *testing.B) {

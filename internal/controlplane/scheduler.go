@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -125,11 +126,10 @@ type roundScratch struct {
 	// is what lets a round in which nothing the policy reads changed
 	// (heartbeats and progress only) skip the solve.
 	solve *core.Round
-	// quotas and remote are the push lists, in push order; booked is the
-	// per-dataset quota the data plane last accepted, never cleared
-	// (book.go).
+	// quotas and jobs are the push lists, in push order; booked is the
+	// quota the data plane last accepted per dataset, never cleared.
 	quotas []quotaPush
-	remote []remotePush
+	jobs   []jobPush
 	booked map[string]unit.Bytes
 }
 
@@ -271,8 +271,7 @@ func (s *SchedulerServer) rollbackSubmit(req SubmitJobRequest) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.jobs, req.JobID)
-	delete(s.active, req.JobID)
+	delete(s.jobs, req.JobID) // not yet in s.active: Submit adds it after the wiring
 	if req.RequestID != "" {
 		delete(s.requests, req.RequestID)
 	}
@@ -335,10 +334,8 @@ func (s *SchedulerServer) Heartbeat(req HeartbeatRequest) error {
 		s.nodes[req.Node] = n
 		// Keep the node-id order incrementally: one O(n) insert per new
 		// node instead of an O(n log n) sort per effective-cluster query.
-		i := sort.SearchStrings(s.nodeIDs, req.Node)
-		s.nodeIDs = append(s.nodeIDs, "")
-		copy(s.nodeIDs[i+1:], s.nodeIDs[i:])
-		s.nodeIDs[i] = req.Node
+		i, _ := slices.BinarySearch(s.nodeIDs, req.Node)
+		s.nodeIDs = slices.Insert(s.nodeIDs, i, req.Node)
 	}
 	revived := known && !n.live
 	changed := !known || revived || n.gpus != req.GPUs || n.cache != req.Cache
@@ -433,7 +430,7 @@ func (s *SchedulerServer) effectiveClusterLocked() core.Cluster {
 		return s.eff
 	}
 	eff := s.cluster
-	live := 0
+	s.liveNodes = 0
 	if len(s.nodes) > 0 {
 		// Sorted-id sum: the cache total is a float (unit.Bytes) and
 		// must not vary with per-process map iteration order. nodeIDs is
@@ -444,18 +441,13 @@ func (s *SchedulerServer) effectiveClusterLocked() core.Cluster {
 			if n := s.nodes[id]; n.live {
 				gpus += n.gpus
 				cache += n.cache
-				live++
+				s.liveNodes++
 			}
 		}
-		if gpus < eff.GPUs {
-			eff.GPUs = gpus
-		}
-		if cache < eff.Cache {
-			eff.Cache = cache
-		}
+		eff.GPUs = min(eff.GPUs, gpus)
+		eff.Cache = min(eff.Cache, cache)
 	}
 	s.eff = eff
-	s.liveNodes = live
 	s.effValid = true
 	return eff
 }
@@ -499,12 +491,12 @@ func (s *SchedulerServer) schedule(ctx context.Context) error {
 // silod:hotpath
 func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) error {
 	s.mu.Lock()
-	views := sc.views[:0]
-	// Unattached jobs (mid-Submit) are absent from the active index: the
-	// data plane cannot accept allocations for them yet.
-	for id, j := range s.active {
-		views = append(views, core.JobView{
-			ID:      id,
+	sc.jobs = s.activeLocked(sc.jobs)
+	sc.views = sc.views[:0]
+	for _, p := range sc.jobs {
+		j := p.job
+		sc.views = append(sc.views, core.JobView{
+			ID:      p.id,
 			NumGPUs: j.req.NumGPUs,
 			Profile: estimator.JobProfile{
 				IdealThroughput: j.req.IdealThroughput,
@@ -523,8 +515,6 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 			Irregular:       j.req.Irregular,
 		})
 	}
-	sc.views = views
-	sort.Slice(views, func(i, k int) bool { return views[i].ID < views[k].ID }) // silod:alloc sort.Slice's closure+header, amortized over the round
 	wall := s.clock()
 	s.refreshLivenessLocked(wall)
 	eff := s.effectiveClusterLocked()
@@ -549,36 +539,34 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 		return fmt.Errorf("controlplane: schedule round: %w", err)
 	}
 	now := unit.Time(wall.Sub(s.epoch).Seconds())
-	a, _, err := sc.solve.Solve(eff, now, views)
+	a, _, err := sc.solve.Solve(eff, now, sc.views)
 	if err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("controlplane: policy %s: %w", s.policy.Name(), err) // silod:alloc error path
 	}
 	// Every active job gets an explicit entry — a job the policy dropped
 	// (preempted after a node loss) must release its data-plane
-	// allocation, not silently keep it. Views are sorted by ID, so the
-	// remote push list is born in push order.
+	// allocation, not silently keep it.
 	var runningJobs, gpusAlloc int
 	clear(s.quotas)
-	sc.remote = sc.remote[:0]
-	for i := range views {
-		j := s.active[views[i].ID]
-		was := j.running
-		j.gpus = a.GPUs[views[i].ID]
-		j.running = j.gpus > 0
-		if was && !j.running {
+	for i := range sc.jobs {
+		p := &sc.jobs[i]
+		j := p.job
+		j.gpus = a.GPUs[p.id]
+		if j.running && j.gpus <= 0 {
 			s.met.preemptions.Inc()
 		}
-		j.remoteIO = a.RemoteIO[views[i].ID]
+		j.running = j.gpus > 0
+		p.speed = a.RemoteIO[p.id]
+		j.remoteIO = p.speed
 		s.quotas[j.req.Dataset] = a.CacheQuota[j.req.Dataset]
-		sc.remote = append(sc.remote, remotePush{j, j.remoteIO})
 		if j.running {
 			runningJobs++
 			gpusAlloc += j.gpus
 		}
 	}
 	sc.quotas = sortedQuotasInto(sc.quotas, s.quotas)
-	s.met.roundDone(runningJobs, gpusAlloc, len(views)-runningJobs)
+	s.met.roundDone(runningJobs, gpusAlloc, len(sc.jobs)-runningJobs)
 	s.mu.Unlock()
 	return s.push(ctx, sc)
 }
@@ -600,7 +588,7 @@ func (s *SchedulerServer) Jobs() []JobStatus {
 			Done:             j.done,
 		})
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].JobID < out[k].JobID })
+	slices.SortFunc(out, func(a, b JobStatus) int { return strings.Compare(a.JobID, b.JobID) })
 	return out
 }
 
