@@ -11,7 +11,7 @@ import (
 // scheduling guarantee: -full-resolve (from-scratch solve every round)
 // must print byte-identical experiment output to the default
 // incremental fast path. fidelity96 runs both simulation engines, so
-// the delta memo, warm-started bisections and rate memo are all on the
+// the solve memo, the rate memo and the Che early exit are all on the
 // line here.
 func TestFullResolveFlagByteIdentical(t *testing.T) {
 	full := capture(t, "-exp", "fidelity96", "-quick", "-seed", "7", "-parallel", "1", "-full-resolve")

@@ -221,7 +221,7 @@ func run(args []string, w *os.File) error {
 	cacheStr := fs.String("cache", "24TB", "cluster cache capacity (trace mode)")
 	remoteStr := fs.String("remote", "1GB", "remote IO capacity in bytes/sec (trace mode), e.g. 1GB")
 	engine := fs.String("engine", "fluid", "simulation engine: fluid | batch")
-	fullResolve := fs.Bool("full-resolve", false, "disable incremental scheduling fast paths (reference mode; outputs are byte-identical either way)")
+	fullResolve := fs.Bool("full-resolve", false, "disable the solve memo, the fluid rate memo and the Che early exit (reference mode; outputs are byte-identical either way)")
 	csvDir := fs.String("csv", "", "write timeline series as CSV files into this directory (trace mode)")
 	metricsOut := fs.String("metrics", "", "write a JSON metrics snapshot (counters, histograms, per-job events) to this file (trace mode)")
 	faultsPath := fs.String("faults", "", "replay a deterministic fault schedule (JSON, see docs/fault-injection.md) during the run (trace mode)")

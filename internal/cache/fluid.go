@@ -103,27 +103,9 @@ func occupancy(tau, T float64) float64 {
 //
 // silod:pure
 func CheLRU(capacity unit.Bytes, streams []FluidStream) []float64 {
-	hits, _ := CheLRUWarm(capacity, streams, 0)
-	return hits
-}
-
-// CheLRUWarm is CheLRU with a warm-start hint: a τ from an earlier,
-// nearby solve (0 means cold). It also returns the converged τ so the
-// caller can feed it back. The hint never changes the answer: the
-// bisection replays the exact cold trajectory over [0, 2·maxT], and the
-// hint only pre-establishes evaluated below/above bounds (two probes at
-// hint·(1∓5%) on the CURRENT streams) so mids outside the open interval
-// between them take the verdict monotonicity dictates. occBytes is
-// mathematically monotone nondecreasing in τ (each term's derivative is
-// a survival probability ≥ 0); the deduction trusts that monotonicity
-// down to the last float64 ulp, which the engine-level byte-identity
-// gates (full-resolve vs incremental) validate end to end.
-//
-// silod:pure
-func CheLRUWarm(capacity unit.Bytes, streams []FluidStream, hint float64) ([]float64, float64) {
 	hits := make([]float64, len(streams))
 	if capacity <= 0 || len(streams) == 0 {
-		return hits, 0
+		return hits
 	}
 	// Periods are loop-invariant across the ~55 bisection evaluations,
 	// so the per-stream division happens once here.
@@ -141,7 +123,7 @@ func CheLRUWarm(capacity unit.Bytes, streams []FluidStream, hint float64) ([]flo
 		}
 	}
 	if totalActive == 0 {
-		return hits, 0
+		return hits
 	}
 	if totalActive <= capacity {
 		// Everything fits: after warm-up every access hits.
@@ -150,7 +132,7 @@ func CheLRUWarm(capacity unit.Bytes, streams []FluidStream, hint float64) ([]flo
 				hits[i] = 1
 			}
 		}
-		return hits, 0
+		return hits
 	}
 	// Bisection on τ: occupancy is monotone increasing in τ.
 	occBytes := func(tau float64) float64 {
@@ -162,43 +144,10 @@ func CheLRUWarm(capacity unit.Bytes, streams []FluidStream, hint float64) ([]flo
 	}
 	lo, hi := 0.0, 2*maxT
 	target := float64(capacity)
-	// knownBelow/knownAbove bracket τ with verdicts evaluated on the
-	// current streams: occBytes(knownBelow) < target <= occBytes(knownAbove).
-	knownBelow, knownAbove := 0.0, math.Inf(1)
-	if hint > 0 {
-		if c := hint * 0.95; c > 0 && c < hi {
-			if occBytes(c) < target {
-				knownBelow = c
-			} else {
-				knownAbove = c
-			}
-		}
-		if c := hint * 1.05; c > knownBelow && c < knownAbove && c < hi {
-			if occBytes(c) < target {
-				knownBelow = c
-			} else {
-				knownAbove = c
-			}
-		}
-	}
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
 		prevLo, prevHi := math.Float64bits(lo), math.Float64bits(hi)
-		var below bool
-		switch {
-		case mid <= knownBelow:
-			below = true
-		case mid >= knownAbove:
-			below = false
-		default:
-			below = occBytes(mid) < target
-			if below {
-				knownBelow = mid
-			} else {
-				knownAbove = mid
-			}
-		}
-		if below {
+		if occBytes(mid) < target {
 			lo = mid
 		} else {
 			hi = mid
@@ -215,5 +164,5 @@ func CheLRUWarm(capacity unit.Bytes, streams []FluidStream, hint float64) ([]flo
 	for i := range streams {
 		hits[i] = gapCDF(tau, periods[i])
 	}
-	return hits, tau
+	return hits
 }

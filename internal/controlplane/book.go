@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/datamgr"
+	"repro/internal/dataset"
 	"repro/internal/unit"
 )
 
@@ -142,7 +143,7 @@ func (s *SchedulerServer) snapshotLocked() Annotations {
 		out.RemoteIO[id] = j.remoteIO
 		out.Quotas[j.req.Dataset] = s.quotas[j.req.Dataset]
 		// Submit registers every dataset at the default block size.
-		out.Datasets[j.req.Dataset] = datamgr.DatasetGeom{Size: j.req.DatasetSize, BlockSize: 64 * unit.MB}
+		out.Datasets[j.req.Dataset] = datamgr.DatasetGeom{Size: j.req.DatasetSize, BlockSize: dataset.DefaultBlockSize}
 	}
 	return out
 }

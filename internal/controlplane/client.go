@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/datamgr"
+	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/simrng"
 	"repro/internal/unit"
@@ -339,11 +340,11 @@ type LocalDataPlane struct {
 	Mgr *datamgr.Manager
 }
 
-// RegisterDataset implements DataPlane. A zero blockSize uses the 64 MB
-// default, matching the HTTP server's behaviour.
+// RegisterDataset implements DataPlane. A zero blockSize uses
+// dataset.DefaultBlockSize, matching the HTTP server's behaviour.
 func (l LocalDataPlane) RegisterDataset(name string, size, blockSize unit.Bytes) error {
 	if blockSize <= 0 {
-		blockSize = 64 * unit.MB
+		blockSize = dataset.DefaultBlockSize
 	}
 	return l.Mgr.RegisterDataset(name, size, blockSize)
 }

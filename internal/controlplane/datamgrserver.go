@@ -6,7 +6,7 @@ import (
 	"net/http"
 
 	"repro/internal/datamgr"
-	"repro/internal/unit"
+	"repro/internal/dataset"
 )
 
 // DataManagerServer exposes a datamgr.Manager over HTTP: the Table 3
@@ -76,7 +76,7 @@ func (s *DataManagerServer) handleRegisterDataset(w http.ResponseWriter, r *http
 	}
 	bs := req.BlockSize
 	if bs <= 0 {
-		bs = 64 * unit.MB
+		bs = dataset.DefaultBlockSize
 	}
 	if err := s.mgr.RegisterDataset(req.Name, req.Size, bs); err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -292,11 +292,10 @@ type DeltaAssigner interface {
 	IgnoredViewFields() ViewFields
 }
 
-// FullResolver is implemented by policies that carry incremental state
-// across rounds (memoized sub-solves, warm-started bisection brackets).
-// SetFullResolve(true) drops that state and forces every round to
-// re-solve from scratch: the byte-identity reference the gates compare
-// against. NewRound forwards its fullResolve argument here.
+// FullResolver has no implementer and no caller in the product: no
+// policy carries state across rounds, so NewRound has nothing to forward
+// SetFullResolve to. The type stays only because bench/policy.go
+// (frozen) spells it; it goes in the next [benchmark] PR.
 type FullResolver interface {
 	SetFullResolve(full bool)
 }
@@ -599,17 +598,6 @@ func (p frameworkPolicy) IgnoredViewFields() ViewFields {
 		mask &= equalShareIgnored
 	}
 	return mask &^ (FieldIrregular | FieldNumGPUs)
-}
-
-// SetFullResolve implements FullResolver by forwarding to both inner
-// policies.
-func (p frameworkPolicy) SetFullResolve(full bool) {
-	if fr, ok := p.f.Policy.(FullResolver); ok {
-		fr.SetFullResolve(full)
-	}
-	if fr, ok := p.f.Fallback.(FullResolver); ok {
-		fr.SetFullResolve(full)
-	}
 }
 
 // policyPure reports whether p declares itself a pure assigner.

@@ -37,12 +37,8 @@ type Round struct {
 
 // NewRound builds the round driver for p. fullResolve selects the
 // from-scratch reference path the byte-identity gates compare against:
-// it is forwarded to policies that carry incremental state of their own
-// (FullResolver) and disables the memo here.
+// it disables the memo.
 func NewRound(p Policy, fullResolve bool) *Round {
-	if fr, ok := p.(FullResolver); ok {
-		fr.SetFullResolve(fullResolve)
-	}
 	r := &Round{policy: p}
 	if !fullResolve && policyPure(p) {
 		r.memoize = true

@@ -17,7 +17,6 @@ type scriptPolicy struct {
 	invalid bool // next Assign over-grants GPUs
 
 	calls int
-	full  []bool // SetFullResolve arguments, in order
 }
 
 func (p *scriptPolicy) Assign(c Cluster, now unit.Time, jobs []JobView) Assignment {
@@ -31,7 +30,6 @@ func (p *scriptPolicy) Assign(c Cluster, now unit.Time, jobs []JobView) Assignme
 
 func (p *scriptPolicy) PureAssign() bool              { return p.pure }
 func (p *scriptPolicy) IgnoredViewFields() ViewFields { return p.mask }
-func (p *scriptPolicy) SetFullResolve(full bool)      { p.full = append(p.full, full) }
 
 func roundViews() []JobView {
 	return []JobView{
@@ -79,9 +77,6 @@ func TestRoundMemo(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRound(tc.pol, tc.fullResolve)
-			if !reflect.DeepEqual(tc.pol.full, []bool{tc.fullResolve}) {
-				t.Fatalf("SetFullResolve calls = %v, want one with %v", tc.pol.full, tc.fullResolve)
-			}
 			c, views := testCluster(), roundViews()
 			first, reused, err := r.Solve(c, 0, views)
 			if err != nil || reused {

@@ -13,6 +13,10 @@ import (
 	"repro/internal/workload"
 )
 
+// DefaultBlockSize is the cache block granularity used wherever a
+// caller does not choose one.
+const DefaultBlockSize = 64 * unit.MB
+
 // Blocks is the block-granularity view of a dataset.
 type Blocks struct {
 	Name      string
@@ -40,7 +44,7 @@ func New(name string, size, blockSize unit.Bytes) (Blocks, error) {
 // FromWorkload builds the block view of a workload dataset at the
 // default block size.
 func FromWorkload(d workload.Dataset) (Blocks, error) {
-	return New(d.Name, d.Size, 64*unit.MB)
+	return New(d.Name, d.Size, DefaultBlockSize)
 }
 
 // Stream yields the sequence of block accesses a training job performs.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/estimator"
 	"repro/internal/policy"
 	"repro/internal/report"
@@ -71,7 +72,7 @@ func EstimatorAccuracy(o Options) (*AccuracyResult, error) {
 	res := &AccuracyResult{}
 	for _, cacheFrac := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		for _, bw := range []unit.Bandwidth{unit.MBpsOf(30), unit.MBpsOf(60), unit.MBpsOf(120)} {
-			blockAligned := unit.AlignUp(ds.Size, 64*unit.MB)
+			blockAligned := unit.AlignUp(ds.Size, dataset.DefaultBlockSize)
 			cache := unit.Bytes(cacheFrac * float64(blockAligned))
 			prof := estimator.JobProfile{IdealThroughput: spec.IdealThroughput(), DatasetSize: blockAligned}
 			// Closed-form prediction with the §6 warm-up model: the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/policy"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -60,8 +61,8 @@ func Figure16(o Options) (*Figure16Result, error) {
 				ID: fmt.Sprintf("curriculum-%d-%d", step, rep), Model: rn50,
 				Dataset: ds, NumGPUs: 1, Curriculum: cur,
 			}
-			// One block per step at the 64 MB granularity.
-			spec.NumSteps = totalIters * int64(64*unit.MB/spec.StepBytesTotal())
+			// One block per step at the simulator's block granularity.
+			spec.NumSteps = totalIters * int64(dataset.DefaultBlockSize/spec.StepBytesTotal())
 			for _, cs := range []policy.CacheSystem{policy.SiloD, policy.Alluxio} {
 				pol, err := policy.Build(policy.FIFOKind, cs, o.seed()+int64(rep))
 				if err != nil {

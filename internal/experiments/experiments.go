@@ -35,11 +35,10 @@ type Options struct {
 	Sequential bool
 	// Workers bounds the arm worker pool (0 = GOMAXPROCS).
 	Workers int
-	// FullResolve disables the engines' incremental fast paths (solve
-	// memo, warm-started bisections, rate memo) so every round re-solves
-	// from scratch. Outputs are byte-identical either way — the identity
-	// tests diff the two modes — so this exists for those gates and for
-	// timing the unoptimized reference.
+	// FullResolve switches off the engines' three fast paths (solve
+	// memo, fluid rate memo, Che fixed-point early exit). Outputs are
+	// byte-identical either way — the identity tests diff the two modes
+	// — so this exists for those gates and for timing the reference.
 	FullResolve bool
 }
 

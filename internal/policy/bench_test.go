@@ -30,12 +30,12 @@ func benchJobs(n int) []core.JobView {
 	return jobs
 }
 
-func BenchmarkMaxMinStorageCold(b *testing.B) {
+func BenchmarkMaxMinStorage(b *testing.B) {
 	jobs := benchJobs(200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		(&MaxMinSolver{Cold: true}).Storage(unit.TiB(100), unit.GBpsOf(4), jobs)
+		new(MaxMinSolver).Storage(unit.TiB(100), unit.GBpsOf(4), jobs)
 	}
 }
 

@@ -41,12 +41,6 @@ type Gavel struct {
 	// Assignment is valid only until the next Assign.
 	scratch core.Assignment
 
-	// solver carries the incremental max-min state across rounds: the
-	// exact-match memo of the storage program and the warm-start λ
-	// hints for both bisections. It never changes what an Assign
-	// returns, only how much of the previous round's work is redone.
-	solver MaxMinSolver
-
 	// Admission-order scratch (see orderViews): per-job scores are
 	// computed once and an int permutation is sorted instead of
 	// re-evaluating the key per comparison and swapping JobView structs.
@@ -54,14 +48,6 @@ type Gavel struct {
 	ordIdx   []int
 	ordBuf   []core.JobView
 	admitBuf []core.JobView
-}
-
-// SetFullResolve implements core.FullResolver: true disables the
-// solver's memo and warm-start hints so every round re-solves the full
-// max-min programs — the byte-identity reference.
-func (g *Gavel) SetFullResolve(full bool) {
-	g.solver.Cold = full
-	g.solver.Reset()
 }
 
 // GavelObjective enumerates the Gavel scheduling goals implemented here.
@@ -173,9 +159,10 @@ func (g *Gavel) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.
 	// only consumed by running jobs, so the bandwidth program (an exact
 	// bisection on the Eq. 9 objective) runs over the running set
 	// against the planned quotas.
-	allocs := g.solver.Storage(c.Cache, c.RemoteIO, jobs)
+	var solver MaxMinSolver
+	allocs := solver.Storage(c.Cache, c.RemoteIO, jobs)
 	a.CacheQuota = DatasetQuotas(jobs, allocs)
-	grants := g.solver.Bandwidth(c, c.RemoteIO, running, a.CacheQuota)
+	grants := solver.Bandwidth(c, c.RemoteIO, running, a.CacheQuota)
 	leftover := float64(c.RemoteIO)
 	for _, j := range running {
 		bw := grants[j.ID]

@@ -32,71 +32,16 @@ type StorageAlloc struct {
 	Perf     unit.Bandwidth // resulting SiloDPerf
 }
 
-// storageSig is the relevance projection of one job into the storage
-// program: the only JobView fields solveStorage reads. Two job lists
-// with equal signatures produce byte-identical allocations, which is
-// what the solver's exact-match memo rests on.
-type storageSig struct {
-	id      string
-	dataset string
-	size    unit.Bytes
-	cached  unit.Bytes
-	profile estimator.JobProfile
-}
-
-// lambdaWarm carries one progressive-filling round's converged λ from
-// the previous solve: the seed for the next warm-started bisection.
-type lambdaWarm struct {
-	// sig is the round's dataset-group structure (keys + member
-	// counts). A churned group invalidates the hint — the group-level
-	// invalidation rule — because a reshaped program's λ can land
-	// anywhere; an unchanged structure drifts slowly and the recorded
-	// drift sizes the bracket.
-	sig    uint64
-	lambda float64
-	drift  float64
-	ok     bool
-}
-
-// MaxMinSolver is the incremental façade over the max-min storage and
-// bandwidth programs. It keeps two kinds of state between solves:
-//
-//   - an exact-match memo of the last storage solve keyed on the
-//     relevance projection of its inputs (storageSig) — when no
-//     relevant field changed, the previous allocation IS the answer
-//     (solveStorage is a pure function), so the whole program is
-//     skipped;
-//   - per-round warm-start hints (lambdaWarm) that seed the bisections
-//     with the previous converged λ. Warm probes are evaluated with
-//     the exact same feasibility test on the current inputs; verdicts
-//     for bracket-excluded mids are deduced by monotonicity, so the
-//     bisection trajectory — and the returned λ — matches the cold
-//     run bit for bit.
-//
-// The zero value is a valid cold-start solver. Cold forces full
-// re-solves (the byte-identity reference used by the gates and by the
-// engines' full-resolve mode).
+// MaxMinSolver solves the max-min storage and bandwidth programs. Every
+// call solves from scratch and nothing is carried from one call to the
+// next (Gavel states max-min as a program re-solved at each allocation),
+// so a long-lived solver and a fresh one return the same bits. The zero
+// value is ready to use.
 type MaxMinSolver struct {
+	// Cold has no effect: every solve is from scratch. The field stays
+	// only because bench/probes.go (frozen) spells it; it goes in the
+	// next [benchmark] PR.
 	Cold bool
-
-	memoOK    bool
-	memoCache unit.Bytes
-	memoIO    unit.Bandwidth
-	memoSigs  []storageSig
-	memoOut   map[string]StorageAlloc
-
-	hints  []lambdaWarm
-	bwHint lambdaWarm
-
-	sigBuf []storageSig
-}
-
-// Reset drops all memoized state; the next solves run cold.
-func (s *MaxMinSolver) Reset() {
-	s.memoOK = false
-	s.memoOut = nil
-	s.hints = s.hints[:0]
-	s.bwHint = lambdaWarm{}
 }
 
 // Storage solves the storage part of Eq. 9 exactly: maximize the
@@ -114,60 +59,11 @@ func (s *MaxMinSolver) Reset() {
 // cache therefore goes to datasets in decreasing order of that ratio,
 // and feasibility reduces to a single bandwidth comparison.
 //
-// The returned map is owned by the solver: treat it as read-only and
-// valid until the next Storage call. A Cold solver is the reference:
-// every call solves from scratch. Long-lived callers (Gavel) keep a
-// warm one, which memoizes the whole program on its true inputs and
-// warm-starts the bisections while producing byte-identical
-// allocations. The memo fast path below is byte-identical to a
-// full solve only while solveStorage stays a pure function of
-// (totalCache, totalIO, the storageSig projection of jobs) — which the
-// lint machinery checks via the annotation on solveStorage.
-//
-// silod:pure-requires: (*MaxMinSolver).solveStorage
-func (s *MaxMinSolver) Storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jobs []core.JobView) map[string]StorageAlloc {
-	s.sigBuf = s.sigBuf[:0]
-	for _, j := range jobs {
-		s.sigBuf = append(s.sigBuf, storageSig{
-			id: j.ID, dataset: j.DatasetKey,
-			size: j.DatasetSize, cached: j.CachedBytes,
-			profile: j.Profile,
-		})
-	}
-	if !s.Cold && s.memoOK && s.memoCache == totalCache && s.memoIO == totalIO && sigsEqual(s.sigBuf, s.memoSigs) {
-		return s.memoOut
-	}
-	out := s.solveStorage(totalCache, totalIO, jobs)
-	s.memoOK = true
-	s.memoCache = totalCache
-	s.memoIO = totalIO
-	s.memoSigs = append(s.memoSigs[:0], s.sigBuf...)
-	s.memoOut = out
-	return out
-}
-
-// sigsEqual reports element-wise equality of two projections.
+// It is a pure function of its arguments (no clock, no RNG, no
+// map-order dependence).
 //
 // silod:pure
-func sigsEqual(a, b []storageSig) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// solveStorage runs the progressive-filling max-min program. It is a
-// pure function of its arguments (no clock, no RNG, no map-order
-// dependence): the solver's exact-match memo and the engines'
-// delta-aware solve skip both rest on this annotation holding.
-//
-// silod:pure
-func (s *MaxMinSolver) solveStorage(totalCache unit.Bytes, totalIO unit.Bandwidth, jobs []core.JobView) map[string]StorageAlloc {
+func (*MaxMinSolver) Storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jobs []core.JobView) map[string]StorageAlloc {
 	out := make(map[string]StorageAlloc, len(jobs))
 	if len(jobs) == 0 {
 		return out
@@ -194,10 +90,9 @@ func (s *MaxMinSolver) solveStorage(totalCache unit.Bytes, totalIO unit.Bandwidt
 	remCache := float64(totalCache)
 	remIO := float64(totalIO)
 	// Progressive filling: at most len(jobs) rounds.
-	for round := 0; len(active) > 0; round++ {
+	for len(active) > 0 {
 		probe := newLambdaProbe(active)
-		lambda := probe.maxFeasibleLambda(remCache, remIO, s.roundHint(round, probe))
-		s.storeHint(round, probe, lambda)
+		lambda := probe.maxFeasibleLambda(remCache, remIO)
 		alloc := probe.allocate(remCache, remIO, lambda)
 		// Jobs capped at f* under this lambda are saturated: freeze them.
 		var next []storageJob
@@ -229,57 +124,6 @@ func (s *MaxMinSolver) solveStorage(totalCache unit.Bytes, totalIO unit.Bandwidt
 	spendSlack(remCache, remIO, jobs, out)
 	mergeSharedCache(jobs, out)
 	return out
-}
-
-// roundHint returns the warm-start hint for one progressive-filling
-// round, or nil when solving cold, the round is new, or the round's
-// group structure changed since the hint was recorded.
-//
-// silod:pure
-func (s *MaxMinSolver) roundHint(round int, p *lambdaProbe) *lambdaWarm {
-	if s.Cold || round >= len(s.hints) {
-		return nil
-	}
-	h := &s.hints[round]
-	if !h.ok || h.sig != p.groupSig() {
-		return nil
-	}
-	return h
-}
-
-// storeHint records a round's converged λ (and the observed drift from
-// the previous hint) for the next solve.
-//
-// silod:pure
-func (s *MaxMinSolver) storeHint(round int, p *lambdaProbe, lambda float64) {
-	if s.Cold {
-		return
-	}
-	for len(s.hints) <= round {
-		s.hints = append(s.hints, lambdaWarm{})
-	}
-	h := &s.hints[round]
-	drift := warmDrift(h, lambda)
-	*h = lambdaWarm{sig: p.groupSig(), lambda: lambda, drift: drift, ok: lambda > 0}
-}
-
-// warmDrift sizes the next warm bracket from how far λ moved since the
-// previous solve: four times the observed relative movement, clamped to
-// [1e-3, 0.5]. A stale or first-time hint gets the widest bracket.
-//
-// silod:pure
-func warmDrift(prev *lambdaWarm, lambda float64) float64 {
-	if prev == nil || !prev.ok || prev.lambda <= 0 || lambda <= 0 {
-		return 0.5
-	}
-	d := 4 * math.Abs(lambda-prev.lambda) / prev.lambda
-	if d < 1e-3 {
-		d = 1e-3
-	}
-	if d > 0.5 {
-		d = 0.5
-	}
-	return d
 }
 
 // probeGroup is one dataset group inside a lambdaProbe. Membership,
@@ -357,26 +201,6 @@ func newLambdaProbe(jobs []storageJob) *lambdaProbe {
 	p.scores = make([]float64, len(p.groups))
 	p.allocs = make([]StorageAlloc, len(jobs))
 	return p
-}
-
-// groupSig hashes the probe's dataset-group structure (FNV-1a over
-// group keys and member counts): the invalidation key for warm-start
-// hints.
-//
-// silod:pure
-func (p *lambdaProbe) groupSig() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for gi, key := range p.keys {
-		for i := 0; i < len(key); i++ {
-			h = (h ^ uint64(key[i])) * prime64
-		}
-		h = (h ^ uint64(len(p.groups[gi].members))) * prime64
-	}
-	return h
 }
 
 // split computes every job's target throughput min(lambda·perfEqual,
@@ -505,18 +329,12 @@ func (p *lambdaProbe) allocate(remCache, remIO, lambda float64) []StorageAlloc {
 	return p.allocs
 }
 
-// maxFeasibleLambda bisects on the normalized rate. The trajectory is
-// the classic [0, hi] halving; a warm hint only changes HOW each mid's
-// verdict is obtained, never the verdict itself: two probes around the
-// previous λ establish evaluated feasible/infeasible bounds on the
-// CURRENT inputs, and mids outside the open interval between them take
-// the verdict monotonicity dictates while mids inside are evaluated
-// exactly as in the cold run. With a good hint the ~60 probes collapse
-// to the few mids near the answer.
+// maxFeasibleLambda bisects on the normalized rate: 60 halvings of
+// [0, hi], each decided by one feasibility probe.
 //
 // silod:hotpath
 // silod:pure
-func (p *lambdaProbe) maxFeasibleLambda(remCache, remIO float64, warm *lambdaWarm) float64 {
+func (p *lambdaProbe) maxFeasibleLambda(remCache, remIO float64) float64 {
 	// Upper bound: the largest f*/perfEqual ratio.
 	hi := 0.0
 	for _, sj := range p.jobs {
@@ -532,43 +350,9 @@ func (p *lambdaProbe) maxFeasibleLambda(remCache, remIO float64, warm *lambdaWar
 	if p.feasible(remCache, remIO, hi) {
 		return hi
 	}
-	// knownFeas/knownInfeas are λ values whose verdicts were evaluated
-	// on the current inputs (λ=0 is trivially feasible, hi was just
-	// probed infeasible).
-	knownFeas, knownInfeas := 0.0, hi
-	if warm != nil && warm.lambda > 0 {
-		if c := warm.lambda * (1 - warm.drift); c > 0 && c < knownInfeas {
-			if p.feasible(remCache, remIO, c) {
-				knownFeas = c
-			} else {
-				knownInfeas = c
-			}
-		}
-		if c := warm.lambda * (1 + warm.drift); c > knownFeas && c < knownInfeas {
-			if p.feasible(remCache, remIO, c) {
-				knownFeas = c
-			} else {
-				knownInfeas = c
-			}
-		}
-	}
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		var ok bool
-		switch {
-		case mid <= knownFeas:
-			ok = true
-		case mid >= knownInfeas:
-			ok = false
-		default:
-			ok = p.feasible(remCache, remIO, mid)
-			if ok {
-				knownFeas = mid
-			} else {
-				knownInfeas = mid
-			}
-		}
-		if ok {
+		if p.feasible(remCache, remIO, mid) {
 			lo = mid
 		} else {
 			hi = mid
@@ -700,14 +484,7 @@ func mergeSharedCache(jobs []core.JobView, out map[string]StorageAlloc) {
 // planned-quota objective since q >= effective. The required bandwidth
 // is monotone in the normalized rate λ, so bisection is exact; leftover
 // bandwidth (from jobs capped at f*) should be spent by the caller.
-//
-// A Cold solver is the reference; a warm one returns the same grants
-// bit for bit. needed(λ) is a sum of terms min(λ·pe, f*)·missEff, each
-// nondecreasing in λ, so verdict deduction from evaluated bounds is
-// exact (not merely assumed): the warm run evaluates needed at the same
-// trajectory's mids only where the evaluated bracket has not already
-// decided them.
-func (s *MaxMinSolver) Bandwidth(cl core.Cluster, total unit.Bandwidth, running []core.JobView,
+func (*MaxMinSolver) Bandwidth(cl core.Cluster, total unit.Bandwidth, running []core.JobView,
 	quota map[string]unit.Bytes) map[string]unit.Bandwidth {
 	out := make(map[string]unit.Bandwidth, len(running))
 	if len(running) == 0 {
@@ -754,50 +531,15 @@ func (s *MaxMinSolver) Bandwidth(cl core.Cluster, total unit.Bandwidth, running 
 	if needed(hi) <= budget {
 		lo = hi
 	} else {
-		knownFeas, knownInfeas := 0.0, hi
-		if !s.Cold && s.bwHint.ok && s.bwHint.lambda > 0 {
-			if c := s.bwHint.lambda * (1 - s.bwHint.drift); c > 0 && c < knownInfeas {
-				if needed(c) <= budget {
-					knownFeas = c
-				} else {
-					knownInfeas = c
-				}
-			}
-			if c := s.bwHint.lambda * (1 + s.bwHint.drift); c > knownFeas && c < knownInfeas {
-				if needed(c) <= budget {
-					knownFeas = c
-				} else {
-					knownInfeas = c
-				}
-			}
-		}
 		h := hi
 		for k := 0; k < 60; k++ {
 			mid := (lo + h) / 2
-			var ok bool
-			switch {
-			case mid <= knownFeas:
-				ok = true
-			case mid >= knownInfeas:
-				ok = false
-			default:
-				ok = needed(mid) <= budget
-				if ok {
-					knownFeas = mid
-				} else {
-					knownInfeas = mid
-				}
-			}
-			if ok {
+			if needed(mid) <= budget {
 				lo = mid
 			} else {
 				h = mid
 			}
 		}
-	}
-	if !s.Cold {
-		drift := warmDrift(&s.bwHint, lo)
-		s.bwHint = lambdaWarm{lambda: lo, drift: drift, ok: lo > 0}
 	}
 	for i, j := range running {
 		t := math.Min(lo*pe[i], float64(j.Profile.IdealThroughput))

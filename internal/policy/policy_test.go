@@ -268,7 +268,7 @@ func TestMaxMinStorageBeatsEqualDivision(t *testing.T) {
 		mkView("a", 1, "da", unit.GiB(100), unit.MBpsOf(100)),
 		mkView("b", 1, "db", unit.GiB(100), unit.MBpsOf(100)),
 	}
-	out := (&MaxMinSolver{Cold: true}).Storage(unit.GiB(100), unit.MBpsOf(60), jobs)
+	out := new(MaxMinSolver).Storage(unit.GiB(100), unit.MBpsOf(60), jobs)
 	// Equal division gives each job 50 GiB + 30 MB/s => 60 MB/s. The
 	// max-min optimum must not do worse for the minimum job (λ* >= 1).
 	equal := estimator.Resources{Cache: unit.GiB(50), RemoteIO: unit.MBpsOf(30)}
@@ -309,7 +309,7 @@ func TestMaxMinStorageFeasibility(t *testing.T) {
 		}
 		totalCache := unit.Bytes(rng.Uniform(0, 500)) * unit.GB
 		totalIO := unit.Bandwidth(rng.Uniform(1, 300)) * unit.MBps
-		out := (&MaxMinSolver{Cold: true}).Storage(totalCache, totalIO, jobs)
+		out := new(MaxMinSolver).Storage(totalCache, totalIO, jobs)
 		quotas := DatasetQuotas(jobs, out)
 		var cacheSum unit.Bytes
 		for key, q := range quotas {
@@ -341,7 +341,7 @@ func TestMaxMinBandwidthTargetsEqualizeNormalizedPerf(t *testing.T) {
 		mkView("b", 1, "db", unit.GiB(400), unit.MBpsOf(100)),
 	}
 	quotas := map[string]unit.Bytes{"da": 0, "db": 0}
-	grants := (&MaxMinSolver{Cold: true}).Bandwidth(c, c.RemoteIO, jobs, quotas)
+	grants := new(MaxMinSolver).Bandwidth(c, c.RemoteIO, jobs, quotas)
 	var total unit.Bandwidth
 	for _, g := range grants {
 		total += g
@@ -545,8 +545,8 @@ func TestMaxMinBandwidthProperties(t *testing.T) {
 		c := core.Cluster{GPUs: 8,
 			Cache:    unit.Bytes(rng.Uniform(0, 800)) * unit.GB,
 			RemoteIO: unit.Bandwidth(rng.Uniform(1, 400)) * unit.MBps}
-		small := (&MaxMinSolver{Cold: true}).Bandwidth(c, c.RemoteIO/2, jobs, quotas)
-		large := (&MaxMinSolver{Cold: true}).Bandwidth(c, c.RemoteIO, jobs, quotas)
+		small := new(MaxMinSolver).Bandwidth(c, c.RemoteIO/2, jobs, quotas)
+		large := new(MaxMinSolver).Bandwidth(c, c.RemoteIO, jobs, quotas)
 		var sumSmall, sumLarge unit.Bandwidth
 		for _, j := range jobs {
 			if small[j.ID] < 0 || large[j.ID] < 0 {

@@ -92,5 +92,4 @@ var (
 	_ core.DeltaAssigner = (*FIFO)(nil)
 	_ core.DeltaAssigner = (*SJF)(nil)
 	_ core.DeltaAssigner = (*Gavel)(nil)
-	_ core.FullResolver  = (*Gavel)(nil)
 )

@@ -52,14 +52,6 @@ func (p *TenantPolicy) IgnoredViewFields() core.ViewFields {
 	return da.IgnoredViewFields() &^ (core.FieldTenant | core.FieldSLO | core.FieldSubmit)
 }
 
-// SetFullResolve implements core.FullResolver by forwarding to the
-// inner policy.
-func (p *TenantPolicy) SetFullResolve(full bool) {
-	if fr, ok := p.Inner.(core.FullResolver); ok {
-		fr.SetFullResolve(full)
-	}
-}
-
 // Assign implements core.Policy. Purity is inherited: the clamp
 // itself is a pure function of the inner assignment and the (static
 // during a run) registry, which is what PureAssign's delegation to

@@ -135,8 +135,8 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-// TestPoolStress hammers the pool under the race detector (make perf /
-// make chaos run this package with -race): many rounds of fan-out with
+// TestPoolStress hammers the pool under the race detector (make race
+// runs this package with -race): many rounds of fan-out with
 // shared read-only input, per-slot writes, and occasional errors.
 func TestPoolStress(t *testing.T) {
 	shared := make([]int64, 128)

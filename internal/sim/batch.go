@@ -99,17 +99,17 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 	}
 	var jobs []*jobRT
 	for _, spec := range orderSpecs(specs) {
-		blocks, err := dataset.New(spec.Dataset.Name, spec.Dataset.Size, cfg.BlockSize)
+		blocks, err := dataset.New(spec.Dataset.Name, spec.Dataset.Size, blockSize)
 		if err != nil {
 			return nil, err
 		}
 		// Block-align the dataset size so a "cache the whole dataset"
 		// quota covers every block; otherwise the final partial block
 		// can never be admitted and trickles in remotely every epoch.
-		spec.Dataset.Size = unit.Bytes(blocks.Num) * cfg.BlockSize
+		spec.Dataset.Size = unit.Bytes(blocks.Num) * blockSize
 		rt := newJobRT(spec, cfg.System)
 		jobs = append(jobs, rt)
-		if err := s.pool.Register(rt.dsKey, blocks.Num, cfg.BlockSize); err != nil {
+		if err := s.pool.Register(rt.dsKey, blocks.Num, blockSize); err != nil {
 			return nil, err
 		}
 		var stream dataset.Stream
@@ -123,7 +123,7 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		} else {
 			stream = dataset.NewEpochStream(blocks, srng)
 		}
-		total := int64(math.Ceil(float64(spec.TotalBytes()) / float64(cfg.BlockSize)))
+		total := int64(math.Ceil(float64(spec.TotalBytes()) / float64(blockSize)))
 		if total < 1 {
 			total = 1
 		}
@@ -160,7 +160,7 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		if s.res.Events > maxEvents {
 			return nil, fmt.Errorf("sim(batch): event guard tripped at %d events", s.res.Events)
 		}
-		if unit.Duration(s.q.Now()) > s.cfg.MaxSimTime {
+		if unit.Duration(s.q.Now()) > maxSimTime {
 			return nil, fmt.Errorf("sim(batch): exceeded max simulated time with %d/%d jobs; stuck: %s",
 				s.finished, total, s.describeStuck())
 		}
@@ -336,7 +336,7 @@ func (s *batchSim) rollback(bj *batchJob) {
 	es.RestartEpoch()
 	bj.blocksDone = bj.doneAtEpoch
 	bj.issued = bj.doneAtEpoch
-	trained := unit.Bytes(bj.blocksDone) * s.cfg.BlockSize
+	trained := unit.Bytes(bj.blocksDone) * blockSize
 	total := bj.rt.spec.TotalBytes()
 	if trained > total {
 		trained = total
@@ -476,12 +476,12 @@ func (s *batchSim) fillLoader(bj *batchJob) {
 		}
 		if out.Hit {
 			bj.prefetch++
-			s.met.addHitMiss(float64(s.cfg.BlockSize), 0)
+			s.met.addHitMiss(float64(blockSize), 0)
 			continue
 		}
 		// Remote fetch.
-		s.met.addHitMiss(0, float64(s.cfg.BlockSize))
-		bj.fetchLeft = s.cfg.BlockSize
+		s.met.addHitMiss(0, float64(blockSize))
+		bj.fetchLeft = blockSize
 		s.scheduleFetchCompletion(bj)
 	}
 	s.maybeCompute(bj)
@@ -503,7 +503,7 @@ func (s *batchSim) maybeCompute(bj *batchJob) {
 	}
 	bj.prefetch--
 	bj.computing = true
-	dur := float64(unit.DivBandwidth(s.cfg.BlockSize, bj.rt.profile.IdealThroughput))
+	dur := float64(unit.DivBandwidth(blockSize, bj.rt.profile.IdealThroughput))
 	bj.computeEvent = s.q.After(dur, func() { s.computeDone(bj) })
 }
 
@@ -512,7 +512,7 @@ func (s *batchSim) computeDone(bj *batchJob) {
 	bj.computing = false
 	bj.computeEvent = nil
 	bj.blocksDone++
-	adv := s.cfg.BlockSize
+	adv := blockSize
 	if adv > bj.rt.remaining {
 		adv = bj.rt.remaining
 	}

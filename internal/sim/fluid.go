@@ -55,14 +55,6 @@ type fluidSim struct {
 	lruUsers   []int // per running-index sharer count for j.dsKey
 	usersBuf   map[string]int
 
-	// Sorted funded/unfunded quota-key cache: when the solve memo hits,
-	// the assignment's CacheQuota map and the dataset set are both
-	// unchanged since the round that built these, so the two sorts in
-	// reschedule's quota application can be skipped.
-	quotaKeys   []string
-	quotaFunded int
-	quotaKeysOK bool
-
 	// sample scratch maps, recycled across metric samples.
 	realizedBuf map[string]unit.Bandwidth
 	effSumBuf   map[string]float64
@@ -78,11 +70,6 @@ type fluidSim struct {
 	lastRateGen  uint64
 	rateMemoOK   bool
 	lastRateJobs []*jobRT
-
-	// cheTau is the last converged Che characteristic time, fed back as
-	// the warm-start hint for the next solve (see cache.CheLRUWarm).
-	// Zero (cold) in full-resolve mode.
-	cheTau float64
 }
 
 // runFluid executes the fluid engine.
@@ -188,34 +175,25 @@ func (s *fluidSim) reschedule() error {
 	// Apply in sorted key order: quota changes land on the event
 	// timeline, and map-iteration order would leak into the dump.
 	if !s.cfg.System.UsesLRU() {
-		// On a memo hit the assignment's CacheQuota map and the dataset
-		// set are both exactly what they were when the cached key order
-		// was built (any dataset arrival/departure changes the views and
-		// forces a re-solve), so the sorts are skipped and the identical
-		// key sequence is replayed.
-		if !(reused && s.quotaKeysOK) {
-			keys := s.quotaKeys[:0]
-			for key := range a.CacheQuota {
+		keys := s.keysBuf[:0]
+		for key := range a.CacheQuota {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		funded := len(keys)
+		for key := range s.datasets {
+			if _, ok := a.CacheQuota[key]; !ok {
 				keys = append(keys, key)
 			}
-			sort.Strings(keys)
-			funded := len(keys)
-			for key := range s.datasets {
-				if _, ok := a.CacheQuota[key]; !ok {
-					keys = append(keys, key)
-				}
-			}
-			sort.Strings(keys[funded:])
-			s.quotaKeys = keys
-			s.quotaFunded = funded
-			s.quotaKeysOK = !s.cfg.FullResolve
 		}
-		for _, key := range s.quotaKeys[:s.quotaFunded] {
+		sort.Strings(keys[funded:])
+		s.keysBuf = keys
+		for _, key := range keys[:funded] {
 			s.applyQuota(key, a.CacheQuota[key])
 		}
 		// Keys not mentioned lose their allocation: the data manager
 		// evicts datasets the scheduler no longer funds.
-		for _, key := range s.quotaKeys[s.quotaFunded:] {
+		for _, key := range keys[funded:] {
 			s.applyQuota(key, 0)
 		}
 	}
@@ -383,13 +361,7 @@ func (s *fluidSim) lruHits(running []*jobRT, hits []float64) {
 			st.Size = j.spec.Dataset.Size
 			st.Rate += unit.Bandwidth(rates[i])
 		}
-		// The previous converged τ warm-starts the Che bisection; in
-		// full-resolve mode the hint stays 0 so the reference path runs
-		// the cold computation. Either way the hits are byte-identical.
-		hitByKey, tau := cache.CheLRUWarm(s.eff.Cache, streams, s.cheTau)
-		if tau > 0 && !s.cfg.FullResolve {
-			s.cheTau = tau
-		}
+		hitByKey := cache.CheLRU(s.eff.Cache, streams)
 		for i, j := range running {
 			h := hitByKey[idx[i]]
 			if s.lruUsers[i] == 1 && s.epochIdx[j.spec.ID] == 0 {
@@ -494,9 +466,9 @@ func (s *fluidSim) sample(running []*jobRT, hits []float64, rates []unit.Bandwid
 func (s *fluidSim) loop() error {
 	totalJobs := len(s.jobs)
 	for s.finished < totalJobs {
-		if s.now.Elapsed() > s.cfg.MaxSimTime {
+		if s.now.Elapsed() > maxSimTime {
 			return fmt.Errorf("sim: exceeded max simulated time %v with %d/%d jobs finished",
-				s.cfg.MaxSimTime, s.finished, totalJobs)
+				maxSimTime, s.finished, totalJobs)
 		}
 		// Decision point: land due faults, then (re)schedule against
 		// whatever capacity survives.

@@ -27,6 +27,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/estimator"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -54,6 +55,14 @@ func (e Engine) String() string {
 	return "fluid"
 }
 
+const (
+	// blockSize is the batch engine's cache block granularity.
+	blockSize = dataset.DefaultBlockSize
+	// maxSimTime is the runaway guard: a run whose clock passes it
+	// aborts with an error.
+	maxSimTime = 10 * 365 * unit.Day
+)
+
 // Config parameterizes a simulation run.
 type Config struct {
 	Cluster core.Cluster
@@ -63,9 +72,6 @@ type Config struct {
 	// for CoorDL, shared per-dataset quota caches otherwise).
 	System policy.CacheSystem
 	Engine Engine
-	// BlockSize is the cache block granularity (batch engine and quota
-	// accounting); zero means the 64 MB default.
-	BlockSize unit.Bytes
 	// ReschedInterval is how often the policy re-runs in addition to
 	// arrival/completion events; zero means 10 simulated minutes.
 	ReschedInterval unit.Duration
@@ -74,15 +80,12 @@ type Config struct {
 	MetricsInterval unit.Duration
 	// Seed drives all stochastic elements (eviction, shuffles).
 	Seed int64
-	// FullResolve disables the incremental-scheduling fast paths (the
-	// delta-aware solve-skip memo, warm-started max-min bisection and
-	// the per-step rate memo), forcing a from-scratch solve every round.
-	// Results are byte-identical either way — this is the reference
-	// trajectory the identity tests diff the fast paths against.
+	// FullResolve switches off the three fast paths: core.Round's
+	// solve memo, the fluid engine's per-step rate memo and the Che
+	// fixed point's early exit. Results are byte-identical either way —
+	// this is the reference trajectory the identity tests diff the fast
+	// paths against (docs/performance.md has each path's traffic).
 	FullResolve bool
-	// MaxSimTime aborts runaway simulations; zero means 10 simulated
-	// years.
-	MaxSimTime unit.Duration
 	// WorkConserving lets IO-bottlenecked jobs share any unallocated
 	// remote bandwidth (true matches real throttlers; the §7.2
 	// "disable IO control" ablation also uses it). Default true; set
@@ -126,17 +129,11 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.BlockSize <= 0 {
-		out.BlockSize = 64 * unit.MB
-	}
 	if out.ReschedInterval <= 0 {
 		out.ReschedInterval = 10 * unit.Minute
 	}
 	if out.MetricsInterval <= 0 {
 		out.MetricsInterval = out.ReschedInterval
-	}
-	if out.MaxSimTime <= 0 {
-		out.MaxSimTime = 10 * 365 * unit.Day
 	}
 	return out
 }

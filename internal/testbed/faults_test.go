@@ -14,7 +14,7 @@ import (
 )
 
 // TestFaultsAppliedToLiveManager is the concurrency stress for fault
-// injection (run under -race by `make chaos`): cache-capacity loss and
+// injection (run under -race by `make race`): cache-capacity loss and
 // remote-IO degradation land mid-run while loader goroutines hammer
 // the pool and token buckets, and every job still finishes. The cache
 // loss invalidates contents under the jobs' feet; the IO loss

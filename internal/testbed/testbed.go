@@ -144,58 +144,15 @@ func Run(cfg Config, specs []workload.JobSpec) (*Result, error) {
 			}
 		}
 	}
-	inj, err := faults.NewInjector(cfg.Cluster, cfg.Faults, cfg.Metrics, cfg.Timeline)
+	tb, err := newBed(cfg, specs)
 	if err != nil {
 		return nil, err
 	}
-
-	mgr := datamgr.New(cfg.Cluster.Cache, unit.Bandwidth(float64(cfg.Cluster.RemoteIO)*cfg.TimeScale), cfg.Seed, nil)
-	mgr.EnableMetrics(cfg.Metrics)
-	rng := simrng.New(cfg.Seed)
-	jobs := make([]*jobRun, 0, len(specs))
-	for _, spec := range specs {
-		blocks, err := dataset.New(spec.Dataset.Name, spec.Dataset.Size, cfg.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		// Block-align the dataset so full-dataset quotas cover every
-		// block (same rationale as the batch simulator).
-		spec.Dataset.Size = unit.Bytes(blocks.Num) * cfg.BlockSize
-		key := spec.Dataset.Name
-		if cfg.System.PrivateCaches() {
-			key = policy.CoorDLKey(spec.ID)
-		}
-		if err := mgr.RegisterDataset(key, spec.Dataset.Size, cfg.BlockSize); err != nil {
-			return nil, err
-		}
-		if err := mgr.AttachJob(spec.ID, key); err != nil {
-			return nil, err
-		}
-		total := int64((float64(spec.TotalBytes()) + float64(cfg.BlockSize) - 1) / float64(cfg.BlockSize))
-		if total < 1 {
-			total = 1
-		}
-		jobs = append(jobs, &jobRun{
-			spec: spec,
-			profile: estimator.JobProfile{
-				IdealThroughput: spec.IdealThroughput(),
-				DatasetSize:     spec.Dataset.Size,
-			},
-			blocks:    blocks,
-			stream:    dataset.NewEpochStream(blocks, rng.Split("stream-"+spec.ID)),
-			remaining: total,
-			total:     total,
-		})
-	}
-
-	start := time.Now()
+	jobs, start := tb.jobs, tb.start
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
 	// Scheduler goroutine: periodic allocation rounds.
-	tb := &bed{cfg: cfg, mgr: mgr, jobs: jobs, start: start, met: newBedMetrics(cfg),
-		failc: make(chan struct{}), inj: inj, eff: inj.Effective(),
-		solve: core.NewRound(cfg.Policy, false)}
 	for _, j := range jobs { // all testbed jobs submit at t=0
 		tb.met.tl.RecordAt(0, metrics.EventSubmit, j.spec.ID, float64(j.spec.NumGPUs), "gpus_requested")
 	}
@@ -278,6 +235,59 @@ func Run(cfg Config, specs []workload.JobSpec) (*Result, error) {
 	sort.Slice(res.Jobs, func(i, j int) bool { return res.Jobs[i].ID < res.Jobs[j].ID })
 	res.Makespan = makespan
 	return res, nil
+}
+
+// newBed builds a run's scheduler-side state from a Config whose
+// defaults are filled in: a data manager with every dataset registered
+// and every job attached, the per-job pipeline state, the fault
+// injector and the round driver.
+func newBed(cfg Config, specs []workload.JobSpec) (*bed, error) {
+	inj, err := faults.NewInjector(cfg.Cluster, cfg.Faults, cfg.Metrics, cfg.Timeline)
+	if err != nil {
+		return nil, err
+	}
+
+	mgr := datamgr.New(cfg.Cluster.Cache, unit.Bandwidth(float64(cfg.Cluster.RemoteIO)*cfg.TimeScale), cfg.Seed, nil)
+	mgr.EnableMetrics(cfg.Metrics)
+	rng := simrng.New(cfg.Seed)
+	jobs := make([]*jobRun, 0, len(specs))
+	for _, spec := range specs {
+		blocks, err := dataset.New(spec.Dataset.Name, spec.Dataset.Size, cfg.BlockSize)
+		if err != nil {
+			return nil, err
+		}
+		// Block-align the dataset so full-dataset quotas cover every
+		// block (same rationale as the batch simulator).
+		spec.Dataset.Size = unit.Bytes(blocks.Num) * cfg.BlockSize
+		key := spec.Dataset.Name
+		if cfg.System.PrivateCaches() {
+			key = policy.CoorDLKey(spec.ID)
+		}
+		if err := mgr.RegisterDataset(key, spec.Dataset.Size, cfg.BlockSize); err != nil {
+			return nil, err
+		}
+		if err := mgr.AttachJob(spec.ID, key); err != nil {
+			return nil, err
+		}
+		total := int64((float64(spec.TotalBytes()) + float64(cfg.BlockSize) - 1) / float64(cfg.BlockSize))
+		if total < 1 {
+			total = 1
+		}
+		jobs = append(jobs, &jobRun{
+			spec: spec,
+			profile: estimator.JobProfile{
+				IdealThroughput: spec.IdealThroughput(),
+				DatasetSize:     spec.Dataset.Size,
+			},
+			blocks:    blocks,
+			stream:    dataset.NewEpochStream(blocks, rng.Split("stream-"+spec.ID)),
+			remaining: total,
+			total:     total,
+		})
+	}
+	return &bed{cfg: cfg, mgr: mgr, jobs: jobs, start: time.Now(), met: newBedMetrics(cfg),
+		failc: make(chan struct{}), inj: inj, eff: inj.Effective(),
+		solve: core.NewRound(cfg.Policy, false)}, nil
 }
 
 // bed holds the scheduler-side state.
@@ -389,7 +399,9 @@ func (b *bed) views() []core.JobView {
 
 // round runs one allocation round and pushes it into the data manager.
 // An allocation the data manager rejects is a protocol violation
-// between policy and manager: it aborts the run.
+// between policy and manager and aborts the run, with one exception:
+// job goroutines run beside the round, so a job in this round's views
+// may finish and detach itself before its push lands (pushRemoteIO).
 func (b *bed) round() error {
 	now := unit.Time(time.Since(b.start).Seconds() * b.cfg.TimeScale)
 	b.applyFaults(now)
@@ -470,13 +482,13 @@ func (b *bed) round() error {
 			raises = append(raises, update{v.ID, scaled})
 			continue
 		}
-		if err := b.mgr.AllocateRemoteIO(v.ID, scaled); err != nil {
-			return fmt.Errorf("testbed: allocate remote IO for %s: %w", v.ID, err)
+		if err := b.pushRemoteIO(v.ID, scaled); err != nil {
+			return err
 		}
 	}
 	for _, u := range raises {
-		if err := b.mgr.AllocateRemoteIO(u.id, u.scaled); err != nil {
-			return fmt.Errorf("testbed: allocate remote IO for %s: %w", u.id, err)
+		if err := b.pushRemoteIO(u.id, u.scaled); err != nil {
+			return err
 		}
 	}
 	// GPU starts (no preemption: once started, a job runs to finish).
@@ -491,6 +503,30 @@ func (b *bed) round() error {
 		j.mu.Unlock()
 	}
 	return nil
+}
+
+// pushRemoteIO sets one job's remote-IO rate. The manager rejects the
+// ID of a job that finished after the round took its views: runJob
+// marks the job finished, then detaches it. That push is moot, not a
+// protocol violation, so it is dropped; any other rejection is an error.
+func (b *bed) pushRemoteIO(id string, bw unit.Bandwidth) error {
+	err := b.mgr.AllocateRemoteIO(id, bw)
+	if err == nil {
+		return nil
+	}
+	for _, j := range b.jobs {
+		if j.spec.ID != id {
+			continue
+		}
+		j.mu.Lock()
+		finished := j.finished
+		j.mu.Unlock()
+		if finished {
+			return nil
+		}
+		break
+	}
+	return fmt.Errorf("testbed: allocate remote IO for %s: %w", id, err)
 }
 
 // applyFaults drains fault events due by now and applies them to the
