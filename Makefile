@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-why race verify bench baseline clean
+.PHONY: build test vet lint race verify bench baseline clean
 
 build:
 	$(GO) build ./...
@@ -17,13 +17,6 @@ vet:
 # not covered by lint.allow. See docs/static-analysis.md.
 lint:
 	$(GO) run ./cmd/silodlint -root .
-
-# lint-why demonstrates the -why trace on the known-bad fixture: the
-# seeded detclose finding prints its root-to-witness call path. The
-# grep is the assertion — the smoke fails unless a full path (root,
-# hop, clock witness) comes back.
-lint-why:
-	$(GO) run ./cmd/silodlint -root cmd/silodlint/testdata/badmod -why | grep -A4 "detclose" | grep "time.Now"
 
 race:
 	$(GO) test -race ./...

@@ -88,7 +88,7 @@ func ParseAllow(r io.Reader, name string) (*Allowlist, error) {
 		if rule.Analyzer != "*" && ByName(rule.Analyzer) == nil {
 			return nil, fmt.Errorf("%s:%d: unknown analyzer %q", name, lineNo, rule.Analyzer)
 		}
-		if i := strings.LastIndex(rule.Path, ":"); i >= 0 {
+		if i := strings.Index(rule.Path, ":"); i >= 0 {
 			n, err := strconv.Atoi(rule.Path[i+1:])
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("%s:%d: bad line number in %q", name, lineNo, rule.Path)

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -36,10 +37,11 @@ wallclock cmd/*/main.go:42
 
 func TestParseAllowErrors(t *testing.T) {
 	cases := []string{
-		"floatcmp",                      // missing path
-		"nosuch internal/sim/batch.go",  // unknown analyzer
-		"floatcmp internal/sim/a.go:0",  // bad line
-		"floatcmp internal/sim/a.go:x9", // non-numeric line
+		"floatcmp",                       // missing path
+		"nosuch internal/sim/batch.go",   // unknown analyzer
+		"floatcmp internal/sim/a.go:0",   // bad line
+		"floatcmp internal/sim/a.go:x9",  // non-numeric line
+		"floatcmp internal/sim/a.go:5:7", // a second :<n> would stay in the path
 	}
 	for _, src := range cases {
 		if _, err := ParseAllow(strings.NewReader(src), "lint.allow"); err == nil {
@@ -126,4 +128,34 @@ func TestParseAllowFileMissing(t *testing.T) {
 	if len(al.Rules) != 0 {
 		t.Errorf("missing allow file should yield no rules, got %+v", al.Rules)
 	}
+}
+
+// FuzzParseAllow checks the lint.allow parser against arbitrary input.
+// The committed corpus (testdata/fuzz/FuzzParseAllow: the repository's
+// own lint.allow plus malformed shapes) runs as an ordinary test; run
+// `go test -fuzz FuzzParseAllow ./internal/lint` to search further.
+func FuzzParseAllow(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		al, err := ParseAllow(strings.NewReader(src), "fuzz.allow")
+		if err != nil {
+			return
+		}
+		for _, r := range al.Rules {
+			if r.Analyzer != "*" && ByName(r.Analyzer) == nil {
+				t.Errorf("accepted unknown analyzer %q", r.Analyzer)
+			}
+			if r.Line < 0 {
+				t.Errorf("accepted negative line %d", r.Line)
+			}
+			if i := strings.LastIndex(r.Path, ":"); i >= 0 {
+				if _, err := strconv.Atoi(r.Path[i+1:]); err == nil {
+					t.Errorf("path %q keeps a :<n> suffix", r.Path)
+				}
+			}
+			al.Allows(diagAt(r.Analyzer, r.Path, r.Line, r.Substr))
+		}
+		al.Allows(diagAt("floatcmp", "internal/sim/batch.go", 1, "float equality"))
+		al.Unused()
+		al.Unjustified()
+	})
 }

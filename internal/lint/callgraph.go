@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
 	"go/types"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -12,8 +14,10 @@ import (
 // Tarjan's SCC algorithm so recursion is handled exactly, and walked
 // bottom-up (reverse topological order) to compute per-function effect
 // and taint summaries. summary.go builds the per-package fragments from
-// the AST; the detclose and inputflow analyzers consume the finalized
-// state through the driver's Merge/Finish hooks.
+// the AST — the one place per-function facts are computed — and five
+// analyzers read them: maporder and purecheck per package in Run,
+// detclose, inputflow, lockorder and purecheck over the finalized state
+// through the driver's Merge/Finish hooks.
 //
 // Determinism contract: fragments are keyed by import path and
 // finalized in sorted-path order, nodes keep declaration order within a
@@ -28,63 +32,31 @@ import (
 // exactly how an effect is supposed to cross the boundary) — and
 // function literals bound in package-level variable initializers are
 // not attributed to any function. Interface dispatch IS resolved, but
-// only for interfaces defined in the module, against the module's own
-// concrete types.
+// only against the module's own concrete types.
 
 const callgraphKey = "callgraph"
 
-// effect is a bitmask of the ambient effects a function may perform,
-// directly or transitively.
+// effect is a bitmask of the ambient effects detclose proves
+// unreachable from simulation roots, directly or transitively.
 type effect uint32
 
 const (
-	effWallclock   effect = 1 << iota // reads or blocks on the machine clock
-	effGlobalRNG                      // draws from the process-global math/rand state
-	effMapOrder                       // emits results in map-iteration order
-	effGoroutine                      // spawns a goroutine
-	effGlobalWrite                    // writes a package-level variable
+	effWallclock effect = 1 << iota // reads or blocks on the machine clock
+	effGlobalRNG                    // draws from the process-global math/rand state
+	effMapOrder                     // has a maporder sink: a result depends on map-iteration order
 
-	numEffects = 5
+	numEffects = 3
 )
 
-// gatedEffects are the effects detclose proves unreachable from
-// simulation roots; goroutine spawn and package-state writes are
-// summarized (visible in -why traces and future analyzers) but not
-// gated, because the runner pool and metrics registries legitimately
-// use both under their own analyzers (goleak, lockcheck).
-const gatedEffects = effWallclock | effGlobalRNG | effMapOrder
-
-var effectNames = [numEffects]string{
-	"wallclock", "rng", "maporder", "goroutine", "globalwrite",
-}
+var effectNames = [numEffects]string{"wallclock", "rng", "maporder"}
 
 var effectDescs = [numEffects]string{
 	"wall-clock read", "global-RNG draw", "map-order-dependent emission",
-	"goroutine spawn", "package-state write",
-}
-
-// String renders a mask as a comma-separated name list.
-func (e effect) String() string {
-	var parts []string
-	for i := 0; i < numEffects; i++ {
-		if e&(1<<i) != 0 {
-			parts = append(parts, effectNames[i])
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
 }
 
 // desc names a single-bit effect for diagnostics.
 func (e effect) desc() string {
-	for i := 0; i < numEffects; i++ {
-		if e == 1<<i {
-			return effectDescs[i]
-		}
-	}
-	return e.String()
+	return effectDescs[bits.TrailingZeros32(uint32(e))]
 }
 
 // effectByName parses one silod:inject operand.
@@ -128,17 +100,21 @@ func (s sinkKind) String() string {
 // cgWitness is the first syntactic site of one direct effect inside a
 // function: the terminal hop of a -why trace.
 type cgWitness struct {
-	what string // e.g. "time.Now", "math/rand.Intn", "map-range emission"
+	what string // e.g. "time.Now", "math/rand.Intn", "float accumulation into total"
 	pos  token.Pos
 }
 
-// cgCall is one outgoing edge recorded in source order. Exactly one of
-// callee (static call or address-taken reference) or iface (dynamic
-// call through a module-defined interface) is set.
+// cgCall is one outgoing reference recorded in source order: a static
+// call or an address-taken function value (callee set), or a dynamic
+// call through an interface method (method set; iface names the
+// receiver's interface type, nil when it is unnamed). Address-taken
+// references are edges for the effect closure but not calls: purecheck
+// and lockorder skip them.
 type cgCall struct {
 	callee *types.Func
 	iface  *types.TypeName
 	method string
+	ref    bool
 	pos    token.Pos
 }
 
@@ -179,10 +155,27 @@ type cgBadAnn struct {
 	msg   string
 }
 
+// orderSink is one map-order sink site: maporder's finding, purecheck's
+// inside a silod:pure function, and a witness of effMapOrder.
+type orderSink struct {
+	pos token.Pos
+	msg string
+}
+
+// lockSite is one lock event lockorder needs from a function body: an
+// acquisition of lock (a type-level lock identity), or, when lock is
+// empty, a call made while locks were held. held lists the locks held
+// just before, sorted by instance path.
+type lockSite struct {
+	lock string
+	held []string
+	pos  token.Pos
+}
+
 // fnInfo is the per-function summary fragment built by summary.go.
 type fnInfo struct {
 	fn      *types.Func
-	pos     token.Pos
+	decl    *ast.FuncDecl
 	direct  effect
 	witness map[effect]cgWitness // first site per direct-effect bit
 	root    bool                 // // silod:sim-root
@@ -190,21 +183,28 @@ type fnInfo struct {
 	calls   []cgCall
 	flows   []cgFlow
 	gates   []cgGate
+	order   []orderSink // maporder's sinks, source order
+	locks   []lockSite  // lock-flow events, walk order
+
+	pure     bool            // // silod:pure
+	assume   map[string]bool // its assume= interfaces
+	requires []string        // // silod:pure-requires names
 }
 
 // cgFragment is one package's contribution to the whole-program state.
 type cgFragment struct {
-	path       string
 	fns        []*fnInfo // declaration order
 	concretes  []*types.TypeName
 	untrusted  []*types.TypeName
 	validators map[*types.Func]bool
 	bad        []cgBadAnn
+	initOrder  []orderSink // map-order sinks in package-level var initializers
 }
 
 // cgNode is one finalized call-graph node.
 type cgNode struct {
 	info       *fnInfo
+	id         int      // index in cgState.nodes
 	edges      []cgEdge // static + resolved interface edges, source order
 	eff        effect   // transitive effects, injection masks applied
 	scc        int
@@ -214,6 +214,7 @@ type cgNode struct {
 type cgEdge struct {
 	to  *cgNode
 	pos token.Pos
+	ref bool // address-taken reference, not a call
 }
 
 // cgState is the shared whole-program record behind Pass.Shared.
@@ -222,7 +223,8 @@ type cgState struct {
 
 	// Populated by finalize.
 	finalized  bool
-	nodes      []*cgNode // sorted package path, then declaration order
+	nodes      []*cgNode   // sorted package path, then declaration order
+	sccs       [][]*cgNode // callees before callers
 	byFunc     map[*types.Func]*cgNode
 	untrusted  map[*types.TypeName]bool
 	validators map[*types.Func]bool
@@ -238,23 +240,33 @@ func cgStateIn(shared map[string]any) *cgState {
 	return st
 }
 
-// ensureCGFragment builds (once) the fragment for the pass's package.
-// Both detclose and inputflow call it from Run; the first invocation in
-// the package's analyzer sequence does the work.
+// ensureCGFragment builds (once) the fragment for the pass's package and
+// reports the annotation errors owned by the pass's analyzer. Every
+// graph-backed analyzer calls it from Run; the first invocation in the
+// package's analyzer sequence does the work.
 func ensureCGFragment(p *Pass) *cgFragment {
 	st := cgStateIn(p.Shared)
-	if f, ok := st.pkgs[p.Path]; ok {
-		return f
+	f, ok := st.pkgs[p.Path]
+	if !ok {
+		f = buildCGFragment(p)
+		st.pkgs[p.Path] = f
 	}
-	f := buildCGFragment(p)
-	st.pkgs[p.Path] = f
+	for _, ba := range f.bad {
+		if ba.owner == p.Analyzer.Name {
+			p.Reportf(ba.pos, "%s", ba.msg)
+		}
+	}
 	return f
 }
 
+// runCallGraph is the Run hook of the analyzers that judge only the
+// finalized graph.
+func runCallGraph(p *Pass) { ensureCGFragment(p) }
+
 // mergeCallGraph folds one package's fragments into the global state.
-// Both graph-backed analyzers register it, so it must tolerate seeing
-// the same fragment twice: fragments are keyed by path and the first
-// merge wins.
+// Every graph-backed analyzer with a Finish hook registers it, so it
+// must tolerate seeing the same fragment more than once: fragments are
+// keyed by path and the first merge wins.
 func mergeCallGraph(global, pkg map[string]any) {
 	src, ok := pkg[callgraphKey].(*cgState)
 	if !ok {
@@ -269,8 +281,8 @@ func mergeCallGraph(global, pkg map[string]any) {
 }
 
 // finalize condenses the graph and computes summaries bottom-up. It is
-// idempotent: the first Finish hook (detclose or inputflow, whichever
-// is enabled) pays the cost and the second reuses the result.
+// idempotent: the first Finish hook pays the cost and the others reuse
+// the result.
 func (st *cgState) finalize() {
 	if st.finalized {
 		return
@@ -289,7 +301,7 @@ func (st *cgState) finalize() {
 	for _, path := range paths {
 		f := st.pkgs[path]
 		for _, fi := range f.fns {
-			n := &cgNode{info: fi}
+			n := &cgNode{info: fi, id: len(st.nodes)}
 			if sig, ok := fi.fn.Type().(*types.Signature); ok {
 				n.paramSinks = make([]sinkKind, sig.Params().Len())
 			}
@@ -313,7 +325,7 @@ func (st *cgState) finalize() {
 		for _, c := range n.info.calls {
 			if c.callee != nil {
 				if to, ok := st.byFunc[c.callee]; ok {
-					n.edges = append(n.edges, cgEdge{to: to, pos: c.pos})
+					n.edges = append(n.edges, cgEdge{to: to, pos: c.pos, ref: c.ref})
 				}
 				continue
 			}
@@ -323,12 +335,25 @@ func (st *cgState) finalize() {
 		}
 	}
 
-	sccs := st.condense()
+	succ := make([][]int, len(st.nodes))
+	for i, n := range st.nodes {
+		for _, e := range n.edges {
+			succ[i] = append(succ[i], e.to.id)
+		}
+	}
+	for _, comp := range tarjan(succ) {
+		scc := make([]*cgNode, len(comp))
+		for i, v := range comp {
+			scc[i] = st.nodes[v]
+			scc[i].scc = len(st.sccs)
+		}
+		st.sccs = append(st.sccs, scc)
+	}
 
 	// Tarjan emits each SCC only after every SCC reachable from it, so
 	// walking the emission order is the bottom-up (reverse topological)
 	// summary pass: callee summaries outside the current SCC are final.
-	for _, scc := range sccs {
+	for _, scc := range st.sccs {
 		var union effect
 		for _, n := range scc {
 			union |= n.info.direct
@@ -346,8 +371,12 @@ func (st *cgState) finalize() {
 }
 
 // resolveIface returns the nodes of every module method that can be the
-// dynamic target of iface.method.
+// dynamic target of iface.method. Unnamed interfaces and the universe's
+// error resolve to nothing.
 func (st *cgState) resolveIface(iface *types.TypeName, method string) []*cgNode {
+	if iface == nil || iface.Pkg() == nil {
+		return nil
+	}
 	it, ok := iface.Type().Underlying().(*types.Interface)
 	if !ok {
 		return nil
@@ -375,61 +404,60 @@ func (st *cgState) resolveIface(iface *types.TypeName, method string) []*cgNode 
 	return out
 }
 
-// condense runs Tarjan's algorithm (iterative) over the node order and
-// returns the SCCs in emission order — reverse topological over the
-// condensation, i.e. callees before callers.
-func (st *cgState) condense() [][]*cgNode {
-	index := make(map[*cgNode]int)
-	low := make(map[*cgNode]int)
-	onStack := make(map[*cgNode]bool)
-	var stack []*cgNode
-	var sccs [][]*cgNode
-	next := 0
+// tarjan returns the strongly connected components of the graph whose
+// node v has successors succ[v], in emission order: every component
+// comes after all components reachable from it (reverse topological
+// order of the condensation — callees before callers). It is iterative,
+// tries roots in index order and successors in slice order, so the
+// result is a function of succ alone.
+func tarjan(succ [][]int) [][]int {
+	index := make([]int, len(succ)) // visit order + 1; 0 = unvisited
+	low := make([]int, len(succ))
+	onStack := make([]bool, len(succ))
+	var stack []int
+	var sccs [][]int
+	next := 1
 
-	type frame struct {
-		n    *cgNode
-		edge int
-	}
-	for _, start := range st.nodes {
-		if _, seen := index[start]; seen {
+	type frame struct{ v, edge int }
+	var work []frame
+	for start := range succ {
+		if index[start] != 0 {
 			continue
 		}
-		work := []frame{{n: start}}
+		work = append(work, frame{v: start})
 		for len(work) > 0 {
 			fr := &work[len(work)-1]
-			n := fr.n
+			v := fr.v
 			if fr.edge == 0 {
-				index[n] = next
-				low[n] = next
+				index[v], low[v] = next, next
 				next++
-				stack = append(stack, n)
-				onStack[n] = true
+				stack = append(stack, v)
+				onStack[v] = true
 			}
 			advanced := false
-			for fr.edge < len(n.edges) {
-				to := n.edges[fr.edge].to
+			for fr.edge < len(succ[v]) {
+				w := succ[v][fr.edge]
 				fr.edge++
-				if _, seen := index[to]; !seen {
-					work = append(work, frame{n: to})
+				if index[w] == 0 {
+					work = append(work, frame{v: w})
 					advanced = true
 					break
 				}
-				if onStack[to] && index[to] < low[n] {
-					low[n] = index[to]
+				if onStack[w] && index[w] < low[v] {
+					low[v] = index[w]
 				}
 			}
 			if advanced {
 				continue
 			}
-			if low[n] == index[n] {
-				var scc []*cgNode
+			if low[v] == index[v] {
+				var scc []int
 				for {
 					m := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[m] = false
-					m.scc = len(sccs)
 					scc = append(scc, m)
-					if m == n {
+					if m == v {
 						break
 					}
 				}
@@ -437,9 +465,8 @@ func (st *cgState) condense() [][]*cgNode {
 			}
 			work = work[:len(work)-1]
 			if len(work) > 0 {
-				parent := work[len(work)-1].n
-				if low[n] < low[parent] {
-					low[parent] = low[n]
+				if parent := work[len(work)-1].v; low[v] < low[parent] {
+					low[parent] = low[v]
 				}
 			}
 		}
@@ -552,7 +579,7 @@ func (st *cgState) tracePath(fset *token.FileSet, root *cgNode, e effect) []Trac
 		if h.from == nil {
 			trace = append(trace, TraceEntry{
 				Call: "root " + h.n.info.fn.FullName(),
-				Pos:  fset.Position(h.n.info.pos),
+				Pos:  fset.Position(h.n.info.decl.Pos()),
 			})
 			continue
 		}

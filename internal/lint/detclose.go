@@ -12,8 +12,8 @@ package lint
 // time.Now only on the code path the seed happens to exercise, while
 // the closure covers every reachable function, including interface
 // dispatch (resolved against the module's concrete types) and recursion
-// (condensed with Tarjan SCCs). ROADMAP item 3's incremental re-solve
-// will be built under this gate.
+// (condensed with Tarjan SCCs). The map-order effect is maporder's:
+// a function has it when one of maporder's sinks fires in its body.
 //
 // An effect that is *supposed* to cross the boundary — the testbed's
 // real wall clock, a daemon's ticker — is an audited injection point:
@@ -30,18 +30,9 @@ var DetClose = &Analyzer{
 	Doc: "functions annotated // silod:sim-root must not transitively " +
 		"reach a wall-clock read, global-RNG draw, or map-order-dependent " +
 		"emission except through a // silod:inject boundary",
-	Run:    runDetClose,
+	Run:    runCallGraph,
 	Merge:  mergeCallGraph,
 	Finish: finishDetClose,
-}
-
-func runDetClose(p *Pass) {
-	f := ensureCGFragment(p)
-	for _, ba := range f.bad {
-		if ba.owner == "detclose" {
-			p.Reportf(ba.pos, "%s", ba.msg)
-		}
-	}
 }
 
 func finishDetClose(p *Pass) {
@@ -56,7 +47,7 @@ func finishDetClose(p *Pass) {
 		}
 		for i := 0; i < numEffects; i++ {
 			e := effect(1 << i)
-			if e&gatedEffects == 0 || n.eff&e == 0 {
+			if n.eff&e == 0 {
 				continue
 			}
 			trace := st.tracePath(p.Fset, n, e)
@@ -64,7 +55,7 @@ func finishDetClose(p *Pass) {
 			if len(trace) > 0 {
 				what = trace[len(trace)-1].Call
 			}
-			p.reportTrace(n.info.pos, trace,
+			p.reportTrace(n.info.decl.Pos(), trace,
 				"simulation root %s transitively reaches a %s (%s) outside any silod:inject boundary; run silodlint -why for the call path",
 				n.info.fn.Name(), e.desc(), what)
 		}

@@ -24,7 +24,7 @@ type Options struct {
 // Result is the outcome of linting one module.
 type Result struct {
 	// Diagnostics are all findings, sorted by file, line, column,
-	// analyzer. Positions are slash-separated and relative to the
+	// analyzer, message. Positions are slash-separated and relative to the
 	// module root, matching lint.allow rules.
 	Diagnostics []Diagnostic
 	// Packages is the number of packages analyzed.
@@ -100,7 +100,10 @@ func Run(root string, opts Options) (*Result, error) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return res, nil
 }

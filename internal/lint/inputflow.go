@@ -33,18 +33,9 @@ var InputFlow = &Analyzer{
 	Doc: "fields of // silod:untrusted request types must not reach " +
 		"allocation sizes, slice indexing, loop bounds, or quota " +
 		"arithmetic without an inline guard or a // silod:validator",
-	Run:    runInputFlow,
+	Run:    runCallGraph,
 	Merge:  mergeCallGraph,
 	Finish: finishInputFlow,
-}
-
-func runInputFlow(p *Pass) {
-	f := ensureCGFragment(p)
-	for _, ba := range f.bad {
-		if ba.owner == "inputflow" {
-			p.Reportf(ba.pos, "%s", ba.msg)
-		}
-	}
 }
 
 func finishInputFlow(p *Pass) {

@@ -1,9 +1,8 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
-	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -11,15 +10,16 @@ import (
 // Lockorder builds a global lock-acquisition graph and rejects cycles.
 // Locks are identified at the type level ("pkg.Type.field"), so the
 // graph says "some Manager.mu is held while some TokenBucket.mu is
-// acquired". Run records, per function, every acquisition (with the
-// locks held at that point) and every resolvable call (with the locks
-// held at the call site); Finish closes the call graph — resolving
-// interface-method calls against every implementation seen anywhere in
-// the module — propagates transitive acquisitions, and reports every
-// edge that participates in a cycle. A self-edge (acquiring a lock
-// type while an instance of it is already held, possibly through a
-// call chain) counts as a cycle: with a single instance it deadlocks,
-// and with two instances the order between them is unconstrained.
+// acquired". The call-graph fragment records, per function, every
+// acquisition and every call made with locks held (lockwalk.go computes
+// the held set, path-sensitively); Finish closes acquisitions bottom-up
+// over the call graph's SCCs — interface calls fan out to every module
+// implementation, recursion converges to the same set for every member
+// of a cycle — and reports every edge that participates in a cycle. A
+// self-edge (acquiring a lock type while an instance of it is already
+// held, possibly through a call chain) counts as a cycle: with a single
+// instance it deadlocks, and with two instances the order between them
+// is unconstrained.
 //
 // Approximations, on the safe-for-this-repo side: calls through plain
 // function values are not resolved, and two instances of the same
@@ -27,101 +27,9 @@ import (
 var Lockorder = &Analyzer{
 	Name:   "lockorder",
 	Doc:    "the cross-package lock-acquisition graph must be acyclic",
-	Run:    runLockorder,
-	Merge:  mergeLockorder,
+	Run:    runCallGraph,
+	Merge:  mergeCallGraph,
 	Finish: finishLockorder,
-}
-
-const lockorderKey = "lockorder"
-
-type loAcquire struct {
-	node string
-	held []string
-	pos  token.Pos
-}
-
-type loCall struct {
-	callee *types.Func
-	held   []string
-	pos    token.Pos
-}
-
-type loFunc struct {
-	fn       *types.Func
-	acquires []loAcquire
-	calls    []loCall
-
-	acquired map[string]bool // transitive closure, built in Finish
-	visiting bool
-	closed   bool
-}
-
-// loState is the cross-package record, shared through Pass.Shared.
-type loState struct {
-	funcs map[*types.Func]*loFunc
-	order []*loFunc // deterministic iteration order
-}
-
-func lockorderState(p *Pass) *loState {
-	return loStateIn(p.Shared)
-}
-
-func loStateIn(shared map[string]any) *loState {
-	if st, ok := shared[lockorderKey].(*loState); ok {
-		return st
-	}
-	st := &loState{funcs: make(map[*types.Func]*loFunc)}
-	shared[lockorderKey] = st
-	return st
-}
-
-func mergeLockorder(global, pkg map[string]any) {
-	src, ok := pkg[lockorderKey].(*loState)
-	if !ok {
-		return
-	}
-	dst := loStateIn(global)
-	for fn, rec := range src.funcs {
-		dst.funcs[fn] = rec
-	}
-	dst.order = append(dst.order, src.order...)
-}
-
-func runLockorder(p *Pass) {
-	st := lockorderState(p)
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			rec := &loFunc{fn: fn}
-			st.funcs[fn] = rec
-			st.order = append(st.order, rec)
-			walkLockFlow(p, fd, lockHooks{
-				lock: func(lk *lockRef, pos token.Pos, held []*lockRef) {
-					rec.acquires = append(rec.acquires, loAcquire{node: lk.node, held: nodesOf(held), pos: pos})
-				},
-				call: func(callee *types.Func, base ast.Expr, allocated bool, pos token.Pos, held lockState) {
-					rec.calls = append(rec.calls, loCall{callee: callee, held: nodesOf(heldList(held)), pos: pos})
-				},
-			})
-		}
-	}
-}
-
-func nodesOf(held []*lockRef) []string {
-	var out []string
-	for _, lk := range held {
-		if lk.node != "" {
-			out = append(out, lk.node)
-		}
-	}
-	return out
 }
 
 type loEdge struct {
@@ -129,17 +37,16 @@ type loEdge struct {
 }
 
 func finishLockorder(p *Pass) {
-	st, ok := p.Shared[lockorderKey].(*loState)
+	st, ok := p.Shared[callgraphKey].(*cgState)
 	if !ok {
 		return
 	}
-	for _, rec := range st.order {
-		st.close(rec)
-	}
+	st.finalize()
+	acquired := st.lockClosure()
 
 	// Collect edges held → acquired, keeping the first position seen
-	// (iteration order is deterministic: package load order, then
-	// source order within each function).
+	// (node order, then walk order within each function). A call site
+	// matches its call-graph edges by position.
 	edgePos := make(map[loEdge]token.Pos)
 	var edges []loEdge
 	addEdge := func(from, to string, pos token.Pos) {
@@ -149,172 +56,111 @@ func finishLockorder(p *Pass) {
 			edges = append(edges, e)
 		}
 	}
-	for _, rec := range st.order {
-		for _, a := range rec.acquires {
-			for _, h := range a.held {
-				addEdge(h, a.node, a.pos)
-			}
-		}
-		for _, c := range rec.calls {
-			if len(c.held) == 0 {
+	for _, n := range st.nodes {
+		for _, s := range n.info.locks {
+			if s.lock != "" {
+				for _, h := range s.held {
+					addEdge(h, s.lock, s.pos)
+				}
 				continue
 			}
-			for _, callee := range st.resolve(c.callee) {
-				for to := range callee.acquired {
-					for _, h := range c.held {
-						addEdge(h, to, c.pos)
+			for _, e := range n.edges {
+				if e.pos != s.pos || e.ref {
+					continue
+				}
+				for to := range acquired[e.to.id] {
+					for _, h := range s.held {
+						addEdge(h, to, s.pos)
 					}
 				}
 			}
 		}
 	}
 
-	scc := stronglyConnected(edges)
+	// The cycle check is Tarjan over the lock graph, nodes in name order.
+	var names []string
 	for _, e := range edges {
-		inCycle := e.from == e.to || (scc[e.from] != 0 && scc[e.from] == scc[e.to])
-		if !inCycle {
-			continue
+		names = append(names, e.from, e.to)
+	}
+	sort.Strings(names)
+	names = slices.Compact(names)
+	id := make(map[string]int, len(names))
+	for i, n := range names {
+		id[n] = i
+	}
+	succ := make([][]int, len(names))
+	for _, e := range edges {
+		succ[id[e.from]] = append(succ[id[e.from]], id[e.to])
+	}
+	sccs := tarjan(succ)
+	comp := make([]int, len(names))
+	for c, members := range sccs {
+		for _, v := range members {
+			comp[v] = c
 		}
+	}
+	for _, e := range edges {
 		if e.from == e.to {
 			p.Reportf(edgePos[e], "lock order cycle: %s acquired while an instance of %s is already held (re-entry through this path deadlocks)",
 				shortNode(e.to), shortNode(e.from))
 			continue
 		}
-		p.Reportf(edgePos[e], "lock order cycle: %s acquired while %s is held, but another path acquires them in the opposite order (cycle: %s)",
-			shortNode(e.to), shortNode(e.from), cycleMembers(scc, scc[e.from]))
-	}
-}
-
-// close computes rec's transitive acquired set, resolving calls
-// through the module-wide function index; recursion is cut at the
-// back-edge (the partial set is sound for cycle detection).
-func (st *loState) close(rec *loFunc) map[string]bool {
-	if rec.closed || rec.visiting {
-		return rec.acquired
-	}
-	rec.visiting = true
-	rec.acquired = make(map[string]bool)
-	for _, a := range rec.acquires {
-		rec.acquired[a.node] = true
-	}
-	for _, c := range rec.calls {
-		for _, callee := range st.resolve(c.callee) {
-			for n := range st.close(callee) {
-				rec.acquired[n] = true
-			}
-		}
-	}
-	rec.visiting = false
-	rec.closed = true
-	return rec.acquired
-}
-
-// resolve maps a callee to the recorded function bodies it may run:
-// itself if concrete, or every module method implementing it if it is
-// an interface method.
-func (st *loState) resolve(callee *types.Func) []*loFunc {
-	if rec, ok := st.funcs[callee]; ok {
-		return []*loFunc{rec}
-	}
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
-	var out []*loFunc
-	for _, rec := range st.order {
-		rsig, ok := rec.fn.Type().(*types.Signature)
-		if !ok || rsig.Recv() == nil || rec.fn.Name() != callee.Name() {
+		c := comp[id[e.from]]
+		if c != comp[id[e.to]] {
 			continue
 		}
-		if types.Implements(rsig.Recv().Type(), iface) {
-			out = append(out, rec)
+		var members []string
+		for _, v := range sccs[c] {
+			members = append(members, shortNode(names[v]))
 		}
+		sort.Strings(members)
+		p.Reportf(edgePos[e], "lock order cycle: %s acquired while %s is held, but another path acquires them in the opposite order (cycle: %s)",
+			shortNode(e.to), shortNode(e.from), strings.Join(members, " ↔ "))
 	}
-	return out
 }
 
-// stronglyConnected returns a component id per node; nodes alone in
-// their component get id 0 (no cycle through them) unless they have a
-// self-edge, which the caller checks directly.
-func stronglyConnected(edges []loEdge) map[string]int {
-	adj := make(map[string][]string)
-	nodes := make(map[string]bool)
-	for _, e := range edges {
-		adj[e.from] = append(adj[e.from], e.to)
-		nodes[e.from], nodes[e.to] = true, true
-	}
-	var order []string
-	for n := range nodes {
-		order = append(order, n)
-	}
-	sort.Strings(order)
-
-	// Tarjan, iterative over a small graph via recursion depth bound
-	// by node count (fine for a lock graph).
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	comp := make(map[string]int)
-	var stack []string
-	next, compID := 1, 1
-
-	var strong func(v string)
-	strong = func(v string) {
-		index[v], low[v] = next, next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if index[w] == 0 {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
+// lockClosure returns, per node, the lock types the function acquires
+// directly or through calls (address-taken references are not calls).
+// SCCs are closed callees first; within one, the sets are iterated to a
+// fixpoint, so every member of a recursive cycle ends with everything
+// the cycle reaches.
+func (st *cgState) lockClosure() []map[string]bool {
+	acquired := make([]map[string]bool, len(st.nodes))
+	add := func(n *cgNode, lock string) bool {
+		if acquired[n.id][lock] {
+			return false
 		}
-		if low[v] == index[v] {
-			var members []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				members = append(members, w)
-				if w == v {
-					break
+		if acquired[n.id] == nil {
+			acquired[n.id] = make(map[string]bool)
+		}
+		acquired[n.id][lock] = true
+		return true
+	}
+	for _, scc := range st.sccs {
+		for _, n := range scc {
+			for _, s := range n.info.locks {
+				if s.lock != "" {
+					add(n, s.lock)
 				}
 			}
-			if len(members) > 1 {
-				for _, m := range members {
-					comp[m] = compID
+		}
+		for changed := true; changed; {
+			changed = false
+			for _, n := range scc {
+				for _, e := range n.edges {
+					if e.ref {
+						continue
+					}
+					for lock := range acquired[e.to.id] {
+						if add(n, lock) {
+							changed = true
+						}
+					}
 				}
-				compID++
 			}
 		}
 	}
-	for _, n := range order {
-		if index[n] == 0 {
-			strong(n)
-		}
-	}
-	return comp
-}
-
-// cycleMembers renders the sorted member list of one component.
-func cycleMembers(scc map[string]int, id int) string {
-	var members []string
-	for n, c := range scc {
-		if c == id {
-			members = append(members, shortNode(n))
-		}
-	}
-	sort.Strings(members)
-	return strings.Join(members, " ↔ ")
+	return acquired
 }
 
 // shortNode trims the module path prefix off a lock node for readable

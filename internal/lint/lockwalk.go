@@ -7,11 +7,13 @@ import (
 	"sort"
 )
 
-// This file is the shared intraprocedural lock-flow walker behind the
-// concurrency analyzers (lockcheck, lockorder). It abstractly executes
-// one function body in source order, tracking which mutexes are held at
-// every program point, and invokes analyzer hooks at lock operations,
-// calls, and struct-field accesses.
+// This file is the shared intraprocedural lock-flow walker behind
+// lockcheck and the call-graph summary's lock events (summary.go, read
+// by lockorder). It abstractly executes one function body in source
+// order, tracking which mutexes are held at every program point, and
+// invokes hooks at lock operations, calls, and struct-field accesses.
+// It stays a walker of its own because the held set is path-sensitive
+// (the joins below) and the summary walk is not.
 //
 // The flow model is deliberately simple but branch-aware:
 //

@@ -1,16 +1,12 @@
 package lint
 
-import "go/ast"
-
-// MapOrder is the dataflow refinement of rngpurity's syntactic
-// map-order checks. rngpurity flags output emitted from inside a
-// map-range loop; maporder follows the *values* the loop produces and
-// reports when any of them reaches an order-sensitive sink — float
-// accumulation (the pre-PR-5 requiredIO bug), an unsorted slice that
-// escapes, a metric series interned mid-loop, or output formatting.
-// The two run side by side: rngpurity is cheap and syntactic, maporder
-// catches the flows rngpurity cannot see (a float sum never "emits"
-// anything, yet its value differs run to run).
+// MapOrder follows the values a range over a map produces and reports
+// when any of them reaches an order-sensitive sink — float accumulation
+// (the pre-PR-5 requiredIO bug), an unsorted slice that escapes, a
+// metric series interned mid-loop, or output formatting. The flow
+// analysis is the call-graph summary's (summary.go): the same sinks make
+// a function's effMapOrder for detclose and are purecheck's findings
+// inside silod:pure functions.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "tracks values derived from map iteration and flags " +
@@ -21,21 +17,13 @@ var MapOrder = &Analyzer{
 }
 
 func runMapOrder(p *Pass) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkMapOrderFlow(p, body, p.Reportf)
-			}
-			return true
-		})
+	f := ensureCGFragment(p)
+	for _, fi := range f.fns {
+		for _, s := range fi.order {
+			p.Reportf(s.pos, "%s", s.msg)
+		}
+	}
+	for _, s := range f.initOrder {
+		p.Reportf(s.pos, "%s", s.msg)
 	}
 }

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -28,8 +27,8 @@ import (
 //     fairness objective does this, which is exactly why it is not pure;
 //   - reading or writing a package-level variable;
 //   - goroutines and channel operations;
-//   - map-iteration order reaching an order-sensitive sink (the
-//     valueflow walker shared with maporder);
+//   - map-iteration order reaching an order-sensitive sink (maporder's
+//     sinks, read off the call-graph summary);
 //   - calls to anything that is not itself silod:pure, a builtin, a
 //     conversion, a pure-stdlib function, or a method of an interface
 //     named in the assume= list.
@@ -56,11 +55,9 @@ var PureCheck = &Analyzer{
 		"their arguments: no wall clock, no RNG, no mutable package " +
 		"state, no map-order-sensitive results, and only pure callees",
 	Run:    runPureCheck,
-	Merge:  mergePureCheck,
+	Merge:  mergeCallGraph,
 	Finish: finishPureCheck,
 }
-
-const purecheckKey = "purecheck"
 
 // pureStdlibPkgs are standard-library packages whose exported functions
 // are deterministic in their arguments (no clock, no global RNG, no
@@ -86,62 +83,9 @@ var pureFmtFuncs = map[string]bool{
 	"Sprintf": true, "Sprint": true, "Sprintln": true, "Errorf": true,
 }
 
-type pureAnn struct {
-	pure   bool
-	assume map[string]bool // interface type names exempted from the call rule
-}
-
-// pcCall is one call edge out of a pure function, resolved at Finish
-// once every package's annotations are known.
-type pcCall struct {
-	caller *types.Func
-	callee *types.Func
-	pos    token.Pos
-}
-
-// pcRequire is one silod:pure-requires entry, resolved in its own
-// package at Finish.
-type pcRequire struct {
-	name string
-	pkg  *types.Package
-	pos  token.Pos
-}
-
-// pcState is the cross-package record, shared through Pass.Shared.
-type pcState struct {
-	pure  map[*types.Func]bool
-	calls []pcCall
-	reqs  []pcRequire
-	pkgs  map[string]bool // import paths analyzed this run
-}
-
-func pcStateIn(shared map[string]any) *pcState {
-	if st, ok := shared[purecheckKey].(*pcState); ok {
-		return st
-	}
-	st := &pcState{pure: make(map[*types.Func]bool), pkgs: make(map[string]bool)}
-	shared[purecheckKey] = st
-	return st
-}
-
-func mergePureCheck(global, pkg map[string]any) {
-	src, ok := pkg[purecheckKey].(*pcState)
-	if !ok {
-		return
-	}
-	dst := pcStateIn(global)
-	for fn := range src.pure {
-		dst.pure[fn] = true
-	}
-	dst.calls = append(dst.calls, src.calls...)
-	dst.reqs = append(dst.reqs, src.reqs...)
-	for path := range src.pkgs {
-		dst.pkgs[path] = true
-	}
-}
-
-// parsePureDoc extracts the annotation lines from a doc comment.
-func parsePureDoc(doc *ast.CommentGroup) (ann pureAnn, requires []string, badOpts []string) {
+// parsePureDoc extracts the annotation lines from a doc comment;
+// summary.go records them on the function's fnInfo.
+func parsePureDoc(doc *ast.CommentGroup) (pure bool, assume map[string]bool, requires, badOpts []string) {
 	if doc == nil {
 		return
 	}
@@ -155,19 +99,19 @@ func parsePureDoc(doc *ast.CommentGroup) (ann pureAnn, requires []string, badOpt
 				}
 			}
 		case text == "silod:pure" || strings.HasPrefix(text, "silod:pure "):
-			ann.pure = true
+			pure = true
 			for _, field := range strings.Fields(strings.TrimPrefix(text, "silod:pure")) {
 				v, ok := strings.CutPrefix(field, "assume=")
 				if !ok {
 					badOpts = append(badOpts, field)
 					continue
 				}
-				if ann.assume == nil {
-					ann.assume = make(map[string]bool)
+				if assume == nil {
+					assume = make(map[string]bool)
 				}
 				for _, n := range strings.Split(v, ",") {
 					if n = strings.TrimSpace(n); n != "" {
-						ann.assume[n] = true
+						assume[n] = true
 					}
 				}
 			}
@@ -176,48 +120,48 @@ func parsePureDoc(doc *ast.CommentGroup) (ann pureAnn, requires []string, badOpt
 	return
 }
 
+// runPureCheck judges what one package can decide alone: the body rules,
+// the map-order sinks the summary found, and interface calls, which
+// must be vouched for with assume=.
 func runPureCheck(p *Pass) {
-	st := pcStateIn(p.Shared)
-	st.pkgs[p.Path] = true
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
+	for _, fi := range ensureCGFragment(p).fns {
+		if !fi.pure {
+			continue
+		}
+		name := fi.fn.Name()
+		if fi.decl.Body != nil {
+			checkPureBody(p, fi)
+		}
+		for _, s := range fi.order {
+			p.Reportf(s.pos, "silod:pure function %s: %s", name, s.msg)
+		}
+		for _, c := range fi.calls {
+			if c.method == "" {
 				continue
 			}
-			ann, requires, badOpts := parsePureDoc(fd.Doc)
-			for _, opt := range badOpts {
-				p.Reportf(fd.Pos(), "unrecognized silod:pure option %q (grammar: // silod:pure [assume=Iface,...])", opt)
+			iface := "interface"
+			if c.iface != nil {
+				iface = c.iface.Name()
 			}
-			for _, name := range requires {
-				st.reqs = append(st.reqs, pcRequire{name: name, pkg: p.Pkg, pos: fd.Pos()})
-			}
-			if !ann.pure {
-				continue
-			}
-			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			st.pure[fn] = true
-			if fd.Body != nil {
-				checkPureBody(p, st, fn, fd, ann)
+			if !fi.assume[iface] {
+				p.Reportf(c.pos, "silod:pure function %s calls %s.%s through an interface the checker cannot resolve; if every runtime implementation is vetted pure (see internal/policy/pure.go), annotate // silod:pure assume=%s", name, iface, c.method, iface)
 			}
 		}
 	}
 }
 
 // checkPureBody runs the intraprocedural rules over one annotated
-// function, recording call edges for Finish.
-func checkPureBody(p *Pass, st *pcState, fn *types.Func, fd *ast.FuncDecl, ann pureAnn) {
+// function.
+func checkPureBody(p *Pass, fi *fnInfo) {
+	fd, name := fi.decl, fi.fn.Name()
 	// A unit.Time parameter is the caller's clock: a pure assignment may
 	// receive one (core.Policy.Assign has it in the signature) but must
 	// not let it influence the result.
 	timeParams := make(map[types.Object]bool)
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
-			for _, name := range field.Names {
-				obj := p.Info.Defs[name]
+			for _, id := range field.Names {
+				obj := p.Info.Defs[id]
 				if obj == nil {
 					continue
 				}
@@ -256,12 +200,12 @@ func checkPureBody(p *Pass, st *pcState, fn *types.Func, fd *ast.FuncDecl, ann p
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			p.Reportf(n.Pos(), "silod:pure function %s starts a goroutine: goroutine scheduling is nondeterministic", fn.Name())
+			p.Reportf(n.Pos(), "silod:pure function %s starts a goroutine: goroutine scheduling is nondeterministic", name)
 		case *ast.SendStmt:
-			p.Reportf(n.Pos(), "silod:pure function %s sends on a channel", fn.Name())
+			p.Reportf(n.Pos(), "silod:pure function %s sends on a channel", name)
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				p.Reportf(n.Pos(), "silod:pure function %s receives from a channel", fn.Name())
+				p.Reportf(n.Pos(), "silod:pure function %s receives from a channel", name)
 			}
 		case *ast.Ident:
 			v, ok := p.Info.Uses[n].(*types.Var)
@@ -269,135 +213,66 @@ func checkPureBody(p *Pass, st *pcState, fn *types.Func, fd *ast.FuncDecl, ann p
 				break
 			}
 			if timeParams[v] && !forwarded[n] {
-				p.Reportf(n.Pos(), "silod:pure function %s reads wall-clock parameter %s: the result may not depend on the current time (see Gavel's finish-time path for why that disqualifies a policy)", fn.Name(), v.Name())
+				p.Reportf(n.Pos(), "silod:pure function %s reads wall-clock parameter %s: the result may not depend on the current time (see Gavel's finish-time path for why that disqualifies a policy)", name, v.Name())
 			} else if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				p.Reportf(n.Pos(), "silod:pure function %s touches package-level variable %s: mutable package state breaks referential transparency", fn.Name(), v.Name())
+				p.Reportf(n.Pos(), "silod:pure function %s touches package-level variable %s: mutable package state breaks referential transparency", name, v.Name())
 			}
-		case *ast.CallExpr:
-			checkPureCall(p, st, fn, ann, n)
-		}
-		return true
-	})
-	pureFlowReport := func(pos token.Pos, format string, args ...any) {
-		p.Reportf(pos, "silod:pure function %s: %s", fn.Name(), fmt.Sprintf(format, args...))
-	}
-	checkMapOrderFlow(p, fd.Body, pureFlowReport)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			checkMapOrderFlow(p, fl.Body, pureFlowReport)
 		}
 		return true
 	})
 }
 
-// checkPureCall classifies one call site: builtins and conversions are
-// value rewrites; interface calls must be assumed; everything concrete
-// is recorded and judged at Finish when all annotations are known.
-func checkPureCall(p *Pass, st *pcState, caller *types.Func, ann pureAnn, call *ast.CallExpr) {
-	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() {
-		return // conversion
-	}
-	record := func(callee *types.Func) {
-		st.calls = append(st.calls, pcCall{caller: caller, callee: callee, pos: call.Pos()})
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		switch obj := p.Info.Uses[fun].(type) {
-		case *types.Builtin:
-			return
-		case *types.Func:
-			record(obj)
-		}
-		// A call through a func-typed variable: accepted soundness gap —
-		// the repo's pure paths only build such values from local
-		// closures, which this walk already inspects.
-		return
-	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			if _, isPkg := pkgNameOf(p.Info, id); isPkg {
-				if fnObj, ok := p.Info.Uses[fun.Sel].(*types.Func); ok {
-					record(fnObj)
-				}
-				return
-			}
-		}
-		sel, ok := p.Info.Selections[fun]
-		if !ok {
-			// Method expression (T.M): resolves like a plain function.
-			if fnObj, ok := p.Info.Uses[fun.Sel].(*types.Func); ok {
-				record(fnObj)
-			}
-			return
-		}
-		fnObj, ok := sel.Obj().(*types.Func)
-		if !ok {
-			return // func-typed field value: same gap as above
-		}
-		if sig, ok := fnObj.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-				name := ifaceRecvName(sel.Recv())
-				if !ann.assume[name] {
-					p.Reportf(call.Pos(), "silod:pure function %s calls %s.%s through an interface the checker cannot resolve; if every runtime implementation is vetted pure (see internal/policy/pure.go), annotate // silod:pure assume=%s", caller.Name(), name, fnObj.Name(), name)
-				}
-				return
-			}
-		}
-		record(fnObj)
-	}
-}
-
-// ifaceRecvName names the interface type a method call goes through.
-func ifaceRecvName(recv types.Type) string {
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	if n, ok := recv.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return "interface"
-}
-
+// finishPureCheck judges the static callees of every pure function and
+// the silod:pure-requires markers once every package's annotations are
+// known. Builtins, conversions and calls through func values never
+// reach fnInfo.calls; address-taken references are not calls.
 func finishPureCheck(p *Pass) {
-	st, ok := p.Shared[purecheckKey].(*pcState)
+	st, ok := p.Shared[callgraphKey].(*cgState)
 	if !ok {
 		return
 	}
-	for _, c := range st.calls {
-		if st.pure[c.callee] {
-			continue
-		}
-		pkg := c.callee.Pkg()
-		if pkg == nil {
-			continue // universe scope (error.Error)
-		}
-		path := pkg.Path()
-		if st.pkgs[path] {
-			p.Reportf(c.pos, "silod:pure function %s calls %s.%s, which is not annotated // silod:pure", c.caller.Name(), pkg.Name(), c.callee.Name())
-			continue
-		}
-		if pureStdlibPkgs[path] {
-			continue
-		}
-		if path == "fmt" && pureFmtFuncs[c.callee.Name()] {
-			continue
-		}
-		hint := ""
-		switch {
-		case path == "time":
-			hint = " (reads the wall clock)"
-		case strings.HasPrefix(path, "math/rand"):
-			hint = " (draws global randomness)"
-		}
-		p.Reportf(c.pos, "silod:pure function %s calls %s.%s%s, which is outside the pure-stdlib allowlist", c.caller.Name(), path, c.callee.Name(), hint)
+	st.finalize()
+	isPure := func(fn *types.Func) bool {
+		n := st.byFunc[fn]
+		return n != nil && n.info.pure
 	}
-	for _, r := range st.reqs {
-		fn := resolveFuncName(r.pkg, r.name)
-		if fn == nil {
-			p.Reportf(r.pos, "silod:pure-requires names %s, which does not resolve in package %s", r.name, r.pkg.Name())
+	for _, n := range st.nodes {
+		fi := n.info
+		for _, r := range fi.requires {
+			pkg := fi.fn.Pkg()
+			if fn := resolveFuncName(pkg, r); fn == nil {
+				p.Reportf(fi.decl.Pos(), "silod:pure-requires names %s, which does not resolve in package %s", r, pkg.Name())
+			} else if !isPure(fn) {
+				p.Reportf(fi.decl.Pos(), "silod:pure-requires: %s is not annotated // silod:pure, so the PureAssign eligibility it vouches for no longer holds", r)
+			}
+		}
+		if !fi.pure {
 			continue
 		}
-		if !st.pure[fn] {
-			p.Reportf(r.pos, "silod:pure-requires: %s is not annotated // silod:pure, so the PureAssign eligibility it vouches for no longer holds", r.name)
+		for _, c := range fi.calls {
+			if c.callee == nil || c.ref || isPure(c.callee) {
+				continue
+			}
+			pkg := c.callee.Pkg()
+			if pkg == nil {
+				continue // universe scope (error.Error)
+			}
+			path := pkg.Path()
+			if _, analyzed := st.pkgs[path]; analyzed {
+				p.Reportf(c.pos, "silod:pure function %s calls %s.%s, which is not annotated // silod:pure", fi.fn.Name(), pkg.Name(), c.callee.Name())
+				continue
+			}
+			if pureStdlibPkgs[path] || (path == "fmt" && pureFmtFuncs[c.callee.Name()]) {
+				continue
+			}
+			hint := ""
+			switch {
+			case path == "time":
+				hint = " (reads the wall clock)"
+			case strings.HasPrefix(path, "math/rand"):
+				hint = " (draws global randomness)"
+			}
+			p.Reportf(c.pos, "silod:pure function %s calls %s.%s%s, which is outside the pure-stdlib allowlist", fi.fn.Name(), path, c.callee.Name(), hint)
 		}
 	}
 }

@@ -1,203 +1,29 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
+import "strings"
 
-// RNGPurity keeps all randomness behind internal/simrng and flags
-// map-iteration-order-dependent output. Both protect the same property
-// wallclock does: two runs with the same seed must produce
-// byte-identical results. math/rand outside the seeded simrng wrapper
-// introduces unseeded (or doubly-seeded) streams, and Go map iteration
-// order is deliberately randomized per run.
+// RNGPurity keeps all randomness behind internal/simrng. It protects
+// the same property wallclock does: two runs with the same seed must
+// produce byte-identical results, and math/rand outside the seeded
+// simrng wrapper introduces unseeded (or doubly-seeded) streams. Map
+// iteration order, the other per-process randomness, is maporder's.
 var RNGPurity = &Analyzer{
 	Name: "rngpurity",
-	Doc: "bans math/rand imports outside internal/simrng and flags map " +
-		"iterations that emit output or accumulate into a slice without " +
-		"sorting — both make output depend on per-process randomness",
+	Doc: "bans math/rand imports outside internal/simrng: every draw " +
+		"comes from a seeded simrng stream",
 	Run: runRNGPurity,
 }
 
 func runRNGPurity(p *Pass) {
-	if !pathEndsIn(p.Path, "internal/simrng") {
-		for _, f := range p.Files {
-			for _, imp := range f.Imports {
-				path := strings.Trim(imp.Path.Value, `"`)
-				if path == "math/rand" || path == "math/rand/v2" {
-					p.Reportf(imp.Pos(), "import %s outside internal/simrng: draw randomness from a seeded simrng.RNG so runs are reproducible", path)
-				}
-			}
-		}
+	if pathEndsIn(p.Path, "internal/simrng") {
+		return
 	}
 	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
+		for _, imp := range f.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			if path == "math/rand" || path == "math/rand/v2" {
+				p.Reportf(imp.Pos(), "import %s outside internal/simrng: draw randomness from a seeded simrng.RNG so runs are reproducible", path)
 			}
-			if body != nil {
-				checkMapOrder(p, body)
-			}
-			return true
-		})
-	}
-}
-
-// checkMapOrder scans one function body for range-over-map loops whose
-// visit order leaks into output: either the body writes directly to a
-// stream (fmt.Fprint*/Print*, encoder.Encode), or it appends to a
-// slice that the function never sorts. The collect-then-sort idiom is
-// the accepted fix and is recognized.
-func checkMapOrder(p *Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok && fl.Body != body {
-			return false // nested functions are scanned separately
-		}
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		tv, ok := p.Info.Types[rs.X]
-		if !ok {
-			return true
-		}
-		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		if emitsOutput(p, rs.Body) {
-			p.Reportf(rs.Pos(), "emitting output while ranging over a map: iteration order is randomized per process; collect keys, sort, then emit")
-			return true
-		}
-		for _, obj := range unsortedAppends(p, rs.Body, body) {
-			p.Reportf(rs.Pos(), "appending to %q while ranging over a map without sorting it afterwards: iteration order is randomized per process", obj.Name())
-		}
-		return true
-	})
-}
-
-// emitsOutput reports whether the loop body directly writes to an
-// output stream.
-func emitsOutput(p *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok {
-			if path, isPkg := pkgNameOf(p.Info, id); isPkg && path == "fmt" &&
-				(strings.HasPrefix(sel.Sel.Name, "Print") || strings.HasPrefix(sel.Sel.Name, "Fprint")) {
-				found = true
-				return false
-			}
-		}
-		if sel.Sel.Name == "Encode" {
-			if tv, ok := p.Info.Types[sel.X]; ok {
-				if ptr, ok := tv.Type.(*types.Pointer); ok {
-					if nt, ok := ptr.Elem().(*types.Named); ok && nt.Obj().Pkg() != nil &&
-						strings.HasPrefix(nt.Obj().Pkg().Path(), "encoding/") {
-						found = true
-						return false
-					}
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// unsortedAppends returns the objects of slice variables that the
-// range body appends to but the enclosing function never sorts.
-func unsortedAppends(p *Pass, rangeBody, fnBody *ast.BlockStmt) []types.Object {
-	var targets []types.Object
-	seen := map[types.Object]bool{}
-	ast.Inspect(rangeBody, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		lhs, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := call.Fun.(*ast.Ident)
-		if !ok || fn.Name != "append" {
-			return true
-		}
-		if _, isBuiltin := p.Info.Uses[fn].(*types.Builtin); !isBuiltin {
-			return true
-		}
-		obj := p.Info.Uses[lhs]
-		if obj == nil {
-			obj = p.Info.Defs[lhs]
-		}
-		if obj != nil && !seen[obj] {
-			seen[obj] = true
-			targets = append(targets, obj)
-		}
-		return true
-	})
-	var out []types.Object
-	for _, obj := range targets {
-		if !sortedInFunc(p, fnBody, obj) {
-			out = append(out, obj)
 		}
 	}
-	return out
-}
-
-// sortedInFunc reports whether fnBody contains a sort-package call
-// (or slices.Sort*) mentioning obj in its arguments.
-func sortedInFunc(p *Pass, fnBody *ast.BlockStmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(fnBody, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		path, isPkg := pkgNameOf(p.Info, id)
-		if !isPkg || (path != "sort" && path != "slices") {
-			return true
-		}
-		for _, arg := range call.Args {
-			mentioned := false
-			ast.Inspect(arg, func(an ast.Node) bool {
-				if aid, ok := an.(*ast.Ident); ok && p.Info.Uses[aid] == obj {
-					mentioned = true
-					return false
-				}
-				return true
-			})
-			if mentioned {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }

@@ -5,15 +5,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
 // This file builds the per-package call-graph fragments consumed by
 // callgraph.go: one fnInfo per declared function, recording direct
 // effects (with a witness site for -why traces), outgoing call edges,
-// and taint flow observations for inputflow. All AST work happens here,
-// inside the parallel per-package Run phase; finalize only joins
-// fragments, so the engine adds no sequential bottleneck to the driver.
+// taint flow observations for inputflow, map-order sinks for maporder,
+// the lock-flow events lockorder closes over, and the silod:pure
+// annotations purecheck judges. All AST work happens here, inside the
+// parallel per-package Run phase; finalize only joins fragments, so the
+// engine adds no sequential bottleneck to the driver.
 //
 // Annotation grammar (doc comments; see docs/static-analysis.md):
 //
@@ -29,6 +32,8 @@ import (
 //	//                                from external input; field reads
 //	//                                are taint sources
 //
+// plus purecheck's silod:pure and silod:pure-requires (purecheck.go).
+//
 // Taint model: every parameter and every local of a module-declared
 // named struct type is tracked. Reading a field of a tracked struct
 // value yields a provenance (root object, field path); assignments
@@ -37,6 +42,30 @@ import (
 // a call argument is recorded unless an earlier if-guard over the same
 // (root, field) returns/branches out — the repo's inline-validation
 // idiom — or the root already passed through a silod:validator.
+//
+// Map order is one more provenance on the same taint map. A range over
+// a map gives its key and value the loop as provenance: their sequence
+// is randomized per process, even though their set is not. The
+// provenance is live only inside that loop's body, and only in the
+// function that owns the loop (a function literal is its own function),
+// so a loop's taint never leaks into code that runs in a fixed order.
+// While live it propagates through assignments (to the root of the
+// assigned expression, fields and slots included), through appends,
+// and through nested ranges over tainted collections, and it fires one
+// of four sinks:
+//
+//	float accumulation   acc op= tainted, acc float-typed (incl. unit
+//	                     types) and declared outside the loop
+//	append escape        s = append(s, tainted...), s declared outside
+//	                     the loop and never sorted in the function
+//	emission             fmt.Print*/Fprint*, Reportf or Encode taking a
+//	                     tainted argument
+//	metric interning     Registry.Counter/Gauge/Histogram in the loop
+//
+// Integer and boolean accumulation is order-independent and never a
+// sink; neither is a compound update through a tainted index
+// (out[id] -= tax updates a distinct slot per key), nor a range over an
+// already-sorted key slice (a slice range is not a source).
 
 // cgProv is one provenance a tracked value carries.
 type cgProv struct {
@@ -44,6 +73,7 @@ type cgProv struct {
 	utype *types.TypeName // named struct type of the origin, nil otherwise
 	field string          // field path read off the origin ("" = whole value)
 	root  types.Object    // origin object, the sanitization key
+	loop  *ast.RangeStmt  // map-range loop whose visit order the value carries (maporder)
 }
 
 type provKey struct {
@@ -122,7 +152,7 @@ func docHasMarker(doc *ast.CommentGroup, marker string) bool {
 // buildCGFragment summarizes one package. Called once per package by
 // whichever graph-backed analyzer runs first (via ensureCGFragment).
 func buildCGFragment(p *Pass) *cgFragment {
-	f := &cgFragment{path: p.Path, validators: make(map[*types.Func]bool)}
+	f := &cgFragment{validators: make(map[*types.Func]bool)}
 	if p.Pkg != nil {
 		scope := p.Pkg.Scope()
 		for _, name := range scope.Names() {
@@ -135,10 +165,22 @@ func buildCGFragment(p *Pass) *cgFragment {
 			}
 		}
 	}
+	// Literals in package-level var initializers belong to no function;
+	// they are walked for their map-order sinks only.
+	initW := newSumWalker(p, &fnInfo{witness: make(map[effect]cgWitness)}, nil)
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.GenDecl:
+				if d.Tok == token.VAR {
+					ast.Inspect(d, func(n ast.Node) bool {
+						if lit, ok := n.(*ast.FuncLit); ok {
+							initW.visit(lit)
+							return false
+						}
+						return true
+					})
+				}
 				if d.Tok != token.TYPE {
 					continue
 				}
@@ -159,57 +201,108 @@ func buildCGFragment(p *Pass) *cgFragment {
 					f.untrusted = append(f.untrusted, tn)
 				}
 			case *ast.FuncDecl:
-				fn, ok := p.Info.Defs[d.Name].(*types.Func)
-				if !ok {
-					continue
+				if fi := summarizeFunc(p, f, d); fi != nil {
+					f.fns = append(f.fns, fi)
 				}
-				root, inject, validator, bad := parseCGFuncDoc(d.Doc)
-				for _, b := range bad {
-					b.pos = d.Pos() // report at the declaration, like purecheck
-					f.bad = append(f.bad, b)
-				}
-				if validator {
-					f.validators[fn] = true
-				}
-				fi := &fnInfo{
-					fn:      fn,
-					pos:     d.Pos(),
-					root:    root,
-					inject:  inject,
-					witness: make(map[effect]cgWitness),
-				}
-				if d.Body != nil {
-					w := &sumWalker{
-						p:     p,
-						fi:    fi,
-						body:  d.Body,
-						taint: make(map[types.Object][]cgProv),
-						san:   make(map[provKey]bool),
-					}
-					w.seedParams(d)
-					w.collectCalledIdents(d.Body)
-					w.walk(d.Body)
-				}
-				f.fns = append(f.fns, fi)
 			}
 		}
 	}
+	f.initOrder = initW.fi.order
 	return f
+}
+
+// summarizeFunc builds one declaration's fnInfo, filing its annotation
+// errors and validator mark on the fragment.
+func summarizeFunc(p *Pass, f *cgFragment, d *ast.FuncDecl) *fnInfo {
+	fn, ok := p.Info.Defs[d.Name].(*types.Func)
+	if !ok {
+		return nil
+	}
+	root, inject, validator, bad := parseCGFuncDoc(d.Doc)
+	pure, assume, requires, badOpts := parsePureDoc(d.Doc)
+	for _, opt := range badOpts {
+		bad = append(bad, cgBadAnn{owner: "purecheck",
+			msg: fmt.Sprintf("unrecognized silod:pure option %q (grammar: // silod:pure [assume=Iface,...])", opt)})
+	}
+	for _, b := range bad {
+		b.pos = d.Pos() // report at the declaration
+		f.bad = append(f.bad, b)
+	}
+	if validator {
+		f.validators[fn] = true
+	}
+	fi := &fnInfo{
+		fn:       fn,
+		decl:     d,
+		root:     root,
+		inject:   inject,
+		witness:  make(map[effect]cgWitness),
+		pure:     pure,
+		assume:   assume,
+		requires: requires,
+	}
+	if d.Body == nil {
+		return fi
+	}
+	w := newSumWalker(p, fi, d.Body)
+	w.seedParams(d)
+	ast.Inspect(d.Body, w.visit)
+	walkLockFlow(p, d, lockHooks{
+		lock: func(lk *lockRef, pos token.Pos, held []*lockRef) {
+			fi.locks = append(fi.locks, lockSite{lock: lk.node, held: lockNodes(held), pos: pos})
+		},
+		call: func(_ *types.Func, _ ast.Expr, _ bool, pos token.Pos, held lockState) {
+			if h := lockNodes(heldList(held)); len(h) > 0 {
+				fi.locks = append(fi.locks, lockSite{held: h, pos: pos})
+			}
+		},
+	})
+	return fi
+}
+
+// lockNodes returns the type-level identities of the held locks.
+func lockNodes(held []*lockRef) []string {
+	var out []string
+	for _, lk := range held {
+		if lk.node != "" {
+			out = append(out, lk.node)
+		}
+	}
+	return out
 }
 
 // sumWalker carries the state of one function's summary walk.
 type sumWalker struct {
 	p      *Pass
 	fi     *fnInfo
-	body   *ast.BlockStmt // the declaration's body, for the sort-after-loop probe
+	fnBody *ast.BlockStmt   // innermost enclosing function body, for the sort-after-loop probe
+	loops  []*ast.RangeStmt // map-range loops around the current node, in fnBody
 	taint  map[types.Object][]cgProv
 	san    map[provKey]bool
 	called map[*ast.Ident]bool // idents that are the Fun of a call
 }
 
+func newSumWalker(p *Pass, fi *fnInfo, body *ast.BlockStmt) *sumWalker {
+	w := &sumWalker{
+		p:      p,
+		fi:     fi,
+		fnBody: body,
+		taint:  make(map[types.Object][]cgProv),
+		san:    make(map[provKey]bool),
+		called: make(map[*ast.Ident]bool),
+	}
+	if body != nil {
+		w.collectCalledIdents(body)
+	}
+	return w
+}
+
 // addProv taints obj with pv unless an identical provenance is already
 // recorded (keeps repeated assignments from duplicating flow records).
 func (w *sumWalker) addProv(obj types.Object, pv cgProv) {
+	if obj == nil {
+		return
+	}
 	for _, have := range w.taint[obj] {
 		if have == pv {
 			return
@@ -246,7 +339,6 @@ func (w *sumWalker) seedParams(fd *ast.FuncDecl) {
 // operand of a CallExpr, so bare *types.Func references elsewhere are
 // recognized as address-taken edges.
 func (w *sumWalker) collectCalledIdents(body *ast.BlockStmt) {
-	w.called = make(map[*ast.Ident]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -278,36 +370,50 @@ func namedStructOf(t types.Type) *types.TypeName {
 	return n.Obj()
 }
 
-// walk visits the body in source order (function literals included:
-// their effects and flows belong to the enclosing declaration).
-func (w *sumWalker) walk(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			w.addEffect(effGoroutine, "go statement", n.Pos())
-		case *ast.DeclStmt:
-			w.declare(n)
-		case *ast.AssignStmt:
-			w.assign(n)
-		case *ast.IncDecStmt:
-			w.checkGlobalWrite(n.X, n.Pos())
-		case *ast.IfStmt:
-			w.guard(n)
-		case *ast.ForStmt:
-			if n.Cond != nil {
-				w.recordSinks(w.mentions(n.Cond), sinkLoopBound, n.Cond.Pos())
-			}
-		case *ast.RangeStmt:
-			w.rangeStmt(n)
-		case *ast.IndexExpr:
-			w.index(n)
-		case *ast.CallExpr:
-			w.call(n)
-		case *ast.Ident:
-			w.bareFuncRef(n)
+// visit is the ast.Inspect callback of the walk: source order, function
+// literals included (their effects, flows and calls belong to the
+// enclosing declaration; for map order they are functions of their own).
+func (w *sumWalker) visit(n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.FuncLit:
+		loops, body := w.loops, w.fnBody
+		w.loops, w.fnBody = nil, n.Body
+		ast.Inspect(n.Body, w.visit)
+		w.loops, w.fnBody = loops, body
+		return false
+	case *ast.DeclStmt:
+		w.declare(n)
+	case *ast.AssignStmt:
+		w.assign(n)
+		w.orderAssign(n)
+	case *ast.IfStmt:
+		w.guard(n)
+	case *ast.ForStmt:
+		if n.Cond != nil {
+			w.recordSinks(w.mentions(n.Cond), sinkLoopBound, n.Cond.Pos())
 		}
-		return true
-	})
+	case *ast.RangeStmt:
+		if !w.rangeStmt(n) {
+			return true
+		}
+		for _, e := range []ast.Expr{n.Key, n.Value, n.X} {
+			if e != nil {
+				ast.Inspect(e, w.visit)
+			}
+		}
+		w.loops = append(w.loops, n)
+		ast.Inspect(n.Body, w.visit)
+		w.loops = w.loops[:len(w.loops)-1]
+		return false
+	case *ast.IndexExpr:
+		w.index(n)
+	case *ast.CallExpr:
+		w.orderCall(n)
+		w.call(n)
+	case *ast.Ident:
+		w.bareFuncRef(n)
+	}
+	return true
 }
 
 // addEffect records a direct effect, keeping the first witness site.
@@ -350,14 +456,12 @@ func (w *sumWalker) seedLocal(id *ast.Ident) {
 	w.addProv(obj, cgProv{param: -1, utype: tn, root: obj})
 }
 
-// assign handles the quota-arithmetic sink, global-write detection, and
-// source-order taint propagation.
+// assign handles the quota-arithmetic sink and source-order taint
+// propagation.
 func (w *sumWalker) assign(as *ast.AssignStmt) {
 	switch as.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-		lhs := ast.Unparen(as.Lhs[0])
-		w.checkGlobalWrite(lhs, as.Pos())
-		if _, isField := lhs.(*ast.SelectorExpr); isField {
+		if _, isField := ast.Unparen(as.Lhs[0]).(*ast.SelectorExpr); isField {
 			w.recordSinks(w.mentions(as.Rhs[0]), sinkQuotaArith, as.Pos())
 		}
 		return
@@ -365,16 +469,8 @@ func (w *sumWalker) assign(as *ast.AssignStmt) {
 	default:
 		return
 	}
-	for _, l := range as.Lhs {
-		w.checkGlobalWrite(ast.Unparen(l), as.Pos())
-	}
 	for i, l := range as.Lhs {
-		var rhs ast.Expr
-		if len(as.Rhs) == len(as.Lhs) {
-			rhs = as.Rhs[i]
-		} else if len(as.Rhs) == 1 {
-			rhs = as.Rhs[0]
-		}
+		rhs := assignedFrom(as, i)
 		id, ok := ast.Unparen(l).(*ast.Ident)
 		if !ok || id.Name == "_" {
 			continue
@@ -395,18 +491,16 @@ func (w *sumWalker) assign(as *ast.AssignStmt) {
 	}
 }
 
-// checkGlobalWrite records the package-state-write effect for writes
-// whose base resolves to a package-level variable.
-func (w *sumWalker) checkGlobalWrite(lhs ast.Expr, pos token.Pos) {
-	id := rootIdent(lhs)
-	if id == nil {
-		return
+// assignedFrom returns the expression the i-th left-hand side of a
+// plain or defining assignment takes its value from.
+func assignedFrom(as *ast.AssignStmt, i int) ast.Expr {
+	switch {
+	case len(as.Rhs) == len(as.Lhs):
+		return as.Rhs[i]
+	case len(as.Rhs) == 1:
+		return as.Rhs[0]
 	}
-	v, ok := w.p.Info.Uses[id].(*types.Var)
-	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-		return
-	}
-	w.addEffect(effGlobalWrite, "write to package variable "+v.Name(), pos)
+	return nil
 }
 
 // guard applies the inline-validation idiom: an if whose condition
@@ -442,18 +536,15 @@ func bodyExits(body *ast.BlockStmt) bool {
 	return exits
 }
 
-// rangeStmt propagates taint to loop variables and probes the
-// map-order effect with the shared rngpurity/maporder helpers.
-func (w *sumWalker) rangeStmt(rs *ast.RangeStmt) {
-	if isMapRange(w.p, rs) && rs.Body != nil {
-		if emitsOutput(w.p, rs.Body) || len(unsortedAppends(w.p, rs.Body, w.body)) > 0 {
-			w.addEffect(effMapOrder, "map-range emission", rs.Pos())
-		}
-	}
+// rangeStmt propagates taint to the loop variables — the collection's
+// provenances, and for a map range the loop itself — and reports
+// whether the loop ranges over a map.
+func (w *sumWalker) rangeStmt(rs *ast.RangeStmt) bool {
 	provs := w.mentions(rs.X)
-	if len(provs) == 0 {
-		return
+	for _, l := range w.orderLoops(rs.X) {
+		provs = append(provs, cgProv{param: -1, loop: l})
 	}
+	isMap := isMapRange(w.p, rs)
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
 		id, ok := e.(*ast.Ident)
 		if !ok || id.Name == "_" {
@@ -464,7 +555,23 @@ func (w *sumWalker) rangeStmt(rs *ast.RangeStmt) {
 				w.addProv(obj, pv)
 			}
 		}
+		if isMap {
+			w.addProv(w.objOf(id), cgProv{param: -1, loop: rs})
+		}
 	}
+	return isMap
+}
+
+// isMapRange reports whether rs ranges over a map-typed expression
+// (including a call returning a map, e.g. a Keys-style helper that
+// forwards iteration order).
+func isMapRange(p *Pass, rs *ast.RangeStmt) bool {
+	tv, ok := p.Info.Types[rs.X]
+	if !ok {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
 }
 
 // index fires the slice-index sink; map indexing is safe for any key.
@@ -560,18 +667,19 @@ func (w *sumWalker) staticCall(call *ast.CallExpr, fnObj *types.Func) {
 	}
 }
 
-// ifaceCall records a dynamic call through a named interface defined in
-// an analyzed package; resolution happens at finalize.
+// ifaceCall records a dynamic call through an interface method;
+// resolution happens at finalize. iface is nil when the receiver's
+// type is unnamed.
 func (w *sumWalker) ifaceCall(call *ast.CallExpr, recv types.Type, fnObj *types.Func) {
 	if ptr, ok := recv.(*types.Pointer); ok {
 		recv = ptr.Elem()
 	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return
+	var iface *types.TypeName
+	if named, ok := recv.(*types.Named); ok {
+		iface = named.Obj()
 	}
-	w.fi.calls = append(w.fi.calls, cgCall{iface: named.Obj(), method: fnObj.Name(), pos: call.Pos()})
-	w.argFlows(call, nil, named.Obj(), fnObj.Name())
+	w.fi.calls = append(w.fi.calls, cgCall{iface: iface, method: fnObj.Name(), pos: call.Pos()})
+	w.argFlows(call, nil, iface, fnObj.Name())
 }
 
 // argFlows records one flow per tracked provenance per argument.
@@ -646,7 +754,7 @@ func (w *sumWalker) bareFuncRef(id *ast.Ident) {
 			return // interface method value: unresolved, like func values
 		}
 	}
-	w.fi.calls = append(w.fi.calls, cgCall{callee: fn, pos: id.Pos()})
+	w.fi.calls = append(w.fi.calls, cgCall{callee: fn, ref: true, pos: id.Pos()})
 }
 
 // recordSinks records one flow per unsanitized provenance.
@@ -659,8 +767,8 @@ func (w *sumWalker) recordSinks(provs []cgProv, sink sinkKind, pos token.Pos) {
 	}
 }
 
-// mentions returns the provenances of the tracked values an expression
-// reads, with sanitized (root, field) pairs filtered out.
+// mentions returns the inputflow provenances of the tracked values an
+// expression reads, with sanitized (root, field) pairs filtered out.
 func (w *sumWalker) mentions(e ast.Expr) []cgProv {
 	var out []cgProv
 	for _, pv := range w.mentionsRaw(e) {
@@ -672,7 +780,8 @@ func (w *sumWalker) mentions(e ast.Expr) []cgProv {
 }
 
 // mentionsRaw is mentions without the sanitization filter (guards use
-// it to know which pairs to sanitize).
+// it to know which pairs to sanitize). Map-order provenances are not
+// inputflow's and are left out.
 func (w *sumWalker) mentionsRaw(e ast.Expr) []cgProv {
 	if e == nil {
 		return nil
@@ -680,33 +789,32 @@ func (w *sumWalker) mentionsRaw(e ast.Expr) []cgProv {
 	var out []cgProv
 	seen := make(map[*ast.Ident]bool)
 	ast.Inspect(e, func(n ast.Node) bool {
+		var id *ast.Ident
+		field := ""
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			id := rootIdent(n)
-			if id == nil || seen[id] {
-				return true
-			}
-			obj := w.objOf(id)
-			provs := w.taint[obj]
-			if len(provs) == 0 {
-				return true
-			}
-			seen[id] = true
-			field := strings.TrimPrefix(exprPath(n), id.Name+".")
-			for _, pv := range provs {
-				if pv.field == "" {
-					pv.field = field
-				}
-				out = append(out, pv)
+			if id = rootIdent(n); id != nil {
+				field = strings.TrimPrefix(exprPath(n), id.Name+".")
 			}
 		case *ast.Ident:
-			if seen[n] {
-				return true
+			id = n
+		}
+		if id == nil || seen[id] {
+			return true
+		}
+		found := false
+		for _, pv := range w.taint[w.objOf(id)] {
+			if pv.loop != nil {
+				continue
 			}
-			if provs := w.taint[w.objOf(n)]; len(provs) > 0 {
-				seen[n] = true
-				out = append(out, provs...)
+			if pv.field == "" {
+				pv.field = field
 			}
+			out = append(out, pv)
+			found = true
+		}
+		if found {
+			seen[id] = true
 		}
 		return true
 	})
@@ -721,4 +829,249 @@ func (w *sumWalker) objOf(id *ast.Ident) types.Object {
 		return obj
 	}
 	return w.p.Info.Defs[id]
+}
+
+// --- map order ---
+
+// orderLoops returns the live map-range loops whose visit order e
+// carries: loops around the current node in the current function.
+func (w *sumWalker) orderLoops(e ast.Expr) []*ast.RangeStmt {
+	if len(w.loops) == 0 || e == nil {
+		return nil
+	}
+	var out []*ast.RangeStmt
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			for _, pv := range w.taint[w.p.Info.Uses[id]] {
+				if pv.loop != nil && slices.Contains(w.loops, pv.loop) && !slices.Contains(out, pv.loop) {
+					out = append(out, pv.loop)
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// orderTaint gives the root of lhs (x in x, x.f, x[i]) the order of
+// each loop.
+func (w *sumWalker) orderTaint(lhs ast.Expr, loops []*ast.RangeStmt) {
+	obj := w.objOf(rootIdent(lhs))
+	for _, l := range loops {
+		w.addProv(obj, cgProv{param: -1, loop: l})
+	}
+}
+
+// orderSink records one map-order sink; a site is recorded once however
+// many loops reach it.
+func (w *sumWalker) orderSink(pos token.Pos, what, format string, args ...any) {
+	if n := len(w.fi.order); n > 0 && w.fi.order[n-1].pos == pos {
+		return
+	}
+	w.fi.order = append(w.fi.order, orderSink{pos: pos, msg: fmt.Sprintf(format, args...)})
+	w.addEffect(effMapOrder, what, pos)
+}
+
+// orderAssign propagates map-order taint through one assignment and
+// fires the float-accumulation and append-escape sinks.
+func (w *sumWalker) orderAssign(as *ast.AssignStmt) {
+	if len(w.loops) == 0 {
+		return
+	}
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		loops := w.unindexed(as.Lhs[0], w.orderLoops(as.Rhs[0]))
+		w.orderTaint(as.Lhs[0], loops)
+		w.floatFold(as.Lhs[0], loops, as.Pos())
+		return
+	case token.DEFINE, token.ASSIGN:
+	default:
+		return
+	}
+	// x = x op tainted is accumulation spelled out.
+	if as.Tok == token.ASSIGN && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+		if bin, ok := ast.Unparen(as.Rhs[0]).(*ast.BinaryExpr); ok &&
+			(bin.Op == token.ADD || bin.Op == token.SUB || bin.Op == token.MUL || bin.Op == token.QUO) {
+			acc := w.objOf(rootIdent(as.Lhs[0]))
+			if acc != nil && (w.objOf(rootIdent(bin.X)) == acc || w.objOf(rootIdent(bin.Y)) == acc) {
+				w.floatFold(as.Lhs[0], w.unindexed(as.Lhs[0], w.orderLoops(bin)), as.Pos())
+			}
+		}
+	}
+	for i, lhs := range as.Lhs {
+		rhs := assignedFrom(as, i)
+		if rhs == nil {
+			continue
+		}
+		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+		if !ok || !w.isBuiltinAppend(call) {
+			w.orderTaint(lhs, w.orderLoops(rhs))
+			continue
+		}
+		var loops []*ast.RangeStmt
+		for _, a := range call.Args[1:] {
+			loops = append(loops, w.orderLoops(a)...)
+		}
+		w.orderTaint(lhs, loops)
+		obj := w.objOf(rootIdent(lhs))
+		for _, l := range loops {
+			if declaredBefore(obj, l) && !sortedInFunc(w.p, w.fnBody, obj) {
+				w.orderSink(as.Pos(), "unsorted append to "+obj.Name(),
+					"appending map-iteration-derived values to %q without sorting it afterwards: the slice order is randomized per process; sort before it escapes", obj.Name())
+			}
+		}
+	}
+}
+
+// unindexed drops the loops that also index lhs: m[k] op= v with a
+// tainted index updates a distinct slot per iteration, so the set of
+// final values is deterministic even though the visit order is not.
+func (w *sumWalker) unindexed(lhs ast.Expr, loops []*ast.RangeStmt) []*ast.RangeStmt {
+	return slices.DeleteFunc(loops, func(l *ast.RangeStmt) bool {
+		found := false
+		ast.Inspect(lhs, func(n ast.Node) bool {
+			if ix, ok := n.(*ast.IndexExpr); ok && slices.Contains(w.orderLoops(ix.Index), l) {
+				found = true
+			}
+			return !found
+		})
+		return found
+	})
+}
+
+// floatFold fires the float-accumulation sink when a float accumulator
+// that outlives one of the loops folds in that loop's order.
+func (w *sumWalker) floatFold(lhs ast.Expr, loops []*ast.RangeStmt, pos token.Pos) {
+	t := w.p.Info.TypeOf(lhs)
+	if t == nil {
+		return
+	}
+	if b, ok := t.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return
+	}
+	acc := w.objOf(rootIdent(lhs))
+	for _, l := range loops {
+		if declaredBefore(acc, l) {
+			w.orderSink(pos, "float accumulation into "+exprPath(lhs),
+				"float accumulation into %s in map iteration order: float addition is not associative, so the sum depends on per-process randomness; iterate sorted keys instead", exprPath(lhs))
+			return
+		}
+	}
+}
+
+// declaredBefore reports whether obj is declared before the loop body:
+// a value that survives the loop, not a per-iteration temporary.
+func declaredBefore(obj types.Object, l *ast.RangeStmt) bool {
+	return obj != nil && obj.Pos() < l.Body.Pos()
+}
+
+// orderCall fires the emission and metric-interning sinks.
+func (w *sumWalker) orderCall(call *ast.CallExpr) {
+	if len(w.loops) == 0 {
+		return
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	name := sel.Sel.Name
+	tainted := slices.ContainsFunc(call.Args, func(a ast.Expr) bool { return len(w.orderLoops(a)) > 0 })
+	if tainted {
+		if id, ok := sel.X.(*ast.Ident); ok {
+			if path, isPkg := pkgNameOf(w.p.Info, id); isPkg && path == "fmt" &&
+				(strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")) {
+				w.orderSink(call.Pos(), "fmt."+name+" emission",
+					"map-iteration-derived value reaches fmt.%s: output line order depends on per-process randomness; collect, sort, then emit", name)
+				return
+			}
+		}
+		if name == "Reportf" || name == "Encode" {
+			w.orderSink(call.Pos(), name+" emission",
+				"map-iteration-derived value reaches %s in map iteration order: emission order depends on per-process randomness; collect, sort, then emit", name)
+			return
+		}
+	}
+	if name == "Counter" || name == "Gauge" || name == "Histogram" {
+		if recv := w.p.Info.TypeOf(sel.X); recv != nil && isMetricsRegistry(recv) {
+			w.orderSink(call.Pos(), "Registry."+name+" interning",
+				"interning a metric series (Registry.%s) inside a map-range loop: series creation order becomes random per process; intern eagerly outside the loop (the PR-4 convention)", name)
+		}
+	}
+}
+
+func (w *sumWalker) isBuiltinAppend(call *ast.CallExpr) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != "append" || len(call.Args) < 2 {
+		return false
+	}
+	_, isBuiltin := w.p.Info.Uses[id].(*types.Builtin)
+	return isBuiltin
+}
+
+// sortedInFunc reports whether fnBody contains a sort-package call
+// (or slices.Sort*) mentioning obj in its arguments — the
+// collect-then-sort idiom that sanitizes an append in map order.
+func sortedInFunc(p *Pass, fnBody *ast.BlockStmt, obj types.Object) bool {
+	found := false
+	ast.Inspect(fnBody, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || found {
+			return !found
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		id, ok := sel.X.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		if path, isPkg := pkgNameOf(p.Info, id); !isPkg || (path != "sort" && path != "slices") {
+			return true
+		}
+		for _, arg := range call.Args {
+			ast.Inspect(arg, func(an ast.Node) bool {
+				if aid, ok := an.(*ast.Ident); ok && p.Info.Uses[aid] == obj {
+					found = true
+				}
+				return !found
+			})
+		}
+		return !found
+	})
+	return found
+}
+
+// rootIdent returns the base identifier of an lvalue chain
+// (x, x.f, x[i].g → x), or nil for unrooted expressions.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// isMetricsRegistry reports whether t is internal/metrics.Registry
+// (through one pointer level).
+func isMetricsRegistry(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj != nil && obj.Name() == "Registry" && obj.Pkg() != nil &&
+		pathEndsIn(obj.Pkg().Path(), "internal/metrics")
 }

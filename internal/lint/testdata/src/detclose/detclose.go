@@ -72,8 +72,24 @@ func (mapEmitter) Emit(m map[string]int) {
 // RootIface reaches the map-order emission only through dynamic
 // dispatch on Emitter.
 // silod:sim-root
-func RootIface(e Emitter, m map[string]int) { // want `simulation root RootIface transitively reaches a map-order-dependent emission \(map-range emission\)`
+func RootIface(e Emitter, m map[string]int) { // want `simulation root RootIface transitively reaches a map-order-dependent emission \(fmt\.Println emission\)`
 	e.Emit(m)
+}
+
+// requiredIO sums in map iteration order: nothing is printed, yet the
+// low bits of the result differ run to run (the PR-5 bug class).
+func requiredIO(rates map[string]float64) float64 {
+	var total float64
+	for _, r := range rates {
+		total += r
+	}
+	return total
+}
+
+// RootSum reaches the float sum one call down.
+// silod:sim-root
+func RootSum(rates map[string]float64) float64 { // want `simulation root RootSum transitively reaches a map-order-dependent emission \(float accumulation into total\)`
+	return requiredIO(rates)
 }
 
 // badInject exercises the annotation grammar check.

@@ -1,6 +1,7 @@
 // Package lockorder exercises the global lock-graph analyzer: an A↔B
-// inversion, a consistent C→D pair (accepted), and re-entry on the
-// same lock type through a call chain (self-cycle).
+// inversion, a consistent C→D pair (accepted), re-entry on the same
+// lock type through a call chain (self-cycle), and a P↔Q inversion one
+// side of which passes through mutual recursion.
 package lockorder
 
 import "sync"
@@ -54,4 +55,40 @@ func (e *E) poke(other *E) {
 func (e *E) grab() {
 	e.mu.Lock()
 	e.mu.Unlock()
+}
+
+var muP, muQ sync.Mutex
+
+// loopA and loopB recurse into each other, and loopA takes muP only
+// after the recursive call: both members of the cycle acquire muP, so
+// the closure must not hand loopB a partial set because loopA was
+// still being closed when loopB was reached.
+func loopA(n int) {
+	if n > 0 {
+		loopB(n - 1)
+	}
+	takeP()
+}
+
+func loopB(n int) {
+	loopA(n)
+}
+
+func takeP() {
+	muP.Lock()
+	muP.Unlock()
+}
+
+// holdQ reaches muP only through loopB; pThenQ nests the other way.
+func holdQ() {
+	muQ.Lock()
+	defer muQ.Unlock()
+	loopB(1) // want `lock order cycle: lockorder\.muP acquired while lockorder\.muQ is held`
+}
+
+func pThenQ() {
+	muP.Lock()
+	defer muP.Unlock()
+	muQ.Lock() // want `lock order cycle: lockorder\.muQ acquired while lockorder\.muP is held`
+	muQ.Unlock()
 }

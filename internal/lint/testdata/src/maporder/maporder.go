@@ -91,6 +91,28 @@ func emit(m map[string]float64) {
 	}
 }
 
+// perKey is a literal in a package-level initializer: it belongs to no
+// function, and its loops are checked all the same.
+var perKey = func(m map[string]float64) float64 {
+	var s float64
+	for _, v := range m {
+		s += v // want `float accumulation into s in map iteration order`
+	}
+	return s
+}
+
+// nested reaches the sum through two map loops at once: one finding per
+// site, not one per loop.
+func nested(mm map[string]map[string]float64) float64 {
+	var s float64
+	for _, inner := range mm {
+		for _, v := range inner {
+			s += v // want `float accumulation into s in map iteration order`
+		}
+	}
+	return s
+}
+
 // intern creates metric series in map order, randomizing the series
 // creation order the registry observes.
 func intern(r *metrics.Registry, shards map[string]int) {

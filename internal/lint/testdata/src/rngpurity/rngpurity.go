@@ -1,50 +1,11 @@
-// Fixture for the rngpurity analyzer: math/rand imports and
-// map-iteration-order-dependent output are violations; the
-// collect-then-sort idiom and order-independent aggregation are
-// accepted.
+// Fixture for the rngpurity analyzer: a math/rand import outside
+// internal/simrng is a violation. Map-iteration order is maporder's
+// (see the maporder fixture).
 package rngpurity
 
 import (
-	"fmt"
-	"io"
 	"math/rand" // want `import math/rand outside internal/simrng`
-	"sort"
 )
 
 // Shuffle draws from the global, unseeded stream.
 func Shuffle(n int) int { return rand.Intn(n) }
-
-// EmitUnsorted prints map entries in randomized iteration order.
-func EmitUnsorted(w io.Writer, m map[string]int) {
-	for k, v := range m { // want `emitting output while ranging over a map`
-		fmt.Fprintln(w, k, v)
-	}
-}
-
-// CollectUnsorted leaks map order into the returned slice.
-func CollectUnsorted(m map[string]int) []string {
-	var keys []string
-	for k := range m { // want `appending to "keys" while ranging over a map`
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// CollectSorted is the accepted collect-then-sort idiom.
-func CollectSorted(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m { // ok: sorted before anyone observes the order
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Total aggregates commutatively; iteration order cannot leak.
-func Total(m map[string]int) int {
-	sum := 0
-	for _, v := range m {
-		sum += v
-	}
-	return sum
-}
