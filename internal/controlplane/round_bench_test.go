@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/datamgr"
 	"repro/internal/policy"
 	"repro/internal/unit"
 )
@@ -28,8 +29,8 @@ func (d *sinkDataPlane) AllocateRemoteIO(string, unit.Bandwidth) error {
 }
 
 // benchScheduler builds a scheduler with jobs active jobs and nodes
-// heartbeating nodes against a sink data plane.
-func benchScheduler(tb testing.TB, jobs, nodes int) *SchedulerServer {
+// heartbeating nodes against the data plane dp.
+func benchScheduler(tb testing.TB, jobs, nodes int, dp DataPlane) *SchedulerServer {
 	tb.Helper()
 	pol, err := policy.Build(policy.FIFOKind, policy.SiloD, 1)
 	if err != nil {
@@ -37,7 +38,7 @@ func benchScheduler(tb testing.TB, jobs, nodes int) *SchedulerServer {
 	}
 	cl := core.Cluster{GPUs: 4 * max(nodes, 1), Cache: unit.TiB(100), RemoteIO: unit.Gbps(100)}
 	now := time.Unix(0, 0)
-	s, err := NewSchedulerServer(cl, pol, &sinkDataPlane{}, func() time.Time { return now })
+	s, err := NewSchedulerServer(cl, pol, dp, func() time.Time { return now })
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -68,11 +69,24 @@ func benchScheduler(tb testing.TB, jobs, nodes int) *SchedulerServer {
 // BenchmarkScheduleRound measures the steady-state allocation round —
 // the silod:hotpath loop — including the policy solve and the
 // data-plane push. The round scratch makes allocs/op flat in the round
-// count; hotalloc lint-gates the residual (policy internals).
+// count; hotalloc lint-gates the residual (policy internals). The
+// datamgr case pushes into a real data manager, as silodd does, so
+// every round also pays one remote-IO ledger Set per job.
 func BenchmarkScheduleRound(b *testing.B) {
-	for _, size := range []struct{ jobs, nodes int }{{64, 8}, {512, 64}} {
-		b.Run(fmt.Sprintf("jobs%d_nodes%d", size.jobs, size.nodes), func(b *testing.B) {
-			s := benchScheduler(b, size.jobs, size.nodes)
+	for _, size := range []struct {
+		jobs, nodes int
+		datamgr     bool
+	}{{64, 8, false}, {512, 64, false}, {4000, 1000, true}} {
+		name := fmt.Sprintf("jobs%d_nodes%d", size.jobs, size.nodes)
+		if size.datamgr {
+			name += "_datamgr"
+		}
+		b.Run(name, func(b *testing.B) {
+			var dp DataPlane = &sinkDataPlane{}
+			if size.datamgr {
+				dp = LocalDataPlane{Mgr: datamgr.New(unit.TiB(100), unit.Gbps(100), 1, nil)}
+			}
+			s := benchScheduler(b, size.jobs, size.nodes, dp)
 			if err := s.Schedule(); err != nil {
 				b.Fatal(err)
 			}
@@ -91,7 +105,7 @@ func BenchmarkScheduleRound(b *testing.B) {
 // known live node re-reporting unchanged capacity must not rebuild the
 // effective cluster (an O(nodes) sum) or touch the gauges.
 func BenchmarkHeartbeatSteadyState(b *testing.B) {
-	s := benchScheduler(b, 0, 4096)
+	s := benchScheduler(b, 0, 4096, &sinkDataPlane{})
 	req := HeartbeatRequest{Node: "n02048", GPUs: 4, Cache: unit.GiB(64)}
 	b.ReportAllocs()
 	b.ResetTimer()

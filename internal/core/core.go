@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/estimator"
@@ -152,10 +153,13 @@ func (a Assignment) Validate(c Cluster, jobs []JobView) error {
 
 // ValidateScratch holds the map and key buffers Validate needs, so a
 // caller validating every scheduling round (Round) can recycle them
-// instead of allocating fresh ones per solve. The zero value is ready
-// to use; contents are overwritten on every ValidateWith call.
+// instead of allocating fresh ones per solve. The map holds each job's
+// position in the views, not a copy of the view: a map keeps values as
+// large as a JobView out of line, one allocation per insert. The zero
+// value is ready to use; contents are overwritten on every ValidateWith
+// call.
 type ValidateScratch struct {
-	byID map[string]JobView
+	pos  map[string]int
 	keys []string
 	ids  []string
 }
@@ -167,23 +171,23 @@ type ValidateScratch struct {
 //
 // silod:pure
 func (a Assignment) ValidateWith(c Cluster, jobs []JobView, s *ValidateScratch) error {
-	if s.byID == nil {
-		s.byID = make(map[string]JobView, len(jobs))
+	if s.pos == nil {
+		s.pos = make(map[string]int, len(jobs))
 	} else {
-		clear(s.byID)
+		clear(s.pos)
 	}
-	byID := s.byID
-	for _, j := range jobs {
-		byID[j.ID] = j
+	pos := s.pos
+	for i := range jobs {
+		pos[jobs[i].ID] = i
 	}
 	gpus := 0
 	for id, g := range a.GPUs {
-		j, ok := byID[id]
+		i, ok := pos[id]
 		if !ok {
 			return fmt.Errorf("core: GPU grant to unknown job %q", id)
 		}
-		if g != 0 && g != j.NumGPUs {
-			return fmt.Errorf("core: job %s granted %d GPUs, gang needs %d", id, g, j.NumGPUs)
+		if g != 0 && g != jobs[i].NumGPUs {
+			return fmt.Errorf("core: job %s granted %d GPUs, gang needs %d", id, g, jobs[i].NumGPUs)
 		}
 		gpus += g
 	}
@@ -203,6 +207,9 @@ func (a Assignment) ValidateWith(c Cluster, jobs []JobView, s *ValidateScratch) 
 		if q < 0 {
 			return fmt.Errorf("core: negative cache quota %v for %q", q, key)
 		}
+		if math.IsNaN(float64(q)) || math.IsInf(float64(q), 1) {
+			return fmt.Errorf("core: non-finite cache quota %v for %q", q, key)
+		}
 		cacheSum += q
 	}
 	if float64(cacheSum) > float64(c.Cache)*(1+1e-9)+1 {
@@ -221,7 +228,10 @@ func (a Assignment) ValidateWith(c Cluster, jobs []JobView, s *ValidateScratch) 
 		if bw < 0 {
 			return fmt.Errorf("core: negative remote IO %v for %q", bw, id)
 		}
-		if _, ok := byID[id]; !ok {
+		if math.IsNaN(float64(bw)) || math.IsInf(float64(bw), 1) {
+			return fmt.Errorf("core: non-finite remote IO %v for %q", bw, id)
+		}
+		if _, ok := pos[id]; !ok {
 			return fmt.Errorf("core: remote IO grant to unknown job %q", id)
 		}
 		ioSum += bw

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -77,6 +79,50 @@ func TestAssignmentValidate(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestAssignmentValidateNonFinite: a NaN or +Inf cache quota or remote
+// IO grant is rejected by name. A NaN used to pass, because every
+// comparison with it is false and it made the sum NaN too.
+func TestAssignmentValidateNonFinite(t *testing.T) {
+	c := testCluster()
+	c.Cache, c.RemoteIO = unit.Bytes(math.Inf(1)), unit.Bandwidth(math.Inf(1))
+	jobs := []JobView{view("a", 2, "ds-a", unit.GiB(10), unit.MBpsOf(100))}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		a := NewAssignment()
+		a.CacheQuota["ds-a"] = unit.Bytes(bad)
+		if err := a.Validate(c, jobs); err == nil || !strings.Contains(err.Error(), "non-finite cache quota") {
+			t.Errorf("cache quota %v: err = %v", bad, err)
+		}
+		a = NewAssignment()
+		a.RemoteIO["a"] = unit.Bandwidth(bad)
+		if err := a.Validate(c, jobs); err == nil || !strings.Contains(err.Error(), "non-finite remote IO") {
+			t.Errorf("remote IO %v: err = %v", bad, err)
+		}
+	}
+}
+
+// TestValidateWithAllocatesNothing: with its scratch reused,
+// ValidateWith allocates nothing, whatever the job count.
+func TestValidateWithAllocatesNothing(t *testing.T) {
+	c := Cluster{GPUs: 4096, Cache: unit.TiB(100), RemoteIO: unit.Gbps(100)}
+	var jobs []JobView
+	a := NewAssignment()
+	for i := 0; i < 500; i++ {
+		id := fmt.Sprintf("j%04d", i)
+		jobs = append(jobs, view(id, 1, fmt.Sprintf("ds%02d", i%40), unit.GiB(10), unit.MBpsOf(100)))
+		a.GPUs[id] = 1
+		a.CacheQuota[jobs[i].DatasetKey] = unit.GiB(1)
+		a.RemoteIO[id] = unit.MBpsOf(1)
+	}
+	var s ValidateScratch
+	var err error
+	if got := testing.AllocsPerRun(20, func() { err = a.ValidateWith(c, jobs, &s) }); got != 0 {
+		t.Errorf("ValidateWith: %v allocs/op with reused scratch, want 0", got)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

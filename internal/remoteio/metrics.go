@@ -29,10 +29,10 @@ func (l *Ledger) SetMetrics(m LedgerMetrics) {
 // publishLocked refreshes the ledger gauges from the current
 // allocations; the caller holds l.mu.
 func (l *Ledger) publishLocked() {
-	alloc := l.allocatedLocked()
-	l.met.Allocated.Set(float64(alloc))
+	alloc := l.total.round()
+	l.met.Allocated.Set(alloc)
 	if l.capacity > 0 {
-		l.met.Utilization.Set(float64(alloc) / float64(l.capacity))
+		l.met.Utilization.Set(alloc / float64(l.capacity))
 	}
 }
 

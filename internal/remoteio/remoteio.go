@@ -8,6 +8,7 @@ package remoteio
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -18,11 +19,16 @@ import (
 // Ledger tracks per-job remote IO allocations against the cluster's
 // egress capacity. Allocations are advisory targets the data plane
 // enforces; the ledger validates they never oversubscribe capacity.
-// All methods are safe for concurrent use.
+// The total is kept exactly (exactSum) and rounded once when read, so
+// Set, Remove, Allocated and Free cost O(1) whatever the job count, and
+// the total's bits depend only on the current allocations, not on the
+// order concurrent calls landed in. All methods are safe for concurrent
+// use.
 type Ledger struct {
 	mu       sync.Mutex
 	capacity unit.Bandwidth            // guarded by mu (degrades on egress faults)
 	alloc    map[string]unit.Bandwidth // guarded by mu
+	total    exactSum                  // guarded by mu (the exact sum of alloc)
 	met      LedgerMetrics             // guarded by mu
 }
 
@@ -43,50 +49,78 @@ func (l *Ledger) Capacity() unit.Bandwidth {
 // they are scaled down proportionally (every job keeps its relative
 // share of the shrunken link). The returned map holds the new rate of
 // every job whose allocation changed, so callers can re-throttle the
-// matching token buckets.
+// matching token buckets. Negative and NaN capacities clamp to zero.
 func (l *Ledger) Resize(capacity unit.Bandwidth) map[string]unit.Bandwidth {
-	if capacity < 0 {
+	if !(capacity >= 0) {
 		capacity = 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.capacity = capacity
-	total := l.allocatedLocked()
-	if float64(total) <= float64(capacity) {
+	total := l.total.round()
+	if total <= float64(capacity) {
+		l.publishLocked()
 		return nil
 	}
-	ratio := 0.0
-	if total > 0 {
-		ratio = float64(capacity) / float64(total)
-	}
+	ratio := float64(capacity) / total
 	changed := make(map[string]unit.Bandwidth, len(l.alloc))
+	l.total = exactSum{}
 	for id, bw := range l.alloc {
 		nbw := unit.Bandwidth(float64(bw) * ratio)
 		l.alloc[id] = nbw
 		changed[id] = nbw
+		l.total.add(float64(nbw))
 	}
 	l.publishLocked()
 	return changed
 }
 
 // Set assigns bw to jobID. An over-subscribing assignment is rejected
-// so scheduler bugs surface immediately instead of as silent slowdowns.
-// A tiny tolerance absorbs floating-point round-off from solvers.
+// so scheduler bugs surface immediately instead of as silent slowdowns,
+// and so is a negative or non-finite one, which would make every later
+// check pass vacuously. A tiny tolerance absorbs floating-point
+// round-off from solvers.
+//
+// silod:hotpath
 func (l *Ledger) Set(jobID string, bw unit.Bandwidth) error {
-	if bw < 0 {
-		return fmt.Errorf("remoteio: negative allocation %v for %s", bw, jobID)
+	if err := checkRate(jobID, bw); err != nil {
+		return err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	const tol = 1e-6
-	newTotal := l.allocatedLocked() - l.alloc[jobID] + bw
-	if float64(newTotal) > float64(l.capacity)*(1+tol)+1 {
-		return fmt.Errorf("remoteio: allocating %v to %s oversubscribes capacity %v (already %v)",
-			bw, jobID, l.capacity, l.allocatedLocked()-l.alloc[jobID])
+	old := l.alloc[jobID]
+	next := l.total
+	next.add(float64(bw))
+	next.sub(float64(old))
+	if next.round() > float64(l.capacity)*(1+tol)+1 {
+		return l.oversubscribedLocked(jobID, bw, old)
 	}
+	l.total = next
 	l.alloc[jobID] = bw
 	l.publishLocked()
 	return nil
+}
+
+// checkRate rejects the rates no ledger may hold: negative, NaN or
+// infinite.
+func checkRate(jobID string, bw unit.Bandwidth) error {
+	if bw < 0 {
+		return fmt.Errorf("remoteio: negative allocation %v for %s", bw, jobID)
+	}
+	if math.IsNaN(float64(bw)) || math.IsInf(float64(bw), 1) {
+		return fmt.Errorf("remoteio: non-finite allocation %v for %s", bw, jobID)
+	}
+	return nil
+}
+
+// oversubscribedLocked is Set's rejection of bw for jobID, which holds
+// old; the caller holds l.mu.
+func (l *Ledger) oversubscribedLocked(jobID string, bw, old unit.Bandwidth) error {
+	already := l.total
+	already.sub(float64(old))
+	return fmt.Errorf("remoteio: allocating %v to %s oversubscribes capacity %v (already %v)",
+		bw, jobID, l.capacity, unit.Bandwidth(already.round()))
 }
 
 // Get reports jobID's allocation (0 if none).
@@ -97,41 +131,28 @@ func (l *Ledger) Get(jobID string) unit.Bandwidth {
 }
 
 // Remove forgets jobID's allocation.
+//
+// silod:hotpath
 func (l *Ledger) Remove(jobID string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.total.sub(float64(l.alloc[jobID]))
 	delete(l.alloc, jobID)
 	l.publishLocked()
 }
 
-// Allocated reports the sum of all allocations.
+// Allocated reports the sum of all allocations, correctly rounded.
 func (l *Ledger) Allocated() unit.Bandwidth {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.allocatedLocked()
-}
-
-func (l *Ledger) allocatedLocked() unit.Bandwidth {
-	// Sorted-key sum keeps the float total identical across processes
-	// (map iteration order is randomized; float addition is not
-	// associative).
-	ids := make([]string, 0, len(l.alloc))
-	for id := range l.alloc {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var s unit.Bandwidth
-	for _, id := range ids {
-		s += l.alloc[id]
-	}
-	return s
+	return unit.Bandwidth(l.total.round())
 }
 
 // Free reports the unallocated capacity (never negative).
 func (l *Ledger) Free() unit.Bandwidth {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	f := l.capacity - l.allocatedLocked()
+	f := l.capacity - unit.Bandwidth(l.total.round())
 	if f < 0 {
 		return 0
 	}
