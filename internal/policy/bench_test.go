@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -30,12 +31,20 @@ func benchJobs(n int) []core.JobView {
 	return jobs
 }
 
+// BenchmarkMaxMinStorage times one long-lived solver, the way Gavel
+// holds it: after the first call the workspace is warm and a solve
+// allocates nothing.
 func BenchmarkMaxMinStorage(b *testing.B) {
-	jobs := benchJobs(200)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		new(MaxMinSolver).Storage(unit.TiB(100), unit.GBpsOf(4), jobs)
+	for _, n := range []int{200, 1000} {
+		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
+			jobs := benchJobs(n)
+			var s MaxMinSolver
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Storage(unit.TiB(100), unit.GBpsOf(4), jobs)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,10 @@
 package policy
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/unit"
@@ -40,12 +42,16 @@ type Gavel struct {
 	// scratch's maps are recycled across Assign calls; each returned
 	// Assignment is valid only until the next Assign.
 	scratch core.Assignment
+	// solver is the enhanced storage side's workspace, kept across
+	// Assign calls so a warm Gavel allocates nothing.
+	solver MaxMinSolver
 
 	// Admission-order scratch (see orderViews): per-job scores are
 	// computed once and an int permutation is sorted instead of
 	// re-evaluating the key per comparison and swapping JobView structs.
 	ordScore []float64
 	ordIdx   []int
+	ordJobs  []core.JobView // the views being ordered, for ordCmp
 	ordBuf   []core.JobView
 	admitBuf []core.JobView
 }
@@ -142,14 +148,16 @@ func (g *Gavel) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.
 		// pure function.
 		return g.assignThroughput(c, jobs)
 	}
-	a := g.scratch.Reset()
-	ordered := g.orderViews(jobs, g.orderKey(now))
+	// a points into g, so handing it to the StorageAllocator interface
+	// does not move a local Assignment to the heap on every call.
+	g.scratch.Reset()
+	a := &g.scratch
+	ordered := g.orderViews(jobs, func(j core.JobView) float64 { return g.orderKey(now, j) })
 	admitGangs(a.GPUs, c.GPUs, ordered)
-	g.admitBuf = admittedViewsInto(g.admitBuf, jobs, a.GPUs)
-	running := g.admitBuf
 	if !g.Enhanced {
-		g.Storage.AllocateStorage(c, running, &a)
-		return a
+		g.admitBuf = admittedViewsInto(g.admitBuf, jobs, a.GPUs)
+		g.Storage.AllocateStorage(c, g.admitBuf, a)
+		return *a
 	}
 	// Max-min and finish-time fairness both protect the worst job:
 	// cache is allocated across ALL active jobs, not just this round's
@@ -159,26 +167,8 @@ func (g *Gavel) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.
 	// only consumed by running jobs, so the bandwidth program (an exact
 	// bisection on the Eq. 9 objective) runs over the running set
 	// against the planned quotas.
-	var solver MaxMinSolver
-	allocs := solver.Storage(c.Cache, c.RemoteIO, jobs)
-	a.CacheQuota = DatasetQuotas(jobs, allocs)
-	grants := solver.Bandwidth(c, c.RemoteIO, running, a.CacheQuota)
-	leftover := float64(c.RemoteIO)
-	for _, j := range running {
-		bw := grants[j.ID]
-		a.RemoteIO[j.ID] = bw
-		leftover -= float64(bw)
-	}
-	if leftover > 0 {
-		rank := maxMinEfficiencyRank(jobs)
-		topUpRemoteIO(unit.Bandwidth(leftover), running, &a, func(x, y core.JobView) bool {
-			if rank[x.DatasetKey] != rank[y.DatasetKey] {
-				return rank[x.DatasetKey] < rank[y.DatasetKey]
-			}
-			return x.ID < y.ID
-		})
-	}
-	return a
+	g.solver.assign(c, jobs, a)
+	return *a
 }
 
 // assignThroughput is Assign for the TotalThroughput objective: GPUs
@@ -246,142 +236,176 @@ func throughputKey(c core.Cluster, enhanced bool, njobs int) func(core.JobView) 
 func (g *Gavel) orderViews(jobs []core.JobView, key func(core.JobView) float64) []core.JobView {
 	g.ordScore = g.ordScore[:0]
 	g.ordIdx = g.ordIdx[:0]
-	for i, j := range jobs {
-		g.ordScore = append(g.ordScore, key(j))
+	for i := range jobs {
+		g.ordScore = append(g.ordScore, key(jobs[i]))
 		g.ordIdx = append(g.ordIdx, i)
 	}
-	scores, idx := g.ordScore, g.ordIdx
-	sort.Slice(idx, func(a, b int) bool {
-		da, db := scores[idx[a]], scores[idx[b]]
-		if da != db {
-			return da < db
-		}
-		return jobs[idx[a]].ID < jobs[idx[b]].ID
-	})
+	g.ordJobs = jobs
+	slices.SortFunc(g.ordIdx, g.ordCmp)
+	g.ordJobs = nil
 	g.ordBuf = g.ordBuf[:0]
-	for _, i := range idx {
+	for _, i := range g.ordIdx {
 		g.ordBuf = append(g.ordBuf, jobs[i])
 	}
 	return g.ordBuf
 }
 
-// orderKey returns the GPU-admission sort key for the time-dependent
+// ordCmp orders job indices by (score, ID), ascending.
+//
+// silod:pure
+func (g *Gavel) ordCmp(a, b int) int {
+	return byScore(g.ordScore[a], g.ordScore[b], g.ordJobs[a].ID, g.ordJobs[b].ID, false)
+}
+
+// orderKey is the GPU-admission sort key for the time-dependent
 // objectives (ascending = admitted first); TotalThroughput is handled
 // by throughputKey. Running jobs get a 20% edge against preemption in
 // all objectives.
-func (g *Gavel) orderKey(now unit.Time) func(core.JobView) float64 {
-	switch g.Objective {
-	case FinishTimeFairness:
-		return func(j core.JobView) float64 {
-			rho := finishTimeRho(now, j)
-			if j.Running {
-				rho *= 1.25 // keep running (rho ranks descending via negation)
-			}
-			return -rho // most wronged first
+func (g *Gavel) orderKey(now unit.Time, j core.JobView) float64 {
+	if g.Objective == FinishTimeFairness {
+		rho := finishTimeRho(now, j)
+		if j.Running {
+			rho *= 1.25 // keep running (rho ranks descending via negation)
 		}
-	default:
-		return func(j core.JobView) float64 {
-			d := deficit(now, j)
-			if j.Running {
-				d *= 0.8
-			}
-			return d
+		return -rho // most wronged first
+	}
+	d := deficit(now, j)
+	if j.Running {
+		d *= 0.8
+	}
+	return d
+}
+
+// assign is enhanced Gavel's storage side over the views jobs, whose
+// GPU grants a already holds. Cache goes across every active job (the
+// max-min storage program), remote IO across the running ones (the
+// bandwidth program against the planned quotas), and bandwidth left
+// over tops up running jobs by warm-up value. Quotas and grants are
+// written straight into a's maps.
+//
+// silod:hotpath
+// silod:pure
+func (s *MaxMinSolver) assign(c core.Cluster, jobs []core.JobView, a *core.Assignment) {
+	s.storage(c.Cache, c.RemoteIO, jobs)
+	for d := range s.ds {
+		a.CacheQuota[s.ds[d].key] = s.ds[d].quota
+	}
+	s.run, s.runQuota = s.run[:0], s.runQuota[:0]
+	for i := range jobs {
+		if a.GPUs[jobs[i].ID] > 0 {
+			s.run = append(s.run, i)
+			s.runQuota = append(s.runQuota, float64(s.ds[s.job[i].ds].quota))
 		}
+	}
+	s.bandwidth(c, c.RemoteIO, jobs)
+	leftover := float64(c.RemoteIO)
+	for _, bw := range s.grant {
+		leftover -= bw
+	}
+	if leftover > 0 {
+		s.effRank()
+		s.topUpRemoteIO(leftover, a)
+	}
+	for k, i := range s.run {
+		a.RemoteIO[jobs[i].ID] = unit.Bandwidth(s.grant[k])
 	}
 }
 
-// topUpRemoteIO adds extra bandwidth on top of existing grants: first
-// warming jobs in priority order up to their instantaneous demand, then
-// a water-fill over remaining unmet demands.
-func topUpRemoteIO(extra unit.Bandwidth, running []core.JobView, a *core.Assignment,
-	less func(x, y core.JobView) bool) {
-	remaining := float64(extra)
-	ordered := append([]core.JobView(nil), running...)
-	sort.Slice(ordered, func(i, j int) bool { return less(ordered[i], ordered[j]) })
-	unmet := make(map[string]float64)
-	for _, j := range ordered {
-		gap := instantDemand(j, a) - float64(a.RemoteIO[j.ID])
+// topUpRemoteIO adds extra bandwidth on top of the running jobs' grants
+// in s.grant: first warming jobs in (effRank, ID) order up to their
+// instantaneous demand, then a water-fill over remaining unmet demands,
+// smallest first.
+//
+// silod:hotpath
+// silod:pure
+func (s *MaxMinSolver) topUpRemoteIO(extra float64, a *core.Assignment) {
+	remaining := extra
+	order := resize(&s.runOrder, len(s.run))
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortFunc(order, s.rankCmp)
+	want := resize(&s.want, len(s.run))
+	unmet := s.unmet[:0]
+	for _, k := range order {
+		i := s.run[k]
+		gap := instantDemand(s.jobs[i], a) - s.grant[k]
 		if gap <= 1e-9 {
 			continue
 		}
-		if a.CacheQuota[j.DatasetKey] > j.EffectiveCached {
-			give := math.Min(gap, remaining)
-			a.RemoteIO[j.ID] += unit.Bandwidth(give)
+		if s.ds[s.job[i].ds].quota > s.jobs[i].EffectiveCached {
+			give := min(gap, remaining)
+			s.grant[k] += give
 			remaining -= give
 			gap -= give
 		}
 		if gap > 1e-9 {
-			unmet[j.ID] = gap
+			want[k] = gap
+			unmet = append(unmet, k)
 		}
 	}
+	s.unmet = unmet
 	if remaining <= 1e-9 || len(unmet) == 0 {
 		return
 	}
-	type rec struct {
-		id   string
-		want float64
-	}
-	recs := make([]rec, 0, len(unmet))
-	for id, w := range unmet {
-		recs = append(recs, rec{id, w})
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].want != recs[j].want {
-			return recs[i].want < recs[j].want
-		}
-		return recs[i].id < recs[j].id
-	})
-	left := len(recs)
-	for _, r := range recs {
-		level := remaining / float64(left)
-		give := math.Min(r.want, level)
-		a.RemoteIO[r.id] += unit.Bandwidth(give)
+	slices.SortFunc(unmet, s.wantCmp)
+	left := len(unmet)
+	for _, k := range unmet {
+		give := min(want[k], remaining/float64(left))
+		s.grant[k] += give
 		remaining -= give
 		left--
 	}
 }
 
-// maxMinEfficiencyRank orders datasets by warm-up value (cache
-// efficiency with warm-data hysteresis), shared with the greedy
-// allocator's investment ordering.
-func maxMinEfficiencyRank(jobs []core.JobView) map[string]int {
-	type grp struct {
-		key string
-		eff float64
-		hot float64
+// rankCmp orders running positions by their dataset's effRank, ties to
+// the job ID.
+//
+// silod:pure
+func (s *MaxMinSolver) rankCmp(a, b int) int {
+	ia, ib := s.run[a], s.run[b]
+	if c := cmp.Compare(s.ds[s.job[ia].ds].rank, s.ds[s.job[ib].ds].rank); c != 0 {
+		return c
 	}
-	groups := make(map[string]*grp)
-	var keys []string
-	for _, j := range jobs {
-		g, ok := groups[j.DatasetKey]
-		if !ok {
-			g = &grp{key: j.DatasetKey}
-			groups[j.DatasetKey] = g
-			keys = append(keys, j.DatasetKey)
-		}
+	return strings.Compare(s.jobs[ia].ID, s.jobs[ib].ID)
+}
+
+// wantCmp orders running positions by unmet demand, ascending, ties to
+// the job ID.
+//
+// silod:pure
+func (s *MaxMinSolver) wantCmp(a, b int) int {
+	return byScore(s.want[a], s.want[b], s.jobs[s.run[a]].ID, s.jobs[s.run[b]].ID, false)
+}
+
+// effRank ranks datasets by warm-up value (cache efficiency with
+// warm-data hysteresis), shared with the greedy allocator's investment
+// ordering, into s.ds[d].rank.
+//
+// silod:hotpath
+// silod:pure
+func (s *MaxMinSolver) effRank() {
+	for d := range s.ds {
+		s.ds[d].score, s.ds[d].hot = 0, 0
+	}
+	for i := range s.jobs {
+		j := &s.jobs[i]
+		ds := &s.ds[s.job[i].ds]
 		d := float64(j.DatasetSize)
 		if d <= 0 {
 			d = 1
 		}
-		g.eff += float64(j.Profile.IdealThroughput) / d
-		if f := float64(j.CachedBytes) / d; f > g.hot {
-			g.hot = f
+		ds.score += float64(j.Profile.IdealThroughput) / d
+		if f := float64(j.CachedBytes) / d; f > ds.hot {
+			ds.hot = f
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		ga, gb := groups[keys[a]], groups[keys[b]]
-		ea := ga.eff * (1 + 0.5*ga.hot)
-		eb := gb.eff * (1 + 0.5*gb.hot)
-		if ea != eb {
-			return ea > eb
-		}
-		return keys[a] < keys[b]
-	})
-	rank := make(map[string]int, len(keys))
-	for i, k := range keys {
-		rank[k] = i
+	for d := range s.ds {
+		s.ds[d].score *= 1 + 0.5*s.ds[d].hot
 	}
-	return rank
+	for r, d := range s.sortDatasets() {
+		s.ds[d].rank = r
+	}
 }
 
 var _ core.Policy = (*Gavel)(nil)

@@ -54,25 +54,26 @@ func mutateViews(rng *rand.Rand, views []core.JobView) {
 }
 
 // TestMaxMinSolverHistoryIndependent drives one long-lived MaxMinSolver
-// through a randomized, drifting round sequence and diffs every
-// allocation, bit for bit, against a fresh solver built for that call
-// alone. The solver carries nothing between calls, so the two must
-// agree whatever came before; the fresh side sets Cold, which shows the
-// field is inert. This is the gate any future cross-call scratch reuse
-// (ROADMAP item 2) has to keep green.
+// and one long-lived enhanced Gavel through a randomized, drifting round
+// sequence — job sets that churn, shrink and go empty — and diffs every
+// allocation, bit for bit, against a fresh solver and a fresh Gavel
+// built for that call alone. Both keep workspace across calls and must
+// reset all of it on every call, the empty one included; the fresh
+// solver sets Cold, which shows the field is inert.
 func TestMaxMinSolverHistoryIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	var long MaxMinSolver
+	longGavel := &Gavel{Enhanced: true}
 	cache := unit.TiB(2)
 	io := unit.Gbps(8)
 	cl := core.Cluster{GPUs: 64, Cache: cache, RemoteIO: io}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	views := randViews(rng, 24)
-	for round := 0; round < 120; round++ {
+	for round := 0; round < 160; round++ {
 		got := long.Storage(cache, io, views)
 		want := (&MaxMinSolver{Cold: true}).Storage(cache, io, views)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d allocs long-lived, %d fresh", round, len(got), len(want))
+		if len(got) != len(want) || len(got) != len(views) {
+			t.Fatalf("round %d: %d allocs long-lived, %d fresh, %d jobs", round, len(got), len(want), len(views))
 		}
 		for id, w := range want {
 			g, ok := got[id]
@@ -81,25 +82,60 @@ func TestMaxMinSolverHistoryIndependent(t *testing.T) {
 				t.Fatalf("round %d job %s: long-lived %+v, fresh %+v", round, id, g, w)
 			}
 		}
-		quota := DatasetQuotas(views, want)
+		quota := refDatasetQuotas(views, want)
 		running := views[:len(views)/2]
 		gotBW := long.Bandwidth(cl, io, running, quota)
 		wantBW := (&MaxMinSolver{Cold: true}).Bandwidth(cl, io, running, quota)
-		if len(gotBW) != len(wantBW) {
-			t.Fatalf("round %d: %d grants long-lived, %d fresh", round, len(gotBW), len(wantBW))
+		if len(gotBW) != len(wantBW) || len(gotBW) != len(running) {
+			t.Fatalf("round %d: %d grants long-lived, %d fresh, %d running", round, len(gotBW), len(wantBW), len(running))
 		}
 		for id, w := range wantBW {
 			if g, ok := gotBW[id]; !ok || !same(float64(g), float64(w)) {
 				t.Fatalf("round %d job %s: long-lived grant %v, fresh %v", round, id, g, w)
 			}
 		}
-		if round%17 == 16 {
-			// Occasionally change the job set itself (arrival/departure).
-			views = randViews(rng, 16+rng.Intn(16))
-		} else {
+		now := unit.Time(round) * unit.Time(unit.Minute)
+		ga, gc, gr := snapshotAssignment(longGavel.Assign(cl, now, views))
+		fa := (&Gavel{Enhanced: true}).Assign(cl, now, views)
+		if err := sameAssignment(ga, gc, gr, fa); err != nil {
+			t.Fatalf("round %d (%d jobs): long-lived Gavel vs fresh: %v", round, len(views), err)
+		}
+		switch {
+		case round%11 == 10:
+			views = nil // every job left
+		case round%7 == 6 && len(views) > 1:
+			views = views[:len(views)-1-rng.Intn(len(views)/2+1)] // departures
+		case round%17 == 16 || len(views) == 0:
+			views = randViews(rng, 16+rng.Intn(16)) // a new job set
+		default:
 			mutateViews(rng, views)
 		}
 	}
+}
+
+// sameAssignment reports the first difference between a snapshot and
+// an Assignment, comparing every float bit for bit.
+func sameAssignment(g map[string]int, c map[string]unit.Bytes, r map[string]unit.Bandwidth, b core.Assignment) error {
+	if len(g) != len(b.GPUs) || len(c) != len(b.CacheQuota) || len(r) != len(b.RemoteIO) {
+		return fmt.Errorf("shapes differ: %d/%d/%d vs %d/%d/%d GPU/quota/IO entries",
+			len(g), len(c), len(r), len(b.GPUs), len(b.CacheQuota), len(b.RemoteIO))
+	}
+	for k, v := range g {
+		if w, ok := b.GPUs[k]; !ok || w != v {
+			return fmt.Errorf("GPUs[%s] %d vs %d", k, v, w)
+		}
+	}
+	for k, v := range c {
+		if w, ok := b.CacheQuota[k]; !ok || math.Float64bits(float64(w)) != math.Float64bits(float64(v)) {
+			return fmt.Errorf("CacheQuota[%s] %v vs %v", k, v, w)
+		}
+	}
+	for k, v := range r {
+		if w, ok := b.RemoteIO[k]; !ok || math.Float64bits(float64(w)) != math.Float64bits(float64(v)) {
+			return fmt.Errorf("RemoteIO[%s] %v vs %v", k, v, w)
+		}
+	}
+	return nil
 }
 
 // snapshotAssignment deep-copies an Assignment's maps (policies recycle

@@ -8,22 +8,13 @@
 package policy
 
 import (
-	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/unit"
 )
-
-// storageJob is one job in the max-min storage program: a job that has
-// already been granted GPUs and now competes for cache and remote IO.
-type storageJob struct {
-	view core.JobView
-	// perfEqual is SiloDPerf under the equal division R_equal (Eq. 8's
-	// denominator), in bytes/s.
-	perfEqual float64
-}
 
 // StorageAlloc is the result of the max-min storage program for one job.
 type StorageAlloc struct {
@@ -33,15 +24,164 @@ type StorageAlloc struct {
 }
 
 // MaxMinSolver solves the max-min storage and bandwidth programs. Every
-// call solves from scratch and nothing is carried from one call to the
-// next (Gavel states max-min as a program re-solved at each allocation),
-// so a long-lived solver and a fresh one return the same bits. The zero
-// value is ready to use.
+// call solves from scratch (Gavel states max-min as a program re-solved
+// at each allocation), so a long-lived solver and a fresh one return
+// the same bits. What a solver keeps between calls is workspace only:
+// slices addressed by job index (the position in the call's views) and
+// by dataset index (first-encounter order of DatasetKey over those
+// views), grown to the largest call seen and reset at the start of
+// every call, so a warm solver allocates nothing. The maps Storage and
+// Bandwidth return are solver-owned too: cleared and refilled, valid
+// until the solver's next call. The zero value is ready to use; a
+// solver must not be shared between goroutines.
 type MaxMinSolver struct {
 	// Cold has no effect: every solve is from scratch. The field stays
 	// only because bench/probes.go (frozen) spells it; it goes in the
 	// next [benchmark] PR.
 	Cold bool
+
+	// By job index, rebuilt by index() on every call.
+	jobs []core.JobView // the call's views; read, never written
+	job  []mmJob
+	res  []StorageAlloc // the storage program's result
+	// By dataset index, rebuilt by index() on every call.
+	dsIndex map[string]int
+	ds      []mmDataset
+	dsOrder []int // scratch permutation for sortDatasets
+
+	// One filling round: active (and next) hold job indices; the probe's
+	// state is by round position k, its groups by group index (first
+	// encounter over the round's jobs), members CSR-style in round order.
+	active, next []int
+	round        []roundJob
+	targets      []float64
+	alloc        []StorageAlloc
+	groups       []probeGroup
+	keys         []string  // group key, by group index
+	scores       []float64 // scan score at the current λ, by group index
+	members      []int
+	order        []int // group indices in scan order; persists across a round's probes
+	unsat        []int
+
+	// The bandwidth program and Gavel's top-up, by running position k:
+	// run[k] is a job index, runQuota[k] its dataset's cache quota.
+	run      []int
+	runQuota []float64
+	bw       []bwJob
+	grant    []float64
+	want     []float64
+	runOrder []int
+	unmet    []int
+
+	storageOut   map[string]StorageAlloc
+	bandwidthOut map[string]unit.Bandwidth
+}
+
+// mmJob is what the storage program reads of one job, computed once per
+// call.
+type mmJob struct {
+	pe    float64 // SiloDPerf under the equal division R_equal (Eq. 8's denominator), bytes/s
+	fstar float64 // f*, bytes/s
+	size  float64 // the job's DatasetSize
+	frac  float64 // CachedBytes / max(size, 1): the warm-data hysteresis input
+	ds    int     // dataset index
+}
+
+// mmDataset is one dataset of the call.
+type mmDataset struct {
+	key       string
+	firstSize float64    // DatasetSize of its first job: the room spendSlack fills
+	lastSize  unit.Bytes // DatasetSize of its last job: the quota clamp
+	n         int        // number of jobs
+	group     int        // this filling round's group index, -1 if no active member
+	score     float64    // sort key of sortDatasets (see its callers)
+	have      float64    // spendSlack: cache already granted
+	per       float64    // spendSlack: extra cache for each of its jobs
+	hot       float64    // effRank: max cached fraction
+	total     unit.Bytes // merged cache of its jobs
+	quota     unit.Bytes // total clamped to [0, lastSize]
+	rank      int        // effRank: position in warm-up value order
+}
+
+// roundJob is one active job of a filling round.
+type roundJob struct {
+	pe, fstar float64
+	group     int
+}
+
+// probeGroup is one dataset group of a filling round. Size, eff and the
+// member range are λ-invariant; rate and cache are recomputed per probe.
+type probeGroup struct {
+	size float64 // dataset size d (its first active member's)
+	eff  float64 // max effective-cached fraction among active members
+	// maxSize and hyst are the λ-invariant factors of the scan score
+	// rate/max(size,1)·(1+0.5·eff).
+	maxSize float64 // max(size, 1)
+	hyst    float64 // 1 + 0.5·eff
+	lo, hi  int     // members: MaxMinSolver.members[lo:hi]
+	rate    float64 // Σ targets of the members (per probe)
+	cache   float64 // cache granted to the group (per probe)
+}
+
+// bwJob is one running job of the bandwidth program.
+type bwJob struct {
+	pe, fstar float64
+	miss      float64 // 1 - min(quota, effective)/max(d, 1), clamped at 0
+}
+
+// resize returns a length-n slice backed by *buf, reallocating only when
+// the capacity is insufficient. Element contents are unspecified, so
+// callers overwrite every element before reading it.
+//
+// silod:pure
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// resetMap returns *m cleared, allocating it on first use.
+//
+// silod:pure
+func resetMap[K comparable, V any](m *map[K]V) map[K]V {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	clear(*m)
+	return *m
+}
+
+// index resets the per-call workspace for jobs: job records, dataset
+// records and a zeroed result per job.
+//
+// silod:hotpath
+// silod:pure
+func (s *MaxMinSolver) index(jobs []core.JobView) {
+	s.jobs = jobs
+	job := resize(&s.job, len(jobs))
+	clear(resize(&s.res, len(jobs)))
+	dsIndex := resetMap(&s.dsIndex)
+	s.ds = s.ds[:0]
+	for i := range jobs {
+		j := &jobs[i]
+		d, ok := dsIndex[j.DatasetKey]
+		if !ok {
+			d = len(s.ds)
+			dsIndex[j.DatasetKey] = d
+			s.ds = append(s.ds, mmDataset{key: j.DatasetKey, firstSize: float64(j.DatasetSize)})
+		}
+		s.ds[d].n++
+		s.ds[d].lastSize = j.DatasetSize
+		size := float64(j.DatasetSize)
+		job[i] = mmJob{
+			fstar: float64(j.Profile.IdealThroughput),
+			size:  size,
+			frac:  float64(j.CachedBytes) / max(size, 1),
+			ds:    d,
+		}
+	}
 }
 
 // Storage solves the storage part of Eq. 9 exactly: maximize the
@@ -59,148 +199,167 @@ type MaxMinSolver struct {
 // cache therefore goes to datasets in decreasing order of that ratio,
 // and feasibility reduces to a single bandwidth comparison.
 //
-// It is a pure function of its arguments (no clock, no RNG, no
-// map-order dependence).
+// The result is a deterministic function of the arguments (no clock, no
+// RNG, no map-order dependence). The returned map is the solver's own,
+// valid until its next call.
 //
+// silod:hotpath
 // silod:pure
-func (*MaxMinSolver) Storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jobs []core.JobView) map[string]StorageAlloc {
-	out := make(map[string]StorageAlloc, len(jobs))
+func (s *MaxMinSolver) Storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jobs []core.JobView) map[string]StorageAlloc {
+	s.storage(totalCache, totalIO, jobs)
+	out := resetMap(&s.storageOut)
+	for i := range jobs {
+		out[jobs[i].ID] = s.res[i]
+	}
+	return out
+}
+
+// storage is Storage into s.res, by job index.
+//
+// silod:hotpath
+// silod:pure
+func (s *MaxMinSolver) storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jobs []core.JobView) {
+	s.index(jobs)
 	if len(jobs) == 0 {
-		return out
+		return
 	}
 	// Equal division: every job gets cache/n on its dataset and io/n.
 	n := float64(len(jobs))
-	sjobs := make([]storageJob, 0, len(jobs))
-	for _, j := range jobs {
-		equal := estimator.Resources{
-			Cache:    unit.Bytes(float64(totalCache) / n),
-			RemoteIO: unit.Bandwidth(float64(totalIO) / n),
-		}
-		pe := float64(j.Profile.Perf(equal))
+	equal := estimator.Resources{
+		Cache:    unit.Bytes(float64(totalCache) / n),
+		RemoteIO: unit.Bandwidth(float64(totalIO) / n),
+	}
+	// active and next swap roles between rounds, so both get room for
+	// every job up front.
+	active := resize(&s.active, len(jobs))[:0]
+	next := resize(&s.next, len(jobs))[:0]
+	for i := range jobs {
+		pe := float64(jobs[i].Profile.Perf(equal))
 		if pe <= 0 {
 			// A job that can make no progress even under equal share
 			// (e.g. zero bandwidth and no cache): normalize by f* so the
 			// program remains well-defined.
-			pe = float64(j.Profile.IdealThroughput)
+			pe = s.job[i].fstar
 		}
-		sjobs = append(sjobs, storageJob{view: j, perfEqual: pe})
+		s.job[i].pe = pe
+		active = append(active, i)
 	}
 
-	active := sjobs
 	remCache := float64(totalCache)
 	remIO := float64(totalIO)
 	// Progressive filling: at most len(jobs) rounds.
 	for len(active) > 0 {
-		probe := newLambdaProbe(active)
-		lambda := probe.maxFeasibleLambda(remCache, remIO)
-		alloc := probe.allocate(remCache, remIO, lambda)
+		s.groupRound(active)
+		lambda := s.maxFeasibleLambda(remCache, remIO)
+		s.allocate(remCache, remIO, lambda)
 		// Jobs capped at f* under this lambda are saturated: freeze them.
-		var next []storageJob
+		next = next[:0]
 		frozeAny := false
-		for i, sj := range active {
-			target := math.Min(lambda*sj.perfEqual, float64(sj.view.Profile.IdealThroughput))
-			saturated := target >= float64(sj.view.Profile.IdealThroughput)-1e-9
-			if saturated {
-				out[sj.view.ID] = alloc[i]
-				remCache -= float64(alloc[i].Cache)
-				remIO -= float64(alloc[i].RemoteIO)
+		for k, i := range active {
+			fstar := s.job[i].fstar
+			if min(lambda*s.job[i].pe, fstar) >= fstar-1e-9 {
+				s.res[i] = s.alloc[k]
+				remCache -= float64(s.alloc[k].Cache)
+				remIO -= float64(s.alloc[k].RemoteIO)
 				frozeAny = true
 			} else {
-				next = append(next, sj)
+				next = append(next, i)
 			}
 		}
 		if !frozeAny {
 			// No job saturated: the bottleneck binds all remaining jobs;
 			// record their allocations and stop.
-			for i, sj := range active {
-				out[sj.view.ID] = alloc[i]
-				remCache -= float64(alloc[i].Cache)
-				remIO -= float64(alloc[i].RemoteIO)
+			for k, i := range active {
+				s.res[i] = s.alloc[k]
+				remCache -= float64(s.alloc[k].Cache)
+				remIO -= float64(s.alloc[k].RemoteIO)
 			}
 			break
 		}
-		active = next
+		active, next = next, active
 	}
-	spendSlack(remCache, remIO, jobs, out)
-	mergeSharedCache(jobs, out)
-	return out
+	s.active, s.next = active, next
+	s.spendSlack(remCache, remIO)
+	s.mergeSharedCache()
 }
 
-// probeGroup is one dataset group inside a lambdaProbe. Membership,
-// size, and the hysteresis fraction are lambda-invariant; rate and
-// cache are recomputed per probe.
-type probeGroup struct {
-	size float64 // dataset size d
-	eff  float64 // max effective-cached fraction among members
-	// maxSize and hyst are the λ-invariant factors of the scan score
-	// rate/max(size,1)·(1+0.5·eff), precomputed once per probe so the
-	// per-λ sort touches only flat slices.
-	maxSize float64 // math.Max(size, 1)
-	hyst    float64 // 1 + 0.5·eff
-	members []int
-	rate    float64 // Σ targets of jobs in the group (per probe)
-	cache   float64 // cache granted to the group (per probe)
+// groupRound builds one filling round's probe state from the job
+// indices in active: the per-position rates' inputs, and the dataset
+// groups in first-encounter order over the active jobs (requiredIO's
+// sum order follows it), each with its members in round order. The
+// scan order starts as the identity.
+//
+// silod:hotpath
+// silod:pure
+func (s *MaxMinSolver) groupRound(active []int) {
+	round := resize(&s.round, len(active))
+	resize(&s.targets, len(active))
+	resize(&s.alloc, len(active))
+	for d := range s.ds {
+		s.ds[d].group = -1
+	}
+	s.groups, s.keys = s.groups[:0], s.keys[:0]
+	for k, i := range active {
+		jb := &s.job[i]
+		ds := &s.ds[jb.ds]
+		g := ds.group
+		if g < 0 {
+			g = len(s.groups)
+			ds.group = g
+			s.groups = append(s.groups, probeGroup{size: jb.size})
+			s.keys = append(s.keys, ds.key)
+		}
+		gr := &s.groups[g]
+		if jb.frac > gr.eff {
+			gr.eff = jb.frac
+		}
+		gr.hi++ // member count until the offsets below
+		round[k] = roundJob{pe: jb.pe, fstar: jb.fstar, group: g}
+	}
+	off := 0
+	for g := range s.groups {
+		gr := &s.groups[g]
+		gr.lo, gr.hi, off = off, off, off+gr.hi
+		gr.maxSize = max(gr.size, 1)
+		gr.hyst = 1 + 0.5*gr.eff
+	}
+	members := resize(&s.members, len(active))
+	for k := range round {
+		gr := &s.groups[round[k].group]
+		members[gr.hi] = k
+		gr.hi++
+	}
+	order := resize(&s.order, len(s.groups))
+	for g := range order {
+		order[g] = g
+	}
+	resize(&s.scores, len(s.groups))
 }
 
-// lambdaProbe memoizes the throughput matrix of one progressive-filling
-// round: the per-job equal-share performance, the dataset grouping, and
-// the group scan order are all functions of the (job set, cluster)
-// generation alone, so they are built once and shared by every lambda
-// the bisection probes. Each probe then only refreshes the per-group
-// target rates, re-sorts the scan order, and sums the required
-// bandwidth — no per-probe allocation. Groups live in a flat slice
-// indexed in first-encounter order; the per-λ sort compares precomputed
-// scores through an int permutation, so the comparator performs no map
-// lookups and no string compares except on exact score ties.
-type lambdaProbe struct {
-	jobs    []storageJob
-	targets []float64
-	keys    []string // group keys, first-encounter order == group index order
-	groupOf []int    // job index -> group index
-	groups  []probeGroup
-	order   []int          // scratch: group indices re-sorted by bandwidth-saved-per-byte
-	scores  []float64      // scratch: per-group scan score at the current λ
-	allocs  []StorageAlloc // scratch for allocate
-}
-
-// newLambdaProbe builds the lambda-invariant state for one round.
+// byScore compares two entries by score, descending if desc, ties to
+// their unique keys: a strict total order, so any sort reaches one
+// permutation. Nothing sorts before a NaN score, nor a NaN before
+// anything;
+// slices.SortFunc is sort.Slice's pdqsort step for step, so even then
+// the result is the one the same comparisons always gave.
 //
 // silod:pure
-func newLambdaProbe(jobs []storageJob) *lambdaProbe {
-	p := &lambdaProbe{
-		jobs:    jobs,
-		targets: make([]float64, len(jobs)),
-		groupOf: make([]int, len(jobs)),
+func byScore(ea, eb float64, ka, kb string, desc bool) int {
+	switch {
+	case ea == eb:
+		return strings.Compare(ka, kb)
+	case desc && ea > eb, !desc && ea < eb:
+		return -1
 	}
-	index := make(map[string]int, len(jobs))
-	for i, sj := range jobs {
-		key := sj.view.DatasetKey
-		gi, ok := index[key]
-		if !ok {
-			gi = len(p.groups)
-			index[key] = gi
-			p.groups = append(p.groups, probeGroup{size: float64(sj.view.DatasetSize)})
-			p.keys = append(p.keys, key)
-		}
-		g := &p.groups[gi]
-		if f := float64(sj.view.CachedBytes) / math.Max(float64(sj.view.DatasetSize), 1); f > g.eff {
-			g.eff = f
-		}
-		g.members = append(g.members, i)
-		p.groupOf[i] = gi
-	}
-	for gi := range p.groups {
-		g := &p.groups[gi]
-		g.maxSize = math.Max(g.size, 1)
-		g.hyst = 1 + 0.5*g.eff
-	}
-	p.order = make([]int, len(p.groups))
-	for gi := range p.order {
-		p.order[gi] = gi
-	}
-	p.scores = make([]float64, len(p.groups))
-	p.allocs = make([]StorageAlloc, len(jobs))
-	return p
+	return 1
+}
+
+// scanCmp orders groups by scan score, descending, ties to the unique
+// group key: a strict total order, so the sorted permutation is unique.
+//
+// silod:pure
+func (s *MaxMinSolver) scanCmp(ga, gb int) int {
+	return byScore(s.scores[ga], s.scores[gb], s.keys[ga], s.keys[gb], true)
 }
 
 // split computes every job's target throughput min(lambda·perfEqual,
@@ -210,60 +369,40 @@ func newLambdaProbe(jobs []storageJob) *lambdaProbe {
 // SiloD's allocators so already-effective datasets win near-ties and
 // quotas stay stable as the job set churns.
 //
-// silod:hotpath — runs ~60 times per bisection; everything it touches
-// is probe-owned scratch.
+// silod:hotpath — runs ~60 times per bisection on the round's scratch.
 //
 // silod:pure
-func (p *lambdaProbe) split(remCache, lambda float64) {
-	for gi := range p.groups {
-		p.groups[gi].rate = 0
+func (s *MaxMinSolver) split(remCache, lambda float64) {
+	groups := s.groups
+	for g := range groups {
+		groups[g].rate = 0
 	}
-	for i, sj := range p.jobs {
-		t := math.Min(lambda*sj.perfEqual, float64(sj.view.Profile.IdealThroughput))
-		p.targets[i] = t
-		p.groups[p.groupOf[i]].rate += t
+	for k, rj := range s.round {
+		t := min(lambda*rj.pe, rj.fstar)
+		s.targets[k] = t
+		groups[rj.group].rate += t
 	}
-	// The scan score has the exact operation order of the historical
-	// per-comparison form rate/max(size,1)·(1+0.5·eff); scores are
-	// total-ordered (ties fall to the unique group key), so the sorted
-	// permutation is the same whichever sort visits them.
-	for gi := range p.groups {
-		g := &p.groups[gi]
-		p.scores[gi] = g.rate / g.maxSize * g.hyst
+	for g := range groups {
+		gr := &groups[g]
+		s.scores[g] = gr.rate / gr.maxSize * gr.hyst
 	}
-	order, scores, keys := p.order, p.scores, p.keys
-	// order persists across λ probes. The comparator (score desc, key
-	// asc) is a strict total order — score ties fall to the unique
-	// group key — so the sorted permutation is unique: if the previous
-	// probe's order is still sorted under the current scores (the
-	// common case once the bisection narrows), it already IS the
-	// permutation any sort would produce, and the O(n log n) re-sort is
-	// skipped. Otherwise the sort's output is that same unique
-	// permutation no matter what input order it starts from.
-	sorted := true
+	// order persists across λ probes. scanCmp is a strict total order,
+	// so the sorted permutation is unique: if the previous probe's order
+	// is still sorted under the current scores (the common case once the
+	// bisection narrows), it already IS the permutation any sort would
+	// produce, and the O(n log n) re-sort is skipped.
+	order := s.order
 	for k := 1; k < len(order); k++ {
-		ga, gb := order[k], order[k-1]
-		ea, eb := scores[ga], scores[gb]
-		if eb < ea || (ea == eb && keys[ga] < keys[gb]) {
-			sorted = false
+		if s.scanCmp(order[k], order[k-1]) < 0 {
+			slices.SortFunc(order, s.scanCmp)
 			break
 		}
 	}
-	if !sorted {
-		sort.Slice(order, func(a, b int) bool { // silod:alloc sort.Slice boxes its slice and allocates the comparator closure (2 allocs, amortized across the whole bisection)
-			ga, gb := order[a], order[b]
-			ea, eb := scores[ga], scores[gb]
-			if ea != eb {
-				return ea > eb
-			}
-			return keys[ga] < keys[gb]
-		})
-	}
 	cacheLeft := remCache
-	for _, gi := range order {
-		g := &p.groups[gi]
-		give := math.Min(g.size, cacheLeft)
-		g.cache = give
+	for _, g := range order {
+		gr := &groups[g]
+		give := min(gr.size, cacheLeft)
+		gr.cache = give
 		cacheLeft -= give
 	}
 }
@@ -279,16 +418,16 @@ func (p *lambdaProbe) split(remCache, lambda float64) {
 //
 // silod:hotpath
 // silod:pure
-func (p *lambdaProbe) requiredIO() float64 {
+func (s *MaxMinSolver) requiredIO() float64 {
 	var total float64
-	for gi := range p.groups {
-		g := &p.groups[gi]
-		miss := 1 - g.cache/g.maxSize
+	for g := range s.groups {
+		gr := &s.groups[g]
+		miss := 1 - gr.cache/gr.maxSize
 		if miss < 0 {
 			miss = 0
 		}
-		for _, i := range g.members {
-			total += p.targets[i] * miss
+		for _, k := range s.members[gr.lo:gr.hi] {
+			total += s.targets[k] * miss
 		}
 	}
 	return total
@@ -298,35 +437,32 @@ func (p *lambdaProbe) requiredIO() float64 {
 //
 // silod:hotpath
 // silod:pure
-func (p *lambdaProbe) feasible(remCache, remIO, lambda float64) bool {
-	p.split(remCache, lambda)
-	return p.requiredIO() <= remIO*(1+1e-9)+1e-6
+func (s *MaxMinSolver) feasible(remCache, remIO, lambda float64) bool {
+	s.split(remCache, lambda)
+	return s.requiredIO() <= remIO*(1+1e-9)+1e-6
 }
 
-// allocate computes the cheapest allocation giving every job its
-// target throughput at lambda. The returned slice is scratch, valid
-// until the probe's next allocate call.
+// allocate fills s.alloc, by round position, with the cheapest
+// allocation giving every active job its target throughput at lambda.
 //
-// silod:hotpath — fills the probe's scratch allocs slice in place.
-//
+// silod:hotpath
 // silod:pure
-func (p *lambdaProbe) allocate(remCache, remIO, lambda float64) []StorageAlloc {
-	p.split(remCache, lambda)
-	for gi := range p.groups {
-		g := &p.groups[gi]
-		miss := 1 - g.cache/g.maxSize
+func (s *MaxMinSolver) allocate(remCache, remIO, lambda float64) {
+	s.split(remCache, lambda)
+	for g := range s.groups {
+		gr := &s.groups[g]
+		miss := 1 - gr.cache/gr.maxSize
 		if miss < 0 {
 			miss = 0
 		}
-		for _, i := range g.members {
-			p.allocs[i] = StorageAlloc{
-				Cache:    unit.Bytes(g.cache / float64(len(g.members))), // provisional split; merged later
-				RemoteIO: unit.Bandwidth(p.targets[i] * miss),
-				Perf:     unit.Bandwidth(p.targets[i]),
+		for _, k := range s.members[gr.lo:gr.hi] {
+			s.alloc[k] = StorageAlloc{
+				Cache:    unit.Bytes(gr.cache / float64(gr.hi-gr.lo)), // provisional split; merged later
+				RemoteIO: unit.Bandwidth(s.targets[k] * miss),
+				Perf:     unit.Bandwidth(s.targets[k]),
 			}
 		}
 	}
-	return p.allocs
 }
 
 // maxFeasibleLambda bisects on the normalized rate: 60 halvings of
@@ -334,12 +470,11 @@ func (p *lambdaProbe) allocate(remCache, remIO, lambda float64) []StorageAlloc {
 //
 // silod:hotpath
 // silod:pure
-func (p *lambdaProbe) maxFeasibleLambda(remCache, remIO float64) float64 {
+func (s *MaxMinSolver) maxFeasibleLambda(remCache, remIO float64) float64 {
 	// Upper bound: the largest f*/perfEqual ratio.
 	hi := 0.0
-	for _, sj := range p.jobs {
-		r := float64(sj.view.Profile.IdealThroughput) / sj.perfEqual
-		if r > hi {
+	for _, rj := range s.round {
+		if r := rj.fstar / rj.pe; r > hi {
 			hi = r
 		}
 	}
@@ -347,12 +482,12 @@ func (p *lambdaProbe) maxFeasibleLambda(remCache, remIO float64) float64 {
 		return 0
 	}
 	lo := 0.0
-	if p.feasible(remCache, remIO, hi) {
+	if s.feasible(remCache, remIO, hi) {
 		return hi
 	}
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if p.feasible(remCache, remIO, mid) {
+		if s.feasible(remCache, remIO, mid) {
 			lo = mid
 		} else {
 			hi = mid
@@ -361,94 +496,96 @@ func (p *lambdaProbe) maxFeasibleLambda(remCache, remIO float64) float64 {
 	return lo
 }
 
+// dsCmp orders datasets by score, descending, ties to the unique key.
+//
+// silod:pure
+func (s *MaxMinSolver) dsCmp(a, b int) int {
+	return byScore(s.ds[a].score, s.ds[b].score, s.ds[a].key, s.ds[b].key, true)
+}
+
+// sortDatasets returns every dataset index ordered by dsCmp.
+//
+// silod:hotpath
+// silod:pure
+func (s *MaxMinSolver) sortDatasets() []int {
+	order := resize(&s.dsOrder, len(s.ds))
+	for d := range order {
+		order[d] = d
+	}
+	slices.SortFunc(order, s.dsCmp)
+	return order
+}
+
 // spendSlack distributes leftover cache (by cache efficiency, Eq. 5)
 // and leftover bandwidth (to unsaturated jobs) so no resource idles
 // while any job could use it. This cannot reduce any job's allocation,
 // so the max-min optimum is preserved.
 //
+// silod:hotpath
 // silod:pure
-func spendSlack(remCache, remIO float64, jobs []core.JobView, out map[string]StorageAlloc) {
-	if remCache < 0 {
-		remCache = 0
-	}
+func (s *MaxMinSolver) spendSlack(remCache, remIO float64) {
 	if remIO < 0 {
 		remIO = 0
 	}
-	// Cache by efficiency: group jobs by dataset; efficiency of a
-	// dataset is Σ f*/d of its jobs.
-	type dgroup struct {
-		key  string
-		size float64
-		eff  float64
-		have float64
-		jobs []string
-	}
-	groups := make(map[string]*dgroup)
-	for _, j := range jobs {
-		g, ok := groups[j.DatasetKey]
-		if !ok {
-			g = &dgroup{key: j.DatasetKey, size: float64(j.DatasetSize)}
-			groups[j.DatasetKey] = g
+	// Cache by efficiency: the efficiency of a dataset is Σ f*/d of its
+	// jobs. With no cache left no order can matter, so none is computed
+	// (a NaN remainder still takes the loop, as it always did).
+	if !(remCache <= 0) {
+		for d := range s.ds {
+			s.ds[d].score, s.ds[d].have, s.ds[d].per = 0, 0, 0
 		}
-		g.eff += float64(j.Profile.IdealThroughput) / math.Max(float64(j.DatasetSize), 1)
-		g.have += float64(out[j.ID].Cache)
-		g.jobs = append(g.jobs, j.ID)
-	}
-	ordered := make([]*dgroup, 0, len(groups))
-	for _, g := range groups {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(a, b int) bool {
-		if ordered[a].eff != ordered[b].eff {
-			return ordered[a].eff > ordered[b].eff
+		for i := range s.job {
+			jb := &s.job[i]
+			ds := &s.ds[jb.ds]
+			ds.score += jb.fstar / max(jb.size, 1)
+			ds.have += float64(s.res[i].Cache)
 		}
-		return ordered[a].key < ordered[b].key
-	})
-	for _, g := range ordered {
-		if remCache <= 0 {
-			break
+		for _, d := range s.sortDatasets() {
+			if remCache <= 0 {
+				break
+			}
+			ds := &s.ds[d]
+			room := ds.firstSize - ds.have
+			if room <= 0 {
+				continue
+			}
+			give := min(room, remCache)
+			remCache -= give
+			// Spread the extra across the dataset's jobs (merged per
+			// dataset afterwards anyway).
+			ds.per = give / float64(ds.n)
 		}
-		room := g.size - g.have
-		if room <= 0 {
-			continue
-		}
-		give := math.Min(room, remCache)
-		remCache -= give
-		// Spread the extra across the group's jobs (merged per dataset
-		// afterwards anyway).
-		per := give / float64(len(g.jobs))
-		for _, id := range g.jobs {
-			a := out[id]
-			a.Cache += unit.Bytes(per)
-			out[id] = a
+		for i := range s.res {
+			if per := s.ds[s.job[i].ds].per; per != 0 {
+				s.res[i].Cache += unit.Bytes(per)
+			}
 		}
 	}
 	// Bandwidth to unsaturated jobs, equal split refined per round.
 	for round := 0; round < 4 && remIO > 1e-6; round++ {
-		var unsat []core.JobView
-		for _, j := range jobs {
-			a := out[j.ID]
-			if float64(a.Perf) < float64(j.Profile.IdealThroughput)-1e-9 {
-				unsat = append(unsat, j)
+		unsat := s.unsat[:0]
+		for i := range s.res {
+			if float64(s.res[i].Perf) < s.job[i].fstar-1e-9 {
+				unsat = append(unsat, i)
 			}
 		}
+		s.unsat = unsat
 		if len(unsat) == 0 {
 			break
 		}
 		per := remIO / float64(len(unsat))
-		for _, j := range unsat {
-			a := out[j.ID]
+		for _, i := range unsat {
+			a := &s.res[i]
 			// Extra bandwidth raises perf by Eq. 3 up to f*; cap the
 			// grant at what reaches f*.
-			miss := 1 - math.Min(float64(a.Cache)/math.Max(float64(j.DatasetSize), 1), 1)
-			need := (float64(j.Profile.IdealThroughput) - float64(a.Perf)) * miss
-			give := math.Min(per, need)
+			miss := 1 - min(float64(a.Cache)/max(s.job[i].size, 1), 1)
+			need := (s.job[i].fstar - float64(a.Perf)) * miss
+			give := min(per, need)
 			if give <= 0 {
 				continue
 			}
 			a.RemoteIO += unit.Bandwidth(give)
-			a.Perf = j.Profile.Perf(estimator.Resources{Cache: a.Cache, RemoteIO: a.RemoteIO})
-			out[j.ID] = a
+			a.Perf = s.jobs[i].Profile.Perf(estimator.Resources{Cache: a.Cache, RemoteIO: a.RemoteIO})
 			remIO -= give
 		}
 	}
@@ -456,22 +593,39 @@ func spendSlack(remCache, remIO float64, jobs []core.JobView, out map[string]Sto
 
 // mergeSharedCache recomputes every job's Perf against the full merged
 // cache of its dataset (jobs sharing a dataset each benefit from the
-// whole dataset allocation, while the caller charges it once).
+// whole dataset allocation, while the caller charges it once), and
+// folds the merged cache into each dataset's quota: charged once,
+// capped at its size.
 //
+// silod:hotpath
 // silod:pure
-func mergeSharedCache(jobs []core.JobView, out map[string]StorageAlloc) {
-	totals := make(map[string]unit.Bytes)
-	for _, j := range jobs {
-		totals[j.DatasetKey] += out[j.ID].Cache
+func (s *MaxMinSolver) mergeSharedCache() {
+	for d := range s.ds {
+		s.ds[d].total = 0
 	}
-	for _, j := range jobs {
-		a := out[j.ID]
-		merged := totals[j.DatasetKey]
-		if merged > j.DatasetSize {
-			merged = j.DatasetSize
+	for i := range s.res {
+		s.ds[s.job[i].ds].total += s.res[i].Cache
+	}
+	for i := range s.res {
+		a := &s.res[i]
+		merged := s.ds[s.job[i].ds].total
+		if size := s.jobs[i].DatasetSize; merged > size {
+			merged = size
 		}
-		a.Perf = j.Profile.Perf(estimator.Resources{Cache: merged, RemoteIO: a.RemoteIO})
-		out[j.ID] = a
+		a.Perf = s.jobs[i].Profile.Perf(estimator.Resources{Cache: merged, RemoteIO: a.RemoteIO})
+	}
+	for d := range s.ds {
+		ds := &s.ds[d]
+		q := ds.total
+		if q > ds.lastSize {
+			q = ds.lastSize
+		}
+		if q < 0 {
+			// Guard against float round-off from the slack pass; a
+			// negative quota would be rejected by Assignment.Validate.
+			q = 0
+		}
+		ds.quota = q
 	}
 }
 
@@ -483,90 +637,94 @@ func mergeSharedCache(jobs []core.JobView, out map[string]StorageAlloc) {
 // current demand to hit the target now), which also satisfies the
 // planned-quota objective since q >= effective. The required bandwidth
 // is monotone in the normalized rate λ, so bisection is exact; leftover
-// bandwidth (from jobs capped at f*) should be spent by the caller.
-func (*MaxMinSolver) Bandwidth(cl core.Cluster, total unit.Bandwidth, running []core.JobView,
+// bandwidth (from jobs capped at f*) should be spent by the caller. The
+// returned map is the solver's own, valid until its next call.
+//
+// silod:hotpath
+// silod:pure
+func (s *MaxMinSolver) Bandwidth(cl core.Cluster, total unit.Bandwidth, running []core.JobView,
 	quota map[string]unit.Bytes) map[string]unit.Bandwidth {
-	out := make(map[string]unit.Bandwidth, len(running))
-	if len(running) == 0 {
-		return out
+	run := resize(&s.run, len(running))
+	runQuota := resize(&s.runQuota, len(running))
+	for k := range running {
+		run[k] = k
+		runQuota[k] = float64(quota[running[k].DatasetKey])
 	}
-	n := float64(len(running))
+	s.bandwidth(cl, total, running)
+	out := resetMap(&s.bandwidthOut)
+	for k := range running {
+		out[running[k].ID] = unit.Bandwidth(s.grant[k])
+	}
+	return out
+}
+
+// bandwidth is Bandwidth over the running jobs jobs[s.run[k]], whose
+// dataset quotas are s.runQuota[k]; it fills s.grant by running
+// position.
+//
+// silod:hotpath
+// silod:pure
+func (s *MaxMinSolver) bandwidth(cl core.Cluster, total unit.Bandwidth, jobs []core.JobView) {
+	bw := resize(&s.bw, len(s.run))
+	grant := resize(&s.grant, len(s.run))
+	if len(s.run) == 0 {
+		return
+	}
+	n := float64(len(s.run))
 	equal := estimator.Resources{
 		Cache:    unit.Bytes(float64(cl.Cache) / n),
 		RemoteIO: unit.Bandwidth(float64(cl.RemoteIO) / n),
 	}
-	pe := make([]float64, len(running))
-	missEff := make([]float64, len(running))
 	hi := 0.0
-	for i, j := range running {
+	for k, i := range s.run {
+		j := &jobs[i]
+		fstar := float64(j.Profile.IdealThroughput)
 		p := float64(j.Profile.Perf(equal))
 		if p <= 0 {
-			p = float64(j.Profile.IdealThroughput)
+			p = fstar
 		}
-		pe[i] = p
-		covered := float64(quota[j.DatasetKey])
+		covered := s.runQuota[k]
 		if e := float64(j.EffectiveCached); e < covered {
 			covered = e
 		}
-		d := math.Max(float64(j.DatasetSize), 1)
-		m := 1 - covered/d
+		m := 1 - covered/max(float64(j.DatasetSize), 1)
 		if m < 0 {
 			m = 0
 		}
-		missEff[i] = m
-		if r := float64(j.Profile.IdealThroughput) / p; r > hi {
+		bw[k] = bwJob{pe: p, fstar: fstar, miss: m}
+		if r := fstar / p; r > hi {
 			hi = r
 		}
 	}
-	needed := func(lambda float64) float64 {
-		var sum float64
-		for i, j := range running {
-			t := math.Min(lambda*pe[i], float64(j.Profile.IdealThroughput))
-			sum += t * missEff[i]
-		}
-		return sum
-	}
 	budget := float64(total)
 	lo := 0.0
-	if needed(hi) <= budget {
+	if s.needed(hi) <= budget {
 		lo = hi
 	} else {
 		h := hi
 		for k := 0; k < 60; k++ {
 			mid := (lo + h) / 2
-			if needed(mid) <= budget {
+			if s.needed(mid) <= budget {
 				lo = mid
 			} else {
 				h = mid
 			}
 		}
 	}
-	for i, j := range running {
-		t := math.Min(lo*pe[i], float64(j.Profile.IdealThroughput))
-		out[j.ID] = unit.Bandwidth(t * missEff[i])
+	for k := range bw {
+		grant[k] = min(lo*bw[k].pe, bw[k].fstar) * bw[k].miss
 	}
-	return out
 }
 
-// DatasetQuotas folds per-job cache allocations into per-dataset quotas
-// (charging shared datasets once, capped at dataset size).
-func DatasetQuotas(jobs []core.JobView, allocs map[string]StorageAlloc) map[string]unit.Bytes {
-	quota := make(map[string]unit.Bytes)
-	size := make(map[string]unit.Bytes)
-	for _, j := range jobs {
-		quota[j.DatasetKey] += allocs[j.ID].Cache
-		size[j.DatasetKey] = j.DatasetSize
+// needed is the bandwidth the running jobs need at normalized rate
+// lambda.
+//
+// silod:hotpath
+// silod:pure
+func (s *MaxMinSolver) needed(lambda float64) float64 {
+	var sum float64
+	for _, b := range s.bw {
+		sum += min(lambda*b.pe, b.fstar) * b.miss
 	}
-	for k, q := range quota {
-		if q > size[k] {
-			q = size[k]
-		}
-		if q < 0 {
-			// Guard against float round-off from the slack pass; a
-			// negative quota would be rejected by Assignment.Validate.
-			q = 0
-		}
-		quota[k] = q
-	}
-	return quota
+	return sum
 }

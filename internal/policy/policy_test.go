@@ -310,7 +310,7 @@ func TestMaxMinStorageFeasibility(t *testing.T) {
 		totalCache := unit.Bytes(rng.Uniform(0, 500)) * unit.GB
 		totalIO := unit.Bandwidth(rng.Uniform(1, 300)) * unit.MBps
 		out := new(MaxMinSolver).Storage(totalCache, totalIO, jobs)
-		quotas := DatasetQuotas(jobs, out)
+		quotas := refDatasetQuotas(jobs, out)
 		var cacheSum unit.Bytes
 		for key, q := range quotas {
 			if q < 0 || q > sizes[key] {
