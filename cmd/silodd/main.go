@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -48,6 +49,14 @@ const (
 	readTimeout       = 30 * time.Second
 	writeTimeout      = 30 * time.Second
 )
+
+// quietPeriod is how long a draining daemon's listeners must go without
+// a new connection before they close. Closing a listener resets every
+// connection the kernel completed on its behalf but the server has not
+// accepted yet, and its client sees the reset after its request is
+// written; clients answered 503 stop connecting, so waiting for quiet
+// leaves no such connection behind.
+const quietPeriod = 100 * time.Millisecond
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -83,6 +92,7 @@ type daemon struct {
 	errc     chan error    // listener exit errors
 	stop     chan struct{} // closes to stop the round loop
 	loopDone chan struct{} // closes when the round loop exits
+	lastConn *atomic.Int64 // wall-clock ns of the newest accepted connection
 }
 
 func run(args []string) error {
@@ -201,16 +211,18 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		}
 		return nil, err
 	}
+	lastConn := new(atomic.Int64)
 	d := &daemon{
 		cfg:      cfg,
 		sched:    sched,
-		dmSrv:    newServer(dmSrv),
-		schedSrv: newServer(sched),
+		dmSrv:    newServer(dmSrv, lastConn),
+		schedSrv: newServer(sched, lastConn),
 		dmLn:     dmLn,
 		schedLn:  schedLn,
 		errc:     make(chan error, 2),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
+		lastConn: lastConn,
 	}
 	log.Printf("silodd: data manager listening on %s", dmLn.Addr())
 	log.Printf("silodd: scheduler (%s on %s) listening on %s", cfg.Scheduler, cfg.System, schedLn.Addr())
@@ -222,13 +234,19 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	return d, nil
 }
 
-// newServer wraps a handler with the per-request timeouts.
-func newServer(h http.Handler) *http.Server {
+// newServer wraps a handler with the per-request timeouts; every
+// connection it accepts stamps lastConn.
+func newServer(h http.Handler, lastConn *atomic.Int64) *http.Server {
 	return &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		WriteTimeout:      writeTimeout,
+		ConnState: func(_ net.Conn, state http.ConnState) {
+			if state == http.StateNew {
+				lastConn.Store(time.Now().UnixNano())
+			}
+		},
 	}
 }
 
@@ -269,7 +287,8 @@ func (d *daemon) wait(sig <-chan os.Signal) error {
 }
 
 // shutdown drains the daemon: flip the scheduler to draining (new
-// submissions get a clean 503 + Retry-After), stop the round loop, and
+// submissions get a clean 503 + Retry-After), stop the round loop, wait
+// for the listeners to go quiet (at most half the drain deadline), and
 // gracefully shut both HTTP servers down so in-flight requests finish
 // within the drain deadline. Requests still open past the deadline are
 // cut off.
@@ -279,6 +298,7 @@ func (d *daemon) shutdown() {
 	<-d.loopDone
 	ctx, cancel := context.WithTimeout(context.Background(), d.cfg.Drain)
 	defer cancel()
+	d.awaitQuiet(d.cfg.Drain / 2)
 	for _, srv := range []*http.Server{d.schedSrv, d.dmSrv} {
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("silodd: drain deadline passed, closing: %v", err)
@@ -286,6 +306,22 @@ func (d *daemon) shutdown() {
 				log.Printf("silodd: close: %v", cerr)
 			}
 		}
+	}
+}
+
+// awaitQuiet returns once no connection has been accepted for
+// quietPeriod, or after limit.
+func (d *daemon) awaitQuiet(limit time.Duration) {
+	deadline := time.Now().Add(limit)
+	for {
+		wake := time.Unix(0, d.lastConn.Load()).Add(quietPeriod)
+		if wake.After(deadline) {
+			wake = deadline
+		}
+		if !time.Now().Before(wake) {
+			return
+		}
+		time.Sleep(time.Until(wake))
 	}
 }
 

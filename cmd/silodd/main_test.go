@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -168,6 +169,24 @@ func TestGracefulDrain(t *testing.T) {
 	// The daemon is actually down: new connections are refused.
 	if _, err := http.Get(url + "/v1/jobs"); err == nil {
 		t.Error("scheduler listener still accepting after shutdown")
+	}
+}
+
+// TestAwaitQuiet: a drain waits until no connection has arrived for
+// quietPeriod, and never past its limit.
+func TestAwaitQuiet(t *testing.T) {
+	d := &daemon{lastConn: new(atomic.Int64)}
+	d.lastConn.Store(time.Now().UnixNano())
+	start := time.Now()
+	d.awaitQuiet(time.Minute)
+	if waited := time.Since(start); waited < quietPeriod/2 {
+		t.Errorf("returned after %v with a connection just accepted, want about %v", waited, quietPeriod)
+	}
+	d.lastConn.Store(time.Now().Add(time.Hour).UnixNano()) // never quiet
+	start = time.Now()
+	d.awaitQuiet(10 * time.Millisecond)
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("waited %v past a 10ms limit", waited)
 	}
 }
 

@@ -103,13 +103,28 @@ func occupancy(tau, T float64) float64 {
 //
 // silod:pure
 func CheLRU(capacity unit.Bytes, streams []FluidStream) []float64 {
-	hits := make([]float64, len(streams))
+	return CheLRUInto(nil, capacity, streams)
+}
+
+// CheLRUInto is CheLRU writing the hit ratios into dst, reused when its
+// capacity allows; the result aliases dst's backing array then. The
+// bits are CheLRU's.
+//
+// silod:hotpath
+// silod:pure
+func CheLRUInto(dst []float64, capacity unit.Bytes, streams []FluidStream) []float64 {
+	if cap(dst) < len(streams) {
+		dst = make([]float64, len(streams)) // silod:alloc grows the caller's buffer
+	}
+	hits := dst[:len(streams)]
 	if capacity <= 0 || len(streams) == 0 {
+		clear(hits)
 		return hits
 	}
 	// Periods are loop-invariant across the ~55 bisection evaluations,
-	// so the per-stream division happens once here.
-	periods := make([]float64, len(streams))
+	// so the per-stream division happens once here. They live in hits
+	// until the last step turns each into its stream's hit ratio.
+	periods := hits
 	var totalActive unit.Bytes
 	maxT := 0.0
 	for i, s := range streams {
@@ -123,11 +138,13 @@ func CheLRU(capacity unit.Bytes, streams []FluidStream) []float64 {
 		}
 	}
 	if totalActive == 0 {
+		clear(hits)
 		return hits
 	}
 	if totalActive <= capacity {
 		// Everything fits: after warm-up every access hits.
 		for i, s := range streams {
+			hits[i] = 0
 			if s.Rate > 0 {
 				hits[i] = 1
 			}
@@ -135,19 +152,12 @@ func CheLRU(capacity unit.Bytes, streams []FluidStream) []float64 {
 		return hits
 	}
 	// Bisection on τ: occupancy is monotone increasing in τ.
-	occBytes := func(tau float64) float64 {
-		var total float64
-		for i, s := range streams {
-			total += float64(s.Size) * occupancy(tau, periods[i])
-		}
-		return total
-	}
 	lo, hi := 0.0, 2*maxT
 	target := float64(capacity)
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
 		prevLo, prevHi := math.Float64bits(lo), math.Float64bits(hi)
-		if occBytes(mid) < target {
+		if occBytes(mid, streams, periods) < target {
 			lo = mid
 		} else {
 			hi = mid
@@ -165,4 +175,16 @@ func CheLRU(capacity unit.Bytes, streams []FluidStream) []float64 {
 		hits[i] = gapCDF(tau, periods[i])
 	}
 	return hits
+}
+
+// occBytes is the expected bytes of the streams resident in an LRU
+// cache with characteristic time tau.
+//
+// silod:pure
+func occBytes(tau float64, streams []FluidStream, periods []float64) float64 {
+	var total float64
+	for i, s := range streams {
+		total += float64(s.Size) * occupancy(tau, periods[i])
+	}
+	return total
 }

@@ -161,13 +161,16 @@ func (a Assignment) Validate(c Cluster, jobs []JobView) error {
 type ValidateScratch struct {
 	pos  map[string]int
 	keys []string
-	ids  []string
 }
 
 // ValidateWith is Validate with caller-owned scratch buffers. The
 // verdict — including error strings and the sorted-key float
 // accumulation order — is byte-identical to Validate's; only the
 // allocation behaviour differs.
+//
+// A total is first checked without sorting (capacityClears); only when
+// that cannot prove it within capacity does the sorted walk run, which
+// then decides and names the offending key.
 //
 // silod:pure
 func (a Assignment) ValidateWith(c Cluster, jobs []JobView, s *ValidateScratch) error {
@@ -194,50 +197,87 @@ func (a Assignment) ValidateWith(c Cluster, jobs []JobView, s *ValidateScratch) 
 	if gpus > c.GPUs {
 		return fmt.Errorf("core: %d GPUs granted, cluster has %d", gpus, c.GPUs)
 	}
-	// Sum in sorted key order: float addition is not associative, and
-	// Validate's totals must not vary with per-process map order.
-	var cacheSum unit.Bytes
-	cacheKeys := s.keys[:0]
-	for key := range a.CacheQuota {
-		cacheKeys = append(cacheKeys, key)
-	}
-	sort.Strings(cacheKeys)
-	for _, key := range cacheKeys {
-		q := a.CacheQuota[key]
-		if q < 0 {
-			return fmt.Errorf("core: negative cache quota %v for %q", q, key)
+	if !capacityClears(a.CacheQuota, nil, float64(c.Cache)) {
+		if err := validateSorted(a.CacheQuota, "cache quota", "cache", nil, c.Cache, &s.keys); err != nil {
+			return err
 		}
-		if math.IsNaN(float64(q)) || math.IsInf(float64(q), 1) {
-			return fmt.Errorf("core: non-finite cache quota %v for %q", q, key)
-		}
-		cacheSum += q
 	}
-	if float64(cacheSum) > float64(c.Cache)*(1+1e-9)+1 {
-		return fmt.Errorf("core: %v cache granted, cluster has %v", cacheSum, c.Cache)
+	if !capacityClears(a.RemoteIO, pos, float64(c.RemoteIO)) {
+		return validateSorted(a.RemoteIO, "remote IO", "remote IO", pos, c.RemoteIO, &s.keys)
 	}
-	s.keys = cacheKeys
-	var ioSum unit.Bandwidth
-	ioIDs := s.ids[:0]
-	for id := range a.RemoteIO {
-		ioIDs = append(ioIDs, id)
+	return nil
+}
+
+// capacityClears reports, without depending on map order, that every
+// value of m is finite and non-negative, every key is in known (when
+// known is non-nil), and the values' float sum in any order — the
+// sorted one included — stays within Validate's bound capacity·(1+1e-9)+1.
+// False means only "not proven": the caller's sorted walk decides.
+//
+// The proof: each value is split into its whole part and its fraction
+// rounded up to a multiple of 2⁻³², and both parts are summed in
+// integers, exactly and in no particular order, to a total T ≥ S, the
+// exact sum. A float sum of n non-negative terms in any order is at
+// most S·(1+γ), γ = (n-1)·2⁻⁵³/(1-(n-1)·2⁻⁵³). The test below inflates
+// T by 8n·2⁻⁵³, which covers γ and the five roundings of converting T
+// and of the test itself, so a total it accepts cannot exceed the bound
+// in any order.
+//
+// silod:pure
+func capacityClears[V ~float64](m map[string]V, known map[string]int, capacity float64) bool {
+	var whole, frac uint64 // frac in units of 2⁻³²; n ≤ 2³¹ terms cannot overflow it
+	for key, v := range m {
+		x := float64(v)
+		if !(x >= 0) || x >= 0x1p63 {
+			return false // negative, NaN, +Inf or too large to count exactly
+		}
+		if known != nil {
+			if _, ok := known[key]; !ok {
+				return false
+			}
+		}
+		w := math.Floor(x)
+		if whole > math.MaxUint64-uint64(w) {
+			return false
+		}
+		whole += uint64(w)
+		frac += uint64(math.Ceil((x - w) * 0x1p32))
 	}
-	sort.Strings(ioIDs)
-	s.ids = ioIDs
-	for _, id := range ioIDs {
-		bw := a.RemoteIO[id]
-		if bw < 0 {
-			return fmt.Errorf("core: negative remote IO %v for %q", bw, id)
-		}
-		if math.IsNaN(float64(bw)) || math.IsInf(float64(bw), 1) {
-			return fmt.Errorf("core: non-finite remote IO %v for %q", bw, id)
-		}
-		if _, ok := pos[id]; !ok {
-			return fmt.Errorf("core: remote IO grant to unknown job %q", id)
-		}
-		ioSum += bw
+	t := float64(whole) + float64(frac)*0x1p-32
+	return t+t*float64(8*len(m))*0x1p-53 < capacity*(1+1e-9)+1
+}
+
+// validateSorted checks m in sorted key order: float addition is not
+// associative, and Validate's totals and the key an error names must
+// not vary with per-process map order. item names one value in errors
+// and total their sum; with known non-nil every key must be in it.
+//
+// silod:pure
+func validateSorted[V ~float64](m map[string]V, item, total string, known map[string]int, capacity V, keys *[]string) error {
+	sorted := (*keys)[:0]
+	for key := range m {
+		sorted = append(sorted, key)
 	}
-	if float64(ioSum) > float64(c.RemoteIO)*(1+1e-9)+1 {
-		return fmt.Errorf("core: %v remote IO granted, cluster has %v", ioSum, c.RemoteIO)
+	sort.Strings(sorted)
+	*keys = sorted
+	var sum V
+	for _, key := range sorted {
+		v := m[key]
+		if v < 0 {
+			return fmt.Errorf("core: negative %s %v for %q", item, v, key)
+		}
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 1) {
+			return fmt.Errorf("core: non-finite %s %v for %q", item, v, key)
+		}
+		if known != nil {
+			if _, ok := known[key]; !ok {
+				return fmt.Errorf("core: %s grant to unknown job %q", item, key)
+			}
+		}
+		sum += v
+	}
+	if float64(sum) > float64(capacity)*(1+1e-9)+1 {
+		return fmt.Errorf("core: %v %s granted, cluster has %v", sum, total, capacity)
 	}
 	return nil
 }

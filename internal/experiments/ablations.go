@@ -54,8 +54,8 @@ func AblationDesignChoices(o Options) (*DesignAblationResult, error) {
 		{name: "no work conservation", mutate: func(c *sim.Config) { c.DisableWorkConserving = true }},
 	}
 	rows, err := mapArms(o, len(variants), func(i int) (DesignAblationRow, error) {
-		v := variants[i]
-		pol := &policy.FIFO{Storage: v.alloc}
+		v := variants[i] // a copy: each arm owns its allocator's workspace
+		pol := &policy.FIFO{Storage: &v.alloc}
 		cfg := sim.Config{
 			Cluster: cl, Policy: pol, System: policy.SiloD,
 			Engine: sim.Fluid, Seed: o.seed(), FullResolve: o.FullResolve,
@@ -153,7 +153,7 @@ func AblationPrefetch(o Options) (*PrefetchResult, error) {
 		if i == 0 {
 			return runOne(o, policy.FIFOKind, policy.SiloD, cl, jobs, nil)
 		}
-		pol := &policy.FIFO{Storage: policy.GreedyAllocator{PrefetchQueued: true}}
+		pol := &policy.FIFO{Storage: &policy.GreedyAllocator{PrefetchQueued: true}}
 		return sim.Run(sim.Config{
 			Cluster: cl, Policy: pol, System: policy.SiloD,
 			Engine: sim.Fluid, Seed: o.seed(), EnablePrefetch: true,

@@ -51,14 +51,16 @@ func BenchmarkMaxMinStorage(b *testing.B) {
 func BenchmarkGreedyAllocate(b *testing.B) {
 	jobs := benchJobs(200)
 	c := core.Cluster{GPUs: 400, Cache: unit.TiB(100), RemoteIO: unit.GBpsOf(4)}
+	g := &GreedyAllocator{}
+	var a core.Assignment
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := core.NewAssignment()
+		a.Reset()
 		for j := range jobs {
 			a.GPUs[jobs[j].ID] = jobs[j].NumGPUs
 		}
-		GreedyAllocator{}.AllocateStorage(c, jobs, &a)
+		g.AllocateStorage(c, jobs, &a)
 	}
 }
 
@@ -79,7 +81,7 @@ func BenchmarkGavelAssign(b *testing.B) {
 // should keep per-round map allocations near zero.
 func BenchmarkFIFOAssignSteadyState(b *testing.B) {
 	jobs := benchJobs(200)
-	f := &FIFO{Storage: GreedyAllocator{}}
+	f := &FIFO{Storage: &GreedyAllocator{}}
 	c := core.Cluster{GPUs: 400, Cache: unit.TiB(100), RemoteIO: unit.GBpsOf(4)}
 	b.ReportAllocs()
 	b.ResetTimer()

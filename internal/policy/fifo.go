@@ -1,6 +1,10 @@
 package policy
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"repro/internal/core"
 	"repro/internal/unit"
 )
@@ -20,26 +24,6 @@ func admitGangs(grants map[string]int, totalGPUs int, ordered []core.JobView) {
 			free -= j.NumGPUs
 		}
 	}
-}
-
-// runningFirstInto reorders jobs into dst (reused via dst[:0]) so
-// currently running jobs come first, in queue order — non-preemptive
-// admission.
-//
-// silod:pure
-func runningFirstInto(dst []core.JobView, ordered []core.JobView) []core.JobView {
-	out := dst[:0]
-	for _, j := range ordered {
-		if j.Running {
-			out = append(out, j)
-		}
-	}
-	for _, j := range ordered {
-		if !j.Running {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // admittedViewsInto filters jobs down to those with a GPU grant, into
@@ -66,12 +50,39 @@ type FIFO struct {
 	Storage StorageAllocator
 
 	// scratch's maps are recycled across Assign calls; each returned
-	// Assignment is valid only until the next Assign. The view buffers
-	// below are likewise per-call scratch.
+	// Assignment is valid only until the next Assign. The buffers below
+	// are likewise per-call scratch.
 	scratch  core.Assignment
-	sortBuf  []core.JobView
-	ordBuf   []core.JobView
+	order    []queueKey // jobs in queue order
 	admitBuf []core.JobView
+	waitBuf  []core.JobView
+}
+
+// queueKey is one job's queue-order key (core.SortJobs's order: SLO rank,
+// submit time, ID) and its index in the views.
+type queueKey struct {
+	slo    int
+	submit unit.Time
+	id     string
+	i      int
+}
+
+// byQueue is core.SortJobs's comparator over queue keys: a strict
+// total order (IDs are unique), so the sort reaches the same unique
+// permutation without moving JobView structs.
+//
+// silod:pure
+func byQueue(a, b queueKey) int {
+	if a.slo != b.slo {
+		return cmp.Compare(a.slo, b.slo)
+	}
+	if a.submit != b.submit {
+		if a.submit < b.submit {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.id, b.id)
 }
 
 // Name implements core.Policy.
@@ -82,26 +93,45 @@ func (f *FIFO) Name() string { return "fifo+" + f.Storage.Name() }
 // so purity reduces to the allocator's — which is exactly what the
 // assume= clause delegates to the runtime vetting in pure.go.
 //
+// silod:hotpath
 // silod:pure assume=StorageAllocator,QueueAwareAllocator
 func (f *FIFO) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment {
-	a := f.scratch.Reset()
-	f.sortBuf = core.SortJobsInto(f.sortBuf, jobs)
-	f.ordBuf = runningFirstInto(f.ordBuf, f.sortBuf)
-	admitGangs(a.GPUs, c.GPUs, f.ordBuf)
+	// a points into f, so handing it to the StorageAllocator interface
+	// does not move a local Assignment to the heap on every call.
+	f.scratch.Reset()
+	a := &f.scratch
+	order := f.order[:0]
+	for i := range jobs {
+		order = append(order, queueKey{jobs[i].SLO.Rank(), jobs[i].Submit, jobs[i].ID, i})
+	}
+	slices.SortFunc(order, byQueue)
+	f.order = order
+	// Non-preemptive admission: running jobs first, then the rest, each
+	// in queue order.
+	free := c.GPUs
+	for _, wasRunning := range [2]bool{true, false} {
+		for _, q := range order {
+			if j := &jobs[q.i]; j.Running == wasRunning && j.NumGPUs <= free {
+				a.GPUs[j.ID] = j.NumGPUs
+				free -= j.NumGPUs
+			}
+		}
+	}
 	f.admitBuf = admittedViewsInto(f.admitBuf, jobs, a.GPUs)
 	running := f.admitBuf
 	if qa, ok := f.Storage.(QueueAwareAllocator); ok {
-		var queued []core.JobView
-		for _, j := range jobs {
-			if a.GPUs[j.ID] == 0 {
-				queued = append(queued, j)
+		waiting := f.waitBuf[:0]
+		for i := range jobs {
+			if a.GPUs[jobs[i].ID] == 0 {
+				waiting = append(waiting, jobs[i])
 			}
 		}
-		qa.AllocateStorageQueued(c, running, queued, &a)
-		return a
+		f.waitBuf = waiting
+		qa.AllocateStorageQueued(c, running, waiting, a)
+		return *a
 	}
-	f.Storage.AllocateStorage(c, running, &a)
-	return a
+	f.Storage.AllocateStorage(c, running, a)
+	return *a
 }
 
 var _ core.Policy = (*FIFO)(nil)

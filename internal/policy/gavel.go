@@ -43,8 +43,10 @@ type Gavel struct {
 	// Assignment is valid only until the next Assign.
 	scratch core.Assignment
 	// solver is the enhanced storage side's workspace, kept across
-	// Assign calls so a warm Gavel allocates nothing.
+	// Assign calls so a warm Gavel allocates nothing; greedy is the
+	// TotalThroughput objective's.
 	solver MaxMinSolver
+	greedy GreedyAllocator
 
 	// Admission-order scratch (see orderViews): per-job scores are
 	// computed once and an int permutation is sorted instead of
@@ -192,7 +194,7 @@ func (g *Gavel) assignThroughput(c core.Cluster, jobs []core.JobView) core.Assig
 	}
 	// Maximum aggregate throughput wants storage wherever it buys the
 	// most MB/s — exactly Algorithm 2's greedy.
-	GreedyAllocator{}.AllocateStorage(c, running, &a)
+	g.greedy.AllocateStorage(c, running, &a)
 	return a
 }
 

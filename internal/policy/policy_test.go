@@ -37,7 +37,7 @@ func TestGreedyAlgorithm2Ordering(t *testing.T) {
 	for i := range jobs {
 		a.GPUs[jobs[i].ID] = jobs[i].NumGPUs
 	}
-	GreedyAllocator{}.AllocateStorage(cl8(), jobs, &a)
+	new(GreedyAllocator).AllocateStorage(cl8(), jobs, &a)
 	if a.CacheQuota["small"] != unit.GiB(50) {
 		t.Errorf("small quota %v, want full", a.CacheQuota["small"])
 	}
@@ -67,7 +67,7 @@ func TestGreedySharedDatasetsChargedOnce(t *testing.T) {
 	// Cache fits only one dataset: shared (summed eff 0.8) must beat
 	// solo (0.67).
 	c := core.Cluster{GPUs: 8, Cache: unit.GiB(150), RemoteIO: unit.MBpsOf(200)}
-	GreedyAllocator{}.AllocateStorage(c, jobs, &a)
+	new(GreedyAllocator).AllocateStorage(c, jobs, &a)
 	if a.CacheQuota["shared"] != unit.GiB(150) {
 		t.Errorf("shared quota %v, want full (summed efficiency wins)", a.CacheQuota["shared"])
 	}
@@ -82,7 +82,7 @@ func TestGreedyEffectiveAwareIO(t *testing.T) {
 	jobs := []core.JobView{mkView("a", 1, "ds", unit.GiB(100), unit.MBpsOf(100))}
 	a := core.NewAssignment()
 	a.GPUs["a"] = 1
-	GreedyAllocator{}.AllocateStorage(cl8(), jobs, &a)
+	new(GreedyAllocator).AllocateStorage(cl8(), jobs, &a)
 	// Quota is full but nothing is effective yet: demand is the full f*.
 	if got := a.RemoteIO["a"].MBpsValue(); math.Abs(got-100) > 1e-6 {
 		t.Errorf("cold job granted %v, want full demand 100", got)
@@ -92,7 +92,7 @@ func TestGreedyEffectiveAwareIO(t *testing.T) {
 	jobs[0].CachedBytes = unit.GiB(100)
 	a2 := core.NewAssignment()
 	a2.GPUs["a"] = 1
-	GreedyAllocator{}.AllocateStorage(cl8(), jobs, &a2)
+	new(GreedyAllocator).AllocateStorage(cl8(), jobs, &a2)
 	if got := a2.RemoteIO["a"].MBpsValue(); got > 1e-6 {
 		t.Errorf("warm job granted %v, want 0", got)
 	}
@@ -600,7 +600,7 @@ func TestGreedyQueuedPrefetchPlanning(t *testing.T) {
 	// Without the flag, queued datasets receive nothing.
 	plain := core.NewAssignment()
 	plain.GPUs["r"] = 1
-	GreedyAllocator{}.AllocateStorageQueued(c, running, queued, &plain)
+	new(GreedyAllocator).AllocateStorageQueued(c, running, queued, &plain)
 	if _, ok := plain.CacheQuota["q-eff"]; ok {
 		t.Error("prefetch disabled but queued dataset funded")
 	}

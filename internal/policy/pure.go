@@ -12,10 +12,10 @@ import "repro/internal/core"
 // requires markers below fail the lint if one loses its silod:pure
 // annotation (or stops existing).
 //
-// silod:pure-requires: GreedyAllocator.AllocateStorage, CoorDLAllocator.AllocateStorage, AlluxioAllocator.AllocateStorage
+// silod:pure-requires: (*GreedyAllocator).AllocateStorage, CoorDLAllocator.AllocateStorage, AlluxioAllocator.AllocateStorage
 func allocatorPure(s StorageAllocator) bool {
 	switch s.(type) {
-	case GreedyAllocator, *GreedyAllocator,
+	case *GreedyAllocator,
 		CoorDLAllocator, *CoorDLAllocator,
 		AlluxioAllocator, *AlluxioAllocator:
 		return true

@@ -2,7 +2,7 @@ package policy
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/unit"
@@ -30,17 +30,16 @@ type SJF struct {
 	// Assignment is valid only until the next Assign. The buffers below
 	// are likewise per-call scratch.
 	scratch  core.Assignment
-	items    []sjfScored
-	ordBuf   []core.JobView
+	items    []ranked     // jobs by (score, ID), i the job index
+	want     []unit.Bytes // by job index: the score-minimizing cache
+	granted  []int        // by job index: GPUs admitted (0 = queued)
+	rankOf   []int        // by job index: position in score order
 	admitBuf []core.JobView
-	rankBuf  map[string]int
-}
-
-// sjfScored is one job with its Eq. 6/7 score, the unit SJF sorts.
-type sjfScored struct {
-	view      core.JobView
-	score     float64
-	wantCache unit.Bytes
+	runIdx   []int // running position → job index
+	dsIndex  map[string]int
+	dsOf     []int        // by job index: dataset index, admitted jobs only
+	dsQuota  []unit.Bytes // by dataset index
+	io       ioScratch
 }
 
 // Name implements core.Policy.
@@ -56,7 +55,7 @@ func (s *SJF) Name() string {
 // w_t = 1/totalResource[t] per Tetris [30].
 //
 // silod:pure
-func sjfScore(c core.Cluster, j core.JobView, enhanced bool) (score float64, wantCache unit.Bytes) {
+func sjfScore(c core.Cluster, j *core.JobView, enhanced bool) (score float64, wantCache unit.Bytes) {
 	g := float64(j.NumGPUs) / math.Max(float64(c.GPUs), 1)
 	fstar := float64(j.Profile.IdealThroughput)
 	rem := float64(j.RemainingBytes)
@@ -85,75 +84,104 @@ func sjfScore(c core.Cluster, j core.JobView, enhanced bool) (score float64, wan
 // The Eq. 6/7 score never consults `now` (remaining duration comes
 // from RemainingBytes), which is what PureAssign's claim rests on.
 //
+// silod:hotpath
 // silod:pure assume=StorageAllocator
 func (s *SJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment {
-	a := s.scratch.Reset()
+	// a points into s, so handing it to the StorageAllocator interface
+	// does not move a local Assignment to the heap on every call.
+	s.scratch.Reset()
+	a := &s.scratch
 	items := s.items[:0]
-	for _, j := range jobs {
-		sc, want := sjfScore(c, j, s.Enhanced)
-		items = append(items, sjfScored{j, sc, want})
+	want := resize(&s.want, len(jobs))
+	for i := range jobs {
+		sc, w := sjfScore(c, &jobs[i], s.Enhanced)
+		items = append(items, ranked{sc, jobs[i].ID, i})
+		want[i] = w
 	}
+	slices.SortFunc(items, rankedAsc)
 	s.items = items
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].score != items[j].score {
-			return items[i].score < items[j].score
+	// Admission in score order, all-or-nothing per gang, first-fit.
+	// rankOf[i] is job i's score rank, the remote-IO priority below.
+	granted := resize(&s.granted, len(jobs))
+	rankOf := resize(&s.rankOf, len(jobs))
+	clear(granted)
+	free := c.GPUs
+	for r, it := range items {
+		rankOf[it.i] = r
+		if n := jobs[it.i].NumGPUs; n <= free {
+			a.GPUs[it.id] = n
+			granted[it.i] = n
+			free -= n
 		}
-		return items[i].view.ID < items[j].view.ID
-	})
-	ordered := s.ordBuf[:0]
-	for _, it := range items {
-		ordered = append(ordered, it.view)
 	}
-	s.ordBuf = ordered
-	admitGangs(a.GPUs, c.GPUs, ordered)
-
-	s.admitBuf = admittedViewsInto(s.admitBuf, jobs, a.GPUs)
-	running := s.admitBuf
+	running := s.admitBuf[:0]
+	runIdx := s.runIdx[:0]
+	for i := range jobs {
+		if granted[i] > 0 {
+			running = append(running, jobs[i])
+			runIdx = append(runIdx, i)
+		}
+	}
+	s.admitBuf, s.runIdx = running, runIdx
 	if !s.Enhanced {
-		s.Storage.AllocateStorage(c, running, &a)
-		return a
+		s.Storage.AllocateStorage(c, running, a)
+		return *a
 	}
 
 	// Integrated storage allocation in score order: each admitted job
 	// receives its score-minimizing cache (partial if the pool is
 	// nearly full — Eq. 4 still benefits from partial caching) and the
-	// remote IO to stay compute-bound.
-	remCache := c.Cache
-	for _, it := range items {
-		if a.GPUs[it.view.ID] == 0 {
+	// remote IO to stay compute-bound. Quotas are kept by dataset index
+	// (first encounter over the admitted jobs) beside a.CacheQuota.
+	idx := resetMap(&s.dsIndex)
+	dsOf := resize(&s.dsOf, len(jobs))
+	quota := s.dsQuota[:0]
+	for i := range jobs {
+		if granted[i] == 0 {
 			continue
 		}
-		key := it.view.DatasetKey
-		have := a.CacheQuota[key]
-		want := it.wantCache
-		if want > it.view.DatasetSize {
-			want = it.view.DatasetSize
+		d, ok := idx[jobs[i].DatasetKey]
+		if !ok {
+			d = len(quota)
+			idx[jobs[i].DatasetKey] = d
+			quota = append(quota, 0)
 		}
-		if want > have {
-			extra := want - have
+		dsOf[i] = d
+	}
+	s.dsQuota = quota
+	remCache := c.Cache
+	for _, it := range items {
+		if granted[it.i] == 0 {
+			continue
+		}
+		j := &jobs[it.i]
+		d := dsOf[it.i]
+		have := quota[d]
+		w := want[it.i]
+		if w > j.DatasetSize {
+			w = j.DatasetSize
+		}
+		if w > have {
+			extra := w - have
 			if extra > remCache {
 				extra = remCache
 			}
-			a.CacheQuota[key] = have + extra
+			quota[d] = have + extra
+			a.CacheQuota[j.DatasetKey] = quota[d]
 			remCache -= extra
 		}
 	}
 	// Remote IO in score order: the jobs SJF wants done first get their
 	// demand first, so their warm-up (and completion) is never gated on
 	// an equal split.
-	if s.rankBuf == nil {
-		s.rankBuf = make(map[string]int, len(items))
-	} else {
-		clear(s.rankBuf)
+	q, rank := s.io.reset(len(running))
+	for k, i := range runIdx {
+		q[k] = quota[dsOf[i]]
+		rank[k] = rankOf[i]
 	}
-	scoreRank := s.rankBuf
-	for i, it := range items {
-		scoreRank[it.view.ID] = i
-	}
-	allocRemoteIOPriority(c.RemoteIO, running, &a, func(x, y core.JobView) bool {
-		return scoreRank[x.ID] < scoreRank[y.ID]
-	})
-	return a
+	s.io.priority(c.RemoteIO, running)
+	s.io.write(running, a)
+	return *a
 }
 
 var _ core.Policy = (*SJF)(nil)

@@ -2,7 +2,7 @@ package policy
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/simrng"
@@ -36,8 +36,13 @@ type QueueAwareAllocator interface {
 // datasets first. This is the policy SiloD uses with estimator-free
 // schedulers (§5.3).
 //
-// The three flags disable individual design choices for the ablation
-// benchmarks; production use leaves them false.
+// The four flags select individual design choices for the ablation
+// benchmarks; production use leaves them false. Everything else is
+// workspace, reset on every call and addressed by dataset index (first
+// encounter of DatasetKey over the call's running views) and by running
+// position, so a warm allocator allocates nothing. A GreedyAllocator
+// belongs to one policy instance: it must not be shared between
+// goroutines, nor copied once used.
 type GreedyAllocator struct {
 	// WholeDatasetsOnly disables partial caching (Quiver-style
 	// placement granularity).
@@ -53,42 +58,76 @@ type GreedyAllocator struct {
 	// allocated to *queued* jobs' datasets in cache-efficiency order,
 	// so idle egress bandwidth can warm them before they start.
 	PrefetchQueued bool
+
+	dsIndex map[string]int // DatasetKey → dataset index
+	ds      []greedyDataset
+	jobDS   []int    // running position → dataset index
+	order   []ranked // dataset indices in allocation order
+	io      ioScratch
 }
 
+// greedyDataset is one dataset of a greedy call.
+type greedyDataset struct {
+	key        string
+	size       unit.Bytes // DatasetSize of its first job
+	eff        float64    // Σ f*/d (line 2 of Algorithm 2, summed per §6)
+	cachedFrac float64    // max CachedBytes/d: the warm-data hysteresis input
+	quota      unit.Bytes // the quota written for key
+	rank       int        // position in allocation order
+}
+
+// ranked is the record every greedy-path sort moves: a precomputed
+// score, the unique ID (job ID or dataset key) its ties fall to, and
+// the index it stands for. Sorting it never copies a JobView.
+type ranked struct {
+	score float64
+	id    string
+	i     int
+}
+
+// rankedAsc and rankedDesc order records by score, ties to the ID: a
+// strict total order (see byScore), so every sort reaches the unique
+// permutation the map-based comparators reached.
+//
+// silod:pure
+func rankedAsc(a, b ranked) int { return byScore(a.score, b.score, a.id, b.id, false) }
+
+// silod:pure
+func rankedDesc(a, b ranked) int { return byScore(a.score, b.score, a.id, b.id, true) }
+
 // Name implements StorageAllocator.
-func (GreedyAllocator) Name() string { return "silod-greedy" }
+func (*GreedyAllocator) Name() string { return "silod-greedy" }
 
 // AllocateStorage implements StorageAllocator. Algorithm 2 is a pure
 // function of (cluster, running views): allocatorPure's vetting of
 // GreedyAllocator rests on this annotation holding.
 //
+// silod:hotpath
 // silod:pure
-func (g GreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment) {
-	type dgroup struct {
-		key        string
-		size       unit.Bytes
-		eff        float64 // Σ f*/d (line 2 of Algorithm 2, summed per §6)
-		cachedFrac float64
-	}
-	groups := make(map[string]*dgroup)
-	var order []string
-	for _, j := range running {
-		g, ok := groups[j.DatasetKey]
+func (g *GreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment) {
+	idx := resetMap(&g.dsIndex)
+	ds := g.ds[:0]
+	jobDS := resize(&g.jobDS, len(running))
+	for k := range running {
+		j := &running[k]
+		d, ok := idx[j.DatasetKey]
 		if !ok {
-			g = &dgroup{key: j.DatasetKey, size: j.DatasetSize}
-			groups[j.DatasetKey] = g
-			order = append(order, j.DatasetKey)
+			d = len(ds)
+			idx[j.DatasetKey] = d
+			ds = append(ds, greedyDataset{key: j.DatasetKey, size: j.DatasetSize})
 		}
+		jobDS[k] = d
 		// SLO weighting: a critical tenant's f*/d counts double and a
 		// sheddable tenant's half, so under cache pressure the greedy
 		// order favors protected tiers. Standard (and untenanted) jobs
 		// weigh 1, leaving the single-class order bit-identical to the
 		// unweighted Algorithm 2.
-		g.eff += j.SLO.Weight() * float64(j.Profile.IdealThroughput) / math.Max(float64(j.DatasetSize), 1)
-		if f := float64(j.CachedBytes) / math.Max(float64(j.DatasetSize), 1); f > g.cachedFrac {
-			g.cachedFrac = f
+		ds[d].eff += j.SLO.Weight() * float64(j.Profile.IdealThroughput) / math.Max(float64(j.DatasetSize), 1)
+		if f := float64(j.CachedBytes) / math.Max(float64(j.DatasetSize), 1); f > ds[d].cachedFrac {
+			ds[d].cachedFrac = f
 		}
 	}
+	g.ds = ds
 	// Warm-data hysteresis: evicting effective cache hurts immediately
 	// while newly granted cache only pays off next epoch (§6), so an
 	// already-cached dataset wins ties (and near-ties) against a cold
@@ -100,32 +139,28 @@ func (g GreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView,
 	if g.NoHysteresis {
 		hyst = 0
 	}
-	sort.Slice(order, func(x, y int) bool {
-		gx, gy := groups[order[x]], groups[order[y]]
-		ex := gx.eff * (1 + hyst*gx.cachedFrac)
-		ey := gy.eff * (1 + hyst*gy.cachedFrac)
-		if ex != ey {
-			return ex > ey
-		}
-		return gx.key < gy.key
-	})
+	order := g.order[:0]
+	for d := range ds {
+		order = append(order, ranked{ds[d].eff * (1 + hyst*ds[d].cachedFrac), ds[d].key, d})
+	}
+	slices.SortFunc(order, rankedDesc)
+	g.order = order
 	totalCache := c.Cache
-	for _, key := range order {
-		grp := groups[key]
+	for r, o := range order {
+		grp := &ds[o.i]
+		grp.rank = r
 		give := grp.size
 		if give > totalCache {
 			if g.WholeDatasetsOnly {
-				a.CacheQuota[key] = 0
+				grp.quota = 0
+				a.CacheQuota[grp.key] = 0
 				continue
 			}
 			give = totalCache
 		}
-		a.CacheQuota[key] = give
+		grp.quota = give
+		a.CacheQuota[grp.key] = give
 		totalCache -= give
-	}
-	if g.PlainFairIO {
-		allocRemoteIOFair(c.RemoteIO, running, a)
-		return
 	}
 	// Remote IO: grant full demand in the same cache-efficiency order.
 	// Efficient jobs have small datasets, so funding their warm-up
@@ -133,72 +168,75 @@ func (g GreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView,
 	// releases the bandwidth for the next tier — the cascade that lets
 	// the cluster approach ideal throughput (Figure 11). An equal
 	// split would leave every cache cold for hours.
-	rank := make(map[string]int, len(order))
-	for i, key := range order {
-		rank[key] = i
+	quota, rank := g.io.reset(len(running))
+	for k, d := range jobDS {
+		quota[k] = ds[d].quota
+		rank[k] = ds[d].rank
 	}
-	allocRemoteIOPriority(c.RemoteIO, running, a, func(x, y core.JobView) bool {
-		if rank[x.DatasetKey] != rank[y.DatasetKey] {
-			return rank[x.DatasetKey] < rank[y.DatasetKey]
-		}
-		return x.ID < y.ID
-	})
+	if g.PlainFairIO {
+		g.io.fair(c.RemoteIO, running)
+	} else {
+		g.io.priority(c.RemoteIO, running)
+	}
+	g.io.write(running, a)
 }
 
 // AllocateStorageQueued implements QueueAwareAllocator: after the
 // normal allocation for running jobs, leftover cache goes to queued
 // jobs' datasets in cache-efficiency order so the data plane can
-// prefetch them with idle egress bandwidth.
+// prefetch them with idle egress bandwidth. a must arrive with no cache
+// quotas (a Reset assignment, as every policy passes): the running
+// datasets' quotas are then exactly a's.
 //
+// silod:hotpath
 // silod:pure
-func (g GreedyAllocator) AllocateStorageQueued(c core.Cluster, running, queued []core.JobView, a *core.Assignment) {
+func (g *GreedyAllocator) AllocateStorageQueued(c core.Cluster, running, queued []core.JobView, a *core.Assignment) {
 	g.AllocateStorage(c, running, a)
 	if !g.PrefetchQueued || len(queued) == 0 {
 		return
 	}
 	// Sorted-key sum: leftover feeds quota math, and a float total must
-	// not depend on per-process map iteration order.
-	usedKeys := make([]string, 0, len(a.CacheQuota))
-	for key := range a.CacheQuota {
-		usedKeys = append(usedKeys, key)
+	// not depend on per-process map iteration order. Equal scores make
+	// the sort a sort by key.
+	ds := g.ds
+	byKey := g.order[:0]
+	for d := range ds {
+		byKey = append(byKey, ranked{0, ds[d].key, d})
 	}
-	sort.Strings(usedKeys)
+	slices.SortFunc(byKey, rankedAsc)
 	var used unit.Bytes
-	for _, key := range usedKeys {
-		used += a.CacheQuota[key]
+	for _, o := range byKey {
+		used += ds[o.i].quota
 	}
 	leftover := c.Cache - used
 	if leftover <= 0 {
+		g.order = byKey
 		return
 	}
-	type dgroup struct {
-		key  string
-		size unit.Bytes
-		eff  float64
-	}
-	groups := make(map[string]*dgroup)
-	var order []string
-	for _, j := range queued {
-		if _, taken := a.CacheQuota[j.DatasetKey]; taken {
+	idx := g.dsIndex
+	nrun := len(ds)
+	for k := range queued {
+		j := &queued[k]
+		d, ok := idx[j.DatasetKey]
+		if ok && d < nrun {
 			continue // already funded for a running job
 		}
-		grp, ok := groups[j.DatasetKey]
 		if !ok {
-			grp = &dgroup{key: j.DatasetKey, size: j.DatasetSize}
-			groups[j.DatasetKey] = grp
-			order = append(order, j.DatasetKey)
+			d = len(ds)
+			idx[j.DatasetKey] = d
+			ds = append(ds, greedyDataset{key: j.DatasetKey, size: j.DatasetSize})
 		}
-		grp.eff += float64(j.Profile.IdealThroughput) / math.Max(float64(j.DatasetSize), 1)
+		ds[d].eff += float64(j.Profile.IdealThroughput) / math.Max(float64(j.DatasetSize), 1)
 	}
-	sort.Slice(order, func(x, y int) bool {
-		gx, gy := groups[order[x]], groups[order[y]]
-		if gx.eff != gy.eff {
-			return gx.eff > gy.eff
-		}
-		return gx.key < gy.key
-	})
-	for _, key := range order {
-		grp := groups[key]
+	g.ds = ds
+	order := byKey[:0]
+	for d := nrun; d < len(ds); d++ {
+		order = append(order, ranked{ds[d].eff, ds[d].key, d})
+	}
+	slices.SortFunc(order, rankedDesc)
+	g.order = order
+	for _, o := range order {
+		grp := &ds[o.i]
 		give := grp.size
 		if give > leftover {
 			give = leftover
@@ -206,64 +244,104 @@ func (g GreedyAllocator) AllocateStorageQueued(c core.Cluster, running, queued [
 		if give <= 0 {
 			break
 		}
-		a.CacheQuota[key] = give
+		a.CacheQuota[grp.key] = give
 		leftover -= give
 	}
 }
 
-// allocRemoteIOPriority divides remote IO in two stages. First a plain
-// max-min water-fill over instantaneous demands — the provider-neutral
-// division that fully satisfies every small demand. Then a warm-up
-// investment: jobs whose granted cache quota is not yet effective are
-// topped up toward their full demand (in the given priority order,
-// i.e. cache-efficiency order), funded by taxing half the grants of the
-// *unsatisfied non-warming* jobs. Warming an efficient dataset is a
-// one-off expense that permanently frees bandwidth, so it finishes
-// epochs quickly (Figure 11's near-ideal throughput); jobs already
-// fully served by fair share (e.g. BERT's tiny demand) are never taxed,
-// which keeps the makespan tail intact.
+// ioScratch is the remote-IO division's workspace, addressed by running
+// position k: the caller fills quota (a.CacheQuota of the job's
+// dataset) and rank (its investment priority, lower first) through
+// reset, fair or priority computes grant, and write copies it into the
+// assignment. Its owner resets it on every call.
+type ioScratch struct {
+	quota  []unit.Bytes
+	rank   []int
+	demand []float64 // instantaneous demand
+	weight []float64 // SLO weight
+	grant  []float64
+	order  []ranked // water-fill order, then the warming jobs
+	taxed  []taxed
+}
+
+// taxed is one unsatisfied steady-state job's contribution to the
+// investment pot.
+type taxed struct {
+	k   int
+	tax float64
+}
+
+// reset sizes the workspace for n running jobs and returns the quota
+// and rank slices for the caller to fill.
 //
+// silod:hotpath
 // silod:pure
-func allocRemoteIOPriority(total unit.Bandwidth, running []core.JobView, a *core.Assignment,
-	less func(x, y core.JobView) bool) {
-	// Stage 1: plain max-min fair share over demands.
-	allocRemoteIOFair(total, running, a)
-	// Identify warming jobs that remain below their demand.
-	type topup struct {
-		view core.JobView
-		gap  float64
+func (w *ioScratch) reset(n int) (quota []unit.Bytes, rank []int) {
+	return resize(&w.quota, n), resize(&w.rank, n)
+}
+
+// write copies the grants into a.RemoteIO.
+//
+// silod:hotpath
+// silod:pure
+func (w *ioScratch) write(running []core.JobView, a *core.Assignment) {
+	for k := range running {
+		a.RemoteIO[running[k].ID] = unit.Bandwidth(w.grant[k])
 	}
-	var warming []topup
+}
+
+// priority divides remote IO in two stages. First a plain max-min
+// water-fill over instantaneous demands — the provider-neutral division
+// that fully satisfies every small demand. Then a warm-up investment:
+// jobs whose granted cache quota is not yet effective are topped up
+// toward their full demand (in rank order, i.e. cache-efficiency order),
+// funded by taxing half the grants of the *unsatisfied non-warming*
+// jobs. Warming an efficient dataset is a one-off expense that
+// permanently frees bandwidth, so it finishes epochs quickly (Figure
+// 11's near-ideal throughput); jobs already fully served by fair share
+// (e.g. BERT's tiny demand) are never taxed, which keeps the makespan
+// tail intact.
+//
+// silod:hotpath
+// silod:pure
+func (w *ioScratch) priority(total unit.Bandwidth, running []core.JobView) {
+	// Stage 1: plain max-min fair share over demands.
+	w.fair(total, running)
+	grant := w.grant
+	// Identify warming jobs that remain below their demand.
+	warming := w.order[:0]
+	taxes := w.taxed[:0]
 	var pot float64
-	taxed := make(map[string]float64)
-	for _, j := range running {
-		d := instantDemand(j, a)
-		g := float64(a.RemoteIO[j.ID])
-		gap := d - g
+	for k := range running {
+		j := &running[k]
+		g := grant[k]
+		gap := w.demand[k] - g
 		if gap <= 1e-9 {
 			continue // fully served: never taxed, never needs top-up
 		}
-		if a.CacheQuota[j.DatasetKey] > j.EffectiveCached {
-			warming = append(warming, topup{view: j, gap: gap})
+		if w.quota[k] > j.EffectiveCached {
+			w.demand[k] = gap // from here on, what a top-up may add
+			warming = append(warming, ranked{float64(w.rank[k]), j.ID, k})
 		} else {
 			// Unsatisfied steady-state job: contribute half its grant
 			// to the investment pot.
 			tax := g / 2
 			pot += tax
-			taxed[j.ID] = tax
+			taxes = append(taxes, taxed{k, tax})
 		}
 	}
+	w.order, w.taxed = warming, taxes
 	if len(warming) == 0 || pot <= 0 {
 		return // nothing to invest in (or no one to fund it): keep fair share
 	}
-	sort.Slice(warming, func(i, j int) bool { return less(warming[i].view, warming[j].view) })
+	slices.SortFunc(warming, rankedAsc)
 	spent := 0.0
-	for i := range warming {
+	for _, o := range warming {
 		if pot <= 1e-9 {
 			break
 		}
-		give := math.Min(warming[i].gap, pot)
-		a.RemoteIO[warming[i].view.ID] += unit.Bandwidth(give)
+		give := math.Min(w.demand[o.i], pot)
+		grant[o.i] += give
 		pot -= give
 		spent += give
 	}
@@ -271,16 +349,16 @@ func allocRemoteIOPriority(total unit.Bandwidth, running []core.JobView, a *core
 	// unspent pot stays with its contributors.
 	if pot > 1e-9 && spent > 0 {
 		totalTax := pot + spent
-		for id, tax := range taxed {
-			taxed[id] = tax * spent / totalTax
+		for t := range taxes {
+			taxes[t].tax = taxes[t].tax * spent / totalTax
 		}
 	} else if spent <= 0 {
 		return
 	}
-	for id, tax := range taxed {
-		a.RemoteIO[id] -= unit.Bandwidth(tax)
-		if a.RemoteIO[id] < 0 {
-			a.RemoteIO[id] = 0
+	for _, t := range taxes {
+		grant[t.k] -= t.tax
+		if grant[t.k] < 0 {
+			grant[t.k] = 0
 		}
 	}
 }
@@ -290,7 +368,14 @@ func allocRemoteIOPriority(total unit.Bandwidth, running []core.JobView, a *core
 //
 // silod:pure
 func instantDemand(j core.JobView, a *core.Assignment) float64 {
-	q := a.CacheQuota[j.DatasetKey]
+	return instantDemandAt(&j, a.CacheQuota[j.DatasetKey])
+}
+
+// instantDemandAt is instantDemand with the job's quota q already
+// looked up.
+//
+// silod:pure
+func instantDemandAt(j *core.JobView, q unit.Bytes) float64 {
 	if q > j.EffectiveCached {
 		q = j.EffectiveCached
 	}
@@ -301,57 +386,45 @@ func instantDemand(j core.JobView, a *core.Assignment) float64 {
 	return float64(j.Profile.IdealThroughput) * miss
 }
 
-// allocRemoteIOFair grants each running job a weighted max-min fair
-// share of the remote IO against its instantaneous demand: the
-// effective cache (not the planned quota) determines the current miss
-// ratio, because newly granted cache only pays off next epoch (§6). The
-// weight is the job's SLO class weight, so under bandwidth contention a
-// critical job's fair level is twice a standard job's and four times a
-// sheddable job's; with every weight 1 (the untenanted default) the
-// division is bit-identical to the unweighted water-fill. The
-// allocation is revisited every scheduling round, so grants shrink as
-// caches warm.
+// fair grants each running job a weighted max-min fair share of the
+// remote IO against its instantaneous demand: the effective cache (not
+// the planned quota) determines the current miss ratio, because newly
+// granted cache only pays off next epoch (§6). The weight is the job's
+// SLO class weight, so under bandwidth contention a critical job's fair
+// level is twice a standard job's and four times a sheddable job's;
+// with every weight 1 (the untenanted default) the division is
+// bit-identical to the unweighted water-fill. The allocation is
+// revisited every scheduling round, so grants shrink as caches warm.
 //
+// silod:hotpath
 // silod:pure
-func allocRemoteIOFair(total unit.Bandwidth, running []core.JobView, a *core.Assignment) {
-	type rec struct {
-		id     string
-		demand float64
-		weight float64
-	}
-	recs := make([]rec, 0, len(running))
+func (w *ioScratch) fair(total unit.Bandwidth, running []core.JobView) {
+	n := len(running)
+	demand := resize(&w.demand, n)
+	weight := resize(&w.weight, n)
+	grant := resize(&w.grant, n)
+	order := w.order[:0]
 	var wsum float64
-	for _, j := range running {
-		q := a.CacheQuota[j.DatasetKey]
-		if q > j.EffectiveCached {
-			q = j.EffectiveCached
-		}
-		if q > j.DatasetSize {
-			q = j.DatasetSize
-		}
-		miss := 1 - float64(q)/math.Max(float64(j.DatasetSize), 1)
-		w := j.SLO.Weight()
-		recs = append(recs, rec{j.ID, float64(j.Profile.IdealThroughput) * miss, w})
-		wsum += w
+	for k := range running {
+		j := &running[k]
+		demand[k] = instantDemandAt(j, w.quota[k])
+		weight[k] = j.SLO.Weight()
+		order = append(order, ranked{demand[k] / weight[k], j.ID, k})
+		wsum += weight[k]
 	}
 	// Water-fill in ascending normalized-demand order: a job whose
 	// demand sits below its weighted fair level is fully served and its
 	// slack raises the level for the rest.
-	sort.Slice(recs, func(i, j int) bool {
-		di, dj := recs[i].demand/recs[i].weight, recs[j].demand/recs[j].weight
-		if di != dj {
-			return di < dj
-		}
-		return recs[i].id < recs[j].id
-	})
+	slices.SortFunc(order, rankedAsc)
+	w.order = order
 	remaining := float64(total)
 	wleft := wsum
-	for _, r := range recs {
-		level := remaining * r.weight / wleft
-		grant := math.Min(r.demand, level)
-		a.RemoteIO[r.id] = unit.Bandwidth(grant)
-		remaining -= grant
-		wleft -= r.weight
+	for _, o := range order {
+		level := remaining * weight[o.i] / wleft
+		g := math.Min(demand[o.i], level)
+		grant[o.i] = g
+		remaining -= g
+		wleft -= weight[o.i]
 	}
 	// Any slack (all demands met) stays unallocated; the data plane
 	// never throttles below demand anyway.
@@ -370,10 +443,10 @@ type QuiverAllocator struct {
 	rng          *simrng.RNG
 
 	// Scratch recycled across AllocateStorage calls: the dataset groups
-	// in first-seen order, a key→group index, and the sort permutation.
+	// in first-seen order, a key→group index, and the sort records.
 	groups []quiverGroup
 	byKey  map[string]int
-	order  []int
+	order  []ranked
 }
 
 type quiverGroup struct {
@@ -393,19 +466,17 @@ func NewQuiverAllocator(noise float64, seed int64) *QuiverAllocator {
 func (q *QuiverAllocator) Name() string { return "quiver" }
 
 // AllocateStorage implements StorageAllocator.
+//
+// silod:hotpath
 func (q *QuiverAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment) {
-	if q.byKey == nil {
-		q.byKey = make(map[string]int)
-	} else {
-		clear(q.byKey)
-	}
+	byKey := resetMap(&q.byKey)
 	groups := q.groups[:0]
 	for _, j := range running {
-		gi, ok := q.byKey[j.DatasetKey]
+		gi, ok := byKey[j.DatasetKey]
 		if !ok {
 			gi = len(groups)
 			groups = append(groups, quiverGroup{key: j.DatasetKey, size: j.DatasetSize})
-			q.byKey[j.DatasetKey] = gi
+			byKey[j.DatasetKey] = gi
 		}
 		g := &groups[gi]
 		g.benefit += float64(j.Profile.IdealThroughput)
@@ -428,24 +499,18 @@ func (q *QuiverAllocator) AllocateStorage(c core.Cluster, running []core.JobView
 		ratio *= 1 + 0.5*g.cachedFrac
 		g.benefit = ratio
 	}
-	// Index permutation sort: (benefit desc, key asc) is a strict total
-	// order (keys are unique), so any comparison sort produces the same
-	// unique permutation the historical string-slice sort did.
+	// (benefit desc, key asc) is a strict total order (keys are
+	// unique), so the sort produces the same unique permutation the
+	// historical string-slice sort did.
 	order := q.order[:0]
 	for gi := range groups {
-		order = append(order, gi)
+		order = append(order, ranked{groups[gi].benefit, groups[gi].key, gi})
 	}
+	slices.SortFunc(order, rankedDesc)
 	q.order = order
-	sort.Slice(order, func(x, y int) bool {
-		gx, gy := &groups[order[x]], &groups[order[y]]
-		if gx.benefit != gy.benefit {
-			return gx.benefit > gy.benefit
-		}
-		return gx.key < gy.key
-	})
 	remaining := c.Cache
-	for _, gi := range order {
-		g := &groups[gi]
+	for _, o := range order {
+		g := &groups[o.i]
 		if g.size <= remaining {
 			a.CacheQuota[g.key] = g.size
 			remaining -= g.size

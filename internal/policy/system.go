@@ -67,7 +67,7 @@ func (cs CacheSystem) ControlsRemoteIO() bool { return cs == SiloD }
 func (cs CacheSystem) Allocator(seed int64) StorageAllocator {
 	switch cs {
 	case SiloD:
-		return GreedyAllocator{}
+		return &GreedyAllocator{}
 	case Alluxio:
 		return AlluxioAllocator{}
 	case CoorDL:

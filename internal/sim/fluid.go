@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
@@ -12,12 +13,18 @@ import (
 	"repro/internal/workload"
 )
 
-// dsRT is the fluid engine's per-cache-key state.
+// dsRT is the fluid engine's per-cache-key state. The engine keeps one
+// per cache key of the run, indexed by the key's rank in sorted order
+// (jobRT.ds), so walking the table in index order is walking the keys
+// sorted. A key is live from its first use until no unfinished job
+// reads it; a dead key holds no quota and no cached bytes.
 type dsRT struct {
-	key    string
-	size   unit.Bytes
-	quota  unit.Bytes
-	cached unit.Bytes
+	key     string
+	size    unit.Bytes
+	quota   unit.Bytes
+	cached  unit.Bytes
+	live    bool
+	pending int // unfinished jobs on the key
 }
 
 // subByteResidue is the completion threshold for fluid integration:
@@ -28,8 +35,8 @@ const subByteResidue unit.Bytes = 0.5
 // fluidSim is the fluid engine state.
 type fluidSim struct {
 	engine
-	datasets map[string]*dsRT
-	epochIdx map[string]int // job -> completed-epoch count
+	datasets []dsRT         // by rank (jobRT.ds)
+	rankOf   map[string]int // cache key → rank
 
 	now        unit.Time
 	nextArrive int
@@ -45,20 +52,27 @@ type fluidSim struct {
 	lruPrev    []float64
 	lruIdx     []int
 	streamsBuf []cache.FluidStream
+	cheHits    []float64
 
 	// LRU stream-layout memo: which jobs share a dataset key, the
 	// sorted key order, and each job's stream index depend only on the
 	// identity of the running set, not on rates or cache state, so
 	// lruHits rebuilds them only when the running set changes.
 	layoutJobs []*jobRT
-	lruKeys    []string
-	lruUsers   []int // per running-index sharer count for j.dsKey
-	usersBuf   map[string]int
+	lruKeys    []int // ranks of the running jobs' keys, ascending
+	lruUsers   []int // per running-index sharer count for j.ds
 
-	// sample scratch maps, recycled across metric samples.
+	// By rank, recycled across rounds, steps and samples: running jobs
+	// per key (lruHits, sample, prefetch), stream positions (lruHits)
+	// and effective-byte sums (sample). Counts and sums are zero
+	// between uses: each user clears what it set before returning.
+	rankCount []int
+	rankPos   []int
+	effSum    []float64
+
+	funded      []rankQuota // reschedule: the assignment's keys by rank
+	prefetchBuf []int       // ranks prefetching this step
 	realizedBuf map[string]unit.Bandwidth
-	effSumBuf   map[string]float64
-	effCntBuf   map[string]int
 
 	// Rate memo: jobRates is a deterministic function of inputs that
 	// only change at discrete points (assignment application, fault
@@ -83,17 +97,14 @@ func runFluid(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		}
 	}
 	s := &fluidSim{
-		datasets:    make(map[string]*dsRT),
-		epochIdx:    make(map[string]int),
-		usersBuf:    make(map[string]int),
+		rankOf:      make(map[string]int),
 		realizedBuf: make(map[string]unit.Bandwidth),
-		effSumBuf:   make(map[string]float64),
-		effCntBuf:   make(map[string]int),
 	}
 	var jobs []*jobRT
 	for _, spec := range orderSpecs(specs) {
 		jobs = append(jobs, newJobRT(spec, cfg.System))
 	}
+	s.rankKeys(jobs)
 	var err error
 	if s.engine, err = newEngine(cfg, jobs); err != nil {
 		return nil, err
@@ -111,12 +122,38 @@ func runFluid(cfg Config, specs []workload.JobSpec) (*Result, error) {
 	return s.finish(s.now), nil
 }
 
-// ds returns (creating on demand) the cache-key state for a job.
+// rankKeys ranks every cache key of the run in sorted order, builds
+// the dataset table and points each job at its key's entry.
+func (s *fluidSim) rankKeys(jobs []*jobRT) {
+	keys := make([]string, 0, len(jobs))
+	for _, j := range jobs {
+		if _, seen := s.rankOf[j.dsKey]; !seen {
+			s.rankOf[j.dsKey] = -1 // ranked below
+			keys = append(keys, j.dsKey)
+		}
+	}
+	slices.Sort(keys)
+	s.datasets = make([]dsRT, len(keys))
+	for r, key := range keys {
+		s.rankOf[key] = r
+		s.datasets[r].key = key
+	}
+	for _, j := range jobs {
+		j.ds = s.rankOf[j.dsKey]
+		s.datasets[j.ds].pending++
+	}
+	s.rankCount = make([]int, len(keys))
+	s.rankPos = make([]int, len(keys))
+	s.effSum = make([]float64, len(keys))
+}
+
+// ds returns the cache-key state for a job, bringing the key to life
+// on first use.
 func (s *fluidSim) ds(j *jobRT) *dsRT {
-	d, ok := s.datasets[j.dsKey]
-	if !ok {
-		d = &dsRT{key: j.dsKey, size: j.spec.Dataset.Size}
-		s.datasets[j.dsKey] = d
+	d := &s.datasets[j.ds]
+	if !d.live {
+		d.live = true
+		d.size = j.spec.Dataset.Size
 	}
 	return d
 }
@@ -174,27 +211,28 @@ func (s *fluidSim) reschedule() error {
 	// Cache quotas (quota-based systems only; LRU manages itself).
 	// Apply in sorted key order: quota changes land on the event
 	// timeline, and map-iteration order would leak into the dump.
+	// Funded keys unknown to the run name no dataset and change nothing.
 	if !s.cfg.System.UsesLRU() {
-		keys := s.keysBuf[:0]
-		for key := range a.CacheQuota {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		funded := len(keys)
-		for key := range s.datasets {
-			if _, ok := a.CacheQuota[key]; !ok {
-				keys = append(keys, key)
+		funded := s.funded[:0]
+		for key, q := range a.CacheQuota {
+			if r, ok := s.rankOf[key]; ok {
+				funded = append(funded, rankQuota{r, q})
 			}
 		}
-		sort.Strings(keys[funded:])
-		s.keysBuf = keys
-		for _, key := range keys[:funded] {
-			s.applyQuota(key, a.CacheQuota[key])
+		slices.SortFunc(funded, func(x, y rankQuota) int { return cmp.Compare(x.rank, y.rank) })
+		s.funded = funded
+		for _, fq := range funded {
+			s.applyQuota(fq.rank, fq.quota)
 		}
-		// Keys not mentioned lose their allocation: the data manager
-		// evicts datasets the scheduler no longer funds.
-		for _, key := range keys[funded:] {
-			s.applyQuota(key, 0)
+		// Live keys not mentioned lose their allocation: the data
+		// manager evicts datasets the scheduler no longer funds.
+		f := 0
+		for r := range s.datasets {
+			if f < len(funded) && funded[f].rank == r {
+				f++
+			} else if s.datasets[r].live {
+				s.applyQuota(r, 0)
+			}
 		}
 	}
 	s.applyRemoteIO(s.now, act, a)
@@ -213,8 +251,10 @@ func (s *fluidSim) cacheResized(before unit.Bytes) {
 		return
 	}
 	ratio := float64(s.eff.Cache) / float64(before)
-	for _, d := range s.datasets {
-		d.cached = unit.Bytes(float64(d.cached) * ratio)
+	for r := range s.datasets {
+		if d := &s.datasets[r]; d.live {
+			d.cached = unit.Bytes(float64(d.cached) * ratio)
+		}
 	}
 	for _, j := range s.jobs {
 		if !j.done {
@@ -233,24 +273,28 @@ func (s *fluidSim) halt(j *jobRT, lostEpoch bool) {
 	}
 }
 
-// applyQuota sets a key's quota, evicting proportionally on shrink
-// (random eviction keeps the cached set uniform, so every job's
-// effective cache scales by the survival ratio).
-func (s *fluidSim) applyQuota(key string, q unit.Bytes) {
-	d, ok := s.datasets[key]
-	if !ok {
+// rankQuota is one funded key of an assignment, by rank.
+type rankQuota struct {
+	rank  int
+	quota unit.Bytes
+}
+
+// applyQuota sets the quota of the key ranked r, evicting
+// proportionally on shrink (random eviction keeps the cached set
+// uniform, so every job's effective cache scales by the survival
+// ratio). A dead key comes back to life sized by its first job.
+func (s *fluidSim) applyQuota(r int, q unit.Bytes) {
+	d := &s.datasets[r]
+	if !d.live {
 		for _, j := range s.jobs {
-			if j.dsKey == key {
-				d = s.ds(j)
+			if j.ds == r {
+				s.ds(j)
 				break
 			}
 		}
-		if d == nil {
-			return
-		}
 	}
 	if q.Changed(d.quota) {
-		s.met.tl.RecordAt(float64(s.now), metrics.EventCacheAlloc, key, float64(q), "quota_bytes")
+		s.met.tl.RecordAt(float64(s.now), metrics.EventCacheAlloc, d.key, float64(q), "quota_bytes")
 	}
 	d.quota = q
 	if d.cached > q {
@@ -260,7 +304,7 @@ func (s *fluidSim) applyQuota(key string, q unit.Bytes) {
 		}
 		d.cached = q
 		for _, j := range s.jobs {
-			if j.dsKey == key && !j.done {
+			if j.ds == r && !j.done {
 				j.effCached = unit.Bytes(float64(j.effCached) * ratio)
 			}
 		}
@@ -323,22 +367,27 @@ func (s *fluidSim) lruHits(running []*jobRT, hits []float64) {
 	// does. The cached layout is byte-identical to a rebuild: it is a
 	// deterministic function of the jobs' dataset keys alone.
 	if !samePtrs(running, s.layoutJobs) {
-		users := s.usersBuf
-		clear(users)
-		for _, j := range running {
-			users[j.dsKey]++
-		}
+		users := s.rankCount
 		keys := s.lruKeys[:0]
-		for k := range users {
-			keys = append(keys, k)
+		for _, j := range running {
+			if users[j.ds] == 0 {
+				keys = append(keys, j.ds)
+			}
+			users[j.ds]++
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		s.lruKeys = keys
+		for p, r := range keys {
+			s.rankPos[r] = p
+		}
 		idx := resize(&s.lruIdx, len(running))
 		uc := resize(&s.lruUsers, len(running))
 		for i, j := range running {
-			idx[i] = sort.SearchStrings(keys, j.dsKey)
-			uc[i] = users[j.dsKey]
+			idx[i] = s.rankPos[j.ds]
+			uc[i] = users[j.ds]
+		}
+		for _, r := range keys {
+			users[r] = 0
 		}
 		s.layoutJobs = append(s.layoutJobs[:0], running...)
 	}
@@ -361,10 +410,10 @@ func (s *fluidSim) lruHits(running []*jobRT, hits []float64) {
 			st.Size = j.spec.Dataset.Size
 			st.Rate += unit.Bandwidth(rates[i])
 		}
-		hitByKey := cache.CheLRU(s.eff.Cache, streams)
+		s.cheHits = cache.CheLRUInto(s.cheHits, s.eff.Cache, streams)
 		for i, j := range running {
-			h := hitByKey[idx[i]]
-			if s.lruUsers[i] == 1 && s.epochIdx[j.spec.ID] == 0 {
+			h := s.cheHits[idx[i]]
+			if s.lruUsers[i] == 1 && j.epochs == 0 {
 				h = 0
 			}
 			hits[i] = h
@@ -431,31 +480,28 @@ func (s *fluidSim) sample(running []*jobRT, hits []float64, rates []unit.Bandwid
 		// Effective bytes per dataset: mean of its active jobs'
 		// effective snapshots (cached but not-yet-effective blocks are
 		// the gap, §6 / Figure 8).
-		effSum := s.effSumBuf
-		effCnt := s.effCntBuf
-		clear(effSum)
-		clear(effCnt)
+		effSum, effCnt := s.effSum, s.rankCount
 		for _, j := range running {
-			effSum[j.dsKey] += float64(j.effCached)
-			effCnt[j.dsKey]++
+			effSum[j.ds] += float64(j.effCached)
+			effCnt[j.ds]++
 		}
-		// Sorted-key order: both sums land in recorded series, where a
-		// map-order-dependent float total would break same-seed
+		// Sorted-key (rank) order: both sums land in recorded series,
+		// where a map-order-dependent float total would break same-seed
 		// byte-identity.
-		keys := s.keysBuf[:0]
-		for key := range s.datasets {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		s.keysBuf = keys
-		for _, key := range keys {
-			d := s.datasets[key]
+		for r := range s.datasets {
+			d := &s.datasets[r]
+			if !d.live {
+				continue
+			}
 			alloc += float64(d.quota)
-			if n := effCnt[key]; n > 0 {
-				eff += effSum[key] / float64(n)
+			if n := effCnt[r]; n > 0 {
+				eff += effSum[r] / float64(n)
 			} else {
 				eff += float64(d.cached)
 			}
+		}
+		for _, j := range running {
+			effSum[j.ds], effCnt[j.ds] = 0, 0
 		}
 	}
 	s.series["cache_alloc"].Append(t, alloc/float64(unit.GB))
@@ -521,7 +567,7 @@ func (s *fluidSim) loop() error {
 			}
 			// Hoard-style prefetch: idle egress fills funded datasets
 			// with no running reader (their future jobs start warm).
-			var prefetch []*dsRT
+			prefetch := s.prefetchBuf[:0]
 			var prefRate float64
 			if s.cfg.EnablePrefetch && !s.cfg.System.UsesLRU() {
 				var used float64
@@ -530,25 +576,28 @@ func (s *fluidSim) loop() error {
 				}
 				leftover := float64(s.eff.RemoteIO) - used
 				if leftover > 1e-6 {
-					hasRunner := make(map[string]bool, len(running))
 					for _, j := range running {
-						hasRunner[j.dsKey] = true
+						s.rankCount[j.ds]++
 					}
-					for _, d := range s.datasets {
-						limit := minBytes(d.quota, d.size)
-						if !hasRunner[d.key] && d.cached < limit {
-							prefetch = append(prefetch, d)
+					for r := range s.datasets {
+						d := &s.datasets[r]
+						if d.live && s.rankCount[r] == 0 && d.cached < minBytes(d.quota, d.size) {
+							prefetch = append(prefetch, r)
 						}
 					}
+					for _, j := range running {
+						s.rankCount[j.ds] = 0
+					}
 					if len(prefetch) > 0 {
-						sort.Slice(prefetch, func(i, j int) bool { return prefetch[i].key < prefetch[j].key })
 						prefRate = leftover / float64(len(prefetch))
 					}
 				}
 			}
+			s.prefetchBuf = prefetch
 			// Advance.
 			s.now = s.now.Add(unit.Duration(dt))
-			for _, d := range prefetch {
+			for _, r := range prefetch {
+				d := &s.datasets[r]
 				limit := minBytes(d.quota, d.size)
 				fill := unit.Bytes(prefRate * dt)
 				d.cached = minBytes(d.cached+fill, limit)
@@ -580,7 +629,7 @@ func (s *fluidSim) loop() error {
 					if s.placement != nil {
 						s.placement.Release(j.spec.ID)
 					}
-					s.maybeDropDataset(j)
+					s.dropIfUnused(j)
 					reschedNow = true
 					continue
 				}
@@ -588,9 +637,9 @@ func (s *fluidSim) loop() error {
 					// Epoch boundary: the pass filled the cache up to
 					// quota, and everything cached is now effective.
 					s.res.Events++
-					s.epochIdx[j.spec.ID]++
+					j.epochs++
 					s.met.tl.RecordAt(float64(s.now), metrics.EventEpoch, j.spec.ID,
-						float64(s.epochIdx[j.spec.ID]), "epochs_completed")
+						float64(j.epochs), "epochs_completed")
 					if !s.cfg.System.UsesLRU() {
 						d := s.ds(j)
 						fill := minBytes(d.quota, j.spec.Dataset.Size)
@@ -600,9 +649,9 @@ func (s *fluidSim) loop() error {
 						j.effCached = minBytes(d.cached, j.spec.Dataset.Size)
 						// effCached is a hit-ratio input on the quota path.
 						s.rateGen++
-					} else if s.epochIdx[j.spec.ID] == 1 {
+					} else if j.epochs == 1 {
 						// LRU warm-up: lruHits zeroes hits only while
-						// epochIdx is 0, so crossing 0 -> 1 changes a rate
+						// j.epochs is 0, so crossing 0 -> 1 changes a rate
 						// input; later boundaries change nothing it reads.
 						s.rateGen++
 					}
@@ -621,12 +670,11 @@ func (s *fluidSim) loop() error {
 	return nil
 }
 
-// maybeDropDataset frees the cache key when no unfinished job uses it.
-func (s *fluidSim) maybeDropDataset(done *jobRT) {
-	for _, j := range s.jobs {
-		if !j.done && j.dsKey == done.dsKey {
-			return
-		}
+// dropIfUnused frees the cache key of a job that just finished when no
+// unfinished job uses it.
+func (s *fluidSim) dropIfUnused(done *jobRT) {
+	d := &s.datasets[done.ds]
+	if d.pending--; d.pending == 0 {
+		d.live, d.quota, d.cached = false, 0, 0
 	}
-	delete(s.datasets, done.dsKey)
 }

@@ -1,13 +1,15 @@
 package sim
 
 // resize returns a length-n slice backed by *buf, reallocating only
-// when the capacity is insufficient. Element contents are unspecified
-// (they may hold stale data from a previous use), so callers must
-// overwrite every element before reading. The result aliases *buf and
-// is valid until the buffer's next resize.
+// when the capacity is insufficient, and then to at least twice the old
+// capacity, so a buffer growing one element at a time reallocates
+// O(log n) times. Element contents are unspecified (they may hold stale
+// data from a previous use), so callers must overwrite every element
+// before reading. The result aliases *buf and is valid until the
+// buffer's next resize.
 func resize[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]T, n)
+		*buf = make([]T, n, max(n, 2*cap(*buf)))
 	}
 	*buf = (*buf)[:n]
 	return *buf

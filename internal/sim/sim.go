@@ -311,6 +311,7 @@ type jobRT struct {
 	spec    workload.JobSpec
 	profile estimator.JobProfile
 	dsKey   string // cache accounting key (dataset, or job for CoorDL)
+	ds      int    // fluid engine: dsKey's rank among the run's keys
 
 	remaining unit.Bytes // bytes of training work left
 	attained  unit.Bytes
@@ -330,6 +331,7 @@ type jobRT struct {
 	effCached unit.Bytes
 	epochLeft unit.Bytes
 	epochSize unit.Bytes
+	epochs    int // completed epochs
 }
 
 // rollbackEpoch discards the current epoch's partial progress — the
