@@ -147,6 +147,14 @@ var runners = map[string]experimentRunner{
 		r.Table().Render(w)
 		return nil
 	}},
+	"engine-cost": {"Engine cost: fluid vs block-level engine on the micro-benchmark", func(o experiments.Options, w *os.File) error {
+		r, err := experiments.AblationEngineCost(o)
+		if err != nil {
+			return err
+		}
+		r.Table().Render(w)
+		return nil
+	}},
 	"ablation-prefetch": {"Extension: Hoard-style dataset prefetching", func(o experiments.Options, w *os.File) error {
 		r, err := experiments.AblationPrefetch(o)
 		if err != nil {
@@ -268,8 +276,7 @@ func run(args []string, w *os.File) error {
 	}
 	o := experiments.Options{
 		Seed: *seed, Jobs: *jobsN, Quick: *quick,
-		Sequential: *parallel == 1, Workers: *parallel,
-		FullResolve: *fullResolve,
+		Workers: *parallel, FullResolve: *fullResolve,
 	}
 	if *trace != "" {
 		return runTrace(w, *trace, *scheduler, *system, *engine, *gpus, *cacheStr, *remoteStr, *seed, *csvDir, *metricsOut, *faultsPath, *fullResolve)

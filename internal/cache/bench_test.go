@@ -45,7 +45,7 @@ func BenchmarkCheLRU(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CheLRU(unit.TiB(24), streams)
+		CheLRUInto(nil, unit.TiB(24), streams)
 	}
 }
 

@@ -90,25 +90,17 @@ func occupancy(tau, T float64) float64 {
 	return 1
 }
 
-// CheLRU solves the Che characteristic-time approximation for a shared
-// LRU cache of the given capacity under epoch-shuffled DL access. It
-// returns the per-stream expected hit ratios. The model reproduces the
-// qualitative LRU behaviours the paper reports: thrashing when the
-// aggregate working set exceeds capacity, and faster (more
-// cache-efficient) jobs indirectly receiving more cache because their
-// blocks are re-touched sooner (§7.1.2).
+// CheLRUInto solves the Che characteristic-time approximation for a
+// shared LRU cache of the given capacity under epoch-shuffled DL
+// access. It writes the per-stream expected hit ratios into dst, reused
+// when its capacity allows (the result aliases dst's backing array
+// then). The model reproduces the qualitative LRU behaviours the paper
+// reports: thrashing when the aggregate working set exceeds capacity,
+// and faster (more cache-efficient) jobs indirectly receiving more
+// cache because their blocks are re-touched sooner (§7.1.2).
 //
 // The Che fixed point is a deterministic function of (capacity,
 // streams); the simulator replays it byte-identically.
-//
-// silod:pure
-func CheLRU(capacity unit.Bytes, streams []FluidStream) []float64 {
-	return CheLRUInto(nil, capacity, streams)
-}
-
-// CheLRUInto is CheLRU writing the hit ratios into dst, reused when its
-// capacity allows; the result aliases dst's backing array then. The
-// bits are CheLRU's.
 //
 // silod:hotpath
 // silod:pure

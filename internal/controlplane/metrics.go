@@ -47,7 +47,7 @@ func newSchedMetrics(r *metrics.Registry) schedMetrics {
 		effGPUs:        r.Gauge("silod_sched_effective_gpus"),
 		effCache:       r.Gauge("silod_sched_effective_cache_bytes"),
 		// 1ms .. ~8s: a round that blows past the top bucket is a wedged
-		// data plane, which the breaker should have fail-fasted.
+		// data plane.
 		roundSeconds:      r.Histogram("silod_sched_round_seconds", metrics.ExpBuckets(0.001, 2, 14)),
 		lastRoundSeconds:  r.Gauge("silod_sched_last_round_seconds"),
 		roundOverruns:     r.Counter("silod_sched_round_overruns_total"),

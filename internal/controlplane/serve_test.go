@@ -19,6 +19,13 @@ import (
 	"repro/internal/unit"
 )
 
+// vclock is a hand-advanced clock for serving tests.
+type vclock struct{ t time.Time }
+
+func (v *vclock) now() time.Time          { return v.t }
+func (v *vclock) advance(d time.Duration) { v.t = v.t.Add(d) }
+func newVClock() *vclock                  { return &vclock{t: time.Unix(0, 0)} }
+
 // newServeStack builds a virtual-clock scheduler in queued-submission
 // mode over a local data plane, with three tenants spanning the SLO
 // tiers.

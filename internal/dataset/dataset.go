@@ -41,12 +41,6 @@ func New(name string, size, blockSize unit.Bytes) (Blocks, error) {
 	return Blocks{Name: name, Size: size, BlockSize: blockSize, Num: n}, nil
 }
 
-// FromWorkload builds the block view of a workload dataset at the
-// default block size.
-func FromWorkload(d workload.Dataset) (Blocks, error) {
-	return New(d.Name, d.Size, DefaultBlockSize)
-}
-
 // Stream yields the sequence of block accesses a training job performs.
 type Stream interface {
 	// Next returns the next block to read and whether a new epoch (or

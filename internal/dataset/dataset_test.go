@@ -32,7 +32,7 @@ func TestNewBlocks(t *testing.T) {
 
 func TestFromWorkload(t *testing.T) {
 	d, _ := workload.DatasetByName("ImageNet-1k")
-	b, err := FromWorkload(d)
+	b, err := New(d.Name, d.Size, DefaultBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,22 +148,3 @@ func (p JobProfile) RequiredCache(target unit.Bandwidth, b unit.Bandwidth) (unit
 	frac := 1 - float64(b)/float64(target)
 	return unit.Bytes(frac * float64(p.DatasetSize)), nil
 }
-
-// Enhanced wraps an existing scheduler's compute-side estimator with the
-// storage-aware model, implementing line 5 of Algorithm 1:
-//
-//	SiloDPerf = lambda j, R: min(perf(j,R), IOPerf(j,R))
-//
-// perf is the original estimator (converted to MB/s-equivalent data
-// throughput); the returned closure is what SiloD hands to scheduling
-// policies.
-func Enhanced(perf func(Resources) unit.Bandwidth, p JobProfile) func(Resources) unit.Bandwidth {
-	return func(r Resources) unit.Bandwidth {
-		base := perf(r)
-		io := p.IOPerf(r)
-		if io < base {
-			return io
-		}
-		return base
-	}
-}

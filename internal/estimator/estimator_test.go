@@ -151,21 +151,6 @@ func TestRequiredCacheInversion(t *testing.T) {
 	}
 }
 
-func TestEnhancedWrapper(t *testing.T) {
-	p := profile()
-	// The original estimator always claims f* (compute-only view).
-	orig := func(Resources) unit.Bandwidth { return p.IdealThroughput }
-	enhanced := Enhanced(orig, p)
-	// With plenty of IO: the original estimate stands.
-	if got := enhanced(Resources{Cache: p.DatasetSize, RemoteIO: 0}); got != p.IdealThroughput {
-		t.Errorf("enhanced = %v", got)
-	}
-	// IO bottleneck: the enhanced estimator corrects the original.
-	if got := enhanced(Resources{Cache: 0, RemoteIO: unit.MBpsOf(10)}); got.MBpsValue() != 10 {
-		t.Errorf("enhanced under bottleneck = %v, want 10", got)
-	}
-}
-
 // TestHitRatioClamps exercises the c/d clamp.
 func TestHitRatioClamps(t *testing.T) {
 	p := profile()

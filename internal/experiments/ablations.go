@@ -126,6 +126,15 @@ func AblationEngineCost(o Options) (*EngineCostResult, error) {
 	}, nil
 }
 
+// Table renders the engine comparison.
+func (r *EngineCostResult) Table() *report.Table {
+	t := report.NewTable("Engine cost: fluid vs block-level on the micro-benchmark (FIFO-SiloD)",
+		"Engine", "Avg JCT (min)", "Events")
+	t.AddRowf("fluid", r.FluidJCT.Minutes(), r.FluidEvents)
+	t.AddRowf("batch", r.BatchJCT.Minutes(), r.BatchEvents)
+	return t
+}
+
 // PrefetchResult compares FIFO-SiloD with and without the Hoard-style
 // dataset prefetching extension.
 type PrefetchResult struct {

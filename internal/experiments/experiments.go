@@ -28,12 +28,10 @@ type Options struct {
 	Jobs int
 	// Quick shrinks the cluster experiments further for unit tests.
 	Quick bool
-	// Sequential runs experiment arms inline in index order instead of
-	// fanning them across the worker pool (silodsim -parallel=1). The
-	// parallel path is tested byte-identical to this one; Sequential
-	// exists for debugging and as the reference order.
-	Sequential bool
-	// Workers bounds the arm worker pool (0 = GOMAXPROCS).
+	// Workers bounds the arm worker pool (0 = GOMAXPROCS). 1 runs the
+	// arms inline in index order (silodsim -parallel=1): the parallel
+	// path is tested byte-identical to it, and it exists for debugging
+	// and as the reference order.
 	Workers int
 	// FullResolve switches off the engines' three fast paths (solve
 	// memo, fluid rate memo, Che fixed-point early exit). Outputs are
@@ -50,11 +48,11 @@ func (o Options) seed() int64 {
 }
 
 func (o Options) runnerOpts() runner.Options {
-	return runner.Options{Seed: o.seed(), Workers: o.Workers, Sequential: o.Sequential}
+	return runner.Options{Seed: o.seed(), Workers: o.Workers}
 }
 
 // mapArms fans n experiment arms across the deterministic worker pool
-// (or runs them inline under Options.Sequential). Arms receive their
+// (or runs them inline when Options.Workers is 1). Arms receive their
 // index only: every experiment in this package derives its randomness
 // from Options.Seed so that published golden numbers (EXPERIMENTS.md)
 // are independent of how arms are scheduled; arms that need a private

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/unit"
 )
 
 func TestStaticArtifacts(t *testing.T) {
@@ -40,6 +41,42 @@ func TestFigure3Shape(t *testing.T) {
 			t.Errorf("n=%d: peer read %.1f GB/s too far below linear %.1f",
 				r.Servers[i], r.Actual[i], r.Linear[i])
 		}
+	}
+}
+
+// TestFabricModelFigure3 pins the Figure 3 conclusion: with a
+// datacenter storage fabric, peer reads sustain near-linear scaling.
+func TestFabricModelFigure3(t *testing.T) {
+	m := fabricModel{
+		DemandPerServer: unit.MBpsOf(1923),
+		LocalDiskBW:     unit.GBpsOf(3.2),
+		FabricNICBW:     unit.GBpsOf(2.5),
+	}
+	for _, n := range []int{1, 10, 50} {
+		actual, linear := m.Throughput(n)
+		if float64(actual) < 0.75*float64(linear) {
+			t.Errorf("n=%d: %v vs linear %v", n, actual, linear)
+		}
+		if actual > linear {
+			t.Errorf("n=%d: actual above linear", n)
+		}
+	}
+	// A slow NIC becomes the bottleneck as the peer fraction grows.
+	slow := fabricModel{
+		DemandPerServer: unit.MBpsOf(1923),
+		LocalDiskBW:     unit.GBpsOf(3.2),
+		FabricNICBW:     unit.MBpsOf(500),
+	}
+	a1, _ := slow.Throughput(1)
+	a50, l50 := slow.Throughput(50)
+	if float64(a1) != 1923*float64(unit.MB) {
+		t.Errorf("n=1 has no peer traffic, throughput %v", a1)
+	}
+	if float64(a50) > 0.5*float64(l50) {
+		t.Errorf("slow NIC at n=50 should bottleneck hard: %v vs %v", a50, l50)
+	}
+	if got, _ := m.Throughput(0); got != 0 {
+		t.Error("n=0")
 	}
 }
 

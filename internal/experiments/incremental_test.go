@@ -32,11 +32,11 @@ func TestIncrementalArtifactsByteIdentical(t *testing.T) {
 	}
 	for name, run := range render {
 		t.Run(name, func(t *testing.T) {
-			full, err := run(Options{Seed: 42, Quick: true, Sequential: true, FullResolve: true})
+			full, err := run(Options{Seed: 42, Quick: true, Workers: 1, FullResolve: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			incr, err := run(Options{Seed: 42, Quick: true, Sequential: true})
+			incr, err := run(Options{Seed: 42, Quick: true, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

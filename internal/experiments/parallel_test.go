@@ -34,7 +34,7 @@ func TestParallelArtifactsByteIdentical(t *testing.T) {
 	}
 	for name, run := range render {
 		t.Run(name, func(t *testing.T) {
-			seq, err := run(Options{Seed: 42, Quick: true, Sequential: true})
+			seq, err := run(Options{Seed: 42, Quick: true, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

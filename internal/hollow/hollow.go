@@ -44,23 +44,6 @@ type Config struct {
 	Now func() time.Time
 }
 
-// DefaultConfig is the 10k-node, 1M-job shape the PR 10 benchmark
-// records, scaled by the caller via the fields.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Nodes:        10_000,
-		GPUsPerNode:  4,
-		CachePerNode: unit.GiB(512),
-		Jobs:         1_000_000,
-		Datasets:     512,
-		Rounds:       200,
-		JobRounds:    12,
-		Scheduler:    policy.FIFOKind,
-		System:       policy.SiloD,
-		Seed:         seed,
-	}
-}
-
 // Validate rejects shapes the harness cannot drive.
 func (c Config) Validate() error {
 	if c.Nodes <= 0 || c.GPUsPerNode <= 0 || c.CachePerNode <= 0 {

@@ -54,7 +54,7 @@ func Run(root string, opts Options) (*Result, error) {
 		diags  []Diagnostic
 		shared map[string]any
 	}
-	results, err := runner.Map(runner.Options{Workers: opts.Workers, Sequential: opts.Workers == 1},
+	results, err := runner.Map(runner.Options{Workers: opts.Workers},
 		len(pkgs), func(a runner.Arm) (pkgResult, error) {
 			shared := make(map[string]any)
 			return pkgResult{

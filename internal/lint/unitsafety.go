@@ -25,7 +25,7 @@ import (
 //  2. No direct conversion between two distinct unit types
 //     (unit.Bandwidth(someBytes)). Conversions must go through an
 //     explicit helper or float64 so the dimensional change is visible
-//     (unit.PerSecond, unit.DivBandwidth, unit.MulDuration).
+//     (unit.PerSecond, unit.DivBandwidth).
 //
 // The unit package itself is exempt: it is where the conversion
 // helpers live.
@@ -130,6 +130,6 @@ func checkUnitConversion(p *Pass, e *ast.CallExpr) {
 	if !ok || src == dst {
 		return
 	}
-	p.Reportf(e.Pos(), "direct conversion unit.%s -> unit.%s reinterprets the quantity without changing its value: use an explicit helper (unit.PerSecond, unit.DivBandwidth, unit.MulDuration) or go through float64",
+	p.Reportf(e.Pos(), "direct conversion unit.%s -> unit.%s reinterprets the quantity without changing its value: use an explicit helper (unit.PerSecond, unit.DivBandwidth) or go through float64",
 		src, dst)
 }

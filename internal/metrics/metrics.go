@@ -172,15 +172,3 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	}
 	return out
 }
-
-// LinearBuckets returns n bounds starting at start with the given step.
-func LinearBuckets(start, step float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = start + float64(i)*step
-	}
-	return out
-}

@@ -72,7 +72,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestExpAndLinearBuckets(t *testing.T) {
+func TestExpBuckets(t *testing.T) {
 	b := ExpBuckets(1, 2, 4)
 	want := []float64{1, 2, 4, 8}
 	for i := range want {
@@ -80,14 +80,7 @@ func TestExpAndLinearBuckets(t *testing.T) {
 			t.Fatalf("ExpBuckets = %v, want %v", b, want)
 		}
 	}
-	l := LinearBuckets(0, 10, 3)
-	wantL := []float64{0, 10, 20}
-	for i := range wantL {
-		if l[i] != wantL[i] {
-			t.Fatalf("LinearBuckets = %v, want %v", l, wantL)
-		}
-	}
-	if ExpBuckets(0, 2, 3) != nil || ExpBuckets(1, 1, 3) != nil || LinearBuckets(0, 1, 0) != nil {
+	if ExpBuckets(0, 2, 3) != nil || ExpBuckets(1, 1, 3) != nil {
 		t.Error("degenerate bucket specs must return nil")
 	}
 }

@@ -130,13 +130,15 @@ type bwJob struct {
 }
 
 // resize returns a length-n slice backed by *buf, reallocating only when
-// the capacity is insufficient. Element contents are unspecified, so
-// callers overwrite every element before reading it.
+// the capacity is insufficient, and then to at least twice the old
+// capacity, so a buffer growing one element at a time reallocates
+// O(log n) times. Element contents are unspecified, so callers
+// overwrite every element before reading it.
 //
 // silod:pure
 func resize[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]T, n)
+		*buf = make([]T, n, max(n, 2*cap(*buf)))
 	}
 	*buf = (*buf)[:n]
 	return *buf

@@ -34,13 +34,12 @@ import (
 type Options struct {
 	// Seed is the root seed that arm seeds are derived from.
 	Seed int64
-	// Workers bounds the pool size; 0 means GOMAXPROCS.
+	// Workers bounds the pool size; 0 means GOMAXPROCS. 1 disables the
+	// pool entirely: arms run inline, in index order, on the calling
+	// goroutine. That is the debugging opt-out (silodsim -parallel=1)
+	// and the reference order that parallel runs are tested
+	// byte-identical against.
 	Workers int
-	// Sequential disables the pool entirely: arms run inline, in index
-	// order, on the calling goroutine. This is the debugging opt-out
-	// (silodsim -parallel=1) and the reference order that parallel runs
-	// are tested byte-identical against.
-	Sequential bool
 }
 
 func (o Options) workers() int {
@@ -62,7 +61,7 @@ type Arm struct {
 }
 
 // Map runs n arms through the pool and returns their results in arm
-// order. The result slice is byte-for-byte identical to a Sequential
+// order. The result slice is byte-for-byte identical to a one-worker
 // run with the same Options.Seed; on error it returns the
 // lowest-indexed arm error. Panics in arm functions propagate to the
 // caller.
@@ -71,7 +70,7 @@ func Map[T any](o Options, n int, run func(Arm) (T, error)) ([]T, error) {
 		panic("runner: negative arm count")
 	}
 	results := make([]T, n)
-	if o.Sequential || n <= 1 || o.workers() == 1 {
+	if n <= 1 || o.workers() == 1 {
 		for i := 0; i < n; i++ {
 			r, err := run(Arm{Index: i, Seed: simrng.ArmSeed(o.Seed, i)})
 			if err != nil {
@@ -130,12 +129,4 @@ func Map[T any](o Options, n int, run func(Arm) (T, error)) ([]T, error) {
 		}
 	}
 	return results, nil
-}
-
-// ForEach is Map for arms that produce no value.
-func ForEach(o Options, n int, run func(Arm) error) error {
-	_, err := Map(o, n, func(a Arm) (struct{}, error) {
-		return struct{}{}, run(a)
-	})
-	return err
 }

@@ -17,7 +17,7 @@ func TestMapMatchesSequential(t *testing.T) {
 		return fmt.Sprintf("%d:%d:%.6f", a.Index, a.Seed, g.Float64()), nil
 	}
 	const n = 64
-	seq, err := Map(Options{Seed: 7, Sequential: true}, n, arm)
+	seq, err := Map(Options{Seed: 7, Workers: 1}, n, arm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestMapMatchesSequential(t *testing.T) {
 
 func TestMapSeedsAreDerivedNotShared(t *testing.T) {
 	seen := make(map[int64]int)
-	_, err := Map(Options{Seed: 42, Sequential: true}, 32, func(a Arm) (int64, error) {
+	_, err := Map(Options{Seed: 42, Workers: 1}, 32, func(a Arm) (int64, error) {
 		want := simrng.ArmSeed(42, a.Index)
 		if a.Seed != want {
 			t.Errorf("arm %d: seed %d, want %d", a.Index, a.Seed, want)
@@ -72,7 +72,7 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 func TestSequentialStopsAtFirstError(t *testing.T) {
 	var calls int
 	boom := errors.New("boom")
-	_, err := Map(Options{Sequential: true}, 10, func(a Arm) (int, error) {
+	_, err := Map(Options{Workers: 1}, 10, func(a Arm) (int, error) {
 		calls++
 		if a.Index == 2 {
 			return 0, boom
@@ -122,19 +122,6 @@ func TestWorkersBounded(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var done atomic.Int64
-	if err := ForEach(Options{Seed: 9, Workers: 4}, 32, func(a Arm) error {
-		done.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if done.Load() != 32 {
-		t.Fatalf("ran %d arms, want 32", done.Load())
-	}
-}
-
 // TestPoolStress hammers the pool under the race detector (make race
 // runs this package with -race): many rounds of fan-out with
 // shared read-only input, per-slot writes, and occasional errors.
@@ -151,7 +138,7 @@ func TestPoolStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := Map(Options{Seed: int64(round), Sequential: true}, len(shared), func(a Arm) (int64, error) {
+		want, _ := Map(Options{Seed: int64(round), Workers: 1}, len(shared), func(a Arm) (int64, error) {
 			g := simrng.New(a.Seed)
 			return shared[a.Index] + g.Int63()%1000, nil
 		})

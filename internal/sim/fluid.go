@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/cache"
-	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/unit"
 	"repro/internal/workload"
@@ -41,9 +40,6 @@ type fluidSim struct {
 	now        unit.Time
 	nextArrive int
 	lastSample unit.Time
-
-	// placement tracks gangs on physical servers when configured.
-	placement *cluster.Cluster
 
 	// Scratch for jobRates and the Che fixed point, recomputed every
 	// integration step; see engine for the lifetime rule.
@@ -108,13 +104,6 @@ func runFluid(cfg Config, specs []workload.JobSpec) (*Result, error) {
 	var err error
 	if s.engine, err = newEngine(cfg, jobs); err != nil {
 		return nil, err
-	}
-	if cfg.Servers > 0 {
-		pl, err := cluster.New(cfg.Servers, cfg.GPUsPerServer, unit.Bytes(float64(cfg.Cluster.Cache)/float64(cfg.Servers)))
-		if err != nil {
-			return nil, err
-		}
-		s.placement = pl
 	}
 	if err := s.loop(); err != nil {
 		return nil, err
@@ -196,16 +185,6 @@ func (s *fluidSim) reschedule() error {
 			// (Re)admission: the effective cache for the rest of this
 			// epoch is whatever was cached before now.
 			j.effCached = minBytes(s.ds(j).cached, j.spec.Dataset.Size)
-			if s.placement != nil {
-				p, err := s.placement.Place(j.spec.ID, j.spec.NumGPUs, cluster.Pack)
-				if err != nil {
-					return fmt.Errorf("sim: placement: %w", err)
-				}
-				s.res.PlacedGangs++
-				if len(p) > 1 {
-					s.res.SpannedGangs++
-				}
-			}
 		}
 	}
 	// Cache quotas (quota-based systems only; LRU manages itself).
@@ -267,9 +246,6 @@ func (s *fluidSim) cacheResized(before unit.Bytes) {
 func (s *fluidSim) halt(j *jobRT, lostEpoch bool) {
 	if lostEpoch {
 		j.rollbackEpoch()
-	}
-	if s.placement != nil {
-		s.placement.Release(j.spec.ID)
 	}
 }
 
@@ -626,9 +602,6 @@ func (s *fluidSim) loop() error {
 				}
 				if j.remaining <= subByteResidue {
 					s.complete(s.now, j)
-					if s.placement != nil {
-						s.placement.Release(j.spec.ID)
-					}
 					s.dropIfUnused(j)
 					reschedNow = true
 					continue

@@ -100,16 +100,6 @@ type Config struct {
 	// queue-aware allocator (policy.GreedyAllocator.PrefetchQueued) so
 	// queued jobs' datasets actually receive quotas.
 	EnablePrefetch bool
-	// Servers and GPUsPerServer, when both positive, enable server
-	// placement tracking in the fluid engine: gangs are placed with
-	// pack-first placement and the Result reports how many spanned
-	// multiple servers. Placement is observational — the storage fabric
-	// serves peer reads at local speed (Figure 3), so it does not
-	// change performance — but it validates that the flat-pool
-	// abstraction maps onto physical servers. Servers*GPUsPerServer
-	// must equal Cluster.GPUs.
-	Servers       int
-	GPUsPerServer int
 	// Faults, when non-nil, is the deterministic fault schedule the run
 	// replays: capacity shocks (GPU-node loss, cache loss, egress
 	// degradation) and recoveries land as first-class events that
@@ -163,11 +153,6 @@ type Result struct {
 	Timelines map[string]*stats.Series
 	// Events counts engine-internal events, for performance reporting.
 	Events int
-	// PlacedGangs and SpannedGangs report placement statistics when
-	// Config.Servers is set: how many gang placements occurred and how
-	// many had to span multiple servers.
-	PlacedGangs  int
-	SpannedGangs int
 }
 
 // AvgJCT is the mean job completion time.
@@ -230,12 +215,6 @@ func Run(cfg Config, jobs []workload.JobSpec) (*Result, error) {
 			if ev.Kind == faults.KindJobCrash && !known[ev.Job] {
 				return nil, fmt.Errorf("sim: fault schedule crashes unknown job %q", ev.Job)
 			}
-		}
-	}
-	if c.Servers > 0 || c.GPUsPerServer > 0 {
-		if c.Servers*c.GPUsPerServer != c.Cluster.GPUs {
-			return nil, fmt.Errorf("sim: %d servers x %d GPUs != cluster's %d GPUs",
-				c.Servers, c.GPUsPerServer, c.Cluster.GPUs)
 		}
 	}
 	switch c.Engine {

@@ -346,33 +346,6 @@ func TestSJFEnhancedPrefersShortCacheEfficientJobs(t *testing.T) {
 	}
 }
 
-// TestPlacementTracking: with servers configured, every gang places
-// successfully, multi-server spanning is counted, and results are
-// unchanged (placement is observational — Figure 3's flat fabric).
-func TestPlacementTracking(t *testing.T) {
-	jobs, err := workload.Generate(workload.DefaultTraceConfig(5, 24, 2*unit.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := core.Cluster{GPUs: 16, Cache: unit.TiB(4), RemoteIO: unit.MBpsOf(400)}
-	flat := runSim(t, Config{Cluster: cl, Policy: siloFIFO(t), System: policy.SiloD, Seed: 3}, jobs)
-	placed := runSim(t, Config{Cluster: cl, Policy: siloFIFO(t), System: policy.SiloD, Seed: 3,
-		Servers: 4, GPUsPerServer: 4}, jobs)
-	if placed.PlacedGangs == 0 {
-		t.Fatal("no placements recorded")
-	}
-	if placed.AvgJCT() != flat.AvgJCT() {
-		t.Errorf("placement changed results: %.1f vs %.1f min",
-			placed.AvgJCT().Minutes(), flat.AvgJCT().Minutes())
-	}
-	t.Logf("placed %d gangs, %d spanned servers", placed.PlacedGangs, placed.SpannedGangs)
-	// Misconfigured geometry is rejected.
-	if _, err := Run(Config{Cluster: cl, Policy: siloFIFO(t), System: policy.SiloD,
-		Servers: 3, GPUsPerServer: 4}, jobs); err == nil {
-		t.Error("mismatched server geometry accepted")
-	}
-}
-
 // TestBatchEnginePreemption exercises pause/resume in the block-level
 // engine: Gavel time-shares two gangs over one GPU pair; in-flight
 // fetches are abandoned on preemption and re-issued on resume, and both

@@ -136,11 +136,6 @@ func (g *RNG) Normal(mu, sigma float64) float64 {
 	return g.r.NormFloat64()*sigma + mu
 }
 
-// Shuffle permutes xs in place.
-func Shuffle[T any](g *RNG, xs []T) {
-	g.r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}
-
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

@@ -142,17 +142,8 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
-func TestShuffleAndPermAreCompletePermutations(t *testing.T) {
+func TestPermIsCompletePermutation(t *testing.T) {
 	g := New(8)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	Shuffle(g, xs)
-	seen := make(map[int]bool)
-	for _, x := range xs {
-		seen[x] = true
-	}
-	if len(seen) != 8 {
-		t.Errorf("shuffle lost elements: %v", xs)
-	}
 	p := g.Perm(100)
 	seenP := make(map[int]bool)
 	for _, x := range p {

@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the evaluation harness
-// reports: means, percentiles, CDFs, time-weighted averages and fairness
-// indices.
+// reports: means, percentiles, sampled CDFs, time-weighted averages and
+// timeline series.
 package stats
 
 import (
@@ -52,17 +52,6 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// Min returns the minimum of xs; +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Max returns the maximum of xs; -Inf for an empty slice.
@@ -117,24 +106,6 @@ func Stddev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// JainIndex returns Jain's fairness index of xs: (Σx)² / (n·Σx²).
-// 1 means perfectly fair; 1/n means maximally unfair. Returns 1 for an
-// empty slice or all-zero input (nothing to be unfair about).
-func JainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sq)
-}
-
 // RelativeError returns |got-want| / |want|. If want is 0 it returns
 // |got| so the caller can still threshold it.
 func RelativeError(got, want float64) float64 {
@@ -142,26 +113,6 @@ func RelativeError(got, want float64) float64 {
 		return math.Abs(got)
 	}
 	return math.Abs(got-want) / math.Abs(want)
-}
-
-// CDFPoint is a single point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64 // fraction of samples <= Value, in (0, 1]
-}
-
-// CDF returns the empirical CDF of xs as sorted points.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pts := make([]CDFPoint, len(sorted))
-	for i, v := range sorted {
-		pts[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(sorted))}
-	}
-	return pts
 }
 
 // SampleCDF evaluates the empirical CDF at a fixed set of fractions

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,7 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestMeanSumMinMax(t *testing.T) {
+func TestMeanSumMax(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	if !almost(Mean(xs), 2.8) {
 		t.Errorf("Mean = %v", Mean(xs))
@@ -17,14 +18,14 @@ func TestMeanSumMinMax(t *testing.T) {
 	if !almost(Sum(xs), 14) {
 		t.Errorf("Sum = %v", Sum(xs))
 	}
-	if Min(xs) != 1 || Max(xs) != 5 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
+	if Max(xs) != 5 {
+		t.Errorf("Max = %v", Max(xs))
 	}
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")
 	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Error("empty Min/Max not infinities")
+	if !math.IsInf(Max(nil), -1) {
+		t.Error("empty Max not -Inf")
 	}
 }
 
@@ -58,7 +59,7 @@ func TestPercentileBoundsProperty(t *testing.T) {
 		}
 		pp := float64(p % 101)
 		v := Percentile(raw, pp)
-		return v >= Min(raw)-1e-9 && v <= Max(raw)+1e-9
+		return v >= slices.Min(raw)-1e-9 && v <= Max(raw)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -74,19 +75,6 @@ func TestStddev(t *testing.T) {
 	}
 }
 
-func TestJainIndex(t *testing.T) {
-	if !almost(JainIndex([]float64{5, 5, 5}), 1) {
-		t.Error("equal shares should be perfectly fair")
-	}
-	got := JainIndex([]float64{1, 0, 0, 0})
-	if !almost(got, 0.25) {
-		t.Errorf("one-of-four = %v, want 0.25", got)
-	}
-	if JainIndex(nil) != 1 || JainIndex([]float64{0, 0}) != 1 {
-		t.Error("degenerate Jain")
-	}
-}
-
 func TestRelativeError(t *testing.T) {
 	if !almost(RelativeError(110, 100), 0.1) {
 		t.Error("rel err")
@@ -97,19 +85,6 @@ func TestRelativeError(t *testing.T) {
 }
 
 func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatal("len")
-	}
-	if pts[0].Value != 1 || pts[2].Value != 3 {
-		t.Error("not sorted")
-	}
-	if !almost(pts[2].Fraction, 1) || !almost(pts[0].Fraction, 1.0/3) {
-		t.Errorf("fractions: %+v", pts)
-	}
-	if CDF(nil) != nil {
-		t.Error("empty CDF")
-	}
 	got := SampleCDF([]float64{10, 20, 30, 40}, []float64{0.5})
 	if len(got) != 1 || got[0] != 25 {
 		t.Errorf("SampleCDF: %v", got)

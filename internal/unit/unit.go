@@ -29,9 +29,6 @@ func GiB(n float64) Bytes { return Bytes(n) * GB }
 // TiB returns n tebibytes.
 func TiB(n float64) Bytes { return Bytes(n) * TB }
 
-// MiB returns n mebibytes.
-func MiB(n float64) Bytes { return Bytes(n) * MB }
-
 // String formats the size with the largest unit that keeps the value >= 1.
 func (b Bytes) String() string {
 	abs := math.Abs(float64(b))
@@ -207,11 +204,6 @@ func DivBandwidth(b Bytes, bw Bandwidth) Duration {
 	return Duration(float64(b) / float64(bw))
 }
 
-// MulDuration reports how many bytes flow at rate bw for duration d.
-func MulDuration(bw Bandwidth, d Duration) Bytes {
-	return Bytes(float64(bw) * float64(d))
-}
-
 // CeilDiv reports how many whole blocks of the given size cover b.
 // Non-positive block sizes yield 0.
 func CeilDiv(b, block Bytes) int {
@@ -228,26 +220,4 @@ func AlignUp(b, align Bytes) Bytes {
 		return b
 	}
 	return Bytes(CeilDiv(b, align)) * align
-}
-
-// ClampBytes bounds v to [lo, hi].
-func ClampBytes(v, lo, hi Bytes) Bytes {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ClampBandwidth bounds v to [lo, hi].
-func ClampBandwidth(v, lo, hi Bandwidth) Bandwidth {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

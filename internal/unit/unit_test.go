@@ -13,7 +13,6 @@ func TestByteConstructors(t *testing.T) {
 	}{
 		{GiB(1), 1 << 30},
 		{TiB(2), 2 << 40},
-		{MiB(0.5), 1 << 19},
 		{143 * GB, 143 * (1 << 30)},
 	}
 	for i, c := range cases {
@@ -163,23 +162,5 @@ func TestDivBandwidth(t *testing.T) {
 	}
 	if d := DivBandwidth(0, 0); d != 0 {
 		t.Errorf("zero bytes at zero bandwidth should be 0, got %v", d)
-	}
-}
-
-func TestMulDuration(t *testing.T) {
-	if b := MulDuration(MBpsOf(50), 4); b != 200*MB {
-		t.Errorf("MulDuration = %v", b)
-	}
-}
-
-func TestClamps(t *testing.T) {
-	if v := ClampBytes(5, 1, 3); v != 3 {
-		t.Errorf("ClampBytes high: %v", v)
-	}
-	if v := ClampBytes(-1, 0, 3); v != 0 {
-		t.Errorf("ClampBytes low: %v", v)
-	}
-	if v := ClampBandwidth(2, 1, 3); v != 2 {
-		t.Errorf("ClampBandwidth mid: %v", v)
 	}
 }

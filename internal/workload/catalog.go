@@ -114,9 +114,6 @@ func mustDataset(name string) Dataset {
 	return d
 }
 
-// Models returns a copy of the model catalog.
-func Models() []Model { return append([]Model(nil), modelCatalog...) }
-
 // Datasets returns a copy of the dataset catalog.
 func Datasets() []Dataset { return append([]Dataset(nil), datasetCatalog...) }
 

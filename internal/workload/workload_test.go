@@ -29,7 +29,7 @@ func TestCatalogLookups(t *testing.T) {
 	if _, err := DatasetByName("nope"); err == nil {
 		t.Error("unknown dataset accepted")
 	}
-	if len(Models()) < 8 || len(Datasets()) != 5 {
+	if len(modelCatalog) < 8 || len(Datasets()) != 5 {
 		t.Error("catalog sizes")
 	}
 }
