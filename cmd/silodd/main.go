@@ -87,8 +87,6 @@ type daemon struct {
 	sched    *controlplane.SchedulerServer
 	dmSrv    *http.Server
 	schedSrv *http.Server
-	dmLn     net.Listener
-	schedLn  net.Listener
 	errc     chan error    // listener exit errors
 	stop     chan struct{} // closes to stop the round loop
 	loopDone chan struct{} // closes when the round loop exits
@@ -217,8 +215,6 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		sched:    sched,
 		dmSrv:    newServer(dmSrv, lastConn),
 		schedSrv: newServer(sched, lastConn),
-		dmLn:     dmLn,
-		schedLn:  schedLn,
 		errc:     make(chan error, 2),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -37,17 +38,27 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// testDaemon boots a daemon on loopback ephemeral ports in queued
-// serving mode with a fast round loop.
-func testDaemon(t *testing.T) *daemon {
+// testDaemon boots a daemon on loopback in queued serving mode with a
+// fast round loop and returns it with its scheduler's base URL.
+func testDaemon(t *testing.T) (*daemon, string) {
 	t.Helper()
+	// Reserve an ephemeral port for the scheduler so the test knows its
+	// address; the data manager takes whatever port is free.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedAddr := ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
 	d, err := newDaemon(daemonConfig{
 		Cluster:   core.Cluster{GPUs: 8, Cache: unit.GiB(100), RemoteIO: unit.MBpsOf(200)},
 		Scheduler: policy.FIFOKind,
 		System:    policy.SiloD,
 		Seed:      1,
 		DMAddr:    "127.0.0.1:0",
-		SchedAddr: "127.0.0.1:0",
+		SchedAddr: schedAddr,
 		Interval:  10 * time.Millisecond,
 		Drain:     2 * time.Second,
 		Queue:     admission.Config{Capacity: 32, HighWater: 8, StandardWater: 16},
@@ -56,7 +67,7 @@ func testDaemon(t *testing.T) *daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	return d, "http://" + schedAddr
 }
 
 func submitBody(t *testing.T, job string) []byte {
@@ -77,8 +88,7 @@ func submitBody(t *testing.T, job string) []byte {
 // 503 + Retry-After — never a torn connection — and the daemon's wait
 // loop returns nil on SIGTERM.
 func TestGracefulDrain(t *testing.T) {
-	d := testDaemon(t)
-	url := "http://" + d.schedLn.Addr().String()
+	d, url := testDaemon(t)
 
 	// The serving path works before the drain: queued then scheduled.
 	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(submitBody(t, "warm")))
@@ -191,10 +201,11 @@ func TestAwaitQuiet(t *testing.T) {
 }
 
 // TestListenerErrorPropagates: when a listener dies underneath the
-// daemon, wait returns the error instead of hanging.
+// daemon (closing its server closes it), wait returns the error instead
+// of hanging.
 func TestListenerErrorPropagates(t *testing.T) {
-	d := testDaemon(t)
-	if err := d.schedLn.Close(); err != nil {
+	d, _ := testDaemon(t)
+	if err := d.schedSrv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	sig := make(chan os.Signal)

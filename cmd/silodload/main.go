@@ -34,6 +34,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/policy"
 	"repro/internal/simrng"
+	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/unit"
 )
@@ -156,8 +157,8 @@ func run(args []string) error {
 		host.stop() // freeze round stats before reading them
 		rep.Rounds, rep.RoundErrors = host.rec.counts()
 		rounds := host.rec.durations()
-		rep.RoundP50Millis = loadgen.Quantile(rounds, 0.5) * 1000
-		rep.RoundP99Millis = loadgen.Quantile(rounds, 0.99) * 1000
+		rep.RoundP50Millis = stats.Percentile(rounds, 50) * 1000
+		rep.RoundP99Millis = stats.Percentile(rounds, 99) * 1000
 		rep.FinalQueueDepth = host.queue.Depth()
 	}
 
@@ -171,9 +172,9 @@ func run(args []string) error {
 		rep.Tiers[c.String()] = tierReport{TierStats: t, ShedFraction: t.ShedFraction()}
 	}
 	rep.ShedMonotone = report.ShedMonotone()
-	rep.SubmitP50Millis = loadgen.Quantile(submitSecs, 0.5) * 1000
-	rep.SubmitP99Millis = loadgen.Quantile(submitSecs, 0.99) * 1000
-	rep.SubmitMaxMillis = loadgen.Quantile(submitSecs, 1) * 1000
+	rep.SubmitP50Millis = stats.Percentile(submitSecs, 50) * 1000
+	rep.SubmitP99Millis = stats.Percentile(submitSecs, 99) * 1000
+	rep.SubmitMaxMillis = stats.Percentile(submitSecs, 100) * 1000
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -306,7 +307,6 @@ type selfHostConfig struct {
 // round-loop goroutine, a bounded admission queue.
 type selfHost struct {
 	url      string
-	sched    *controlplane.SchedulerServer
 	queue    *admission.Queue
 	srv      *http.Server
 	stopOnce sync.Once
@@ -346,7 +346,6 @@ func startSelfHost(cfg selfHostConfig) (*selfHost, error) {
 	}
 	h := &selfHost{
 		url:   "http://" + ln.Addr().String(),
-		sched: sched,
 		queue: q,
 		srv: &http.Server{
 			Handler:           sched,

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -386,18 +387,14 @@ func runTrace(w *os.File, path, scheduler, system, engine string, gpus int, cach
 		fmt.Fprintf(w, "timeline CSVs written to %s\n", csvDir)
 	}
 	if metricsOut != "" {
-		if err := writeMetricsDump(metricsOut, metricsDump{
-			Summary: dumpSummary{
-				Scheduler:   k.String(),
-				System:      cs.String(),
-				Engine:      eng.String(),
-				Jobs:        len(res.Jobs),
-				AvgJCTMin:   res.AvgJCT().Minutes(),
-				MakespanMin: res.Makespan.Minutes(),
-			},
-			Snapshot: reg.Snapshot(),
-			Timeline: tl.Events(),
-		}); err != nil {
+		if err := writeMetricsDump(metricsOut, newMetricsDump(dumpSummary{
+			Scheduler:   k.String(),
+			System:      cs.String(),
+			Engine:      eng.String(),
+			Jobs:        len(res.Jobs),
+			AvgJCTMin:   res.AvgJCT().Minutes(),
+			MakespanMin: res.Makespan.Minutes(),
+		}, reg, tl, os.Stderr)); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "metrics snapshot written to %s\n", metricsOut)
@@ -421,6 +418,21 @@ type dumpSummary struct {
 	Jobs        int     `json:"jobs"`
 	AvgJCTMin   float64 `json:"avg_jct_minutes"`
 	MakespanMin float64 `json:"makespan_minutes"`
+	// TimelineDropped counts the events the timeline discarded at its
+	// limit; the dump's timeline holds only those before it.
+	TimelineDropped int64 `json:"timeline_dropped,omitempty"`
+}
+
+// newMetricsDump assembles the -metrics artifact of one run. When the
+// timeline hit its limit, the summary counts the events it dropped and
+// one line on warn says so.
+func newMetricsDump(sum dumpSummary, reg *metrics.Registry, tl *metrics.Timeline, warn io.Writer) metricsDump {
+	events := tl.Events()
+	if sum.TimelineDropped = tl.Dropped(); sum.TimelineDropped > 0 {
+		fmt.Fprintf(warn, "silodsim: timeline full: kept the first %d events, dropped %d\n",
+			len(events), sum.TimelineDropped)
+	}
+	return metricsDump{Summary: sum, Snapshot: reg.Snapshot(), Timeline: events}
 }
 
 // writeMetricsDump writes the dump as indented JSON. Close errors on

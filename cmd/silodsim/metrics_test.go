@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -150,5 +151,36 @@ func TestTraceModeWithoutMetricsFlagWritesNothing(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "metrics.json")); !os.IsNotExist(err) {
 		t.Errorf("metrics.json written without -metrics flag")
+	}
+}
+
+// TestMetricsDumpCountsDroppedTimelineEvents: a timeline that saw more
+// events than its limit says so in the dump summary and on stderr; one
+// that did not leaves the summary's JSON as it was.
+func TestMetricsDumpCountsDroppedTimelineEvents(t *testing.T) {
+	tl := metrics.NewTimeline(3)
+	for i := 0; i < 5; i++ {
+		tl.RecordAt(float64(i), metrics.EventSubmit, fmt.Sprintf("j%d", i), 0, "")
+	}
+	var warn bytes.Buffer
+	d := newMetricsDump(dumpSummary{Jobs: 5}, nil, tl, &warn)
+	if d.Summary.TimelineDropped != 2 || len(d.Timeline) != 3 {
+		t.Errorf("summary drops %d with %d events kept, want 2 and 3", d.Summary.TimelineDropped, len(d.Timeline))
+	}
+	if got, want := warn.String(), "silodsim: timeline full: kept the first 3 events, dropped 2\n"; got != want {
+		t.Errorf("stderr = %q, want %q", got, want)
+	}
+	out, err := json.Marshal(d.Summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(out, []byte(`"timeline_dropped":2`)) {
+		t.Errorf("summary JSON %s lacks timeline_dropped", out)
+	}
+
+	warn.Reset()
+	d = newMetricsDump(dumpSummary{Jobs: 5}, nil, metrics.NewTimeline(8), &warn)
+	if out, _ := json.Marshal(d.Summary); bytes.Contains(out, []byte("timeline_dropped")) || warn.Len() != 0 {
+		t.Errorf("a timeline under its limit reported drops: %s, stderr %q", out, warn.String())
 	}
 }

@@ -116,12 +116,6 @@ func (e *OverloadError) Error() string {
 		e.State, e.Depth, e.Capacity, e.SLO, e.RetryAfter)
 }
 
-// entry is one queued submission.
-type entry struct {
-	slo     tenant.SLOClass
-	payload any
-}
-
 // qMetrics are the queue's instrumentation handles, interned eagerly
 // per SLO class so snapshot shape never depends on which tiers a run
 // happened to shed.
@@ -159,7 +153,7 @@ func newQMetrics(r *metrics.Registry, capacity int) qMetrics {
 type Queue struct {
 	mu    sync.Mutex
 	cfg   Config
-	rings [3][]entry  // guarded by mu, indexed by SLOClass.Rank()
+	rings [3][]any    // guarded by mu, indexed by SLOClass.Rank()
 	depth int         // guarded by mu
 	rng   *simrng.RNG // guarded by mu (Retry-After jitter)
 	met   qMetrics
@@ -226,7 +220,7 @@ func (q *Queue) Offer(slo tenant.SLOClass, payload any) error {
 		q.publishLocked()
 		return err
 	}
-	q.rings[slo.Rank()] = append(q.rings[slo.Rank()], entry{slo: slo, payload: payload})
+	q.rings[slo.Rank()] = append(q.rings[slo.Rank()], payload)
 	q.depth++
 	q.met.enqueued[slo].Inc()
 	q.publishLocked()
@@ -249,14 +243,12 @@ func (q *Queue) Drain(max int) []any {
 		if take > len(ring) {
 			take = len(ring)
 		}
-		for _, e := range ring[:take] {
-			out = append(out, e.payload)
-		}
+		out = append(out, ring[:take]...)
 		// Copy the tail down rather than re-slicing so drained entries
 		// do not pin the backing array's dead prefix.
 		n := copy(ring, ring[take:])
 		for i := n; i < len(ring); i++ {
-			ring[i] = entry{}
+			ring[i] = nil
 		}
 		q.rings[rank] = ring[:n]
 	}
@@ -288,13 +280,6 @@ func (q *Queue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.depth
-}
-
-// State reports the current pressure state.
-func (q *Queue) State() State {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.stateLocked()
 }
 
 // Watermarks reports the effective (defaulted) thresholds, for status

@@ -102,31 +102,31 @@ func TestShedPolicyTable(t *testing.T) {
 
 func TestStateTransitions(t *testing.T) {
 	q := mustQueue(t, Config{Capacity: 4, HighWater: 2, StandardWater: 3})
-	if q.State() != StateOpen {
-		t.Errorf("empty queue state = %v, want open", q.State())
+	if q.stateLocked() != StateOpen {
+		t.Errorf("empty queue state = %v, want open", q.stateLocked())
 	}
 	for i := 0; i < 2; i++ {
 		if err := q.Offer(tenant.Critical, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if q.State() != StatePressure {
-		t.Errorf("at high-water state = %v, want pressure", q.State())
+	if q.stateLocked() != StatePressure {
+		t.Errorf("at high-water state = %v, want pressure", q.stateLocked())
 	}
 	for i := 0; i < 2; i++ {
 		if err := q.Offer(tenant.Critical, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if q.State() != StateFull {
-		t.Errorf("at capacity state = %v, want full", q.State())
+	if q.stateLocked() != StateFull {
+		t.Errorf("at capacity state = %v, want full", q.stateLocked())
 	}
 	if err := q.Offer(tenant.Critical, "x"); err == nil {
 		t.Error("hard-full queue accepted a critical submission")
 	}
 	q.Drain(0)
-	if q.State() != StateOpen || q.Depth() != 0 {
-		t.Errorf("drained queue state = %v depth %d, want open 0", q.State(), q.Depth())
+	if q.stateLocked() != StateOpen || q.Depth() != 0 {
+		t.Errorf("drained queue state = %v depth %d, want open 0", q.stateLocked(), q.Depth())
 	}
 	for _, s := range []State{StateOpen, StatePressure, StateFull, State(99)} {
 		if s.String() == "" {

@@ -9,8 +9,6 @@
 // substitutions).
 package cache
 
-import "math/bits"
-
 // Bitset is a fixed-size bitmap over block IDs. SiloD's data manager
 // maintains one per job to track accessed items within an epoch (§6,
 // "delayed effectiveness").
@@ -27,9 +25,6 @@ func NewBitset(n int) *Bitset {
 	}
 	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
-
-// Len reports the domain size.
-func (b *Bitset) Len() int { return b.n }
 
 // Count reports the number of set bits.
 func (b *Bitset) Count() int { return b.count }
@@ -76,37 +71,4 @@ func (b *Bitset) Reset() {
 		b.words[i] = 0
 	}
 	b.count = 0
-}
-
-// AndCount reports |b ∩ other|: e.g. how many of a job's accessed blocks
-// are currently cached.
-func (b *Bitset) AndCount(other *Bitset) int {
-	n := len(b.words)
-	if len(other.words) < n {
-		n = len(other.words)
-	}
-	var c int
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(b.words[i] & other.words[i])
-	}
-	return c
-}
-
-// NextClear returns the first clear bit at or after i, or -1 if none.
-func (b *Bitset) NextClear(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	for ; i < b.n; i++ {
-		w := b.words[i/64]
-		if w == ^uint64(0) {
-			// Whole word set: skip to its end.
-			i = (i/64)*64 + 63
-			continue
-		}
-		if w&(1<<(uint(i)%64)) == 0 {
-			return i
-		}
-	}
-	return -1
 }

@@ -10,7 +10,7 @@ import (
 
 func TestBitsetBasics(t *testing.T) {
 	b := NewBitset(130) // spans three words
-	if b.Count() != 0 || b.Len() != 130 {
+	if b.Count() != 0 || b.n != 130 {
 		t.Fatal("fresh bitset")
 	}
 	for _, i := range []int{0, 63, 64, 129} {
@@ -72,36 +72,6 @@ func TestBitsetCountInvariant(t *testing.T) {
 	}
 }
 
-func TestBitsetAndCountAndNextClear(t *testing.T) {
-	a, b := NewBitset(128), NewBitset(128)
-	for i := 0; i < 128; i += 2 {
-		a.Set(i)
-	}
-	for i := 0; i < 128; i += 3 {
-		b.Set(i)
-	}
-	want := 0
-	for i := 0; i < 128; i++ {
-		if i%2 == 0 && i%3 == 0 {
-			want++
-		}
-	}
-	if got := a.AndCount(b); got != want {
-		t.Errorf("AndCount = %d, want %d", got, want)
-	}
-	full := NewBitset(70)
-	for i := 0; i < 70; i++ {
-		full.Set(i)
-	}
-	if full.NextClear(0) != -1 {
-		t.Error("full bitset has a clear bit")
-	}
-	full.Clear(69)
-	if full.NextClear(0) != 69 {
-		t.Error("NextClear missed bit 69")
-	}
-}
-
 func TestQuotaPoolAdmission(t *testing.T) {
 	p := NewQuotaPool(10*unit.MB, simrng.New(1))
 	if err := p.Register("ds", 10, unit.MB); err != nil {
@@ -116,12 +86,12 @@ func TestQuotaPoolAdmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Hit || !out.Admitted {
-			t.Errorf("block %d: %+v", i, out)
+		if out.Hit || !p.Contains("ds", BlockID(i)) {
+			t.Errorf("block %d: %+v, not admitted", i, out)
 		}
 	}
 	out, _ := p.Access("ds", 3)
-	if out.Hit || out.Admitted {
+	if out.Hit || p.Contains("ds", 3) {
 		t.Errorf("over-quota access admitted: %+v", out)
 	}
 	// Uniform caching never evicts: re-access of cached blocks hits.
@@ -180,8 +150,7 @@ func TestQuotaPoolCapacityBound(t *testing.T) {
 	}
 	admitted := 0
 	for i := 0; i < 4; i++ {
-		out, _ := p.Access("b", BlockID(i))
-		if out.Admitted {
+		if out, _ := p.Access("b", BlockID(i)); !out.Hit && p.Contains("b", BlockID(i)) {
 			admitted++
 		}
 	}
@@ -229,7 +198,7 @@ func TestQuotaPoolDropKey(t *testing.T) {
 	if p.TotalCachedBytes() != 0 {
 		t.Error("DropKey left bytes behind")
 	}
-	if len(p.Keys()) != 0 {
+	if len(p.keys) != 0 {
 		t.Error("DropKey left the key")
 	}
 }
@@ -311,8 +280,7 @@ func TestLRUPoolDropKey(t *testing.T) {
 	}
 	// Freed space is reusable.
 	for i := 5; i < 10; i++ {
-		out, _ := p.Access("b", BlockID(i))
-		if !out.Admitted {
+		if out, _ := p.Access("b", BlockID(i)); out.Hit || !p.Contains("b", BlockID(i)) {
 			t.Error("freed space not reusable")
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/unit"
 )
@@ -54,7 +53,7 @@ func (p *LRUPool) Register(key string, numBlocks int, blockSize unit.Bytes) erro
 		return nil
 	}
 	p.keys[key] = &lruKeyState{
-		keyState: keyState{name: key, numBlocks: numBlocks, blockSize: blockSize, cached: NewBitset(numBlocks)},
+		keyState: keyState{numBlocks: numBlocks, blockSize: blockSize, cached: NewBitset(numBlocks)},
 		entries:  make(map[BlockID]*list.Element),
 	}
 	return nil
@@ -90,7 +89,7 @@ func (p *LRUPool) Access(key string, blk BlockID) (Outcome, error) {
 	p.total += st.blockSize
 	p.met.Admissions.Inc()
 	p.met.Resident.Set(float64(p.total))
-	return Outcome{Admitted: true}, nil
+	return Outcome{}, nil
 }
 
 // evictLRU removes the least recently used block; false if empty.
@@ -179,16 +178,6 @@ func (p *LRUPool) EvictFraction(frac float64) {
 			return
 		}
 	}
-}
-
-// Keys returns the registered keys in sorted order.
-func (p *LRUPool) Keys() []string {
-	out := make([]string, 0, len(p.keys))
-	for k := range p.keys {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DropKey evicts everything under key and forgets it.

@@ -15,8 +15,7 @@ type BlockID int32
 
 // Outcome describes what happened on a block access.
 type Outcome struct {
-	Hit      bool // the block was already cached
-	Admitted bool // the block was inserted on this (miss) access
+	Hit bool // the block was already cached
 }
 
 // Pool is a block cache shared by the cluster. Keys scope the
@@ -52,7 +51,6 @@ type Pool interface {
 
 // keyState is the per-key bookkeeping shared by pool implementations.
 type keyState struct {
-	name      string
 	numBlocks int
 	blockSize unit.Bytes
 	cached    *Bitset
@@ -104,7 +102,7 @@ func (p *QuotaPool) Register(key string, numBlocks int, blockSize unit.Bytes) er
 		}
 		return nil
 	}
-	p.keys[key] = &keyState{name: key, numBlocks: numBlocks, blockSize: blockSize, cached: NewBitset(numBlocks)}
+	p.keys[key] = &keyState{numBlocks: numBlocks, blockSize: blockSize, cached: NewBitset(numBlocks)}
 	return nil
 }
 
@@ -187,7 +185,6 @@ func (p *QuotaPool) Access(key string, blk BlockID) (Outcome, error) {
 		p.total += st.blockSize
 		p.met.Admissions.Inc()
 		p.met.Resident.Set(float64(p.total))
-		return Outcome{Admitted: true}, nil
 	}
 	return Outcome{}, nil
 }

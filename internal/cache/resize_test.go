@@ -16,7 +16,7 @@ func fillKey(t *testing.T, p *QuotaPool, key string, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !out.Admitted {
+		if out.Hit || !p.Contains(key, BlockID(i)) {
 			t.Fatalf("block %d of %s not admitted", i, key)
 		}
 	}
@@ -46,7 +46,7 @@ func TestQuotaPoolResizeToZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Hit || out.Admitted {
+	if out.Hit || p.Contains("ds", 0) {
 		t.Errorf("zero-capacity pool served %+v", out)
 	}
 	// Negative capacity clamps to zero.
@@ -94,7 +94,7 @@ func TestQuotaPoolResizeBlockRounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Admitted {
+	if !out.Hit && p.Contains("ds", 7) {
 		t.Error("admission over fractional capacity")
 	}
 }

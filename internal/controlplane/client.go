@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/datamgr"
 	"repro/internal/dataset"
-	"repro/internal/metrics"
 	"repro/internal/simrng"
 	"repro/internal/unit"
 )
@@ -48,7 +47,7 @@ type Client struct {
 // NewClient returns a client for the service at base (e.g.
 // "http://127.0.0.1:7070"). The jitter RNG is seeded from the base URL
 // so distinct clients decorrelate while any one client stays
-// deterministic; SetRetry overrides the retry policy.
+// deterministic.
 func NewClient(base string) *Client {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(base)) // fnv's Write never fails
@@ -58,23 +57,6 @@ func NewClient(base string) *Client {
 		attempts: defaultAttempts,
 		backoff:  defaultBackoff,
 		rng:      simrng.New(int64(h.Sum64())),
-	}
-}
-
-// SetRetry overrides the retry policy: attempts per request (minimum
-// 1), initial backoff between attempts, and the RNG driving jitter and
-// request IDs (nil keeps the current one). Tests inject a seeded RNG
-// and a zero backoff here.
-func (c *Client) SetRetry(attempts int, backoff time.Duration, rng *simrng.RNG) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	c.attempts = attempts
-	c.backoff = backoff
-	if rng != nil {
-		c.mu.Lock()
-		c.rng = rng
-		c.mu.Unlock()
 	}
 }
 
@@ -255,26 +237,6 @@ func (c *Client) Snapshot() (datamgr.Snapshot, error) {
 	return out, err
 }
 
-// Restore replays a snapshot into a (fresh) data manager.
-func (c *Client) Restore(s datamgr.Snapshot) error {
-	return c.doJSON("POST", "/v1/restore", s, nil)
-}
-
-// Metrics scrapes the server's /metrics endpoint and parses the
-// Prometheus text into samples — the client-side half of the
-// observability surface (works against both server kinds).
-func (c *Client) Metrics() ([]metrics.Sample, error) {
-	resp, err := c.http.Get(c.base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return nil, fmt.Errorf("controlplane: GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	return metrics.ParsePrometheus(resp.Body)
-}
-
 // SubmitJob submits a job to a scheduler server. Submit is the one
 // non-idempotent call in the API, so the client stamps a request ID
 // (unless the caller set one): a retry whose first attempt landed but
@@ -285,12 +247,6 @@ func (c *Client) SubmitJob(req SubmitJobRequest) error {
 		req.RequestID = c.newRequestID(req.JobID)
 	}
 	return c.doJSON("POST", "/v1/jobs", req, nil)
-}
-
-// Heartbeat reports a node's liveness and capacity to a scheduler
-// server.
-func (c *Client) Heartbeat(req HeartbeatRequest) error {
-	return c.doJSON("POST", "/v1/nodes/heartbeat", req, nil)
 }
 
 // Nodes fetches the scheduler's node table.
@@ -306,11 +262,6 @@ func (c *Client) Tenants() ([]TenantStatus, error) {
 	var out []TenantStatus
 	err := c.doJSON("GET", "/v1/tenants", nil, &out)
 	return out, err
-}
-
-// ReportProgress posts a progress update to a scheduler server.
-func (c *Client) ReportProgress(req ProgressRequest) error {
-	return c.doJSON("POST", "/v1/progress", req, nil)
 }
 
 // TriggerSchedule runs one scheduling round on a scheduler server.

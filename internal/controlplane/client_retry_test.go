@@ -54,7 +54,7 @@ func TestClientRetryPerStatus(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, calls := retryServer(t, 2, tc.status, tc.retryAfter)
 			c := NewClient(srv.URL)
-			c.SetRetry(3, 0, simrng.New(1)) // zero backoff: retries don't sleep
+			c.attempts, c.backoff, c.rng = 3, 0, simrng.New(1) // zero backoff: retries don't sleep
 			err := c.EpochStart("j")
 			if tc.wantOK && err != nil {
 				t.Fatalf("want recovery after retries, got %v", err)
@@ -74,7 +74,7 @@ func TestClientRetryPerStatus(t *testing.T) {
 func TestClientRetryExhaustion(t *testing.T) {
 	srv, calls := retryServer(t, 100, http.StatusServiceUnavailable, "0")
 	c := NewClient(srv.URL)
-	c.SetRetry(4, 0, simrng.New(1))
+	c.attempts, c.backoff, c.rng = 4, 0, simrng.New(1)
 	err := c.EpochStart("j")
 	if err == nil || !strings.Contains(err.Error(), "giving up after 4 attempts") {
 		t.Fatalf("exhaustion error = %v", err)
@@ -90,7 +90,7 @@ func TestClientRetryExhaustion(t *testing.T) {
 func TestRetryDelayHonorsHint(t *testing.T) {
 	mk := func(seed int64) *Client {
 		c := NewClient("http://unused")
-		c.SetRetry(5, 50*time.Millisecond, simrng.New(seed))
+		c.attempts, c.backoff, c.rng = 5, 50*time.Millisecond, simrng.New(seed)
 		return c
 	}
 	c := mk(1)
@@ -118,7 +118,7 @@ func TestRetryDelayHonorsHint(t *testing.T) {
 		t.Errorf("capped hint produced %v", d)
 	}
 	// Zero backoff and no hint: no sleeping at all.
-	c.SetRetry(3, 0, nil)
+	c.attempts, c.backoff = 3, 0
 	if d := c.retryDelay(1, 0); d != 0 {
 		t.Errorf("zero-backoff delay = %v", d)
 	}

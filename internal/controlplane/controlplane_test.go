@@ -155,7 +155,7 @@ func TestCrashRecoveryFromAnnotations(t *testing.T) {
 	// one sees the annotations and nothing else.
 	fresh := datamgr.New(unit.GiB(100), unit.MBpsOf(100), 2, nil)
 	dm.Store(NewDataManagerServer(fresh))
-	if err := dmC.Restore(ann); err != nil {
+	if err := dmC.doJSON("POST", "/v1/restore", ann, nil); err != nil {
 		t.Fatal(err)
 	}
 	check := func(when string) {
@@ -169,7 +169,7 @@ func TestCrashRecoveryFromAnnotations(t *testing.T) {
 				t.Errorf("%s: job %s holds %s at %v, scheduler decided %s at %v",
 					when, j.JobID, st.Dataset, st.RemoteIO, j.Dataset, j.RemoteIO)
 			}
-			if got := fresh.Quota(j.Dataset); got != j.CacheQuota {
+			if got := fresh.Snapshot().Quotas[j.Dataset]; got != j.CacheQuota {
 				t.Errorf("%s: dataset %s quota %v, scheduler decided %v", when, j.Dataset, got, j.CacheQuota)
 			}
 		}
@@ -225,9 +225,9 @@ func TestProgressDrivesCompletion(t *testing.T) {
 	if err := schedC.TriggerSchedule(); err != nil {
 		t.Fatal(err)
 	}
-	if err := schedC.ReportProgress(ProgressRequest{
+	if err := schedC.doJSON("POST", "/v1/progress", ProgressRequest{
 		JobID: "a", AttainedBytes: req.TotalBytes, Done: true,
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	jobs, err := schedC.ListJobs()
@@ -238,7 +238,7 @@ func TestProgressDrivesCompletion(t *testing.T) {
 		t.Errorf("job not marked done: %+v", jobs[0])
 	}
 	// Progress for unknown jobs is rejected.
-	if err := schedC.ReportProgress(ProgressRequest{JobID: "nope"}); err == nil {
+	if err := schedC.doJSON("POST", "/v1/progress", ProgressRequest{JobID: "nope"}, nil); err == nil {
 		t.Error("progress for unknown job accepted")
 	}
 }
@@ -265,7 +265,7 @@ func TestProgressRejectsNegativeReports(t *testing.T) {
 		{AttainedBytes: unit.GiB(1)}, // no job_id
 	}
 	for i, pr := range bad {
-		if err := schedC.ReportProgress(pr); err == nil {
+		if err := schedC.doJSON("POST", "/v1/progress", pr, nil); err == nil {
 			t.Errorf("bad progress report %d accepted", i)
 		}
 	}
@@ -309,7 +309,7 @@ func TestServeSchedulesPeriodically(t *testing.T) {
 		sched.Serve(ServeConfig{Interval: 5 * time.Millisecond}, stop, nil)
 	}()
 	deadline := time.After(2 * time.Second)
-	for mgr.Quota("ds-a") <= 0 {
+	for mgr.Snapshot().Quotas["ds-a"] <= 0 {
 		select {
 		case <-deadline:
 			close(stop)

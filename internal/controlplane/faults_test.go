@@ -77,7 +77,7 @@ func TestNodeLivenessPreemptsAndRecovers(t *testing.T) {
 
 	beat := func(node string) {
 		t.Helper()
-		if err := c.Heartbeat(HeartbeatRequest{Node: node, GPUs: 4, Cache: unit.GiB(50)}); err != nil {
+		if err := c.doJSON("POST", "/v1/nodes/heartbeat", HeartbeatRequest{Node: node, GPUs: 4, Cache: unit.GiB(50)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL)
-	c.SetRetry(3, time.Millisecond, simrng.New(1))
+	c.attempts, c.backoff, c.rng = 3, time.Millisecond, simrng.New(1)
 	if err := c.SubmitJob(submitReq("a", 1, unit.GiB(40))); err != nil {
 		t.Fatalf("submit against flaky server = %v, want success on attempt 3", err)
 	}
@@ -239,7 +239,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL)
-	c.SetRetry(3, time.Millisecond, simrng.New(1))
+	c.attempts, c.backoff, c.rng = 3, time.Millisecond, simrng.New(1)
 	err := c.SubmitJob(submitReq("a", 1, unit.GiB(40)))
 	if err == nil || !strings.Contains(err.Error(), "no such model") {
 		t.Fatalf("400 submit = %v, want the server's error", err)
@@ -257,7 +257,7 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL)
-	c.SetRetry(2, time.Millisecond, simrng.New(1))
+	c.attempts, c.backoff, c.rng = 2, time.Millisecond, simrng.New(1)
 	err := c.TriggerSchedule()
 	if err == nil || !strings.Contains(err.Error(), "giving up after 2 attempts") {
 		t.Errorf("persistent 503 = %v, want giving-up error", err)

@@ -72,10 +72,8 @@ func (s *SchedulerServer) handleMetrics(w http.ResponseWriter, _ *http.Request) 
 	servePrometheus(w, s.registry)
 }
 
-// Registry returns the wrapped manager's registry (nil unless
+// handleMetrics serves the wrapped manager's registry (empty unless
 // EnableMetrics was called on it).
-func (s *DataManagerServer) Registry() *metrics.Registry { return s.mgr.Registry() }
-
 func (s *DataManagerServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	servePrometheus(w, s.mgr.Registry())
 }

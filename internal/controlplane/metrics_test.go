@@ -1,7 +1,10 @@
 package controlplane
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/datamgr"
@@ -10,24 +13,37 @@ import (
 	"repro/internal/unit"
 )
 
-// sampleValue finds one parsed sample by name (+ optional label match).
-func sampleValue(samples []metrics.Sample, name string) (float64, bool) {
-	for _, s := range samples {
-		if s.Name == name {
-			return s.Value, true
-		}
+// scrape GETs base/metrics and returns the body, failing unless the
+// endpoint answers 200 in the Prometheus text format.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return 0, false
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: HTTP %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("GET /metrics: Content-Type %q, want the Prometheus text format", ct)
+	}
+	return string(body)
 }
 
-// TestSchedulerMetricsEndpoint submits jobs, runs a round, then scrapes
-// GET /metrics over real HTTP and parses the exposition text.
+// TestSchedulerMetricsEndpoint submits jobs, runs a round, checks that
+// GET /metrics serves the scheduler's series over real HTTP, and reads
+// their values from the registry behind it.
 func TestSchedulerMetricsEndpoint(t *testing.T) {
 	pol, err := policy.Build(policy.GavelKind, policy.SiloD, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedClient, _, _, shutdown := newStack(t, pol)
+	schedClient, _, sched, shutdown := newStack(t, pol)
 	defer shutdown()
 
 	for _, id := range []string{"a", "b", "c"} {
@@ -39,31 +55,35 @@ func TestSchedulerMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	samples, err := schedClient.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	body := scrape(t, schedClient.base)
+	for _, name := range []string{"silod_sched_jobs_submitted_total", "silod_sched_rounds_total", "silod_sched_gpus_allocated"} {
+		if !strings.Contains(body, "\n"+name+" ") {
+			t.Errorf("GET /metrics does not name %s", name)
+		}
 	}
-	if v, ok := sampleValue(samples, "silod_sched_jobs_submitted_total"); !ok || v != 3 {
-		t.Errorf("jobs_submitted = %v (found %v), want 3", v, ok)
+	snap := sched.Registry().Snapshot()
+	if v := snap.CounterValue("silod_sched_jobs_submitted_total", nil); v != 3 {
+		t.Errorf("jobs_submitted = %v, want 3", v)
 	}
-	if v, ok := sampleValue(samples, "silod_sched_rounds_total"); !ok || v < 1 {
-		t.Errorf("rounds = %v (found %v), want >= 1", v, ok)
+	if v := snap.CounterValue("silod_sched_rounds_total", nil); v < 1 {
+		t.Errorf("rounds = %v, want >= 1", v)
 	}
-	if v, ok := sampleValue(samples, "silod_sched_gpus_allocated"); !ok || v <= 0 || v > 8 {
-		t.Errorf("gpus_allocated = %v (found %v), want in (0, 8]", v, ok)
+	if v := snap.CounterValue("silod_sched_gpus_allocated", nil); v <= 0 || v > 8 {
+		t.Errorf("gpus_allocated = %v, want in (0, 8]", v)
 	}
-	run, okR := sampleValue(samples, "silod_sched_running_jobs")
-	que, okQ := sampleValue(samples, "silod_sched_queue_depth")
-	if !okR || !okQ || run+que != 3 {
+	run := snap.CounterValue("silod_sched_running_jobs", nil)
+	que := snap.CounterValue("silod_sched_queue_depth", nil)
+	if run+que != 3 {
 		t.Errorf("running %v + queued %v != 3 submitted", run, que)
 	}
 }
 
 // TestDataManagerMetricsEndpoint enables metrics on a manager, drives
-// reads through the HTTP API, and scrapes the cache counters back.
+// reads through the HTTP API, and reads the cache counters back.
 func TestDataManagerMetricsEndpoint(t *testing.T) {
 	mgr := datamgr.New(unit.GiB(100), unit.MBpsOf(100), 1, nil)
-	mgr.EnableMetrics(metrics.NewRegistry("datamgr"))
+	reg := metrics.NewRegistry("datamgr")
+	mgr.EnableMetrics(reg)
 	srv := httptest.NewServer(NewDataManagerServer(mgr))
 	defer srv.Close()
 	c := NewClient(srv.URL)
@@ -87,33 +107,30 @@ func TestDataManagerMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	samples, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	body := scrape(t, srv.URL)
+	for _, line := range []string{`silod_cache_hits_total{policy="uniform"} 1`, `silod_cache_misses_total{policy="uniform"} 1`, "silod_remoteio_utilization_ratio 0.5"} {
+		if !strings.Contains(body, "\n"+line+"\n") {
+			t.Errorf("GET /metrics lacks %q", line)
+		}
 	}
-	byName := map[string]float64{}
-	for _, s := range samples {
-		byName[s.Name] = s.Value
+	snap := reg.Snapshot()
+	uniform := map[string]string{"policy": "uniform"}
+	hits, misses := snap.CounterValue("silod_cache_hits_total", uniform), snap.CounterValue("silod_cache_misses_total", uniform)
+	if hits != 1 || misses != 1 {
+		t.Errorf("hits/misses = %v/%v, want 1/1", hits, misses)
 	}
-	if byName["silod_cache_hits_total"] != 1 || byName["silod_cache_misses_total"] != 1 {
-		t.Errorf("hits/misses = %v/%v, want 1/1", byName["silod_cache_hits_total"], byName["silod_cache_misses_total"])
-	}
-	if byName["silod_remoteio_utilization_ratio"] != 0.5 {
-		t.Errorf("utilization = %v, want 0.5", byName["silod_remoteio_utilization_ratio"])
+	if v := snap.CounterValue("silod_remoteio_utilization_ratio", nil); v != 0.5 {
+		t.Errorf("utilization = %v, want 0.5", v)
 	}
 }
 
 // TestMetricsEndpointWithoutRegistry: a manager without EnableMetrics
-// serves an empty, parseable page (not an error).
+// serves an empty page (not an error).
 func TestMetricsEndpointWithoutRegistry(t *testing.T) {
 	mgr := datamgr.New(unit.GiB(1), unit.MBpsOf(10), 1, nil)
 	srv := httptest.NewServer(NewDataManagerServer(mgr))
 	defer srv.Close()
-	samples, err := NewClient(srv.URL).Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 0 {
-		t.Errorf("got %d samples from uninstrumented manager", len(samples))
+	if body := scrape(t, srv.URL); body != "" {
+		t.Errorf("uninstrumented manager served %q", body)
 	}
 }

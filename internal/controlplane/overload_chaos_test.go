@@ -166,9 +166,9 @@ func runOverloadChaos(t *testing.T, seed int64) chaosSummary {
 		sum.Tiers[c.String()] = report.Tier(c)
 	}
 	sum.FinalDepth = q.Depth()
-	sum.FinalState = q.State().String()
 	sum.AdmittedJobs = len(s.Jobs())
 	snap := s.Registry().Snapshot()
+	sum.FinalState = admission.State(snap.CounterValue("silod_admission_state", nil)).String()
 	sum.AsyncErrors = snap.CounterValue("silod_sched_async_submit_errors_total", nil)
 
 	if !report.ShedMonotone() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -63,7 +64,7 @@ func rawSubmit(t *testing.T, base string, req SubmitJobRequest) (*http.Response,
 // tenant metrics, and releasing quota (job completion) lets the same
 // submission through.
 func TestSubmitOverQuotaRejected429(t *testing.T) {
-	schedC, _, base, stop := tenantStack(t)
+	schedC, sched, base, stop := tenantStack(t)
 	defer stop()
 
 	if err := schedC.SubmitJob(tenantSubmit("j1", "capped", 2)); err != nil {
@@ -77,23 +78,12 @@ func TestSubmitOverQuotaRejected429(t *testing.T) {
 		t.Error("429 carried no error body")
 	}
 
-	samples, err := schedC.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	if body := scrape(t, base); !strings.Contains(body, "\nsilod_tenant_rejections_total{") {
+		t.Error("GET /metrics does not name silod_tenant_rejections_total")
 	}
-	var rejections, admissions float64
-	for _, s := range samples {
-		switch s.Name {
-		case "silod_tenant_rejections_total":
-			if s.Labels["tenant"] == "capped" && s.Labels["resource"] == "gpus" {
-				rejections = s.Value
-			}
-		case "silod_tenant_admissions_total":
-			if s.Labels["tenant"] == "capped" {
-				admissions = s.Value
-			}
-		}
-	}
+	snap := sched.Registry().Snapshot()
+	rejections := snap.CounterValue("silod_tenant_rejections_total", map[string]string{"tenant": "capped", "resource": "gpus"})
+	admissions := snap.CounterValue("silod_tenant_admissions_total", map[string]string{"tenant": "capped"})
 	if rejections != 1 {
 		t.Errorf("silod_tenant_rejections_total{capped,gpus} = %v, want 1", rejections)
 	}
@@ -102,7 +92,7 @@ func TestSubmitOverQuotaRejected429(t *testing.T) {
 	}
 
 	// Completing j1 releases its quota; the rejected submission now fits.
-	if err := schedC.ReportProgress(ProgressRequest{JobID: "j1", Done: true}); err != nil {
+	if err := schedC.doJSON("POST", "/v1/progress", ProgressRequest{JobID: "j1", Done: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := schedC.SubmitJob(tenantSubmit("j2", "capped", 1)); err != nil {

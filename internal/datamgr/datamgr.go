@@ -27,7 +27,6 @@ import (
 // jobState is the manager's per-job bookkeeping. The mutable counters
 // belong to the Manager's lock: jobState values never escape it.
 type jobState struct {
-	id       string
 	dataset  string
 	bucket   *remoteio.TokenBucket
 	accessed *cache.Bitset // blocks read in the current epoch (§6 bitset)
@@ -42,7 +41,6 @@ type jobState struct {
 
 // datasetInfo is the per-dataset geometry.
 type datasetInfo struct {
-	name      string
 	size      unit.Bytes
 	blockSize unit.Bytes
 	numBlocks int
@@ -88,7 +86,7 @@ func (m *Manager) RegisterDataset(name string, size, blockSize unit.Bytes) error
 	if err := m.pool.Register(name, n, blockSize); err != nil {
 		return err
 	}
-	m.datasets[name] = datasetInfo{name: name, size: size, blockSize: blockSize, numBlocks: n}
+	m.datasets[name] = datasetInfo{size: size, blockSize: blockSize, numBlocks: n}
 	return nil
 }
 
@@ -105,7 +103,6 @@ func (m *Manager) AttachJob(jobID, dataset string) error {
 		return fmt.Errorf("datamgr: job %s already attached", jobID)
 	}
 	js := &jobState{
-		id:       jobID,
 		dataset:  dataset,
 		bucket:   remoteio.NewTokenBucket(0, di.blockSize, m.clock),
 		accessed: cache.NewBitset(di.numBlocks),
@@ -284,13 +281,6 @@ func (m *Manager) CachedBytes(dataset string) unit.Bytes {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.pool.CachedBytes(dataset)
-}
-
-// Quota reports a dataset's current cache allocation.
-func (m *Manager) Quota(dataset string) unit.Bytes {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pool.Quota(dataset)
 }
 
 // Snapshot serializes the manager's allocation state (not cache

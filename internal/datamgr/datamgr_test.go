@@ -190,7 +190,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if err := fresh.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := fresh.Quota("ds"); got != unit.GiB(2) {
+	if got := fresh.Snapshot().Quotas["ds"]; got != unit.GiB(2) {
 		t.Errorf("restored quota %v", got)
 	}
 	st, err := fresh.Stats("job")

@@ -19,14 +19,11 @@ const DefaultBlockSize = 64 * unit.MB
 
 // Blocks is the block-granularity view of a dataset.
 type Blocks struct {
-	Name      string
-	Size      unit.Bytes
-	BlockSize unit.Bytes
-	Num       int
+	Num int
 }
 
 // New splits a dataset of the given size into blocks. The final partial
-// block is rounded up to a whole block, so Num*BlockSize >= Size.
+// block is rounded up to a whole block, so Num*blockSize >= size.
 func New(name string, size, blockSize unit.Bytes) (Blocks, error) {
 	if size <= 0 {
 		return Blocks{}, fmt.Errorf("dataset: non-positive size %v for %q", size, name)
@@ -38,7 +35,7 @@ func New(name string, size, blockSize unit.Bytes) (Blocks, error) {
 	if n < 1 {
 		n = 1
 	}
-	return Blocks{Name: name, Size: size, BlockSize: blockSize, Num: n}, nil
+	return Blocks{Num: n}, nil
 }
 
 // Stream yields the sequence of block accesses a training job performs.
@@ -101,9 +98,6 @@ func (s *EpochStream) RestartEpoch() {
 	s.pos = 0
 }
 
-// StepsPerEpoch reports the accesses per epoch.
-func (s *EpochStream) StepsPerEpoch() int { return s.blocks.Num }
-
 // CurriculumStream implements the §7.4 access pattern: blocks are
 // pre-sorted by training difficulty (block ID order), and each access
 // samples uniformly from the prefix admitted by the pacing function.
@@ -155,6 +149,3 @@ func (s *CurriculumStream) Epoch() int {
 	}
 	return int((s.iteration - 1) / s.spec.StepSize)
 }
-
-// Iteration reports the number of accesses made so far.
-func (s *CurriculumStream) Iteration() int64 { return s.iteration }

@@ -46,7 +46,7 @@ func TestFromWorkload(t *testing.T) {
 func TestEpochStreamExactlyOnce(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		n := int(rawN)%64 + 1
-		b := Blocks{Name: "x", Size: unit.Bytes(n), BlockSize: 1, Num: n}
+		b := Blocks{Num: n}
 		s := NewEpochStream(b, simrng.New(seed))
 		for epoch := 0; epoch < 3; epoch++ {
 			seen := make(map[int]bool, n)
@@ -75,7 +75,7 @@ func TestEpochStreamExactlyOnce(t *testing.T) {
 }
 
 func TestEpochStreamShuffles(t *testing.T) {
-	b := Blocks{Name: "x", Size: 64, BlockSize: 1, Num: 64}
+	b := Blocks{Num: 64}
 	s := NewEpochStream(b, simrng.New(1))
 	first := make([]int, 64)
 	for i := range first {
@@ -98,7 +98,7 @@ func TestEpochStreamShuffles(t *testing.T) {
 }
 
 func TestCurriculumStreamRespectsPacing(t *testing.T) {
-	b := Blocks{Name: "x", Size: 1000, BlockSize: 1, Num: 1000}
+	b := Blocks{Num: 1000}
 	spec := workload.CurriculumSpec{StartingPercent: 0.1, Alpha: 2, StepSize: 100}
 	s, err := NewCurriculumStream(b, spec, simrng.New(2))
 	if err != nil {
@@ -111,8 +111,8 @@ func TestCurriculumStreamRespectsPacing(t *testing.T) {
 			t.Fatalf("iteration %d drew block %d beyond visible prefix %d", i, blk, vis)
 		}
 	}
-	if s.Iteration() != 500 {
-		t.Errorf("iteration count %d", s.Iteration())
+	if s.iteration != 500 {
+		t.Errorf("iteration count %d", s.iteration)
 	}
 	// Repeats must occur (unlike epoch streams): 100 visible blocks,
 	// 100+ draws in the first window.
@@ -134,7 +134,7 @@ func TestCurriculumStreamRespectsPacing(t *testing.T) {
 }
 
 func TestCurriculumNewEpochOnPacingGrowth(t *testing.T) {
-	b := Blocks{Name: "x", Size: 100, BlockSize: 1, Num: 100}
+	b := Blocks{Num: 100}
 	spec := workload.CurriculumSpec{StartingPercent: 0.1, Alpha: 2, StepSize: 10}
 	s, _ := NewCurriculumStream(b, spec, simrng.New(4))
 	growths := 0
@@ -155,7 +155,7 @@ func TestCurriculumNewEpochOnPacingGrowth(t *testing.T) {
 }
 
 func TestCurriculumRejectsBadSpec(t *testing.T) {
-	b := Blocks{Name: "x", Size: 10, BlockSize: 1, Num: 10}
+	b := Blocks{Num: 10}
 	if _, err := NewCurriculumStream(b, workload.CurriculumSpec{StartingPercent: 2, Alpha: 2, StepSize: 1}, simrng.New(1)); err == nil {
 		t.Error("bad spec accepted")
 	}

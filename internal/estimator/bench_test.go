@@ -14,13 +14,3 @@ func BenchmarkPerf(b *testing.B) {
 		_ = p.Perf(r)
 	}
 }
-
-func BenchmarkRequiredRemoteIO(b *testing.B) {
-	p := JobProfile{IdealThroughput: unit.MBpsOf(114), DatasetSize: unit.GiB(143)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.RequiredRemoteIO(unit.MBpsOf(80), unit.GiB(50)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -13,7 +13,6 @@
 package estimator
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/unit"
@@ -31,17 +30,6 @@ type Resources struct {
 type JobProfile struct {
 	IdealThroughput unit.Bandwidth // f*: data consumption rate when compute-bound
 	DatasetSize     unit.Bytes     // d
-}
-
-// Validate reports whether the profile is usable.
-func (p JobProfile) Validate() error {
-	if p.IdealThroughput <= 0 {
-		return fmt.Errorf("estimator: non-positive ideal throughput %v", p.IdealThroughput)
-	}
-	if p.DatasetSize <= 0 {
-		return fmt.Errorf("estimator: non-positive dataset size %v", p.DatasetSize)
-	}
-	return nil
 }
 
 // hitRatio returns c/d clamped to [0,1]: with uniform caching the
@@ -87,64 +75,4 @@ func (p JobProfile) Perf(r Resources) unit.Bandwidth {
 // IOBound reports whether data loading is the bottleneck under r.
 func (p JobProfile) IOBound(r Resources) bool {
 	return p.IOPerf(r) < p.IdealThroughput
-}
-
-// RemoteDemand is Eq. 2: the remote IO consumed when loading at
-// throughput f with cache c.
-func (p JobProfile) RemoteDemand(f unit.Bandwidth, c unit.Bytes) unit.Bandwidth {
-	return unit.Bandwidth(float64(f) * (1 - p.hitRatio(c)))
-}
-
-// IdealRemoteDemand is the remote IO needed to run at f* with cache c:
-// the bandwidth a scheduler must grant to keep the job compute-bound.
-func (p JobProfile) IdealRemoteDemand(c unit.Bytes) unit.Bandwidth {
-	return p.RemoteDemand(p.IdealThroughput, c)
-}
-
-// CacheEfficiency is Eq. 5: remote IO (bytes/s) saved per byte of cache
-// when the job runs at its ideal throughput. Multiply by GB/(MB/s) unit
-// factors externally if needed; this returns (bytes/s)/byte = 1/s.
-func (p JobProfile) CacheEfficiency() float64 {
-	return float64(p.IdealThroughput) / float64(p.DatasetSize)
-}
-
-// CacheEfficiencyMBpsPerGB reports Eq. 5 in the paper's display unit.
-func (p JobProfile) CacheEfficiencyMBpsPerGB() float64 {
-	return p.IdealThroughput.MBpsValue() / (float64(p.DatasetSize) / float64(unit.GB))
-}
-
-// RequiredRemoteIO inverts Eq. 4: the minimum remote IO allocation that
-// achieves end-to-end throughput target given cache c. Targets above f*
-// are unachievable and return an error; a fully cached dataset needs no
-// remote IO.
-func (p JobProfile) RequiredRemoteIO(target unit.Bandwidth, c unit.Bytes) (unit.Bandwidth, error) {
-	const slack = 1e-9
-	if float64(target) > float64(p.IdealThroughput)*(1+slack) {
-		return 0, fmt.Errorf("estimator: target %v exceeds ideal throughput %v", target, p.IdealThroughput)
-	}
-	if target < 0 {
-		return 0, fmt.Errorf("estimator: negative target %v", target)
-	}
-	miss := 1 - p.hitRatio(c)
-	return unit.Bandwidth(float64(target) * miss), nil
-}
-
-// RequiredCache inverts Eq. 4 the other way: the minimum cache that
-// achieves the target throughput given remote IO b. If b alone already
-// sustains the target, zero cache suffices. If even a fully cached
-// dataset cannot reach the target (target > f*), an error is returned.
-func (p JobProfile) RequiredCache(target unit.Bandwidth, b unit.Bandwidth) (unit.Bytes, error) {
-	const slack = 1e-9
-	if float64(target) > float64(p.IdealThroughput)*(1+slack) {
-		return 0, fmt.Errorf("estimator: target %v exceeds ideal throughput %v", target, p.IdealThroughput)
-	}
-	if target <= 0 {
-		return 0, nil
-	}
-	if b >= target {
-		return 0, nil
-	}
-	// Need miss ratio <= b/target, i.e. c/d >= 1 - b/target.
-	frac := 1 - float64(b)/float64(target)
-	return unit.Bytes(frac * float64(p.DatasetSize)), nil
 }

@@ -26,25 +26,3 @@ func ExampleJobProfile_Perf() {
 	// cache  50%: 80.00MB/s
 	// cache 100%: 114.00MB/s
 }
-
-// ExampleJobProfile_CacheEfficiencyMBpsPerGB shows the Eq. 5 quantity
-// behind Figure 6.
-func ExampleJobProfile_CacheEfficiencyMBpsPerGB() {
-	rn50 := estimator.JobProfile{IdealThroughput: unit.MBpsOf(114), DatasetSize: unit.GiB(143)}
-	bert := estimator.JobProfile{IdealThroughput: unit.MBpsOf(2), DatasetSize: unit.TiB(20.9)}
-	fmt.Printf("ResNet-50/ImageNet-1k: %.2f MB/s per GB\n", rn50.CacheEfficiencyMBpsPerGB())
-	fmt.Printf("BERT/WebSearch:        %.1e MB/s per GB\n", bert.CacheEfficiencyMBpsPerGB())
-	// Output:
-	// ResNet-50/ImageNet-1k: 0.80 MB/s per GB
-	// BERT/WebSearch:        9.3e-05 MB/s per GB
-}
-
-// ExampleJobProfile_RequiredRemoteIO inverts Eq. 4: the bandwidth a
-// scheduler must grant to keep a half-cached job compute-bound.
-func ExampleJobProfile_RequiredRemoteIO() {
-	p := estimator.JobProfile{IdealThroughput: unit.MBpsOf(114), DatasetSize: unit.GiB(143)}
-	b, _ := p.RequiredRemoteIO(p.IdealThroughput, unit.GiB(71.5))
-	fmt.Println(b)
-	// Output:
-	// 57.00MB/s
-}

@@ -19,9 +19,6 @@ type Event struct {
 	fn    func()
 }
 
-// Time reports when the event fires.
-func (e *Event) Time() float64 { return e.time }
-
 // Cancelled reports whether the event has been cancelled or already fired.
 func (e *Event) Cancelled() bool { return e.index == -1 }
 
@@ -40,9 +37,6 @@ func New() *Queue { return &Queue{} }
 // Now reports the current simulation time: the fire time of the most
 // recently popped event.
 func (q *Queue) Now() float64 { return q.now }
-
-// Len reports the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
 
 // Schedule enqueues fn to run at time t. Events scheduled for the same
 // time fire in insertion order. Scheduling in the past (t < Now) is a
@@ -95,38 +89,6 @@ func (q *Queue) Step() bool {
 	q.now = e.time
 	e.fn()
 	return true
-}
-
-// RunUntil processes events with time <= t, then advances the clock to t.
-func (q *Queue) RunUntil(t float64) {
-	for len(q.h) > 0 && q.h[0].time <= t {
-		q.Step()
-	}
-	if t > q.now {
-		q.now = t
-	}
-}
-
-// Run drains the queue completely, with an iteration guard: simulators
-// with event-rescheduling bugs would otherwise loop forever. It returns
-// the number of events processed and whether the guard tripped.
-func (q *Queue) Run(maxEvents int) (processed int, hitGuard bool) {
-	for q.Step() {
-		processed++
-		if maxEvents > 0 && processed >= maxEvents {
-			return processed, q.Len() > 0
-		}
-	}
-	return processed, false
-}
-
-// PeekTime returns the fire time of the earliest pending event. ok is
-// false when the queue is empty.
-func (q *Queue) PeekTime() (t float64, ok bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].time, true
 }
 
 type eventHeap []*Event

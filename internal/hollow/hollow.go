@@ -16,13 +16,13 @@ package hollow
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/simrng"
+	"repro/internal/stats"
 	"repro/internal/unit"
 )
 
@@ -262,16 +262,13 @@ func Run(cfg Config) (*Result, error) {
 		Digest:    fmt.Sprintf("%016x", finishDigest(dp)),
 	}
 	var total time.Duration
-	for _, l := range latencies {
+	ns := make([]float64, len(latencies))
+	for i, l := range latencies {
 		total += l
+		ns[i] = float64(l)
 	}
-	sort.Slice(latencies, func(i, k int) bool { return latencies[i] < latencies[k] })
-	res.RoundLatency = Percentiles{
-		P50: pct(latencies, 0.50),
-		P90: pct(latencies, 0.90),
-		P99: pct(latencies, 0.99),
-		Max: latencies[len(latencies)-1],
-	}
+	pct := func(p float64) time.Duration { return time.Duration(stats.Percentile(ns, p)) }
+	res.RoundLatency = Percentiles{P50: pct(50), P90: pct(90), P99: pct(99), Max: pct(100)}
 	res.TotalSeconds = total.Seconds()
 	if total > 0 {
 		res.RoundsPerSec = float64(cfg.Rounds) / total.Seconds()
@@ -287,20 +284,4 @@ func finishDigest(d *digestPlane) uint64 {
 		h = (h ^ (uint64(d.calls) >> shift & 0xff)) * fnvPrime
 	}
 	return h
-}
-
-// pct reads the q-quantile from ascending-sorted latencies by the
-// nearest-rank method.
-func pct(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

@@ -30,6 +30,17 @@ func testLoader(t *testing.T) *Loader {
 	return loaderVal
 }
 
+// loadDir type-checks a single fixture directory outside the module
+// tree under an assumed import path. The result is not cached, so
+// fixture paths may shadow real ones.
+func loadDir(l *Loader, dir, asPath string) (*Package, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	return l.checkDir(abs, asPath, false)
+}
+
 // want is one golden expectation parsed from a fixture comment of the
 // form "// want" followed by a backquoted regexp, placed on the line
 // the diagnostic must appear on.
@@ -69,7 +80,7 @@ func collectWants(t *testing.T, l *Loader, pkg *Package) []*want {
 func runFixture(t *testing.T, an *Analyzer, dir, asPath string) ([]Diagnostic, *Package) {
 	t.Helper()
 	l := testLoader(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", dir), asPath)
+	pkg, err := loadDir(l, filepath.Join("testdata", "src", dir), asPath)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", dir, err)
 	}

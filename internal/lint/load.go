@@ -18,7 +18,6 @@ import (
 // analysis.
 type Package struct {
 	Path       string // import path
-	Dir        string // absolute directory
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
@@ -162,17 +161,6 @@ func (l *Loader) load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// LoadDir type-checks a single directory outside the module tree
-// (analyzer fixtures) under an assumed import path. The result is not
-// cached, so fixture paths may shadow real ones.
-func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.checkDir(abs, asPath, false)
-}
-
 // checkDir parses the non-test Go files of dir and type-checks them as
 // import path ipath. When preloadDeps is set, module-internal imports
 // are loaded (and cached) first.
@@ -208,7 +196,7 @@ func (l *Loader) checkDir(dir, ipath string, preloadDeps bool) (*Package, error)
 			}
 		}
 	}
-	pkg := &Package{Path: ipath, Dir: dir, Files: files}
+	pkg := &Package{Path: ipath, Files: files}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),

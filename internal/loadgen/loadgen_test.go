@@ -209,23 +209,3 @@ func TestReportAggregationAndMonotone(t *testing.T) {
 		}
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	if q := Quantile(nil, 0.99); q != 0 {
-		t.Errorf("empty quantile = %v", q)
-	}
-	xs := []float64{5, 1, 4, 2, 3}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 5 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); q != 3 {
-		t.Errorf("median = %v", q)
-	}
-	// The input must not be reordered.
-	if xs[0] != 5 || xs[4] != 3 {
-		t.Errorf("Quantile mutated its input: %v", xs)
-	}
-}

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/tenant"
 )
@@ -105,24 +104,4 @@ func (r *Report) Total() TierStats {
 func (r *Report) ShedMonotone() bool {
 	return r.Tier(tenant.Sheddable).ShedFraction() >= r.Tier(tenant.Standard).ShedFraction() &&
 		r.Tier(tenant.Standard).ShedFraction() >= r.Tier(tenant.Critical).ShedFraction()
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs by
-// nearest-rank on a sorted copy; 0 for an empty slice. Deterministic:
-// ties and interpolation cannot vary between runs.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(q*float64(len(sorted)-1) + 0.5)
-	return sorted[idx]
 }

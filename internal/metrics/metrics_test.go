@@ -18,7 +18,7 @@ func TestNilHandlesNoOp(t *testing.T) {
 	g.Add(1)
 	h.Observe(1)
 	tl.RecordAt(0, EventSubmit, "j", 0, "")
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || tl.Len() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || len(tl.Events()) != 0 || tl.Dropped() != 0 {
 		t.Error("nil handles must read as zero")
 	}
 	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x", nil) != nil {
@@ -201,8 +201,8 @@ func TestConcurrentRegistryAndHandles(t *testing.T) {
 	if want := float64(workers * perWorker); total != want {
 		t.Errorf("total ops = %v, want %v", total, want)
 	}
-	if tl.Len() != workers*perWorker {
-		t.Errorf("timeline len = %d, want %d", tl.Len(), workers*perWorker)
+	if n := len(tl.Events()); n != workers*perWorker {
+		t.Errorf("timeline len = %d, want %d", n, workers*perWorker)
 	}
 }
 
@@ -212,17 +212,22 @@ func TestTimelineBoundAndKinds(t *testing.T) {
 	tl.RecordAt(1, EventSchedule, "j1", 4, "")
 	tl.RecordAt(2, EventComplete, "j1", 120, "")
 	tl.RecordAt(3, EventSubmit, "j2", 0, "") // over the limit: dropped
-	if tl.Len() != 3 {
-		t.Errorf("len = %d, want 3", tl.Len())
+	if n := len(tl.Events()); n != 3 {
+		t.Errorf("len = %d, want 3", n)
 	}
 	if tl.Dropped() != 1 {
 		t.Errorf("dropped = %d, want 1", tl.Dropped())
 	}
-	subs := tl.ByKind(EventSubmit)
-	if len(subs) != 1 || subs[0].Job != "j1" {
-		t.Errorf("ByKind(submit) = %+v", subs)
-	}
 	ev := tl.Events()
+	var subs []Event
+	for _, e := range ev {
+		if e.Kind == EventSubmit {
+			subs = append(subs, e)
+		}
+	}
+	if len(subs) != 1 || subs[0].Job != "j1" {
+		t.Errorf("submit events = %+v", subs)
+	}
 	if len(ev) != 3 || ev[1].Value != 4 {
 		t.Errorf("events = %+v", ev)
 	}

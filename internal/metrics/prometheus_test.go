@@ -1,6 +1,10 @@
 package metrics
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -102,4 +106,113 @@ func TestEscapedLabelValueRoundTrip(t *testing.T) {
 	if got := samples[0].Labels["k"]; got != "a\"b\\c\nd" {
 		t.Errorf("round-tripped label = %q", got)
 	}
+}
+
+// Sample is one parsed Prometheus text sample.
+type Sample struct {
+	Name   string
+	Labels map[string]string
+	Value  float64
+}
+
+// ParsePrometheus parses the text exposition format back into samples:
+// the oracle the exposition-format tests compare WritePrometheus
+// against. Comment and blank lines are skipped; histogram expansions
+// come back as their _bucket/_sum/_count series.
+func ParsePrometheus(r io.Reader) ([]Sample, error) {
+	var out []Sample
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		s, err := parseSampleLine(line)
+		if err != nil {
+			return nil, fmt.Errorf("metrics: line %d: %w", lineNo, err)
+		}
+		out = append(out, s)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func parseSampleLine(line string) (Sample, error) {
+	s := Sample{}
+	nameEnd := strings.IndexAny(line, "{ \t")
+	if nameEnd < 0 {
+		return s, fmt.Errorf("malformed sample %q", line)
+	}
+	s.Name = line[:nameEnd]
+	rest := line[nameEnd:]
+	if strings.HasPrefix(rest, "{") {
+		close := strings.Index(rest, "}")
+		if close < 0 {
+			return s, fmt.Errorf("unclosed label set in %q", line)
+		}
+		labels, err := parseLabelSet(rest[1:close])
+		if err != nil {
+			return s, err
+		}
+		s.Labels = labels
+		rest = rest[close+1:]
+	}
+	valStr := strings.TrimSpace(rest)
+	// A trailing timestamp (which we never emit) would be a second field.
+	if i := strings.IndexAny(valStr, " \t"); i >= 0 {
+		valStr = valStr[:i]
+	}
+	v, err := strconv.ParseFloat(valStr, 64)
+	if err != nil {
+		return s, fmt.Errorf("bad value in %q: %v", line, err)
+	}
+	s.Value = v
+	return s, nil
+}
+
+func parseLabelSet(body string) (map[string]string, error) {
+	labels := make(map[string]string)
+	for len(body) > 0 {
+		eq := strings.Index(body, "=")
+		if eq < 0 {
+			return nil, fmt.Errorf("malformed label in %q", body)
+		}
+		key := strings.TrimSpace(body[:eq])
+		rest := body[eq+1:]
+		if !strings.HasPrefix(rest, `"`) {
+			return nil, fmt.Errorf("unquoted label value in %q", body)
+		}
+		rest = rest[1:]
+		var val strings.Builder
+		i := 0
+		for ; i < len(rest); i++ {
+			c := rest[i]
+			if c == '\\' && i+1 < len(rest) {
+				i++
+				switch rest[i] {
+				case 'n':
+					val.WriteByte('\n')
+				default:
+					val.WriteByte(rest[i])
+				}
+				continue
+			}
+			if c == '"' {
+				break
+			}
+			val.WriteByte(c)
+		}
+		if i >= len(rest) {
+			return nil, fmt.Errorf("unterminated label value in %q", body)
+		}
+		labels[key] = val.String()
+		body = strings.TrimPrefix(strings.TrimSpace(rest[i+1:]), ",")
+		body = strings.TrimSpace(body)
+	}
+	return labels, nil
 }

@@ -73,14 +73,6 @@ func NewRegistry(name string) *Registry {
 	return &Registry{name: name, families: make(map[string]*family)}
 }
 
-// Name reports the registry's name ("" for nil).
-func (r *Registry) Name() string {
-	if r == nil {
-		return ""
-	}
-	return r.name
-}
-
 // labelKey fingerprints a sorted label set.
 func labelKey(labels []Label) string {
 	if len(labels) == 0 {

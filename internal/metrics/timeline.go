@@ -78,16 +78,6 @@ func (tl *Timeline) Events() []Event {
 	return append([]Event(nil), tl.events...)
 }
 
-// Len reports the number of recorded events.
-func (tl *Timeline) Len() int {
-	if tl == nil {
-		return 0
-	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return len(tl.events)
-}
-
 // Dropped reports how many events were discarded at the limit.
 func (tl *Timeline) Dropped() int64 {
 	if tl == nil {
@@ -96,20 +86,4 @@ func (tl *Timeline) Dropped() int64 {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	return tl.dropped
-}
-
-// ByKind returns the recorded events of one kind, in order.
-func (tl *Timeline) ByKind(kind EventKind) []Event {
-	if tl == nil {
-		return nil
-	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	var out []Event
-	for _, e := range tl.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
 }

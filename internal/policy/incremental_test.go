@@ -84,8 +84,8 @@ func TestMaxMinSolverHistoryIndependent(t *testing.T) {
 		}
 		quota := refDatasetQuotas(views, want)
 		running := views[:len(views)/2]
-		gotBW := long.Bandwidth(cl, io, running, quota)
-		wantBW := (&MaxMinSolver{Cold: true}).Bandwidth(cl, io, running, quota)
+		gotBW := solveBandwidth(&long, cl, io, running, quota)
+		wantBW := solveBandwidth(&MaxMinSolver{Cold: true}, cl, io, running, quota)
 		if len(gotBW) != len(wantBW) || len(gotBW) != len(running) {
 			t.Fatalf("round %d: %d grants long-lived, %d fresh, %d running", round, len(gotBW), len(wantBW), len(running))
 		}

@@ -73,8 +73,7 @@ type MaxMinSolver struct {
 	runOrder []int
 	unmet    []int
 
-	storageOut   map[string]StorageAlloc
-	bandwidthOut map[string]unit.Bandwidth
+	storageOut map[string]StorageAlloc
 }
 
 // mmJob is what the storage program reads of one job, computed once per
@@ -631,7 +630,7 @@ func (s *MaxMinSolver) mergeSharedCache() {
 	}
 }
 
-// Bandwidth solves the bandwidth-only max-min program with cache
+// bandwidth solves the bandwidth-only max-min program with cache
 // quotas fixed: maximize min_j min(f*, b_j/(1-q_j/d_j)) / perfEqual_j
 // subject to Σ b_j <= total, where perfEqual is SiloDPerf under the
 // equal storage division among the n running jobs. Grants are sized
@@ -639,30 +638,10 @@ func (s *MaxMinSolver) mergeSharedCache() {
 // current demand to hit the target now), which also satisfies the
 // planned-quota objective since q >= effective. The required bandwidth
 // is monotone in the normalized rate λ, so bisection is exact; leftover
-// bandwidth (from jobs capped at f*) should be spent by the caller. The
-// returned map is the solver's own, valid until its next call.
+// bandwidth (from jobs capped at f*) should be spent by the caller.
 //
-// silod:hotpath
-// silod:pure
-func (s *MaxMinSolver) Bandwidth(cl core.Cluster, total unit.Bandwidth, running []core.JobView,
-	quota map[string]unit.Bytes) map[string]unit.Bandwidth {
-	run := resize(&s.run, len(running))
-	runQuota := resize(&s.runQuota, len(running))
-	for k := range running {
-		run[k] = k
-		runQuota[k] = float64(quota[running[k].DatasetKey])
-	}
-	s.bandwidth(cl, total, running)
-	out := resetMap(&s.bandwidthOut)
-	for k := range running {
-		out[running[k].ID] = unit.Bandwidth(s.grant[k])
-	}
-	return out
-}
-
-// bandwidth is Bandwidth over the running jobs jobs[s.run[k]], whose
-// dataset quotas are s.runQuota[k]; it fills s.grant by running
-// position.
+// It runs over the running jobs jobs[s.run[k]], whose dataset quotas
+// are s.runQuota[k], and fills s.grant by running position.
 //
 // silod:hotpath
 // silod:pure

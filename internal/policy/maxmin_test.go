@@ -100,7 +100,7 @@ func TestGavelAssignMatchesReference(t *testing.T) {
 		quota := refDatasetQuotas(jobs, wantS)
 		running := jobs[:len(jobs)/2]
 		wantB := refBandwidth(c, c.RemoteIO, running, quota)
-		gotB := solver.Bandwidth(c, c.RemoteIO, running, quota)
+		gotB := solveBandwidth(&solver, c, c.RemoteIO, running, quota)
 		if len(gotB) != len(wantB) {
 			t.Fatalf("trial %d: %d grants, reference %d", trial, len(gotB), len(wantB))
 		}
@@ -365,4 +365,22 @@ func TestResizeGrowsGeometrically(t *testing.T) {
 	if limit := bits.Len(n) + 1; reallocs > limit {
 		t.Errorf("%d reallocations growing 1 → %d, want at most %d", reallocs, n, limit)
 	}
+}
+
+// solveBandwidth runs s's bandwidth-only program over running with the
+// dataset quotas quota fixed and returns the grants by job ID.
+func solveBandwidth(s *MaxMinSolver, cl core.Cluster, total unit.Bandwidth, running []core.JobView,
+	quota map[string]unit.Bytes) map[string]unit.Bandwidth {
+	run := resize(&s.run, len(running))
+	runQuota := resize(&s.runQuota, len(running))
+	for k := range running {
+		run[k] = k
+		runQuota[k] = float64(quota[running[k].DatasetKey])
+	}
+	s.bandwidth(cl, total, running)
+	out := make(map[string]unit.Bandwidth, len(running))
+	for k := range running {
+		out[running[k].ID] = unit.Bandwidth(s.grant[k])
+	}
+	return out
 }

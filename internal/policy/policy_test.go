@@ -341,7 +341,7 @@ func TestMaxMinBandwidthTargetsEqualizeNormalizedPerf(t *testing.T) {
 		mkView("b", 1, "db", unit.GiB(400), unit.MBpsOf(100)),
 	}
 	quotas := map[string]unit.Bytes{"da": 0, "db": 0}
-	grants := new(MaxMinSolver).Bandwidth(c, c.RemoteIO, jobs, quotas)
+	grants := solveBandwidth(new(MaxMinSolver), c, c.RemoteIO, jobs, quotas)
 	var total unit.Bandwidth
 	for _, g := range grants {
 		total += g
@@ -435,9 +435,6 @@ func TestSystemTraits(t *testing.T) {
 	}
 	if !CoorDL.PrivateCaches() || Quiver.PrivateCaches() {
 		t.Error("PrivateCaches")
-	}
-	if !SiloD.ControlsRemoteIO() || Alluxio.ControlsRemoteIO() {
-		t.Error("ControlsRemoteIO")
 	}
 }
 
@@ -545,8 +542,8 @@ func TestMaxMinBandwidthProperties(t *testing.T) {
 		c := core.Cluster{GPUs: 8,
 			Cache:    unit.Bytes(rng.Uniform(0, 800)) * unit.GB,
 			RemoteIO: unit.Bandwidth(rng.Uniform(1, 400)) * unit.MBps}
-		small := new(MaxMinSolver).Bandwidth(c, c.RemoteIO/2, jobs, quotas)
-		large := new(MaxMinSolver).Bandwidth(c, c.RemoteIO, jobs, quotas)
+		small := solveBandwidth(new(MaxMinSolver), c, c.RemoteIO/2, jobs, quotas)
+		large := solveBandwidth(new(MaxMinSolver), c, c.RemoteIO, jobs, quotas)
 		var sumSmall, sumLarge unit.Bandwidth
 		for _, j := range jobs {
 			if small[j.ID] < 0 || large[j.ID] < 0 {

@@ -58,10 +58,6 @@ func (cs CacheSystem) UsesLRU() bool { return cs == Alluxio }
 // per-dataset (CoorDL's per-VM caches never share).
 func (cs CacheSystem) PrivateCaches() bool { return cs == CoorDL }
 
-// ControlsRemoteIO reports whether the system sets per-job remote IO
-// allocations; for the others the provider's fair share applies (§7.2).
-func (cs CacheSystem) ControlsRemoteIO() bool { return cs == SiloD }
-
 // Allocator returns the storage allocator for the system. The seed
 // drives Quiver's profiling noise.
 func (cs CacheSystem) Allocator(seed int64) StorageAllocator {

@@ -33,7 +33,7 @@ func TestLedgerConcurrentGrantRelease(t *testing.T) {
 					return
 				}
 				_ = l.Get(id)
-				_ = l.Free()
+				_ = ledgerFree(l)
 				if i%3 == 0 {
 					l.Remove(id)
 				}
@@ -51,13 +51,13 @@ func TestLedgerConcurrentGrantRelease(t *testing.T) {
 	wg.Wait()
 
 	wantJobs := workers / 2
-	if jobs := l.Jobs(); len(jobs) != wantJobs {
+	if jobs := ledgerJobs(l); len(jobs) != wantJobs {
 		t.Errorf("jobs = %v, want %d holders", jobs, wantJobs)
 	}
-	if got, want := l.Allocated(), unit.Bandwidth(wantJobs)*share; got != want {
+	if got, want := ledgerTotal(l), unit.Bandwidth(wantJobs)*share; got != want {
 		t.Errorf("allocated = %v, want %v", got, want)
 	}
-	if got, want := l.Free(), l.Capacity()-unit.Bandwidth(wantJobs)*share; got != want {
+	if got, want := ledgerFree(l), l.capacity-unit.Bandwidth(wantJobs)*share; got != want {
 		t.Errorf("free = %v, want %v", got, want)
 	}
 }
@@ -85,7 +85,6 @@ func TestTokenBucketConcurrentReserve(t *testing.T) {
 				_ = b.Reserve(block)
 				if i%20 == 0 {
 					b.SetRate(100 * unit.MBps)
-					_ = b.Rate()
 				}
 			}
 		}()

@@ -20,10 +20,9 @@ import (
 // egress capacity. Allocations are advisory targets the data plane
 // enforces; the ledger validates they never oversubscribe capacity.
 // The total is kept exactly (exactSum) and rounded once when read, so
-// Set, Remove, Allocated and Free cost O(1) whatever the job count, and
-// the total's bits depend only on the current allocations, not on the
-// order concurrent calls landed in. All methods are safe for concurrent
-// use.
+// Set and Remove cost O(1) whatever the job count, and the total's bits
+// depend only on the current allocations, not on the order concurrent
+// calls landed in. All methods are safe for concurrent use.
 type Ledger struct {
 	mu       sync.Mutex
 	capacity unit.Bandwidth            // guarded by mu (degrades on egress faults)
@@ -35,13 +34,6 @@ type Ledger struct {
 // NewLedger returns an empty ledger with the given egress capacity.
 func NewLedger(capacity unit.Bandwidth) *Ledger {
 	return &Ledger{capacity: capacity, alloc: make(map[string]unit.Bandwidth)}
-}
-
-// Capacity reports the total egress capacity.
-func (l *Ledger) Capacity() unit.Bandwidth {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.capacity
 }
 
 // Resize changes the egress capacity — a link degradation or
@@ -139,36 +131,6 @@ func (l *Ledger) Remove(jobID string) {
 	l.total.sub(float64(l.alloc[jobID]))
 	delete(l.alloc, jobID)
 	l.publishLocked()
-}
-
-// Allocated reports the sum of all allocations, correctly rounded.
-func (l *Ledger) Allocated() unit.Bandwidth {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return unit.Bandwidth(l.total.round())
-}
-
-// Free reports the unallocated capacity (never negative).
-func (l *Ledger) Free() unit.Bandwidth {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	f := l.capacity - unit.Bandwidth(l.total.round())
-	if f < 0 {
-		return 0
-	}
-	return f
-}
-
-// Jobs returns the jobs with allocations, sorted for determinism.
-func (l *Ledger) Jobs() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.alloc))
-	for id := range l.alloc {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Demand is one job's remote IO demand for fair division.
@@ -314,13 +276,6 @@ func (b *TokenBucket) SetRate(rate unit.Bandwidth) {
 	b.rate = float64(rate)
 }
 
-// Rate reports the current refill rate.
-func (b *TokenBucket) Rate() unit.Bandwidth {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return unit.Bandwidth(b.rate)
-}
-
 func (b *TokenBucket) refillLocked() {
 	now := b.clock()
 	dt := now.Sub(b.last).Seconds()
@@ -354,11 +309,4 @@ func (b *TokenBucket) Reserve(n unit.Bytes) time.Duration {
 	}
 	deficit := -b.tokens
 	return time.Duration(deficit / b.rate * float64(time.Second))
-}
-
-// Wait reserves n bytes and sleeps out the required delay.
-func (b *TokenBucket) Wait(n unit.Bytes) {
-	if d := b.Reserve(n); d > 0 {
-		time.Sleep(d)
-	}
 }

@@ -2,12 +2,39 @@ package remoteio
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/unit"
 )
+
+// ledgerTotal is l's allocated total, correctly rounded.
+func ledgerTotal(l *Ledger) unit.Bandwidth {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return unit.Bandwidth(l.total.round())
+}
+
+// ledgerFree is l's unallocated capacity, never negative.
+func ledgerFree(l *Ledger) unit.Bandwidth {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return max(l.capacity-unit.Bandwidth(l.total.round()), 0)
+}
+
+// ledgerJobs is the sorted IDs of the jobs l holds an allocation for.
+func ledgerJobs(l *Ledger) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ids := make([]string, 0, len(l.alloc))
+	for id := range l.alloc {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
 
 func TestLedger(t *testing.T) {
 	l := NewLedger(unit.MBpsOf(100))
@@ -24,10 +51,10 @@ func TestLedger(t *testing.T) {
 	if err := l.Set("a", unit.MBpsOf(10)); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Allocated().MBpsValue(); math.Abs(got-50) > 1e-9 {
+	if got := ledgerTotal(l).MBpsValue(); math.Abs(got-50) > 1e-9 {
 		t.Errorf("allocated = %v", got)
 	}
-	if got := l.Free().MBpsValue(); math.Abs(got-50) > 1e-9 {
+	if got := ledgerFree(l).MBpsValue(); math.Abs(got-50) > 1e-9 {
 		t.Errorf("free = %v", got)
 	}
 	if err := l.Set("a", -1); err == nil {
@@ -37,7 +64,7 @@ func TestLedger(t *testing.T) {
 	if l.Get("a") != 0 {
 		t.Error("removed job still allocated")
 	}
-	jobs := l.Jobs()
+	jobs := ledgerJobs(l)
 	if len(jobs) != 1 || jobs[0] != "b" {
 		t.Errorf("jobs = %v", jobs)
 	}
@@ -155,7 +182,7 @@ func TestTokenBucketSetRate(t *testing.T) {
 	b := NewTokenBucket(unit.MBpsOf(10), unit.MB, clk.Now)
 	b.Reserve(unit.MB) // drain burst
 	b.SetRate(unit.MBpsOf(100))
-	if got := b.Rate(); got != unit.MBpsOf(100) {
+	if got := unit.Bandwidth(b.rate); got != unit.MBpsOf(100) {
 		t.Errorf("rate = %v", got)
 	}
 	w := b.Reserve(10 * unit.MB)

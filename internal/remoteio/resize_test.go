@@ -26,7 +26,7 @@ func TestLedgerResizeToZero(t *testing.T) {
 			t.Errorf("job %s scaled to %v, want 0", j, bw)
 		}
 	}
-	if got := l.Allocated(); got != 0 {
+	if got := ledgerTotal(l); got != 0 {
 		t.Errorf("Allocated = %v after resize to zero", got)
 	}
 	if err := l.Set("a", unit.MBpsOf(10)); err == nil {
@@ -34,7 +34,7 @@ func TestLedgerResizeToZero(t *testing.T) {
 	}
 	// Negative capacities clamp to zero rather than going nonsensical.
 	l.Resize(unit.Bandwidth(-5))
-	if got := l.Capacity(); got != 0 {
+	if got := l.capacity; got != 0 {
 		t.Errorf("negative resize left capacity %v", got)
 	}
 	// Restoration re-opens the ledger.
@@ -60,12 +60,12 @@ func TestLedgerResizeRoundingStrandsNothing(t *testing.T) {
 	if len(changed) != 3 {
 		t.Fatalf("changed %d jobs, want 3", len(changed))
 	}
-	total := float64(l.Allocated())
+	total := float64(ledgerTotal(l))
 	if total > float64(target)*(1+1e-9) {
-		t.Errorf("scale-down oversubscribes: %v > %v", l.Allocated(), target)
+		t.Errorf("scale-down oversubscribes: %v > %v", ledgerTotal(l), target)
 	}
 	if total < float64(target)*(1-1e-9) {
-		t.Errorf("scale-down strands bandwidth: %v of %v allocated", l.Allocated(), target)
+		t.Errorf("scale-down strands bandwidth: %v of %v allocated", ledgerTotal(l), target)
 	}
 	// Relative shares are preserved: 7:31:62.
 	a, b := float64(l.Get("a")), float64(l.Get("b"))
@@ -95,7 +95,7 @@ func TestLedgerResizeAtExactCapacity(t *testing.T) {
 	if changed := l.Resize(unit.MBpsOf(200)); changed != nil {
 		t.Errorf("grow rescaled: %v", changed)
 	}
-	if got := l.Allocated(); got != unit.MBpsOf(100) {
+	if got := ledgerTotal(l); got != unit.MBpsOf(100) {
 		t.Errorf("Allocated = %v after grow, want 100 MB/s", got)
 	}
 }

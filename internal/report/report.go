@@ -52,9 +52,6 @@ func (t *Table) AddRowf(cells ...any) {
 	t.AddRow(row...)
 }
 
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Columns))

@@ -28,8 +28,8 @@ func TestTableRendering(t *testing.T) {
 	if idx := strings.Index(lines[3], "1"); idx != headerIdx {
 		t.Errorf("column misaligned: %d vs %d\n%s", idx, headerIdx, out)
 	}
-	if tb.NumRows() != 2 {
-		t.Error("NumRows")
+	if len(tb.rows) != 2 {
+		t.Error("rows")
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 type batchJob struct {
 	rt     *jobRT
 	stream dataset.Stream
-	blocks dataset.Blocks
 
 	blocksTotal int64 // total blocks to train through
 	blocksDone  int64
@@ -127,7 +126,7 @@ func runBatch(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		if total < 1 {
 			total = 1
 		}
-		s.bjobs[spec.ID] = &batchJob{rt: rt, stream: stream, blocks: blocks, blocksTotal: total}
+		s.bjobs[spec.ID] = &batchJob{rt: rt, stream: stream, blocksTotal: total}
 		// Arrival event requests a scheduling round; same-instant
 		// arrivals coalesce into one round (see requestRound).
 		submit := float64(spec.Submit)

@@ -56,21 +56,25 @@ func TestEngineMetrics(t *testing.T) {
 			t.Errorf("%v: no reschedules recorded", eng)
 		}
 
-		if n := len(tl.ByKind(metrics.EventSubmit)); n != len(jobs) {
+		byKind := map[metrics.EventKind][]metrics.Event{}
+		for _, e := range tl.Events() {
+			byKind[e.Kind] = append(byKind[e.Kind], e)
+		}
+		if n := len(byKind[metrics.EventSubmit]); n != len(jobs) {
 			t.Errorf("%v: %d submit events, want %d", eng, n, len(jobs))
 		}
-		if n := len(tl.ByKind(metrics.EventComplete)); n != len(jobs) {
+		if n := len(byKind[metrics.EventComplete]); n != len(jobs) {
 			t.Errorf("%v: %d complete events, want %d", eng, n, len(jobs))
 		}
-		if n := len(tl.ByKind(metrics.EventSchedule)); n < len(jobs) {
+		if n := len(byKind[metrics.EventSchedule]); n < len(jobs) {
 			t.Errorf("%v: %d schedule events, want >= %d", eng, n, len(jobs))
 		}
 		// Completion timestamps must not precede submission.
 		sub := make(map[string]float64)
-		for _, e := range tl.ByKind(metrics.EventSubmit) {
+		for _, e := range byKind[metrics.EventSubmit] {
 			sub[e.Job] = e.T
 		}
-		for _, e := range tl.ByKind(metrics.EventComplete) {
+		for _, e := range byKind[metrics.EventComplete] {
 			if e.T < sub[e.Job] {
 				t.Errorf("%v: job %s completes at %v before submit %v", eng, e.Job, e.T, sub[e.Job])
 			}

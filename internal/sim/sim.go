@@ -139,9 +139,6 @@ type JobStat struct {
 // JCT is the job completion time (finish minus submit).
 func (s JobStat) JCT() unit.Duration { return s.Finish.Sub(s.Submit) }
 
-// QueueDelay is the time spent waiting before first execution.
-func (s JobStat) QueueDelay() unit.Duration { return s.Start.Sub(s.Submit) }
-
 // Result aggregates a run.
 type Result struct {
 	Jobs     []JobStat

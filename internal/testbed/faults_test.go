@@ -47,7 +47,7 @@ func TestFaultsAppliedToLiveManager(t *testing.T) {
 		System:          policy.SiloD,
 		TimeScale:       2000,
 		BlockSize:       unit.GiB(2),
-		ReschedInterval: 30 * unit.Second,
+		ReschedInterval: 30,
 		Seed:            1,
 		MaxWall:         90 * time.Second,
 		Faults:          sched,

@@ -68,7 +68,6 @@ type Config struct {
 // JobResult is one job's outcome in simulated time.
 type JobResult struct {
 	ID     string
-	Start  unit.Time
 	Finish unit.Time
 }
 
@@ -94,7 +93,6 @@ func (r *Result) AvgJCT() unit.Duration {
 type jobRun struct {
 	spec    workload.JobSpec
 	profile estimator.JobProfile
-	blocks  dataset.Blocks
 	stream  *dataset.EpochStream
 
 	mu        sync.Mutex
@@ -103,7 +101,6 @@ type jobRun struct {
 	running   bool      // guarded by mu
 	finished  bool      // guarded by mu
 	finishAt  time.Time // guarded by mu
-	startAt   time.Time // guarded by mu
 }
 
 // Run executes the trace on the testbed. All jobs must fit the cluster
@@ -227,7 +224,7 @@ func Run(cfg Config, specs []workload.JobSpec) (*Result, error) {
 		finishAt := j.finishAt
 		j.mu.Unlock()
 		simFinish := unit.Time(finishAt.Sub(start).Seconds() * cfg.TimeScale)
-		res.Jobs = append(res.Jobs, JobResult{ID: j.spec.ID, Start: 0, Finish: simFinish})
+		res.Jobs = append(res.Jobs, JobResult{ID: j.spec.ID, Finish: simFinish})
 		if d := simFinish.Elapsed(); d > makespan {
 			makespan = d
 		}
@@ -279,7 +276,6 @@ func newBed(cfg Config, specs []workload.JobSpec) (*bed, error) {
 				IdealThroughput: spec.IdealThroughput(),
 				DatasetSize:     spec.Dataset.Size,
 			},
-			blocks:    blocks,
 			stream:    dataset.NewEpochStream(blocks, rng.Split("stream-"+spec.ID)),
 			remaining: total,
 			total:     total,
@@ -496,7 +492,6 @@ func (b *bed) round() error {
 		j.mu.Lock()
 		if !j.finished && !j.running && a.GPUs[j.spec.ID] > 0 {
 			j.running = true
-			j.startAt = time.Now()
 			b.met.tl.RecordAt(float64(now), metrics.EventSchedule, j.spec.ID,
 				float64(a.GPUs[j.spec.ID]), "gpus")
 		}

@@ -44,7 +44,7 @@ func TestSingleJobRunsAtIdealWhenCached(t *testing.T) {
 		System:          policy.SiloD,
 		TimeScale:       1000, // keep per-block sleeps well above timer resolution
 		BlockSize:       unit.GiB(2),
-		ReschedInterval: 30 * unit.Second,
+		ReschedInterval: 30,
 		Seed:            1,
 		MaxWall:         30 * time.Second,
 	}, []workload.JobSpec{spec})
@@ -78,7 +78,7 @@ func TestThrottledJobSlowsProportionally(t *testing.T) {
 		System:          policy.SiloD,
 		TimeScale:       2000,
 		BlockSize:       unit.GiB(2),
-		ReschedInterval: 30 * unit.Second,
+		ReschedInterval: 30,
 		Seed:            1,
 		MaxWall:         60 * time.Second,
 	}, []workload.JobSpec{spec})
@@ -122,7 +122,7 @@ func TestTwoJobsShareBandwidth(t *testing.T) {
 		System:          policy.SiloD,
 		TimeScale:       2000,
 		BlockSize:       unit.GiB(2),
-		ReschedInterval: 30 * unit.Second,
+		ReschedInterval: 30,
 		Seed:            1,
 		MaxWall:         60 * time.Second,
 	}, []workload.JobSpec{a, b})

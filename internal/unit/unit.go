@@ -158,7 +158,6 @@ type Duration float64
 
 // Common durations.
 const (
-	Second Duration = 1
 	Minute Duration = 60
 	Hour   Duration = 3600
 	Day    Duration = 24 * 3600

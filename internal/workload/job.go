@@ -99,24 +99,6 @@ func (j JobSpec) IdealDuration() unit.Duration {
 	return unit.Duration(float64(j.NumSteps)) * j.StepTime()
 }
 
-// StepsPerEpoch is the number of steps needed to read the dataset once.
-func (j JobSpec) StepsPerEpoch() int64 {
-	sb := j.StepBytesTotal()
-	if sb <= 0 {
-		return 1
-	}
-	n := int64(math.Ceil(float64(j.Dataset.Size) / float64(sb)))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Epochs is the (fractional) number of passes over the dataset.
-func (j JobSpec) Epochs() float64 {
-	return float64(j.NumSteps) / float64(j.StepsPerEpoch())
-}
-
 // CacheEfficiency is f*/d (Eq. 5) in MB/s per GB for this job at its
 // allocated GPU count.
 func (j JobSpec) CacheEfficiency() float64 {

@@ -114,9 +114,6 @@ func TestJobSpecDerivedQuantities(t *testing.T) {
 	if math.Abs(got-float64(j.TotalBytes()))/float64(j.TotalBytes()) > 1e-9 {
 		t.Error("duration/throughput inconsistent with total bytes")
 	}
-	if j.StepsPerEpoch() <= 0 {
-		t.Error("StepsPerEpoch")
-	}
 	// Speed scaling doubles throughput and halves duration.
 	j2 := j
 	j2.SpeedScale = 2
