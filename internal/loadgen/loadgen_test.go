@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/unit"
 )
@@ -207,5 +208,23 @@ func TestReportAggregationAndMonotone(t *testing.T) {
 		if s.String() == "" {
 			t.Errorf("Status(%d) has empty String", int(s))
 		}
+	}
+}
+
+// TestQuantile pins the latency quantiles silodload's report computes
+// with stats.Percentile: 0 for no samples, the extremes and the median
+// of an unsorted odd-length sample, and the sample left unordered.
+func TestQuantile(t *testing.T) {
+	if q := stats.Percentile(nil, 99); q != 0 {
+		t.Errorf("empty quantile = %v", q)
+	}
+	xs := []float64{5, 1, 4, 2, 3}
+	for _, c := range []struct{ p, want float64 }{{0, 1}, {100, 5}, {50, 3}} {
+		if got := stats.Percentile(xs, c.p); got != c.want {
+			t.Errorf("P%.0f of %v = %v, want %v", c.p, xs, got, c.want)
+		}
+	}
+	if xs[0] != 5 || xs[4] != 3 {
+		t.Errorf("Percentile mutated its input: %v", xs)
 	}
 }

@@ -45,18 +45,6 @@ func TestPercentile(t *testing.T) {
 	if Median(xs) != 30 {
 		t.Error("median")
 	}
-	// The latency quantiles silodload and silodhollow report: extremes
-	// and the median of an unsorted odd-length sample, which must not
-	// be reordered.
-	lat := []float64{5, 1, 4, 2, 3}
-	for _, c := range []struct{ p, want float64 }{{0, 1}, {100, 5}, {50, 3}} {
-		if got := Percentile(lat, c.p); got != c.want {
-			t.Errorf("P%.0f of %v = %v, want %v", c.p, lat, got, c.want)
-		}
-	}
-	if lat[0] != 5 || lat[4] != 3 {
-		t.Errorf("Percentile mutated its input: %v", lat)
-	}
 }
 
 func TestPercentileBoundsProperty(t *testing.T) {
