@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	silodlint [-root dir] [-allow file] [-disable a,b] [-workers n] [-why] [-list] [-json] [-v]
+//	silodlint [-root dir] [-allow file] [-disable a,b] [-why] [-list] [-json] [-v]
 //
 // Diagnostics print one per line as
 //
@@ -58,14 +58,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as one JSON object per line")
-	workers := fs.Int("workers", 0, "analysis worker goroutines (0 = GOMAXPROCS, 1 = sequential); output is identical either way")
 	why := fs.Bool("why", false, "print the whole-program call path under findings that carry one")
 	verbose := fs.Bool("v", false, "print load/run statistics to stderr")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *workers < 0 {
-		fmt.Fprintln(stderr, "silodlint: -workers must be >= 0")
 		return 2
 	}
 	if *list {
@@ -75,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := lint.Options{Disable: map[string]bool{}, Workers: *workers}
+	opts := lint.Options{Disable: map[string]bool{}}
 	for _, name := range strings.Split(*disable, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {

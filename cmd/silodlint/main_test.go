@@ -97,9 +97,8 @@ func TestAllowlistSilences(t *testing.T) {
 
 // TestAllowInteractionNewAnalyzers covers the allowlist against the
 // whole-program analyzers: a justified detclose rule retires the
-// seeded root finding, a rule left over after a fix is reported stale,
-// and both behaviors are byte-identical at any worker count (the
-// summary phase must not perturb the allow/stale bookkeeping).
+// seeded root finding, and a rule left over after a fix is reported
+// stale.
 func TestAllowInteractionNewAnalyzers(t *testing.T) {
 	allow := filepath.Join(t.TempDir(), "lint.allow")
 	content := "# Figure99 is the seeded determinism leak; kept on purpose\n" +
@@ -111,25 +110,18 @@ func TestAllowInteractionNewAnalyzers(t *testing.T) {
 	if err := os.WriteFile(allow, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var prevOut, prevErr string
-	for i, w := range []string{"1", "4"} {
-		code, stdout, stderr := runLint(t, "-root", badmod, "-allow", allow, "-workers", w)
-		if code != 1 {
-			t.Fatalf("workers=%s: exit code = %d, want 1 (other findings stay)\nstderr:\n%s", w, code, stderr)
-		}
-		if strings.Contains(stdout, "detclose") {
-			t.Errorf("workers=%s: allowed detclose finding still printed:\n%s", w, stdout)
-		}
-		if !strings.Contains(stdout, "inputflow: untrusted Req.Blocks") {
-			t.Errorf("workers=%s: the unallowed inputflow finding must still print:\n%s", w, stdout)
-		}
-		if !strings.Contains(stderr, "stale allow rule") || !strings.Contains(stderr, "inputflow internal/tenant/slo.go") {
-			t.Errorf("workers=%s: stale-rule report missing:\n%s", w, stderr)
-		}
-		if i > 0 && (stdout != prevOut || stderr != prevErr) {
-			t.Errorf("allow bookkeeping diverges across -workers:\n--- prev\n%s%s\n--- now\n%s%s", prevOut, prevErr, stdout, stderr)
-		}
-		prevOut, prevErr = stdout, stderr
+	code, stdout, stderr := runLint(t, "-root", badmod, "-allow", allow)
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1 (other findings stay)\nstderr:\n%s", code, stderr)
+	}
+	if strings.Contains(stdout, "detclose") {
+		t.Errorf("allowed detclose finding still printed:\n%s", stdout)
+	}
+	if !strings.Contains(stdout, "inputflow: untrusted Req.Blocks") {
+		t.Errorf("the unallowed inputflow finding must still print:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "stale allow rule") || !strings.Contains(stderr, "inputflow internal/tenant/slo.go") {
+		t.Errorf("stale-rule report missing:\n%s", stderr)
 	}
 }
 
@@ -280,21 +272,5 @@ func TestUnjustifiedAllowRule(t *testing.T) {
 	}
 	if n := strings.Count(stderr, "without a justification comment"); n != 1 {
 		t.Errorf("want exactly the blank-line-separated rule reported, got %d:\n%s", n, stderr)
-	}
-}
-
-// TestWorkersDeterministic pins the parallel driver's contract: the
-// findings stream is byte-identical at any worker count.
-func TestWorkersDeterministic(t *testing.T) {
-	code1, out1, _ := runLint(t, "-root", badmod, "-workers", "1")
-	code4, out4, _ := runLint(t, "-root", badmod, "-workers", "4")
-	if code1 != 1 || code4 != 1 {
-		t.Fatalf("exit codes = %d, %d, want 1, 1", code1, code4)
-	}
-	if out1 != out4 {
-		t.Errorf("-workers=1 and -workers=4 diverge:\n--- workers=1\n%s--- workers=4\n%s", out1, out4)
-	}
-	if code, _, stderr := runLint(t, "-root", badmod, "-workers", "-1"); code != 2 {
-		t.Fatalf("negative workers: exit code = %d, want 2\nstderr:\n%s", code, stderr)
 	}
 }

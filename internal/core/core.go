@@ -426,21 +426,18 @@ func PolicyIgnoredFields(p Policy) ViewFields {
 // jobs into regular and irregular sets (§6 "Handling irregular data
 // access"), splits storage resources proportionally between the
 // partitions, runs the configured policy on the regular partition with
-// the enhanced estimator, and runs the fallback policy on the irregular
-// partition.
+// the enhanced estimator, and runs a plain fair fallback on the
+// irregular partition: irregular jobs share its storage equally while
+// keeping their GPU demand.
 type Framework struct {
 	// Policy schedules regular jobs (SiloD-enhanced).
 	Policy Policy
-	// Fallback schedules irregular jobs with their original estimator;
-	// nil means irregular jobs share the irregular partition's storage
-	// equally while keeping their GPU demand (a plain fair fallback).
-	Fallback Policy
 }
 
 // Schedule implements Algorithm 1 over both partitions. The clock
-// parameter is forwarded to the partition policies untouched; whether
-// the whole framework is pure is their call (frameworkPolicy's
-// PureAssign asks policyPure for both).
+// parameter is forwarded to the policy untouched; whether the whole
+// framework is pure is its call (frameworkPolicy's PureAssign asks
+// policyPure).
 //
 // silod:pure assume=Policy
 func (f *Framework) Schedule(c Cluster, now unit.Time, jobs []JobView) (Assignment, error) {
@@ -494,16 +491,7 @@ func (f *Framework) Schedule(c Cluster, now unit.Time, jobs []JobView) (Assignme
 		Cache:    c.Cache - unit.Bytes(float64(c.Cache)*frac),
 		RemoteIO: c.RemoteIO - unit.Bandwidth(float64(c.RemoteIO)*frac),
 	}
-	var irrAssign Assignment
-	if f.Fallback != nil && irrCluster.GPUs > 0 {
-		irrAssign = f.Fallback.Assign(irrCluster, now, irregular)
-		if err := irrAssign.Validate(irrCluster, irregular); err != nil {
-			return Assignment{}, fmt.Errorf("fallback %s (irregular partition): %w", f.Fallback.Name(), err)
-		}
-	} else {
-		irrAssign = equalShareFallback(irrCluster, irregular)
-	}
-	return regAssign.Merge(irrAssign), nil
+	return regAssign.Merge(equalShareFallback(irrCluster, irregular)), nil
 }
 
 // gpuDemand sums gang sizes.
@@ -617,16 +605,12 @@ func (p frameworkPolicy) Assign(c Cluster, now unit.Time, jobs []JobView) Assign
 	return a
 }
 
-// PureAssign implements PureAssigner: the framework is pure when every
-// policy it may delegate to is pure (the built-in equal-share fallback
-// used when Fallback is nil is a pure function already).
+// PureAssign implements PureAssigner: the framework is pure when its
+// policy is (the equal-share fallback is a pure function already).
 //
 // silod:pure-requires: (*Framework).Schedule, equalShareFallback
 func (p frameworkPolicy) PureAssign() bool {
-	if !policyPure(p.f.Policy) {
-		return false
-	}
-	return p.f.Fallback == nil || policyPure(p.f.Fallback)
+	return policyPure(p.f.Policy)
 }
 
 // equalShareIgnored is the ignore mask of equalShareFallback: it reads
@@ -635,18 +619,13 @@ const equalShareIgnored = FieldProfile | FieldRemainingBytes | FieldAttainedByte
 	FieldEffectiveCached | FieldCachedBytes | FieldTenant | FieldSLO | FieldRunning
 
 // IgnoredViewFields implements DeltaAssigner: a field is ignorable for
-// the framework only if every policy it may delegate to ignores it,
-// and never Irregular (the partitioning key) or NumGPUs (the
+// the framework only if both its policy and the equal-share fallback
+// ignore it, and never Irregular (the partitioning key) or NumGPUs (the
 // proportional storage split reads gang sizes).
 //
 // silod:pure-requires: (*Framework).Schedule, equalShareFallback
 func (p frameworkPolicy) IgnoredViewFields() ViewFields {
-	mask := PolicyIgnoredFields(p.f.Policy)
-	if p.f.Fallback != nil {
-		mask &= PolicyIgnoredFields(p.f.Fallback)
-	} else {
-		mask &= equalShareIgnored
-	}
+	mask := PolicyIgnoredFields(p.f.Policy) & equalShareIgnored
 	return mask &^ (FieldIrregular | FieldNumGPUs)
 }
 

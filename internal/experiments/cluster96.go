@@ -141,8 +141,8 @@ func (r *Figure10Result) Figure11Text(points int) string {
 		rio := tl["remoteio"].Downsample(points)
 		for i := 0; i < th.Len(); i++ {
 			tm, v := th.At(i)
-			_, vi := id.At(minInt(i, id.Len()-1))
-			_, vr := rio.At(minInt(i, rio.Len()-1))
+			_, vi := id.At(min(i, id.Len()-1))
+			_, vr := rio.At(min(i, rio.Len()-1))
 			out += fmt.Sprintf("  t=%8.0f  %9.1f / %9.1f / %9.1f\n", tm, v, vi, vr)
 		}
 	}
@@ -153,13 +153,6 @@ func (r *Figure10Result) Figure11Text(points int) string {
 func (r *Figure10Result) Figure8Text() string {
 	return fmt.Sprintf("== Figure 8 ==\ntime-averaged effective/allocated cache ratio (SiloD run): %.1f%%\n",
 		100*r.EffectiveRatio)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // FidelityRow is one system's fluid-vs-batch comparison at 96-GPU

@@ -166,10 +166,3 @@ func seriesMeanUpTo(s *stats.Series, tMax float64) float64 {
 	}
 	return tw.Finish(tMax)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -87,11 +87,12 @@ type Table6Options struct {
 	Options
 	// WithTestbed also runs the (wall-clock-bound) concurrent testbed.
 	WithTestbed bool
-	// TimeScale for the testbed; 0 means 6000. Higher scales compress
-	// wall time further but push per-block sleeps toward the OS timer
-	// resolution, inflating compute-bound jobs' runtimes.
-	TimeScale float64
 }
+
+// table6TimeScale is the testbed's time compression. Higher scales
+// compress wall time further but push per-block sleeps toward the OS
+// timer resolution, inflating compute-bound jobs' runtimes.
+const table6TimeScale = 6000
 
 // Table6 runs the micro-benchmark on all systems and engines.
 // silod:sim-root
@@ -104,10 +105,6 @@ func Table6(o Table6Options) (*Table6Result, error) {
 	res := &Table6Result{
 		Timelines: make(map[policy.CacheSystem]*stats.Series),
 		RemoteCap: cl.RemoteIO.MBpsValue(),
-	}
-	scale := o.TimeScale
-	if scale <= 0 {
-		scale = 6000
 	}
 	// One arm per (system, engine) simulation; the testbed runs stay
 	// sequential below because they are wall-clock bound (time-scaled
@@ -147,7 +144,7 @@ func Table6(o Table6Options) (*Table6Result, error) {
 			}
 			tr, err := testbed.Run(testbed.Config{
 				Cluster: cl, Policy: pol, System: cs,
-				TimeScale: scale, BlockSize: unit.GiB(4),
+				TimeScale: table6TimeScale, BlockSize: unit.GiB(4),
 				Seed: o.seed(), MaxWall: 5 * time.Minute,
 			}, jobs)
 			if err != nil {

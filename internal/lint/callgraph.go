@@ -17,14 +17,14 @@ import (
 // the AST — the one place per-function facts are computed — and five
 // analyzers read them: maporder and purecheck per package in Run,
 // detclose, inputflow, lockorder and purecheck over the finalized state
-// through the driver's Merge/Finish hooks.
+// through the driver's Finish hooks.
 //
 // Determinism contract: fragments are keyed by import path and
 // finalized in sorted-path order, nodes keep declaration order within a
 // package, and edges keep source order within a function. Every
 // iteration below is over one of those orders (never over a raw map),
 // so the computed summaries — and the BFS call paths printed by -why —
-// are byte-identical at any -workers value.
+// do not depend on map iteration order.
 //
 // Soundness gaps, accepted and documented (docs/static-analysis.md):
 // calls through plain func-typed values are not resolved — that is the
@@ -262,23 +262,6 @@ func ensureCGFragment(p *Pass) *cgFragment {
 // runCallGraph is the Run hook of the analyzers that judge only the
 // finalized graph.
 func runCallGraph(p *Pass) { ensureCGFragment(p) }
-
-// mergeCallGraph folds one package's fragments into the global state.
-// Every graph-backed analyzer with a Finish hook registers it, so it
-// must tolerate seeing the same fragment more than once: fragments are
-// keyed by path and the first merge wins.
-func mergeCallGraph(global, pkg map[string]any) {
-	src, ok := pkg[callgraphKey].(*cgState)
-	if !ok {
-		return
-	}
-	dst := cgStateIn(global)
-	for path, f := range src.pkgs {
-		if _, seen := dst.pkgs[path]; !seen {
-			dst.pkgs[path] = f
-		}
-	}
-}
 
 // finalize condenses the graph and computes summaries bottom-up. It is
 // idempotent: the first Finish hook pays the cost and the others reuse

@@ -31,7 +31,6 @@ var DetClose = &Analyzer{
 		"reach a wall-clock read, global-RNG draw, or map-order-dependent " +
 		"emission except through a // silod:inject boundary",
 	Run:    runCallGraph,
-	Merge:  mergeCallGraph,
 	Finish: finishDetClose,
 }
 

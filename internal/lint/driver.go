@@ -4,21 +4,12 @@ import (
 	"go/types"
 	"path/filepath"
 	"sort"
-
-	"repro/internal/runner"
 )
 
 // Options configures a suite run.
 type Options struct {
 	// Disable names analyzers to skip.
 	Disable map[string]bool
-	// Workers bounds per-package analysis concurrency: 0 means
-	// GOMAXPROCS, 1 runs sequentially (the silodsim -parallel
-	// convention). Loading and type-checking stay sequential — the
-	// loader resolves imports in dependency order and is not
-	// thread-safe — but analysis is embarrassingly parallel across
-	// packages, and output is byte-identical at any worker count.
-	Workers int
 }
 
 // Result is the outcome of linting one module.
@@ -45,34 +36,11 @@ func Run(root string, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Packages: len(pkgs)}
-	// Analysis is read-only over the type-checked packages, so the
-	// packages fan out across the worker pool. Each gets a private
-	// Shared map; cross-package state is folded back in package load
-	// order below, which keeps global analyzers (lockorder, purecheck)
-	// deterministic regardless of worker count.
-	type pkgResult struct {
-		diags  []Diagnostic
-		shared map[string]any
-	}
-	results, err := runner.Map(runner.Options{Workers: opts.Workers},
-		len(pkgs), func(a runner.Arm) (pkgResult, error) {
-			shared := make(map[string]any)
-			return pkgResult{
-				diags:  analyzePackage(loader, pkgs[a.Index], opts, shared),
-				shared: shared,
-			}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
+	// Packages are analyzed in load order over one module-wide Shared
+	// map, which the global analyzers' Finish hooks then judge.
 	shared := make(map[string]any)
-	for _, r := range results {
-		res.Diagnostics = append(res.Diagnostics, r.diags...)
-		for _, an := range All() {
-			if an.Merge != nil && !opts.Disable[an.Name] {
-				an.Merge(shared, r.shared)
-			}
-		}
+	for _, pkg := range pkgs {
+		res.Diagnostics = append(res.Diagnostics, analyzePackage(loader, pkg, opts, shared)...)
 	}
 	// Global analyzers see the whole module before judging.
 	for _, an := range All() {

@@ -24,7 +24,7 @@ import (
 // skipped — the convention is constant cases, and the skipping is
 // documented rather than silent (docs/static-analysis.md).
 //
-// The analyzer is whole-module through the standard Merge/Finish hooks:
+// The analyzer is whole-module through the standard Finish hook:
 // the annotation lives on the defining package's type declaration, but
 // switches over the type anywhere in the module are checked.
 var Exhaust = &Analyzer{
@@ -32,7 +32,6 @@ var Exhaust = &Analyzer{
 	Doc: "switches over // silod:enum types must cover every declared " +
 		"constant or carry an explicit default",
 	Run:    runExhaust,
-	Merge:  mergeExhaust,
 	Finish: finishExhaust,
 }
 
@@ -64,19 +63,6 @@ func exStateIn(shared map[string]any) *exState {
 	st := &exState{pkgs: make(map[string]*exFragment)}
 	shared[exhaustKey] = st
 	return st
-}
-
-func mergeExhaust(global, pkg map[string]any) {
-	src, ok := pkg[exhaustKey].(*exState)
-	if !ok {
-		return
-	}
-	dst := exStateIn(global)
-	for path, f := range src.pkgs {
-		if _, seen := dst.pkgs[path]; !seen {
-			dst.pkgs[path] = f
-		}
-	}
 }
 
 func runExhaust(p *Pass) {

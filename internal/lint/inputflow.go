@@ -34,7 +34,6 @@ var InputFlow = &Analyzer{
 		"allocation sizes, slice indexing, loop bounds, or quota " +
 		"arithmetic without an inline guard or a // silod:validator",
 	Run:    runCallGraph,
-	Merge:  mergeCallGraph,
 	Finish: finishInputFlow,
 }
 

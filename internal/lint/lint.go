@@ -66,14 +66,6 @@ type Analyzer struct {
 	Doc    string
 	Run    func(*Pass)
 	Finish func(*Pass) // optional whole-module pass; Files/Pkg/Info are nil
-
-	// Merge folds one package's Shared state into the module-wide
-	// Shared map. The parallel driver gives every package its own
-	// Shared map (so Run never races) and calls Merge in package load
-	// order before Finish; global analyzers must set it alongside
-	// Finish, and its result must not depend on merge timing beyond
-	// that order.
-	Merge func(global, pkg map[string]any)
 }
 
 // Pass hands one type-checked package to one analyzer.

@@ -28,7 +28,6 @@ var Lockorder = &Analyzer{
 	Name:   "lockorder",
 	Doc:    "the cross-package lock-acquisition graph must be acyclic",
 	Run:    runCallGraph,
-	Merge:  mergeCallGraph,
 	Finish: finishLockorder,
 }
 

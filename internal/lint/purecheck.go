@@ -55,7 +55,6 @@ var PureCheck = &Analyzer{
 		"their arguments: no wall clock, no RNG, no mutable package " +
 		"state, no map-order-sensitive results, and only pure callees",
 	Run:    runPureCheck,
-	Merge:  mergeCallGraph,
 	Finish: finishPureCheck,
 }
 

@@ -315,8 +315,8 @@ func (s *MaxMinSolver) assign(c core.Cluster, jobs []core.JobView, a *core.Assig
 
 // topUpRemoteIO adds extra bandwidth on top of the running jobs' grants
 // in s.grant: first warming jobs in (effRank, ID) order up to their
-// instantaneous demand, then a water-fill over remaining unmet demands,
-// smallest first.
+// instantaneous demand, then an unweighted water-fill over remaining
+// unmet demands.
 //
 // silod:hotpath
 // silod:pure
@@ -328,9 +328,10 @@ func (s *MaxMinSolver) topUpRemoteIO(extra float64, a *core.Assignment) {
 	}
 	slices.SortFunc(order, s.rankCmp)
 	want := resize(&s.want, len(s.run))
-	unmet := s.unmet[:0]
+	ids := resize(&s.runIDs, len(s.run))
 	for _, k := range order {
 		i := s.run[k]
+		want[k], ids[k] = 0, s.jobs[i].ID
 		gap := instantDemand(s.jobs[i], a) - s.grant[k]
 		if gap <= 1e-9 {
 			continue
@@ -343,20 +344,10 @@ func (s *MaxMinSolver) topUpRemoteIO(extra float64, a *core.Assignment) {
 		}
 		if gap > 1e-9 {
 			want[k] = gap
-			unmet = append(unmet, k)
 		}
 	}
-	s.unmet = unmet
-	if remaining <= 1e-9 || len(unmet) == 0 {
-		return
-	}
-	slices.SortFunc(unmet, s.wantCmp)
-	left := len(unmet)
-	for _, k := range unmet {
-		give := min(want[k], remaining/float64(left))
-		s.grant[k] += give
-		remaining -= give
-		left--
+	if remaining > 1e-9 {
+		s.div.WaterFill(s.grant, remaining, want, nil, ids)
 	}
 }
 
@@ -370,14 +361,6 @@ func (s *MaxMinSolver) rankCmp(a, b int) int {
 		return c
 	}
 	return strings.Compare(s.jobs[ia].ID, s.jobs[ib].ID)
-}
-
-// wantCmp orders running positions by unmet demand, ascending, ties to
-// the job ID.
-//
-// silod:pure
-func (s *MaxMinSolver) wantCmp(a, b int) int {
-	return byScore(s.want[a], s.want[b], s.jobs[s.run[a]].ID, s.jobs[s.run[b]].ID, false)
 }
 
 // effRank ranks datasets by warm-up value (cache efficiency with

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/remoteio"
 	"repro/internal/unit"
 )
 
@@ -70,8 +71,9 @@ type MaxMinSolver struct {
 	bw       []bwJob
 	grant    []float64
 	want     []float64
+	runIDs   []string
 	runOrder []int
-	unmet    []int
+	div      remoteio.Divider
 
 	storageOut map[string]StorageAlloc
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/remoteio"
 	"repro/internal/simrng"
 	"repro/internal/unit"
 )
@@ -259,9 +260,11 @@ type ioScratch struct {
 	rank   []int
 	demand []float64 // instantaneous demand
 	weight []float64 // SLO weight
+	ids    []string
 	grant  []float64
-	order  []ranked // water-fill order, then the warming jobs
+	order  []ranked // the warming jobs
 	taxed  []taxed
+	div    remoteio.Divider
 }
 
 // taxed is one unsatisfied steady-state job's contribution to the
@@ -393,8 +396,10 @@ func instantDemandAt(j *core.JobView, q unit.Bytes) float64 {
 // SLO class weight, so under bandwidth contention a critical job's fair
 // level is twice a standard job's and four times a sheddable job's;
 // with every weight 1 (the untenanted default) the division is
-// bit-identical to the unweighted water-fill. The allocation is
-// revisited every scheduling round, so grants shrink as caches warm.
+// bit-identical to the unweighted water-fill. Any slack (all demands
+// met) stays unallocated; the data plane never throttles below demand
+// anyway. The allocation is revisited every scheduling round, so grants
+// shrink as caches warm.
 //
 // silod:hotpath
 // silod:pure
@@ -402,32 +407,16 @@ func (w *ioScratch) fair(total unit.Bandwidth, running []core.JobView) {
 	n := len(running)
 	demand := resize(&w.demand, n)
 	weight := resize(&w.weight, n)
+	ids := resize(&w.ids, n)
 	grant := resize(&w.grant, n)
-	order := w.order[:0]
-	var wsum float64
 	for k := range running {
 		j := &running[k]
 		demand[k] = instantDemandAt(j, w.quota[k])
 		weight[k] = j.SLO.Weight()
-		order = append(order, ranked{demand[k] / weight[k], j.ID, k})
-		wsum += weight[k]
+		ids[k] = j.ID
+		grant[k] = 0
 	}
-	// Water-fill in ascending normalized-demand order: a job whose
-	// demand sits below its weighted fair level is fully served and its
-	// slack raises the level for the rest.
-	slices.SortFunc(order, rankedAsc)
-	w.order = order
-	remaining := float64(total)
-	wleft := wsum
-	for _, o := range order {
-		level := remaining * weight[o.i] / wleft
-		g := math.Min(demand[o.i], level)
-		grant[o.i] = g
-		remaining -= g
-		wleft -= weight[o.i]
-	}
-	// Any slack (all demands met) stays unallocated; the data plane
-	// never throttles below demand anyway.
+	w.div.WaterFill(grant, float64(total), demand, weight, ids)
 }
 
 // QuiverAllocator models Quiver [44]: cache is assigned to whole

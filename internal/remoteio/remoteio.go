@@ -1,7 +1,8 @@
 // Package remoteio manages the remote IO bandwidth between the GPU
 // cluster and cloud storage: an allocation ledger the scheduler writes
-// (Table 3: allocateRemoteIO), a demand-based max-min fair divider used
-// when remote IO is left uncontrolled (§7.2 ablation), and a
+// (Table 3: allocateRemoteIO), the one divider of egress bandwidth over
+// job demands (max-min water-filling, the top-up of a policy's grants,
+// and the provider's static equal split of the §7.2 ablation), and a
 // token-bucket throttle used by the real-time testbed to enforce
 // per-job rates.
 package remoteio
@@ -9,7 +10,8 @@ package remoteio
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -133,110 +135,128 @@ func (l *Ledger) Remove(jobID string) {
 	l.publishLocked()
 }
 
-// Demand is one job's remote IO demand for fair division.
-type Demand struct {
-	JobID string
-	Want  unit.Bandwidth
-}
-
-// FairShare divides capacity across demands by progressive filling
-// (max-min fairness): every job receives min(want, fair level), and
-// capacity freed by small demands is redistributed. This models the
-// provider-controlled remote IO of the §7.2 ablation ("a simple fair
-// share algorithm for remote IO").
-func FairShare(capacity unit.Bandwidth, demands []Demand) map[string]unit.Bandwidth {
-	out := make(map[string]unit.Bandwidth, len(demands))
-	var d Divider
-	grants := d.FairShareInto(nil, capacity, demands)
-	for i, dm := range demands {
-		out[dm.JobID] = grants[i]
-	}
-	return out
-}
-
-// Divider divides bandwidth into index-aligned slices, recycling its
-// sort scratch across calls — for callers (the sim engines' Che fixed
-// point) that divide bandwidth thousands of times per run. The
-// progressive filling visits demands in (want, then JobID) order via an
-// index permutation, which is unique because job IDs are.
+// Divider is the workspace of the module's egress divisions: the
+// weighted max-min water-fill (WaterFill) and the top-up that fills
+// what given grants leave over (TopUp); the provider's static split
+// (EqualSplit) needs none. Every division is index-addressed — job i's
+// want is wants[i], its unique ID ids[i], and its share is added to
+// grant[i] — and a warm Divider allocates nothing: it recycles its fill
+// order and residual scratch across calls. A Divider must not be shared
+// between goroutines.
 type Divider struct {
-	idx   []int
-	wants []float64
+	order []fillItem
+	resid []float64
 }
 
-// FairShareInto returns FairShare's grants with grants[i] belonging to
-// demands[i]. The result aliases out's backing array when capacity
-// allows and is valid until the next call.
-//
-// silod:pure
-func (dv *Divider) FairShareInto(out []unit.Bandwidth, capacity unit.Bandwidth, demands []Demand) []unit.Bandwidth {
-	out = out[:0]
-	for range demands {
-		out = append(out, 0)
-	}
-	if capacity <= 0 || len(demands) == 0 {
-		return out
-	}
-	idx := dv.idx[:0]
-	wants := dv.wants[:0]
-	for i, d := range demands {
-		w := float64(d.Want)
-		if w < 0 {
-			w = 0
-		}
-		idx = append(idx, i)
-		wants = append(wants, w)
-	}
-	dv.idx, dv.wants = idx, wants
-	sort.Slice(idx, func(a, b int) bool {
-		wa, wb := wants[idx[a]], wants[idx[b]]
-		if wa != wb {
-			return wa < wb
-		}
-		return demands[idx[a]].JobID < demands[idx[b]].JobID
-	})
-	remaining := float64(capacity)
-	left := len(idx)
-	for _, i := range idx {
-		level := remaining / float64(left)
-		grant := wants[i]
-		if grant > level {
-			grant = level
-		}
-		out[i] = unit.Bandwidth(grant)
-		remaining -= grant
-		left--
-	}
-	return out
+// fillItem is one job in water-fill order: its normalized want, the
+// unique ID its ties fall to, and its index.
+type fillItem struct {
+	key float64
+	id  string
+	i   int
 }
 
-// EqualShareInto models the provider-side egress throttle that applies
-// when no scheduler controls remote IO (§2.1, §7.2): every running job
-// gets an equal static share of the egress capacity, capped at its
-// demand. Unlike FairShare there is no redistribution — a cached job's
-// unused share idles, which is exactly the inefficiency SiloD's remote
-// IO management removes. grants[i] belongs to demands[i]; the result
-// aliases out's backing array when capacity allows and is valid until
-// the next call.
+// fillCmp orders items by normalized want, ascending, ties to the ID: a
+// strict total order, so the sorted permutation is unique.
 //
 // silod:pure
-func (dv *Divider) EqualShareInto(out []unit.Bandwidth, capacity unit.Bandwidth, demands []Demand) []unit.Bandwidth {
-	out = out[:0]
-	if len(demands) == 0 {
-		return out
+func fillCmp(a, b fillItem) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
 	}
-	share := float64(capacity) / float64(len(demands))
-	for _, d := range demands {
-		w := float64(d.Want)
-		if w < 0 {
-			w = 0
-		}
-		if w > share {
-			w = share
-		}
-		out = append(out, unit.Bandwidth(w))
+	return strings.Compare(a.id, b.id)
+}
+
+// WaterFill divides capacity over wants by weighted progressive filling
+// (max-min fairness) and adds job i's share to grant[i]. Jobs are
+// filled in ascending want/weight order: each receives
+// min(want, remaining·weight/Σ remaining weights), so capacity a small
+// want leaves unused raises the level of the rest. Nil weights mean
+// every weight is 1, where the level is remaining/jobs left exactly.
+// Jobs with no positive want, and every job when capacity is not
+// positive, get nothing. Whatever no want absorbs stays unallocated.
+//
+// silod:hotpath
+// silod:pure
+func (d *Divider) WaterFill(grant []float64, capacity float64, wants, weights []float64, ids []string) {
+	if capacity <= 0 {
+		return
 	}
-	return out
+	order := d.order[:0]
+	var wleft float64
+	for i, want := range wants {
+		if want <= 0 {
+			continue
+		}
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		order = append(order, fillItem{want / w, ids[i], i})
+		wleft += w
+	}
+	d.order = order
+	slices.SortFunc(order, fillCmp)
+	remaining := capacity
+	for _, o := range order {
+		w := 1.0
+		if weights != nil {
+			w = weights[o.i]
+		}
+		give := min(wants[o.i], remaining*w/wleft)
+		grant[o.i] += give
+		remaining -= give
+		wleft -= w
+	}
+}
+
+// TopUp keeps the grants already made and water-fills (unweighted) the
+// capacity they leave over each job's residual demand wants[i] -
+// grant[i]; residuals of 1e-9 or less do not compete. This is the
+// work-conserving half of a scheduler-controlled division (§6): egress
+// the policy left unallocated goes to jobs whose demand exceeds their
+// grant.
+//
+// silod:hotpath
+// silod:pure
+func (d *Divider) TopUp(grant []float64, capacity float64, wants []float64, ids []string) {
+	var allocated float64
+	for _, g := range grant {
+		allocated += g
+	}
+	leftover := capacity - allocated
+	if leftover <= 0 {
+		return
+	}
+	resid := d.resid[:0]
+	for i, want := range wants {
+		r := want - grant[i]
+		if r <= 1e-9 {
+			r = 0
+		}
+		resid = append(resid, r)
+	}
+	d.resid = resid
+	d.WaterFill(grant, leftover, resid, nil, ids)
+}
+
+// EqualSplit models the provider-side egress throttle that applies
+// when no scheduler controls remote IO (§2.1, §7.2): it adds to
+// grant[i] an equal static share of capacity, capped at wants[i].
+// Unlike WaterFill there is no redistribution — a cached job's unused
+// share idles, which is exactly the inefficiency SiloD's remote IO
+// management removes. Negative wants get nothing.
+//
+// silod:hotpath
+// silod:pure
+func EqualSplit(grant []float64, capacity float64, wants []float64) {
+	share := capacity / float64(len(wants))
+	for i, want := range wants {
+		grant[i] += min(max(want, 0), share)
+	}
 }
 
 // TokenBucket is a thread-safe rate limiter used by the testbed's FUSE

@@ -1,6 +1,7 @@
 package remoteio
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -71,45 +72,52 @@ func TestLedger(t *testing.T) {
 }
 
 func TestFairShareWaterFilling(t *testing.T) {
-	out := FairShare(unit.MBpsOf(90), []Demand{
-		{"small", unit.MBpsOf(10)},
-		{"mid", unit.MBpsOf(40)},
-		{"big", unit.MBpsOf(100)},
-	})
+	var d Divider
+	grant := make([]float64, 3)
+	d.WaterFill(grant, float64(unit.MBpsOf(90)), []float64{
+		float64(unit.MBpsOf(10)), float64(unit.MBpsOf(40)), float64(unit.MBpsOf(100)),
+	}, nil, []string{"small", "mid", "big"})
 	// small fully served; mid and big split the remaining 80.
-	if out["small"].MBpsValue() != 10 {
-		t.Errorf("small = %v", out["small"])
+	for i, want := range []float64{10, 40, 40} {
+		if g := unit.Bandwidth(grant[i]).MBpsValue(); g != want {
+			t.Errorf("grant[%d] = %v MB/s, want %v", i, g, want)
+		}
 	}
-	if out["mid"].MBpsValue() != 40 {
-		t.Errorf("mid = %v", out["mid"])
-	}
-	if out["big"].MBpsValue() != 40 {
-		t.Errorf("big = %v", out["big"])
+	// Weighted: with 90 over three cold jobs of weights 2, 1 and 0.5,
+	// the levels are 90·w/3.5, and the top-up adds on top of a grant.
+	grant = []float64{0, 0, 5}
+	d.WaterFill(grant, 90, []float64{100, 100, 100}, []float64{2, 1, 0.5}, []string{"c", "s", "h"})
+	for i, want := range []float64{90 * 2 / 3.5, 90 / 3.5, 5 + 90*0.5/3.5} {
+		if math.Abs(grant[i]-want) > 1e-9 {
+			t.Errorf("weighted grant[%d] = %v, want %v", i, grant[i], want)
+		}
 	}
 }
 
 func TestFairShareProperties(t *testing.T) {
+	var d Divider
 	f := func(cap16 uint16, raw []uint16) bool {
-		capacity := unit.Bandwidth(float64(cap16%1000+1)) * unit.MBps
-		demands := make([]Demand, 0, len(raw))
+		capacity := float64(cap16%1000+1) * float64(unit.MBps)
+		wants := make([]float64, len(raw))
+		ids := make([]string, len(raw))
 		var total float64
 		for i, r := range raw {
-			w := unit.Bandwidth(float64(r % 500))
-			demands = append(demands, Demand{JobID: string(rune('a'+i%26)) + string(rune('0'+i/26)), Want: w * unit.MBps})
-			total += float64(w) * float64(unit.MBps)
+			wants[i] = float64(r%500) * float64(unit.MBps)
+			ids[i] = string(rune('a'+i%26)) + string(rune('0'+i/26))
+			total += wants[i]
 		}
-		out := FairShare(capacity, demands)
+		grant := make([]float64, len(raw))
+		d.WaterFill(grant, capacity, wants, nil, ids)
 		var sum float64
-		for _, d := range demands {
-			g := float64(out[d.JobID])
-			if g < 0 || g > float64(d.Want)+1e-6 {
+		for i, g := range grant {
+			if g < 0 || g > wants[i]+1e-6 {
 				return false // never exceed demand
 			}
 			sum += g
 		}
 		// Work conservation: capacity or total demand exhausted.
-		return sum <= float64(capacity)+1e-3 &&
-			(math.Abs(sum-float64(capacity)) < 1 || math.Abs(sum-total) < 1)
+		return sum <= capacity+1e-3 &&
+			(math.Abs(sum-capacity) < 1 || math.Abs(sum-total) < 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -117,38 +125,73 @@ func TestFairShareProperties(t *testing.T) {
 }
 
 func TestEqualShare(t *testing.T) {
-	var d Divider
-	out := d.EqualShareInto(nil, unit.MBpsOf(90), []Demand{
-		{"tiny", unit.MBpsOf(5)},
-		{"big1", unit.MBpsOf(100)},
-		{"big2", unit.MBpsOf(100)},
+	grant := make([]float64, 3)
+	EqualSplit(grant, float64(unit.MBpsOf(90)), []float64{
+		float64(unit.MBpsOf(5)), float64(unit.MBpsOf(100)), float64(unit.MBpsOf(100)),
 	})
 	// Each share = 30; tiny capped at demand; the unused 25 idles.
-	if out[0].MBpsValue() != 5 {
-		t.Errorf("tiny = %v", out[0])
+	if g := unit.Bandwidth(grant[0]).MBpsValue(); g != 5 {
+		t.Errorf("tiny = %v", g)
 	}
-	if out[1].MBpsValue() != 30 || out[2].MBpsValue() != 30 {
-		t.Errorf("bigs = %v / %v", out[1], out[2])
+	if g1, g2 := unit.Bandwidth(grant[1]).MBpsValue(), unit.Bandwidth(grant[2]).MBpsValue(); g1 != 30 || g2 != 30 {
+		t.Errorf("bigs = %v / %v", g1, g2)
 	}
 	var sum float64
-	for _, v := range out {
-		sum += v.MBpsValue()
+	for _, v := range grant {
+		sum += unit.Bandwidth(v).MBpsValue()
 	}
 	if sum != 65 {
-		t.Errorf("total %v: EqualShare must NOT redistribute the idle remainder", sum)
+		t.Errorf("total %v: EqualSplit must NOT redistribute the idle remainder", sum)
 	}
 }
 
 func TestEdgeShares(t *testing.T) {
-	if out := FairShare(0, []Demand{{"a", 1}}); out["a"] != 0 {
+	var d Divider
+	grant := []float64{0}
+	if d.WaterFill(grant, 0, []float64{1}, nil, []string{"a"}); grant[0] != 0 {
 		t.Error("zero capacity")
 	}
-	if out := FairShare(unit.MBpsOf(10), nil); len(out) != 0 {
-		t.Error("no demands")
+	d.WaterFill(nil, float64(unit.MBpsOf(10)), nil, nil, nil) // no demands
+	if d.WaterFill(grant, float64(unit.MBpsOf(10)), []float64{-5}, nil, []string{"a"}); grant[0] != 0 {
+		t.Error("negative demand should get nothing")
 	}
-	out := FairShare(unit.MBpsOf(10), []Demand{{"a", -5}})
-	if out["a"] != 0 {
-		t.Error("negative demand should clamp to 0")
+	if EqualSplit(grant, float64(unit.MBpsOf(10)), []float64{-5}); grant[0] != 0 {
+		t.Error("negative demand should get nothing from the equal split")
+	}
+	// TopUp: the grants already use 60 of 90, so 30 is left; a holds
+	// more than it wants and b's residual is below the 1e-9 cutoff, so
+	// c takes it all.
+	grant = []float64{50, 10, 0}
+	d.TopUp(grant, 90, []float64{20, 10 + 1e-10, 100}, []string{"a", "b", "c"})
+	if want := []float64{50, 10, 30}; !slices.Equal(grant, want) {
+		t.Errorf("top-up = %v, want %v", grant, want)
+	}
+	grant = []float64{50, 50}
+	if d.TopUp(grant, 90, []float64{100, 100}, []string{"a", "b"}); grant[0] != 50 || grant[1] != 50 {
+		t.Errorf("oversubscribed grants topped up: %v", grant)
+	}
+}
+
+// TestDividerAllocatesNothing pins the silod:hotpath contract: a warm
+// Divider's water-fill, top-up and equal split allocate nothing.
+func TestDividerAllocatesNothing(t *testing.T) {
+	const n = 40
+	wants, weights := make([]float64, n), make([]float64, n)
+	grant, ids := make([]float64, n), make([]string, n)
+	for i := range wants {
+		wants[i] = float64((i*37)%n + 1)
+		weights[i] = []float64{0.5, 1, 2}[i%3]
+		ids[i] = fmt.Sprintf("job-%02d", i)
+	}
+	var d Divider
+	d.TopUp(grant, 100, wants, ids) // warm the scratch
+	if got := testing.AllocsPerRun(100, func() {
+		clear(grant)
+		d.WaterFill(grant, 300, wants, weights, ids)
+		d.TopUp(grant, 500, wants, ids)
+		EqualSplit(grant, 100, wants)
+	}); got != 0 {
+		t.Errorf("warm Divider: %v allocs/op, want 0", got)
 	}
 }
 

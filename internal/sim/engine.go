@@ -43,11 +43,9 @@ type engine struct {
 	keysBuf    []string
 	hitsBuf    []float64
 	grantsBuf  []unit.Bandwidth
+	fillBuf    []float64
 	demandsBuf []float64
-	demandBuf  []remoteio.Demand
-	residBuf   []remoteio.Demand
-	residIdx   []int
-	shareBuf   []unit.Bandwidth
+	idsBuf     []string
 	divider    remoteio.Divider
 }
 
@@ -81,62 +79,40 @@ func newEngine(cfg Config, jobs []*jobRT) (engine, error) {
 // (the Table 6 fidelity result). A job's demand is its analytic miss
 // traffic f*·(1-hit), raised to floor[i] when floor is non-nil (the
 // batch engine's in-flight fetches). The policy's allocations are
-// honoured; unallocated egress is then fair-shared over the jobs whose
-// demand exceeds their grant (§6). The result is scratch, valid until
-// the next call.
+// honoured and unallocated egress is topped up over the jobs whose
+// demand exceeds their grant (§6). When no allocation is honoured (the
+// policy made none, or DisableIOControl) the provider's static equal
+// split applies instead (§2.1, §7.2). The result is scratch, valid
+// until the next call.
 //
 // silod:hotpath — called from jobRates and from every Che fixed-point
 // iteration; reuses the chassis's grant/demand scratch buffers.
 func (e *engine) remoteIOGrants(running []*jobRT, hits, floor []float64) []unit.Bandwidth {
-	grants := resize(&e.grantsBuf, len(running))
+	fill := resize(&e.fillBuf, len(running))
 	demands := resize(&e.demandsBuf, len(running))
-	var allocated float64
+	ids := resize(&e.idsBuf, len(running))
 	anyAlloc := false
 	for i, j := range running {
-		grants[i] = 0
+		fill[i] = 0
 		demands[i] = float64(j.profile.IdealThroughput) * (1 - hits[i])
 		if floor != nil && floor[i] > demands[i] {
 			demands[i] = floor[i]
 		}
+		ids[i] = j.spec.ID
 		if !e.cfg.DisableIOControl && j.remoteIO > 0 {
-			grants[i] = j.remoteIO
-			allocated += float64(j.remoteIO)
+			fill[i] = float64(j.remoteIO)
 			anyAlloc = true
 		}
 	}
-	if !anyAlloc || e.cfg.DisableIOControl {
-		// Provider-controlled static fair share: equal egress split per
-		// running job, capped at demand, with no redistribution of the
-		// unused remainder — the throttle a cloud storage frontend
-		// applies when nothing smarter manages remote IO (§2.1, §7.2).
-		ds := resize(&e.demandBuf, len(running))
-		for i, j := range running {
-			ds[i] = remoteio.Demand{JobID: j.spec.ID, Want: unit.Bandwidth(demands[i])}
-		}
-		e.shareBuf = e.divider.EqualShareInto(e.shareBuf, e.eff.RemoteIO, ds)
-		copy(grants, e.shareBuf)
-		return grants
+	switch {
+	case !anyAlloc:
+		remoteio.EqualSplit(fill, float64(e.eff.RemoteIO), demands)
+	case !e.cfg.DisableWorkConserving:
+		e.divider.TopUp(fill, float64(e.eff.RemoteIO), demands, ids)
 	}
-	leftover := float64(e.eff.RemoteIO) - allocated
-	if e.cfg.DisableWorkConserving || leftover <= 0 {
-		return grants
-	}
-	resid := e.residBuf[:0]
-	residIdx := e.residIdx[:0]
-	for i, j := range running {
-		extra := demands[i] - float64(grants[i])
-		if extra > 1e-9 {
-			resid = append(resid, remoteio.Demand{JobID: j.spec.ID, Want: unit.Bandwidth(extra)})
-			residIdx = append(residIdx, i)
-		}
-	}
-	e.residBuf, e.residIdx = resid, residIdx
-	if len(resid) == 0 {
-		return grants
-	}
-	e.shareBuf = e.divider.FairShareInto(e.shareBuf, unit.Bandwidth(leftover), resid)
-	for k, i := range residIdx {
-		grants[i] += e.shareBuf[k]
+	grants := resize(&e.grantsBuf, len(running))
+	for i, g := range fill {
+		grants[i] = unit.Bandwidth(g)
 	}
 	return grants
 }

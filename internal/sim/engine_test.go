@@ -94,3 +94,30 @@ func TestRemoteIOGrants(t *testing.T) {
 		})
 	}
 }
+
+// TestRemoteIOGrantsAllocatesNothing pins remoteIOGrants' silod:hotpath
+// contract on its work-conserving path: one job holds a policy grant,
+// the leftover egress is topped up over two residual demands, and a
+// warm chassis allocates nothing.
+func TestRemoteIOGrantsAllocatesNothing(t *testing.T) {
+	e := engine{eff: core.Cluster{RemoteIO: unit.MBpsOf(90)}}
+	var running []*jobRT
+	for i, id := range []string{"a", "b", "c"} {
+		running = append(running, &jobRT{
+			spec:     workload.JobSpec{ID: id},
+			profile:  estimator.JobProfile{IdealThroughput: unit.MBpsOf(100)},
+			remoteIO: unit.MBpsOf([]float64{10, 0, 0}[i]),
+		})
+	}
+	hits := []float64{0, 0.5, 0}
+	grants := e.remoteIOGrants(running, hits, nil)
+	// Leftover 80 over residuals 90 (a), 50 (b) and 100 (c): 26⅔ each.
+	if g := grants[1].MBpsValue(); math.Abs(g-80.0/3) > 1e-6 {
+		t.Fatalf("b's grant %.6f MB/s, want the top-up's 26.67", g)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		e.remoteIOGrants(running, hits, nil)
+	}); got != 0 {
+		t.Errorf("remoteIOGrants: %v allocs/op, want 0", got)
+	}
+}

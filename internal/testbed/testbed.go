@@ -423,11 +423,10 @@ func (b *bed) round() error {
 	// demand. Not the simulator's throttle (sim.engine.remoteIOGrants):
 	// with nothing allocated that one splits egress equally and lets the
 	// unused remainder idle, and it has no 2% demand floor.
-	demands := make([]remoteio.Demand, 0, len(views))
-	grants := make(map[string]float64, len(views))
-	var allocated float64
-	anyAlloc := false
-	for _, v := range views {
+	wants := make([]float64, len(views))
+	grants := make([]float64, len(views))
+	ids := make([]string, len(views))
+	for k, v := range views {
 		miss := 1.0
 		if v.DatasetSize > 0 {
 			miss = 1 - float64(v.EffectiveCached)/float64(v.DatasetSize)
@@ -441,26 +440,13 @@ func (b *bed) round() error {
 		if minWant := float64(v.Profile.IdealThroughput) * 0.02; want < minWant {
 			want = minWant
 		}
-		if bw, ok := a.RemoteIO[v.ID]; ok && bw > 0 {
-			grants[v.ID] = float64(bw)
-			allocated += float64(bw)
-			anyAlloc = true
-			want -= float64(bw)
-		}
-		if want > 0 {
-			demands = append(demands, remoteio.Demand{JobID: v.ID, Want: unit.Bandwidth(want)})
+		wants[k], ids[k] = want, v.ID
+		if bw := a.RemoteIO[v.ID]; bw > 0 {
+			grants[k] = float64(bw)
 		}
 	}
-	pool := float64(b.eff.RemoteIO)
-	if anyAlloc {
-		pool -= allocated
-	}
-	if pool > 0 && len(demands) > 0 {
-		share := remoteio.FairShare(unit.Bandwidth(pool), demands)
-		for id, bw := range share {
-			grants[id] += float64(bw)
-		}
-	}
+	var div remoteio.Divider
+	div.TopUp(grants, float64(b.eff.RemoteIO), wants, ids)
 	// Apply decreases before increases: replacing rates one at a time
 	// against a live ledger would otherwise transiently oversubscribe
 	// (job A's new high rate lands while job B still holds last round's
@@ -472,8 +458,8 @@ func (b *bed) round() error {
 		scaled unit.Bandwidth
 	}
 	var raises []update
-	for _, v := range views {
-		scaled := unit.Bandwidth(grants[v.ID] * b.cfg.TimeScale)
+	for k, v := range views {
+		scaled := unit.Bandwidth(grants[k] * b.cfg.TimeScale)
 		if st, err := b.mgr.Stats(v.ID); err == nil && scaled > st.RemoteIO {
 			raises = append(raises, update{v.ID, scaled})
 			continue

@@ -29,10 +29,6 @@ type TraceConfig struct {
 	// GPUCounts and GPUWeights give the multi-GPU mix.
 	GPUCounts  []int
 	GPUWeights []float64
-	// ModelWeights gives per-model sampling weights keyed by model name;
-	// models absent from the map are not sampled. Nil means the default
-	// image-heavy mix over the whole catalog.
-	ModelWeights map[string]float64
 	// ShareFraction in [0,1] is the fraction of jobs that draw their
 	// dataset from a small shared pool instead of getting a private
 	// synthetic copy (Figure 15).
@@ -63,11 +59,10 @@ func DefaultTraceConfig(seed int64, numJobs int, window unit.Duration) TraceConf
 	}
 }
 
-// defaultModelWeights is the image-heavy job mix used when
-// TraceConfig.ModelWeights is nil: mostly vision models with an
-// occasional VLAD or BERT job, mirroring the production mix the paper
-// describes.
-var defaultModelWeights = map[string]float64{
+// modelWeights is the image-heavy job mix, per-model sampling weights
+// keyed by model name: mostly vision models with an occasional VLAD or
+// BERT job, mirroring the production mix the paper describes.
+var modelWeights = map[string]float64{
 	"ResNet-50":      0.28,
 	"ResNet-152":     0.12,
 	"EfficientNetB1": 0.14,
@@ -109,21 +104,14 @@ func Generate(cfg TraceConfig) ([]JobSpec, error) {
 	if cfg.ShareFraction < 0 || cfg.ShareFraction > 1 {
 		return nil, fmt.Errorf("workload: share fraction %v outside [0,1]", cfg.ShareFraction)
 	}
-	weights := cfg.ModelWeights
-	if weights == nil {
-		weights = defaultModelWeights
-	}
-	names := make([]string, 0, len(weights))
-	for name := range weights {
-		if _, err := ModelByName(name); err != nil {
-			return nil, err
-		}
+	names := make([]string, 0, len(modelWeights))
+	for name := range modelWeights {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	ws := make([]float64, len(names))
 	for i, n := range names {
-		ws[i] = weights[n]
+		ws[i] = modelWeights[n]
 	}
 
 	rng := simrng.New(cfg.Seed)

@@ -304,11 +304,6 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(bad); err == nil {
 		t.Error("mismatched GPU mix accepted")
 	}
-	bad = DefaultTraceConfig(1, 10, unit.Hour)
-	bad.ModelWeights = map[string]float64{"NotAModel": 1}
-	if _, err := Generate(bad); err == nil {
-		t.Error("unknown model accepted")
-	}
 }
 
 // TestReadTraceRejectsGarbage exercises the parser's failure paths.
