@@ -256,8 +256,8 @@ func TestRevivalWaitsForRoundInFlight(t *testing.T) {
 		t.Fatalf("revival heartbeat: %v", err)
 	}
 	want := []string{
-		"cache ds-a 10", "cache ds-b 10", "io b 20", "io a 80", // the round: b's decrease, then a's raise
-		"cache ds-a 10", "cache ds-b 10", "io a 80", "io b 20", // the revival: all booked, so one sorted pass
+		"io b 20", "io a 80", // the round: b's decrease, then a's raise; the unchanged quotas stay put
+		"cache ds-a 10", "cache ds-b 10", "io a 80", "io b 20", // the revival: every value, all booked, so one sorted pass
 	}
 	if got := plane.take(); !reflect.DeepEqual(got, want) {
 		t.Errorf("push order %q, want %q", got, want)
@@ -267,5 +267,152 @@ func TestRevivalWaitsForRoundInFlight(t *testing.T) {
 	}
 	if n := s.Registry().Snapshot().CounterValue("silod_sched_push_errors_total", nil); n != 0 {
 		t.Errorf("%v push errors", n)
+	}
+}
+
+// TestRoundHealsAfterAnyFailedCall fails the k-th data-plane call of a
+// round, for every k the round makes. The next round resends every
+// value, so the data manager converges to Annotations() whichever call
+// failed.
+func TestRoundHealsAfterAnyFailedCall(t *testing.T) {
+	calls := 0
+	for k := 0; ; k++ {
+		s, pol, plane, mgr := bookStack(t, time.Now)
+		if err := s.Submit(submitReq("c", 1, unit.GiB(20))); err != nil {
+			t.Fatal(err)
+		}
+		pol.set(map[string]unit.Bandwidth{"a": unit.MBpsOf(70), "b": unit.MBpsOf(20), "c": unit.MBpsOf(10)})
+		n := 0
+		plane.setHook(func(string) error {
+			if n++; n == k+1 {
+				return errInjected
+			}
+			return nil
+		})
+		err := s.Schedule()
+		if err == nil {
+			calls = k
+			break
+		}
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("k=%d: round returned %v", k, err)
+		}
+		plane.setHook(nil)
+		if err := s.Schedule(); err != nil {
+			t.Fatalf("k=%d: round after the failed call: %v", k, err)
+		}
+		if got, want := mgr.Snapshot(), s.Annotations(); !reflect.DeepEqual(got, want) {
+			t.Errorf("k=%d: data manager did not converge\n got: %+v\nwant: %+v", k, got, want)
+		}
+	}
+	// b's decrease, then c's quota, a's raise and c's rate.
+	if calls != 4 {
+		t.Errorf("the round made %d calls, want 4", calls)
+	}
+}
+
+// TestRestoredDataManagerConverges: a data manager that failed mid-push
+// comes back restored from annotations — the ones persisted before the
+// round (behind the scheduler) or after it — and the next round must
+// bring it to Annotations(). Restored behind, it still books b at 80
+// MB/s while the scheduler holds b's decrease as acknowledged; only a
+// full resend sends b's 20 MB/s ahead of a's raise to 80.
+func TestRestoredDataManagerConverges(t *testing.T) {
+	for _, behind := range []bool{true, false} {
+		s, pol, plane, _ := bookStack(t, time.Now)
+		before := s.Annotations()
+		pol.set(map[string]unit.Bandwidth{"a": unit.MBpsOf(80), "b": unit.MBpsOf(20)})
+		plane.setHook(func(call string) error {
+			if call == "io a" {
+				return errInjected
+			}
+			return nil
+		})
+		if err := s.Schedule(); !errors.Is(err, errInjected) {
+			t.Fatalf("behind=%v: round with a failing push returned %v", behind, err)
+		}
+		plane.setHook(nil)
+		ann := s.Annotations()
+		if behind {
+			ann = before
+		}
+		fresh := datamgr.New(unit.GiB(100), unit.MBpsOf(100), 1, nil)
+		if err := fresh.Restore(ann); err != nil {
+			t.Fatal(err)
+		}
+		plane.DataPlane = LocalDataPlane{Mgr: fresh}
+		if err := s.Schedule(); err != nil {
+			t.Fatalf("behind=%v: round against the restored data manager: %v", behind, err)
+		}
+		if got, want := fresh.Snapshot(), s.Annotations(); !reflect.DeepEqual(got, want) {
+			t.Errorf("behind=%v: restored data manager did not converge\n got: %+v\nwant: %+v", behind, got, want)
+		}
+	}
+}
+
+// TestSJFRunsAgainAfterTotalGPULoss: every node dies, so a round
+// preempts every job outside the policy, and the nodes come back with
+// the same capacity. SJF ignores Running, so the next solve is a memo
+// hit; the round must still apply it and run the jobs again.
+func TestSJFRunsAgainAfterTotalGPULoss(t *testing.T) {
+	pol, err := policy.Build(policy.SJFKind, policy.SiloD, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &lockClock{t: time.Unix(0, 0)}
+	s, err := NewSchedulerServer(core.Cluster{GPUs: 8, Cache: unit.GiB(100), RemoteIO: unit.MBpsOf(100)},
+		pol, &recordingPlane{}, clk.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetNodeLivenessTimeout(time.Second)
+	beat := func() {
+		for _, node := range []string{"n1", "n2"} {
+			if err := s.Heartbeat(HeartbeatRequest{Node: node, GPUs: 4, Cache: unit.GiB(50)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	running := func() int {
+		n := 0
+		for _, j := range s.Jobs() {
+			if j.Running {
+				n++
+			}
+		}
+		return n
+	}
+	beat()
+	for _, id := range []string{"a", "b"} {
+		if err := s.Submit(submitReq(id, 2, unit.GiB(20))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Schedule(); err != nil {
+		t.Fatal(err)
+	}
+	if n := running(); n != 2 {
+		t.Fatalf("%d jobs running before the loss, want 2", n)
+	}
+	clk.advance(2 * time.Second)
+	if err := s.Schedule(); err != nil {
+		t.Fatal(err)
+	}
+	if n := running(); n != 0 {
+		t.Fatalf("%d jobs running with every node dead, want 0", n)
+	}
+	beat()
+	if err := s.Schedule(); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Registry().Snapshot()
+	if n := snap.CounterValue("silod_sched_rounds_reused_total", nil); n != 1 {
+		t.Errorf("%v rounds reused their solve, want the recovery round's", n)
+	}
+	if n := running(); n != 2 {
+		t.Errorf("%d jobs running after recovery, want 2", n)
+	}
+	if g := snap.CounterValue("silod_sched_running_jobs", nil); g != 2 {
+		t.Errorf("running-jobs gauge %v after recovery, want 2", g)
 	}
 }

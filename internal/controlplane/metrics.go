@@ -17,6 +17,8 @@ type schedMetrics struct {
 	nodeDeaths     *metrics.Counter // silod_sched_node_deaths_total
 	nodeRecoveries *metrics.Counter // silod_sched_node_recoveries_total
 	preemptions    *metrics.Counter // silod_sched_preemptions_total
+	roundsReused   *metrics.Counter // silod_sched_rounds_reused_total
+	pushesSkipped  *metrics.Counter // silod_sched_pushes_skipped_total
 	queueDepth     *metrics.Gauge   // silod_sched_queue_depth
 	running        *metrics.Gauge   // silod_sched_running_jobs
 	gpusAlloc      *metrics.Gauge   // silod_sched_gpus_allocated
@@ -40,6 +42,8 @@ func newSchedMetrics(r *metrics.Registry) schedMetrics {
 		nodeDeaths:     r.Counter("silod_sched_node_deaths_total"),
 		nodeRecoveries: r.Counter("silod_sched_node_recoveries_total"),
 		preemptions:    r.Counter("silod_sched_preemptions_total"),
+		roundsReused:   r.Counter("silod_sched_rounds_reused_total"),
+		pushesSkipped:  r.Counter("silod_sched_pushes_skipped_total"),
 		queueDepth:     r.Gauge("silod_sched_queue_depth"),
 		running:        r.Gauge("silod_sched_running_jobs"),
 		gpusAlloc:      r.Gauge("silod_sched_gpus_allocated"),

@@ -50,36 +50,49 @@ func benchScheduler(tb testing.TB, jobs, nodes int, dp DataPlane) *SchedulerServ
 		}
 	}
 	for i := 0; i < jobs; i++ {
-		req := SubmitJobRequest{
-			JobID:           fmt.Sprintf("j%05d", i),
-			Model:           "ResNet-50",
-			Dataset:         fmt.Sprintf("ds%03d", i%50),
-			DatasetSize:     unit.GiB(50),
-			NumGPUs:         1 + i%4,
-			IdealThroughput: unit.MBpsOf(114),
-			TotalBytes:      unit.GiB(500),
-		}
-		if err := s.Submit(req); err != nil {
+		if err := s.Submit(benchJob(i)); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return s
 }
 
-// BenchmarkScheduleRound measures the steady-state allocation round —
-// the silod:hotpath loop — including the policy solve and the
-// data-plane push. The round scratch makes allocs/op flat in the round
-// count; hotalloc lint-gates the residual (policy internals). The
-// datamgr case pushes into a real data manager, as silodd does, so
-// every round also pays one remote-IO ledger Set per job.
+// benchJob is the i-th job benchScheduler submits.
+func benchJob(i int) SubmitJobRequest {
+	return SubmitJobRequest{
+		JobID:           fmt.Sprintf("j%05d", i),
+		Model:           "ResNet-50",
+		Dataset:         fmt.Sprintf("ds%03d", i%50),
+		DatasetSize:     unit.GiB(50),
+		NumGPUs:         1 + i%4,
+		IdealThroughput: unit.MBpsOf(114),
+		TotalBytes:      unit.GiB(500),
+	}
+}
+
+// BenchmarkScheduleRound measures the allocation round — the
+// silod:hotpath loop — including the policy solve and the data-plane
+// push. In the cases without churn nothing changes between rounds, so
+// each one is a memo hit on an applied assignment: it builds the views,
+// compares them with the memo and returns before the apply and the
+// push. The churn case submits k jobs and completes k before each round
+// (outside the timer), so every round merges the arrivals into the job
+// list, solves, applies and pushes what changed. The round scratch
+// makes allocs/op flat in the round count; hotalloc lint-gates the
+// residual (policy internals). The datamgr case pushes into a real data
+// manager, as silodd does.
 func BenchmarkScheduleRound(b *testing.B) {
 	for _, size := range []struct {
 		jobs, nodes int
 		datamgr     bool
-	}{{64, 8, false}, {512, 64, false}, {4000, 1000, true}} {
+		churn       int
+	}{{64, 8, false, 0}, {512, 64, false, 0}, {4000, 1000, true, 0}, {4000, 1000, false, 400}} {
 		name := fmt.Sprintf("jobs%d_nodes%d", size.jobs, size.nodes)
 		if size.datamgr {
 			name += "_datamgr"
+		}
+		if size.churn > 0 {
+			name += fmt.Sprintf("_churn%d", size.churn)
 		}
 		b.Run(name, func(b *testing.B) {
 			var dp DataPlane = &sinkDataPlane{}
@@ -90,9 +103,24 @@ func BenchmarkScheduleRound(b *testing.B) {
 			if err := s.Schedule(); err != nil {
 				b.Fatal(err)
 			}
+			first, next := 0, size.jobs // the oldest live job, the next to submit
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if size.churn > 0 {
+					b.StopTimer()
+					for k := 0; k < size.churn; k++ {
+						if err := s.Progress(ProgressRequest{JobID: fmt.Sprintf("j%05d", first), Done: true}); err != nil {
+							b.Fatal(err)
+						}
+						first++
+						if err := s.Submit(benchJob(next)); err != nil {
+							b.Fatal(err)
+						}
+						next++
+					}
+					b.StartTimer()
+				}
 				if err := s.Schedule(); err != nil {
 					b.Fatal(err)
 				}

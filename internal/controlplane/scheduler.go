@@ -80,6 +80,7 @@ type SchedulerServer struct {
 	dp       DataPlane
 	jobs     map[string]*schedJob  // guarded by mu
 	active   map[string]*schedJob  // guarded by mu (attached and not done: the round's working set)
+	arrived  []jobPush             // guarded by mu (activated since the last activeLocked, unsorted)
 	quotas   map[string]unit.Bytes // guarded by mu (decided per-dataset cache quota; see book.go)
 	requests map[string]string     // guarded by mu (submit request ID -> job ID)
 	nodes    map[string]*nodeState // guarded by mu
@@ -126,11 +127,20 @@ type roundScratch struct {
 	// is what lets a round in which nothing the policy reads changed
 	// (heartbeats and progress only) skip the solve.
 	solve *core.Round
-	// quotas and jobs are the push lists, in push order; booked is the
-	// quota the data plane last accepted per dataset, never cleared.
+	// quotas and jobs are the push lists, in push order; jobs is also
+	// the active job list, kept in ID order across rounds (activeLocked),
+	// and spare the other half of its double buffer. booked is the quota
+	// the data plane last accepted per dataset, never cleared.
 	quotas []quotaPush
 	jobs   []jobPush
+	spare  []jobPush
 	booked map[string]unit.Bytes
+	// applied: the last solve's assignment was applied and pushed in
+	// full, so a memo hit has nothing left to do. resend: a data-plane
+	// call failed since the last complete push, so the next push sends
+	// every value.
+	applied bool
+	resend  bool
 }
 
 // NewSchedulerServer builds a scheduler for the cluster driving dp with
@@ -254,8 +264,11 @@ func (s *SchedulerServer) Submit(req SubmitJobRequest) error {
 		return err
 	}
 	s.mu.Lock()
-	if j, ok := s.jobs[req.JobID]; ok {
+	// A job reported done while its wiring ran never becomes active:
+	// activeLocked takes s.active to hold exactly the attached, live jobs.
+	if j, ok := s.jobs[req.JobID]; ok && !j.done {
 		s.active[req.JobID] = j
+		s.arrived = append(s.arrived, jobPush{id: req.JobID, job: j})
 	}
 	s.mu.Unlock()
 	return nil
@@ -485,13 +498,14 @@ func (s *SchedulerServer) schedule(ctx context.Context) error {
 
 // scheduleRound is the allocation round's hot body; the caller holds
 // round.mu and passes its scratch, which the round reuses instead of
-// building fresh buffers. The active index keeps every pass proportional
-// to live jobs, not to everything ever submitted.
+// building fresh buffers. The active list keeps every pass proportional
+// to live jobs, not to everything ever submitted, and a memo hit on an
+// applied assignment skips the apply and the push.
 //
 // silod:hotpath
 func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) error {
 	s.mu.Lock()
-	sc.jobs = s.activeLocked(sc.jobs)
+	s.activeLocked(sc)
 	sc.views = sc.views[:0]
 	for _, p := range sc.jobs {
 		j := p.job
@@ -522,7 +536,10 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 	if eff.GPUs <= 0 {
 		// Total compute loss: nothing can run. Preempt everything back to
 		// the queue and skip the policy round (policies assume GPUs > 0);
-		// allocations resume once a node heartbeats again.
+		// allocations resume once a node heartbeats again. The memo does
+		// not see this preemption (a policy may ignore Running), so the
+		// next round applies its assignment even on a hit.
+		sc.applied = false
 		for _, j := range s.active {
 			if j.running {
 				j.running = false
@@ -539,11 +556,24 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 		return fmt.Errorf("controlplane: schedule round: %w", err)
 	}
 	now := unit.Time(wall.Sub(s.epoch).Seconds())
-	a, _, err := sc.solve.Solve(eff, now, sc.views)
+	a, reused, err := sc.solve.Solve(eff, now, sc.views)
 	if err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("controlplane: policy %s: %w", s.policy.Name(), err) // silod:alloc error path
 	}
+	if reused {
+		s.met.roundsReused.Inc()
+		// The same IDs in the same order against the same cluster: the
+		// applied state and the acknowledged allocation already are what
+		// applying a would produce.
+		if sc.applied && !sc.resend {
+			s.met.pushesSkipped.Add(int64(len(sc.quotas) + len(sc.jobs)))
+			s.met.rounds.Inc() // the job gauges still hold the applied round's values
+			s.mu.Unlock()
+			return nil
+		}
+	}
+	sc.applied = false
 	// Every active job gets an explicit entry — a job the policy dropped
 	// (preempted after a node loss) must release its data-plane
 	// allocation, not silently keep it.
@@ -568,7 +598,9 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 	sc.quotas = sortedQuotasInto(sc.quotas, s.quotas)
 	s.met.roundDone(runningJobs, gpusAlloc, len(sc.jobs)-runningJobs)
 	s.mu.Unlock()
-	return s.push(ctx, sc)
+	err = s.push(ctx, sc)
+	sc.applied = err == nil
+	return err
 }
 
 // Jobs lists the scheduler's job view, sorted by ID.

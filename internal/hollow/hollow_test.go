@@ -94,17 +94,20 @@ func TestConfigValidate(t *testing.T) {
 
 // TestPushStreamPinned pins the scheduler's push stream — every
 // data-plane call of every round, in order — on two shapes small enough
-// for tier-1. The constants were captured at commit b9ba5cf, before the
-// control plane's apply-and-push half was rewritten around one
-// allocation book; like the 10k-node digest in docs/performance.md they
-// move only with a deliberate, documented change of the push contract.
+// for tier-1. The constants were captured when rounds stopped pushing
+// values the data plane already holds (the previous ones, b56db84425d7dac8
+// and 0eb381730bf2698a, hashed every value of every round); like the
+// 10k-node digest in docs/performance.md they move only with a
+// deliberate, documented change of the push contract. The controlplane
+// package's TestPushStreamMatchesReference checks the same shapes'
+// streams against the full-resend reference round.
 func TestPushStreamPinned(t *testing.T) {
 	for _, tc := range []struct {
 		sched policy.SchedulerKind
 		want  string
 	}{
-		{policy.FIFOKind, "b56db84425d7dac8"},
-		{policy.SJFKind, "0eb381730bf2698a"},
+		{policy.FIFOKind, "28c59f383c3d0237"},
+		{policy.SJFKind, "ee84d6a03cf820e6"},
 	} {
 		cfg := smallConfig(42)
 		cfg.Nodes, cfg.Jobs, cfg.Datasets, cfg.Rounds, cfg.JobRounds = 48, 3000, 16, 30, 4
