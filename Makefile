@@ -12,9 +12,10 @@ vet:
 	$(GO) vet ./...
 
 # lint runs silodlint, the project's own static-analysis suite
-# (determinism, unit-safety, metric-naming invariants, whole-program
-# determinism closure and input taint); exits non-zero on any finding
-# not covered by lint.allow. See docs/static-analysis.md.
+# (wall clock, unit safety, float equality, lock discipline, error
+# flow, map order, purity, input taint and enum exhaustiveness); exits
+# non-zero on any finding not covered by lint.allow. See
+# docs/static-analysis.md.
 lint:
 	$(GO) run ./cmd/silodlint -root .
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	silodlint [-root dir] [-allow file] [-disable a,b] [-why] [-list] [-json] [-v]
+//	silodlint [-root dir] [-allow file] [-list] [-json] [-v]
 //
 // Diagnostics print one per line as
 //
@@ -14,11 +14,7 @@
 // with paths relative to the module root, the same shape lint.allow
 // rules match against. With -json each finding is instead one JSON
 // object per line ({"path","line","col","analyzer","message"}), for
-// editor and CI integrations.
-//
-// -why appends the whole-program call path under each finding that
-// carries one (detclose traces root → call → witness). See
-// docs/static-analysis.md.
+// editor and CI integrations. See docs/static-analysis.md.
 package main
 
 import (
@@ -28,7 +24,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/lint"
@@ -55,10 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	root := fs.String("root", ".", "module root to lint (directory containing go.mod)")
 	allowPath := fs.String("allow", "", "allowlist file (default: <root>/lint.allow if present)")
-	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as one JSON object per line")
-	why := fs.Bool("why", false, "print the whole-program call path under findings that carry one")
 	verbose := fs.Bool("v", false, "print load/run statistics to stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -68,19 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	opts := lint.Options{Disable: map[string]bool{}}
-	for _, name := range strings.Split(*disable, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if lint.ByName(name) == nil {
-			fmt.Fprintf(stderr, "silodlint: -disable: unknown analyzer %q\n", name)
-			return 2
-		}
-		opts.Disable[name] = true
 	}
 
 	file := *allowPath
@@ -94,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	res, err := lint.Run(*root, opts)
+	res, err := lint.Run(*root)
 	if err != nil {
 		fmt.Fprintf(stderr, "silodlint: %v\n", err)
 		return 2
@@ -128,11 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		fmt.Fprintln(stdout, d.String())
-		if *why {
-			for _, h := range d.Trace {
-				fmt.Fprintf(stdout, "\t%s (%s:%d)\n", h.Call, h.Pos.Filename, h.Pos.Line)
-			}
-		}
 	}
 	for _, r := range allow.Unused() {
 		fmt.Fprintf(stderr, "silodlint: stale allow rule (matched nothing): %s: %s %s\n", r.Source, r.Analyzer, r.Path)

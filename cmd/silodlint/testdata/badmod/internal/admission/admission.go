@@ -1,13 +1,8 @@
 // Package admission is a deliberately non-conforming fixture shaped
 // like the serving mode's admission queue: a closed queue-state enum
-// with a hole in its switch (exhaust), a wire-decoded load spec sizing
-// a buffer unvalidated (inputflow), and a replay root that reaches the
-// wall clock through a helper frame (detclose). The package sits
-// outside wallclock's path scope, so only the whole-program analyzers
-// see the clock leak.
+// with a hole in its switch (exhaust), and a wire-decoded load spec
+// sizing a buffer unvalidated (inputflow).
 package admission
-
-import "time"
 
 // queueState mirrors the real admission queue's shed states.
 // silod:enum
@@ -41,21 +36,4 @@ type loadSpec struct {
 // allocation before anything bounds it.
 func preallocate(s loadSpec) []int64 {
 	return make([]int64, s.Burst)
-}
-
-// ReplayStorm is the seeded determinism leak: the replay root never
-// reads the clock itself — the leak hides one frame down in the pacing
-// helper, which only the whole-program summary pass can see.
-// silod:sim-root
-func ReplayStorm(spec loadSpec) int {
-	total := 0
-	for range preallocate(spec) {
-		total += pace()
-	}
-	return total + retryHint(stateOpen)
-}
-
-// pace launders the clock access through one more frame.
-func pace() int {
-	return time.Now().Nanosecond()
 }

@@ -19,33 +19,6 @@ func (c *counter) Peek() int {
 	return c.n
 }
 
-type left struct{ mu sync.Mutex }
-type right struct{ mu sync.Mutex }
-
-// lr nests left before right; rl inverts it — the lockorder cycle.
-func lr(l *left, r *right) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-}
-
-func rl(l *left, r *right) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-}
-
-// spawn breaks goleak: the goroutine has no shutdown path.
-func spawn(work func()) {
-	go func() {
-		for {
-			work()
-		}
-	}()
-}
-
 // drop breaks errflow: the error return is discarded.
 func drop() {
 	_ = errors.New("lost")

@@ -1,7 +1,7 @@
 // Package faults is a deliberately non-conforming fixture for the
 // silodlint driver tests: it sits in both the virtual-time and the
-// daemon-reachable package lists, and breaks the wallclock, goleak,
-// and errflow rules exactly once each.
+// daemon-reachable package lists, and breaks the wallclock and errflow
+// rules exactly once each.
 package faults
 
 import (
@@ -13,15 +13,6 @@ import (
 // must fire on virtual time, never the machine clock.
 func Stamp() time.Time {
 	return time.Now()
-}
-
-// Watch breaks goleak: the injector goroutine has no shutdown path.
-func Watch(inject func()) {
-	go func() {
-		for {
-			inject()
-		}
-	}()
 }
 
 // Swallow breaks errflow: the schedule-validation error is discarded.

@@ -1,7 +1,6 @@
 // Package policy is the badmod slice for the dataflow analyzers: a
 // float sum in map iteration order, a // silod:pure function that
-// reads the wall clock, a // silod:hotpath function that allocates,
-// and a stale delta-memo: an IgnoredViewFields declaration vouching
+// reads the wall clock, and a stale delta-memo: an IgnoredViewFields declaration vouching
 // for a solver that lost its // silod:pure annotation.
 package policy
 
@@ -23,15 +22,6 @@ func RequiredIO(rates map[string]float64) float64 {
 func Score(x float64) float64 {
 	_ = time.Now()
 	return x
-}
-
-// Hot claims to be an inner loop but allocates a fresh buffer per
-// call.
-//
-// silod:hotpath
-func Hot(n int) []int {
-	buf := make([]int, n)
-	return buf
 }
 
 // IgnoredViewFields declares a delta-aware solve skip: engines reuse a

@@ -1,33 +1,15 @@
 // Package runner is a deliberately non-conforming worker-pool fixture
-// for the silodlint driver tests: a pool whose workers busy-poll a
-// shared cursor instead of ranging over a closable channel (goleak),
-// and whose results are read without the pool mutex (lockcheck). The
-// real pool in the main module's internal/runner does neither.
+// for the silodlint driver tests: a pool whose results are read without
+// the pool mutex (lockcheck). The real pool in the main module's
+// internal/runner does not do that.
 package runner
 
 import "sync"
 
-// pool fans work across busy-polling workers.
+// pool collects its workers' results.
 type pool struct {
 	mu      sync.Mutex
-	next    int
 	results []int // guarded by mu
-}
-
-// start breaks goleak: each worker loops forever on the shared cursor
-// with no done channel, context, or WaitGroup tying it to a waiter.
-func (p *pool) start(workers int, run func(i int) int) {
-	for k := 0; k < workers; k++ {
-		go func() {
-			for {
-				p.mu.Lock()
-				i := p.next
-				p.next++
-				p.mu.Unlock()
-				_ = run(i)
-			}
-		}()
-	}
 }
 
 // snapshot breaks lockcheck: reads results without holding mu.

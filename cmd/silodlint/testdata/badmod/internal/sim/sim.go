@@ -1,19 +1,11 @@
 // Package sim is a deliberately non-conforming fixture module for the
 // silodlint driver tests: it sits in a virtual-time package path and
-// uses wall-clock time and ambient randomness.
+// reads the wall clock.
 package sim
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // Tick breaks the wallclock rule inside internal/sim.
 func Tick() time.Time {
 	return time.Now()
-}
-
-// Jitter breaks the rngpurity rule outside internal/simrng.
-func Jitter() time.Duration {
-	return time.Duration(rand.Intn(1000)) * time.Millisecond
 }

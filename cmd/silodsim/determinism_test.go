@@ -8,7 +8,7 @@ import (
 )
 
 // TestDeterministicMetricsDump is the regression gate behind the
-// wallclock/rngpurity lint rules: two runs of the same trace with the
+// wallclock and maporder lint rules: two runs of the same trace with the
 // same seed must produce byte-identical -metrics artifacts, for both
 // engines. Any wall-clock read, ambient RNG, or map-iteration leak in
 // the simulation path shows up here as a diff.

@@ -210,7 +210,6 @@ var runners = map[string]experimentRunner{
 	}},
 }
 
-// silod:sim-root
 func run(args []string, w *os.File) error {
 	fs := flag.NewFlagSet("silodsim", flag.ContinueOnError)
 	exp := fs.String("exp", "", "experiment ID to reproduce (see -list)")
@@ -307,7 +306,6 @@ func run(args []string, w *os.File) error {
 }
 
 // runTrace simulates a trace file under one (scheduler, system) pair.
-// silod:sim-root
 func runTrace(w *os.File, path, scheduler, system, engine string, gpus int, cacheStr, remoteStr string, seed int64, csvDir, metricsOut, faultsPath string, fullResolve bool) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package admission implements the bounded, SLO-classed admission
 // queue that sits between the control plane's HTTP submit path and the
-// scheduler's round loop (ROADMAP item 4). Submissions enqueue in
+// scheduler's round loop (docs/serving.md). Submissions enqueue in
 // O(1); a single scheduler goroutine drains batches per round, so a
 // sustained burst backs up here — visibly, boundedly, and with an
 // explicit shed policy — instead of wedging the scheduler's critical

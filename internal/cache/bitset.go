@@ -9,6 +9,8 @@
 // substitutions).
 package cache
 
+import "math/bits"
+
 // Bitset is a fixed-size bitmap over block IDs. SiloD's data manager
 // maintains one per job to track accessed items within an epoch (§6,
 // "delayed effectiveness").
@@ -63,6 +65,25 @@ func (b *Bitset) Clear(i int) bool {
 	b.words[w] &^= m
 	b.count--
 	return true
+}
+
+// nthSet returns the index of the k-th set bit in index order (k
+// counts from 0), or -1 when fewer than k+1 bits are set. It skips
+// whole words by population count, then drops the lowest set bits of
+// the word that holds the answer until the k-th is lowest.
+func (b *Bitset) nthSet(k int) int {
+	for wi, w := range b.words {
+		c := bits.OnesCount64(w)
+		if k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1
+		}
+		return wi*64 + bits.TrailingZeros64(w)
+	}
+	return -1
 }
 
 // Reset clears all bits.

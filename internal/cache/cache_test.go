@@ -43,6 +43,51 @@ func TestBitsetBasics(t *testing.T) {
 	}
 }
 
+// walkNthSet is the bit-by-bit walk random eviction used before
+// nthSet: the index of the k-th set bit, or -1.
+func walkNthSet(b *Bitset, k int) int {
+	seen := 0
+	for i := 0; i < b.n; i++ {
+		if b.Test(i) {
+			if seen == k {
+				return i
+			}
+			seen++
+		}
+	}
+	return -1
+}
+
+// TestNthSetMatchesWalk checks nthSet against the walk on random
+// bitsets: sizes on and off the 64-bit word boundary, densities from
+// empty to full, the word-edge bits forced on in half the cases, and
+// every k from 0 to one past the last set bit.
+func TestNthSetMatchesWalk(t *testing.T) {
+	rng := simrng.New(8)
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 200, 1000} {
+		for _, density := range []float64{0, 0.02, 0.5, 0.98, 1} {
+			for _, edges := range []bool{false, true} {
+				b := NewBitset(n)
+				for i := 0; i < n; i++ {
+					if rng.Float64() < density {
+						b.Set(i)
+					}
+				}
+				if edges {
+					for _, i := range []int{0, 63, 64, 127, 128, n - 1} {
+						b.Set(i)
+					}
+				}
+				for k := 0; k <= b.Count(); k++ {
+					if got, want := b.nthSet(k), walkNthSet(b, k); got != want {
+						t.Fatalf("n=%d density=%v edges=%v: nthSet(%d) = %d, walk says %d", n, density, edges, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBitsetCountInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
 		b := NewBitset(256)

@@ -102,11 +102,10 @@ func occupancy(tau, T float64) float64 {
 // The Che fixed point is a deterministic function of (capacity,
 // streams); the simulator replays it byte-identically.
 //
-// silod:hotpath
 // silod:pure
 func CheLRUInto(dst []float64, capacity unit.Bytes, streams []FluidStream) []float64 {
 	if cap(dst) < len(streams) {
-		dst = make([]float64, len(streams)) // silod:alloc grows the caller's buffer
+		dst = make([]float64, len(streams)) // grows the caller's buffer
 	}
 	hits := dst[:len(streams)]
 	if capacity <= 0 || len(streams) == 0 {

@@ -143,21 +143,13 @@ func (p *QuotaPool) evictRandomLocked(st *keyState) {
 	if st.cached.Count() == 0 {
 		return
 	}
-	// Pick a uniformly random set bit: walk from a random start.
-	target := p.rng.Intn(st.cached.Count())
-	seen := 0
-	for i := 0; i < st.numBlocks; i++ {
-		if st.cached.Test(i) {
-			if seen == target {
-				st.cached.Clear(i)
-				p.total -= st.blockSize
-				p.met.Evictions.Inc()
-				p.met.Resident.Set(float64(p.total))
-				return
-			}
-			seen++
-		}
+	// Pick a uniformly random set bit: the target-th in index order.
+	if !st.cached.Clear(st.cached.nthSet(p.rng.Intn(st.cached.Count()))) {
+		return
 	}
+	p.total -= st.blockSize
+	p.met.Evictions.Inc()
+	p.met.Resident.Set(float64(p.total))
 }
 
 // Access implements Pool: hit if cached; on miss, admit while the key is

@@ -110,8 +110,6 @@ func sortedQuotasInto(dst []quotaPush, m map[string]unit.Bytes) []quotaPush {
 // plane may have lost what it had accepted. ctx is checked between the
 // phases: a round past its deadline releases capacity but claims none.
 // The caller holds round.mu.
-//
-// silod:hotpath
 func (s *SchedulerServer) push(ctx context.Context, sc *roundScratch) error {
 	sent := 0
 	for _, grow := range [2]bool{false, true} {

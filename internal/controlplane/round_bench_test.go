@@ -70,16 +70,14 @@ func benchJob(i int) SubmitJobRequest {
 	}
 }
 
-// BenchmarkScheduleRound measures the allocation round — the
-// silod:hotpath loop — including the policy solve and the data-plane
-// push. In the cases without churn nothing changes between rounds, so
+// BenchmarkScheduleRound measures the allocation round, including
+// the policy solve and the data-plane push. In the cases without churn nothing changes between rounds, so
 // each one is a memo hit on an applied assignment: it builds the views,
 // compares them with the memo and returns before the apply and the
 // push. The churn case submits k jobs and completes k before each round
 // (outside the timer), so every round merges the arrivals into the job
 // list, solves, applies and pushes what changed. The round scratch
-// makes allocs/op flat in the round count; hotalloc lint-gates the
-// residual (policy internals). The datamgr case pushes into a real data
+// makes allocs/op flat in the round count. The datamgr case pushes into a real data
 // manager, as silodd does.
 func BenchmarkScheduleRound(b *testing.B) {
 	for _, size := range []struct {

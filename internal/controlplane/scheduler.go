@@ -501,8 +501,6 @@ func (s *SchedulerServer) schedule(ctx context.Context) error {
 // building fresh buffers. The active list keeps every pass proportional
 // to live jobs, not to everything ever submitted, and a memo hit on an
 // applied assignment skips the apply and the push.
-//
-// silod:hotpath
 func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) error {
 	s.mu.Lock()
 	s.activeLocked(sc)
@@ -559,7 +557,7 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 	a, reused, err := sc.solve.Solve(eff, now, sc.views)
 	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("controlplane: policy %s: %w", s.policy.Name(), err) // silod:alloc error path
+		return fmt.Errorf("controlplane: policy %s: %w", s.policy.Name(), err) // error path
 	}
 	if reused {
 		s.met.roundsReused.Inc()

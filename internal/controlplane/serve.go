@@ -12,7 +12,7 @@ import (
 	"repro/internal/tenant"
 )
 
-// This file is the online serving mode (ROADMAP item 4): the bounded
+// This file is the online serving mode (docs/serving.md): the bounded
 // admission queue in front of Submit, and the single scheduler
 // goroutine that drains it in batches per round — so the HTTP path
 // stays O(enqueue) under any burst, and overload turns into explicit,
@@ -158,8 +158,6 @@ func (s *SchedulerServer) Serve(cfg ServeConfig, stop <-chan struct{}, onErr fun
 // realTicks wraps a real-time ticker for the daemon edge. Simulations
 // and tests inject ServeConfig.Ticks instead, so virtual-time runs
 // never touch this boundary.
-//
-// silod:inject wallclock
 func realTicks(d time.Duration) (<-chan time.Time, func()) {
 	if d <= 0 {
 		d = time.Second

@@ -111,7 +111,6 @@ func NewAssignment() Assignment {
 // policy's next Assign call.
 //
 // silod:pure
-// silod:hotpath
 func (a *Assignment) Reset() Assignment {
 	if a.GPUs == nil {
 		*a = NewAssignment()

@@ -52,8 +52,6 @@ func NewRound(p Policy, fullResolve bool) *Round {
 // the previous Solve returned and the policy was not called. An invalid
 // assignment comes back with the validation error and is never
 // memoized. The returned maps are valid until the next Solve.
-//
-// silod:hotpath
 func (r *Round) Solve(c Cluster, now unit.Time, views []JobView) (a Assignment, reused bool, err error) {
 	if r.ok && c == r.c && ViewsEquivalent(views, r.views, r.ignore) {
 		return r.assign, true, nil

@@ -42,13 +42,13 @@ func (q *Queue) Now() float64 { return q.now }
 // time fire in insertion order. Scheduling in the past (t < Now) is a
 // programming error and panics rather than silently reordering history.
 //
-// silod:hotpath — the PR-5 benchmark pins schedule+step at 1 alloc/op:
-// exactly the waived *Event below, nothing else.
+// The PR-5 benchmark pins schedule+step at 1 alloc/op: exactly the
+// *Event below, nothing else.
 func (q *Queue) Schedule(t float64, fn func()) *Event {
 	if t < q.now {
 		panic("eventq: scheduling event in the past")
 	}
-	e := &Event{time: t, seq: q.seq, fn: fn} // silod:alloc the one budgeted alloc/op: the handle outlives the call so callers can Cancel
+	e := &Event{time: t, seq: q.seq, fn: fn} // the one budgeted alloc/op: the handle outlives the call so callers can Cancel
 	q.seq++
 	e.index = len(q.h)
 	q.h = append(q.h, e)
@@ -57,16 +57,12 @@ func (q *Queue) Schedule(t float64, fn func()) *Event {
 }
 
 // After enqueues fn to run d time units from now.
-//
-// silod:hotpath
 func (q *Queue) After(d float64, fn func()) *Event {
 	return q.Schedule(q.now+d, fn)
 }
 
 // Cancel removes e from the queue if still pending. Cancelling an already
 // fired or cancelled event is a no-op.
-//
-// silod:hotpath
 func (q *Queue) Cancel(e *Event) {
 	if e == nil || e.index == -1 {
 		return
@@ -77,8 +73,6 @@ func (q *Queue) Cancel(e *Event) {
 
 // Step pops and runs the earliest event. It reports false when the queue
 // is empty.
-//
-// silod:hotpath
 func (q *Queue) Step() bool {
 	if len(q.h) == 0 {
 		return false
@@ -93,7 +87,6 @@ func (q *Queue) Step() bool {
 
 type eventHeap []*Event
 
-// silod:hotpath
 func (h eventHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
@@ -101,7 +94,6 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-// silod:hotpath
 func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
@@ -109,8 +101,6 @@ func (h eventHeap) swap(i, j int) {
 }
 
 // siftUp restores the heap invariant after h[i] became smaller (insert).
-//
-// silod:hotpath
 func (h eventHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -125,8 +115,6 @@ func (h eventHeap) siftUp(i int) {
 // siftDown restores the heap invariant after h[i] became larger. It
 // reports whether any swap happened (remove uses this to decide whether
 // the displaced element must sift up instead).
-//
-// silod:hotpath
 func (h eventHeap) siftDown(i int) bool {
 	start := i
 	n := len(h)
@@ -150,8 +138,6 @@ func (h eventHeap) siftDown(i int) bool {
 
 // remove deletes h[i], filling the hole with the last element and
 // sifting it to its place.
-//
-// silod:hotpath
 func (h *eventHeap) remove(i int) {
 	old := *h
 	n := len(old) - 1

@@ -34,8 +34,6 @@ type DesignAblationRow struct {
 //   - warm-data hysteresis (vs churn-prone pure efficiency ordering),
 //   - the warm-up investment pass (vs plain fair-share remote IO),
 //   - work-conserving throttling (vs strict allocation enforcement).
-//
-// silod:sim-root
 func AblationDesignChoices(o Options) (*DesignAblationResult, error) {
 	jobs, err := traceFor(o, 96, 480, 24*unit.Hour)
 	if err != nil {
@@ -101,7 +99,6 @@ type EngineCostResult struct {
 // AblationEngineCost runs the micro-benchmark on both engines and
 // reports the cost/fidelity trade-off that justifies having a fluid
 // fast-forward mode at all.
-// silod:sim-root
 func AblationEngineCost(o Options) (*EngineCostResult, error) {
 	jobs, err := MicroBenchJobs()
 	if err != nil {
@@ -150,7 +147,6 @@ type PrefetchResult struct {
 // uses a cache-rich 96-GPU configuration (4x the usual provisioning);
 // in the cache-scarce default the extension is a strict no-op, which
 // the tests also pin.
-// silod:sim-root
 func AblationPrefetch(o Options) (*PrefetchResult, error) {
 	jobs, err := traceFor(o, 96, 480, 24*unit.Hour)
 	if err != nil {
@@ -205,7 +201,6 @@ type ObjectiveRow struct {
 // with the SiloD-enhanced estimator. Expected shape: the throughput
 // objective wins on makespan/JCT, max-min on the fairness ratio, and
 // finish-time fairness on tail JCT.
-// silod:sim-root
 func GavelObjectives(o Options) (*ObjectivesResult, error) {
 	jobs, err := traceFor(o, 400, 1000, 12*unit.Hour)
 	if err != nil {
@@ -270,7 +265,6 @@ type MixedClusterResult struct {
 // jobs to a fallback share and (b) the curriculum jobs treated as
 // regular. Partitioning shields the regular jobs' estimator-driven
 // allocation from the irregular jobs' mis-estimation.
-// silod:sim-root
 func MixedCluster(o Options) (*MixedClusterResult, error) {
 	rn50, err := workload.ModelByName("ResNet-50")
 	if err != nil {

@@ -55,7 +55,6 @@ type AccuracyResult struct {
 // and its completion time is compared against the closed-form
 // prediction (first epoch at the cold-cache rate, remaining epochs at
 // SiloDPerf — the delayed-effectiveness model of §6).
-// silod:sim-root
 func EstimatorAccuracy(o Options) (*AccuracyResult, error) {
 	rn50, err := workload.ModelByName("ResNet-50")
 	if err != nil {

@@ -21,7 +21,6 @@ type Figure2Result struct {
 // cluster running the production-like trace with no cache at all —
 // every byte is fetched remotely — against an effectively unlimited
 // link, so the series is pure demand.
-// silod:sim-root
 func Figure2(o Options) (*Figure2Result, error) {
 	jobs, err := traceFor(o, 400, 800, 12*unit.Hour)
 	if err != nil {
@@ -55,7 +54,6 @@ type Figure10Result struct {
 
 // Figure10 reproduces Figures 10, 11 and 8: the FIFO-scheduled 96-GPU
 // cluster under the four cache systems.
-// silod:sim-root
 func Figure10(o Options) (*Figure10Result, error) {
 	jobs, err := traceFor(o, 96, 480, 24*unit.Hour)
 	if err != nil {
@@ -186,7 +184,6 @@ type FidelityResult struct {
 // the 96-GPU FIFO trace, over the deterministic cache systems. The
 // batch engine simulates tens of millions of block events here, so the
 // default trace is halved; pass Jobs to override.
-// silod:sim-root
 func Figure10Fidelity(o Options) (*FidelityResult, error) {
 	jobs, err := traceFor(o, 96, 240, 12*unit.Hour)
 	if err != nil {

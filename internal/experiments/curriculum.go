@@ -33,7 +33,6 @@ type Figure16Result struct {
 // The iteration counts scale with block granularity: the job trains
 // ~39k block-iterations (the paper's ~500k mini-batches), so the paper's
 // 50k/75k pacing steps map to 5k/7.5k.
-// silod:sim-root
 func Figure16(o Options) (*Figure16Result, error) {
 	rn50, err := workload.ModelByName("ResNet-50")
 	if err != nil {

@@ -24,7 +24,6 @@ type Figure12Result struct {
 
 // Figure12 reproduces Figures 12 and 13: FIFO, SJF and Gavel on the
 // four cache systems in the 400-GPU cluster with a 32 Gbps remote link.
-// silod:sim-root
 func Figure12(o Options) (*Figure12Result, error) {
 	jobs, err := traceFor(o, 400, 1000, 12*unit.Hour)
 	if err != nil {
@@ -120,7 +119,6 @@ type Figure14aResult struct {
 // Figure14a reproduces Figure 14a: average JCT of FIFO-SiloD versus
 // FIFO-Alluxio as the remote bandwidth grows; the gap should close once
 // even LRU no longer bottlenecks on remote IO.
-// silod:sim-root
 func Figure14a(o Options) (*Figure14aResult, error) {
 	jobs, err := traceFor(o, 400, 600, 8*unit.Hour)
 	if err != nil {
@@ -169,7 +167,6 @@ type Figure14bResult struct {
 // Figure14b reproduces Figure 14b: JCT gain of Gavel-SiloD over
 // Gavel-Quiver as GPUs get faster (1x, 2x, 4x V100 speed); faster GPUs
 // push more jobs into IO bottleneck, widening SiloD's advantage.
-// silod:sim-root
 func Figure14b(o Options) (*Figure14bResult, error) {
 	res := &Figure14bResult{}
 	scales := []float64{1, 2, 4}
@@ -227,7 +224,6 @@ type Figure15Result struct {
 // Figure15 reproduces Figure 15: the benefit of dataset sharing as the
 // fraction of jobs drawing from a shared dataset pool grows, under all
 // three SiloD-enhanced schedulers.
-// silod:sim-root
 func Figure15(o Options) (*Figure15Result, error) {
 	res := &Figure15Result{JCT: make(map[policy.SchedulerKind][]float64)}
 	shares := []float64{0, 0.25, 0.5, 1.0}
@@ -283,7 +279,6 @@ type AblationNoIOResult struct {
 // IO allocation (falling back to provider fair share) barely moves JCT
 // and makespan but significantly degrades the instantaneous fairness
 // ratio.
-// silod:sim-root
 func AblationNoIO(o Options) (*AblationNoIOResult, error) {
 	jobs, err := traceFor(o, 96, 300, 8*unit.Hour)
 	if err != nil {

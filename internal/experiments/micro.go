@@ -95,7 +95,6 @@ type Table6Options struct {
 const table6TimeScale = 6000
 
 // Table6 runs the micro-benchmark on all systems and engines.
-// silod:sim-root
 func Table6(o Table6Options) (*Table6Result, error) {
 	jobs, err := MicroBenchJobs()
 	if err != nil {
@@ -224,7 +223,6 @@ type Figure4Result struct {
 // ideal speed after the first epoch; Quiver's benefit-driven allocation
 // accounts cache per job, so only one job's copy fits and the other is
 // stuck at the remote link speed.
-// silod:sim-root
 func Figure4(o Options) (*Figure4Result, error) {
 	rn50, err := workload.ModelByName("ResNet-50")
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 
 // Table1 regenerates Table 1: training dataset sizes at Microsoft in
 // 2020 and 24 months later.
-// silod:sim-root
 func Table1() *report.Table {
 	t := report.NewTable("Table 1: dataset size and growth", "Task", "Year 2020", "In 24 months")
 	for _, g := range workload.Table1DatasetGrowth() {
@@ -22,7 +21,6 @@ func Table1() *report.Table {
 
 // Table2 regenerates Table 2: mixed-precision ResNet-50 training speeds
 // and the IO they demand.
-// silod:sim-root
 func Table2() *report.Table {
 	t := report.NewTable("Table 2: ResNet-50 training speed and IO demand", "GPU", "Speed (images/s)", "IO")
 	for _, r := range workload.Table2TrainingSpeeds() {
@@ -33,7 +31,6 @@ func Table2() *report.Table {
 
 // Figure1 regenerates Figure 1: the GPU-compute versus storage-egress
 // trend, including the headline growth factors (125x vs 12x).
-// silod:sim-root
 func Figure1() *report.Table {
 	t := report.NewTable("Figure 1: GPU perf vs cloud storage egress limit",
 		"Year", "GPU", "SP TFLOPS", "Egress (Gbps)")
@@ -59,7 +56,6 @@ type Figure3Result struct {
 // Figure3 regenerates Figure 3: aggregate read throughput of the
 // distributed cache as the cluster grows, with jobs demanding 1923 MB/s
 // per 8-A100 server and datasets spread evenly over all servers.
-// silod:sim-root
 func Figure3() *Figure3Result {
 	m := fabricModel{
 		DemandPerServer: unit.MBpsOf(1923),
@@ -135,7 +131,6 @@ func (r *Figure3Result) Table() *report.Table {
 
 // Figure6 regenerates Figure 6: cache efficiency (MB/s saved per GB of
 // cache) for the 11 model/dataset combinations.
-// silod:sim-root
 func Figure6() *report.Table {
 	t := report.NewTable("Figure 6: cache efficiency on a V100",
 		"Job", "f* (MB/s)", "Dataset", "Size", "Efficiency (MB/s per GB)")
@@ -159,7 +154,6 @@ func Figure6() *report.Table {
 }
 
 // RenderStatic renders every catalog-derived artifact at once.
-// silod:sim-root
 func RenderStatic() string {
 	var b strings.Builder
 	Table1().Render(&b)

@@ -173,7 +173,6 @@ func classMeanJCT(res *sim.Result, jobs []workload.JobSpec, class tenant.SLOClas
 // MultiTenantChaos runs the seeded multi-tenant chaos experiment on
 // both engines, fault-free and faulted (four arms), and reports the
 // per-class protection outcome.
-// silod:sim-root
 func MultiTenantChaos(o Options) (*TenantChaosResult, error) {
 	jobs, err := TenantChaosJobs()
 	if err != nil {

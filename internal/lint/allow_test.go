@@ -67,8 +67,8 @@ wallclock cmd/*/main.go:42
 		{diagAt("floatcmp", "internal/sim/batch.go", 7, "float equality (!= on unit.Bytes)"), true},
 		{diagAt("floatcmp", "internal/sim/batch.go", 7, "some other message"), false}, // substring mismatch
 		{diagAt("wallclock", "internal/sim/batch.go", 7, "float equality"), false},    // analyzer mismatch
-		{diagAt("rngpurity", "internal/legacy/old.go", 3, "anything"), true},          // wildcard subtree
-		{diagAt("rngpurity", "internal/legacyish/old.go", 3, "anything"), false},      // subtree is segment-exact
+		{diagAt("maporder", "internal/legacy/old.go", 3, "anything"), true},           // wildcard subtree
+		{diagAt("maporder", "internal/legacyish/old.go", 3, "anything"), false},       // subtree is segment-exact
 		{diagAt("wallclock", "cmd/silodd/main.go", 42, "time.Now"), true},             // glob + pinned line
 		{diagAt("wallclock", "cmd/silodd/main.go", 43, "time.Now"), false},            // wrong line
 	}

@@ -144,18 +144,12 @@ func TestAnalyzerFixtures(t *testing.T) {
 		asPath   string
 	}{
 		{Wallclock, "wallclock", "fixture/internal/sim"},
-		{RNGPurity, "rngpurity", "fixture/internal/workload"},
 		{UnitSafety, "unitsafety", "fixture/internal/policy"},
-		{MetricNames, "metricnames", "fixture/internal/policy"},
 		{FloatCmp, "floatcmp", "fixture/internal/estimator"},
 		{Lockcheck, "lockcheck", "fixture/internal/datamgr"},
-		{Lockorder, "lockorder", "fixture/internal/lockorder"},
-		{Goleak, "goleak", "fixture/internal/testbed"},
 		{Errflow, "errflow", "fixture/internal/metrics"},
 		{MapOrder, "maporder", "fixture/internal/sim"},
 		{PureCheck, "purecheck", "fixture/internal/policy"},
-		{HotAlloc, "hotalloc", "fixture/internal/eventq"},
-		{DetClose, "detclose", "fixture/internal/sim"},
 		{InputFlow, "inputflow", "fixture/internal/controlplane"},
 		{Exhaust, "exhaust", "fixture/internal/policy"},
 	}
@@ -172,8 +166,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 }
 
 // TestAnalyzerScoping pins the applicability rules: path-scoped
-// analyzers go quiet outside their packages, and simrng may import
-// math/rand.
+// analyzers go quiet outside their packages.
 func TestAnalyzerScoping(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -183,7 +176,6 @@ func TestAnalyzerScoping(t *testing.T) {
 	}{
 		{"wallclock-outside-virtual-time", Wallclock, "wallclock", "fixture/internal/workload"},
 		{"floatcmp-outside-numerics", FloatCmp, "floatcmp", "fixture/internal/workload"},
-		{"rngpurity-inside-simrng", RNGPurity, "rngpurity_simrng", "fixture/internal/simrng"},
 		{"unitsafety-inside-unit", UnitSafety, "unitsafety", "fixture/internal/unit"},
 		{"errflow-panic-outside-daemon", Errflow, "errflow_panic", "fixture/internal/sim"},
 	}
@@ -194,15 +186,6 @@ func TestAnalyzerScoping(t *testing.T) {
 					tc.dir, tc.asPath, formatDiags(diags))
 			}
 		})
-	}
-}
-
-// TestRNGPurityOutsideSimrng: the same file that is exempt under
-// internal/simrng is a violation anywhere else.
-func TestRNGPurityOutsideSimrng(t *testing.T) {
-	diags, _ := runFixture(t, RNGPurity, "rngpurity_simrng", "fixture/internal/workload")
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "math/rand") {
-		t.Errorf("want exactly the math/rand import finding, got:\n%s", formatDiags(diags))
 	}
 }
 

@@ -6,12 +6,6 @@ import (
 	"sort"
 )
 
-// Options configures a suite run.
-type Options struct {
-	// Disable names analyzers to skip.
-	Disable map[string]bool
-}
-
 // Result is the outcome of linting one module.
 type Result struct {
 	// Diagnostics are all findings, sorted by file, line, column,
@@ -22,11 +16,11 @@ type Result struct {
 	Packages int
 }
 
-// Run lints the module rooted at root with every enabled analyzer.
+// Run lints the module rooted at root with every analyzer.
 // Type-check failures surface as diagnostics of the pseudo-analyzer
 // "typecheck": a package the suite cannot type-check is a package the
 // suite cannot vouch for.
-func Run(root string, opts Options) (*Result, error) {
+func Run(root string) (*Result, error) {
 	loader, err := NewLoader(root)
 	if err != nil {
 		return nil, err
@@ -40,11 +34,11 @@ func Run(root string, opts Options) (*Result, error) {
 	// map, which the global analyzers' Finish hooks then judge.
 	shared := make(map[string]any)
 	for _, pkg := range pkgs {
-		res.Diagnostics = append(res.Diagnostics, analyzePackage(loader, pkg, opts, shared)...)
+		res.Diagnostics = append(res.Diagnostics, analyzePackage(loader, pkg, shared)...)
 	}
 	// Global analyzers see the whole module before judging.
 	for _, an := range All() {
-		if an.Finish == nil || opts.Disable[an.Name] {
+		if an.Finish == nil {
 			continue
 		}
 		pass := &Pass{Analyzer: an, Fset: loader.Fset, Shared: shared}
@@ -53,9 +47,6 @@ func Run(root string, opts Options) (*Result, error) {
 	}
 	for i := range res.Diagnostics {
 		res.Diagnostics[i].Pos.Filename = relPath(loader.Root, res.Diagnostics[i].Pos.Filename)
-		for t := range res.Diagnostics[i].Trace {
-			res.Diagnostics[i].Trace[t].Pos.Filename = relPath(loader.Root, res.Diagnostics[i].Trace[t].Pos.Filename)
-		}
 	}
 	sort.Slice(res.Diagnostics, func(i, j int) bool {
 		a, b := res.Diagnostics[i], res.Diagnostics[j]
@@ -76,7 +67,7 @@ func Run(root string, opts Options) (*Result, error) {
 	return res, nil
 }
 
-func analyzePackage(loader *Loader, pkg *Package, opts Options, shared map[string]any) []Diagnostic {
+func analyzePackage(loader *Loader, pkg *Package, shared map[string]any) []Diagnostic {
 	var out []Diagnostic
 	for _, terr := range pkg.TypeErrors {
 		d := Diagnostic{Analyzer: "typecheck", Message: terr.Error()}
@@ -87,9 +78,6 @@ func analyzePackage(loader *Loader, pkg *Package, opts Options, shared map[strin
 		out = append(out, d)
 	}
 	for _, an := range All() {
-		if opts.Disable[an.Name] {
-			continue
-		}
 		pass := &Pass{
 			Analyzer: an,
 			Path:     pkg.Path,

@@ -3,8 +3,16 @@ package lint
 import (
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// repoLint lints the repository once per test binary: the run is the
+// whole module's load and type-check, and every test that judges the
+// tree reads the same result.
+var repoLint = sync.OnceValues(func() (*Result, error) {
+	return Run(filepath.Join("..", ".."))
+})
 
 // TestRepoLintClean is the self-hosting gate: the repository itself
 // must produce zero findings beyond the audited lint.allow exceptions,
@@ -18,7 +26,7 @@ func TestRepoLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(root, Options{})
+	res, err := repoLint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +44,7 @@ func TestRepoLintClean(t *testing.T) {
 }
 
 // BenchmarkLintTree times one full-suite run over the repository —
-// load, type-check, all fifteen analyzers including the whole-program
+// load, type-check, all nine analyzers including the whole-program
 // summary phase — with allocation reporting, so a regression in the
 // call-graph engine's memory behavior shows up next to the wall-clock
 // number CI's 60-second lint assertion depends on.
@@ -48,7 +56,7 @@ func BenchmarkLintTree(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(root, Options{})
+		res, err := Run(root)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,14 +78,13 @@ func TestRetiredFloatcmpRulesGoStale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	root := filepath.Join("..", "..")
 	allow, err := ParseAllow(strings.NewReader(
 		"floatcmp internal/sim/batch.go float equality\n"+
 			"floatcmp internal/sim/fluid.go float equality\n"), "retired.allow")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(root, Options{})
+	res, err := repoLint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,24 +98,6 @@ func TestRetiredFloatcmpRulesGoStale(t *testing.T) {
 	for _, r := range stale {
 		if r.Analyzer != "floatcmp" {
 			t.Errorf("unexpected stale rule: %s %s", r.Analyzer, r.Path)
-		}
-	}
-}
-
-// TestRunDisable pins the -disable plumbing: disabling an analyzer
-// suppresses its diagnostics at the driver level.
-func TestRunDisable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	root := filepath.Join("..", "..")
-	res, err := Run(root, Options{Disable: map[string]bool{"floatcmp": true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range res.Diagnostics {
-		if d.Analyzer == "floatcmp" {
-			t.Errorf("disabled analyzer still reported: %s", d)
 		}
 	}
 }

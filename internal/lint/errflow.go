@@ -48,8 +48,7 @@ func runErrflow(p *Pass) {
 			case *ast.DeferStmt:
 				checkBareCall(p, n.Call)
 			case *ast.GoStmt:
-				// A goroutine's return values vanish by construction;
-				// goleak owns goroutine hygiene.
+				// A goroutine's return values vanish by construction.
 				return true
 			case *ast.AssignStmt:
 				checkBlankError(p, n)

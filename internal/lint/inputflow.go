@@ -8,7 +8,7 @@ import "fmt"
 // influenced, and any field that flows into an allocation size, a
 // slice index, a loop bound, or quota arithmetic without first passing
 // a validation step is a finding. This is the robustness floor for
-// ROADMAP item 4's public-facing serving mode: a daemon that sizes a
+// the public-facing serving mode (docs/serving.md): a daemon that sizes a
 // buffer or spins a loop off a raw request field is one crafted POST
 // away from an out-of-memory or an index panic.
 //

@@ -1,13 +1,15 @@
 // Package lint is SiloD's project-specific static-analysis suite. It
-// enforces the invariants the compiler cannot: the simulator stays
-// bit-deterministic (wallclock, rngpurity), throughput math does not
-// mix physical units (unitsafety), metric names follow the conventions
-// in docs/observability.md (metricnames), simulator math never relies
-// on exact float equality (floatcmp), annotated shared state is only
-// touched under its mutex (lockcheck), the global lock-acquisition
-// graph stays acyclic (lockorder), goroutines have shutdown paths
-// (goleak), and errors are never silently discarded nor daemon paths
-// allowed to panic (errflow).
+// enforces the invariants the compiler cannot, one analyzer per
+// invariant that has caught a defect in this tree: virtual-time
+// packages never read the wall clock (wallclock), throughput math does
+// not mix physical units (unitsafety), simulator math never relies on
+// exact float equality (floatcmp), annotated shared state is only
+// touched under its mutex (lockcheck), errors are never silently
+// discarded nor daemon paths allowed to panic (errflow), map iteration
+// order never reaches an order-sensitive sink (maporder), // silod:pure
+// claims hold (purecheck), untrusted request fields reach no size
+// unvalidated (inputflow), and switches over closed enums stay
+// exhaustive (exhaust).
 //
 // The suite is self-contained: packages are parsed with go/parser and
 // type-checked with go/types, resolving module-internal imports from
@@ -37,17 +39,6 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-
-	// Trace is the call path behind a whole-program finding (detclose):
-	// the root declaration, each call hop, and the effect's witness
-	// site. The CLI prints it under -why.
-	Trace []TraceEntry
-}
-
-// TraceEntry is one hop of a whole-program call path.
-type TraceEntry struct {
-	Call string // "root pkg.F", "calls pkg.G", or the effect witness
-	Pos  token.Position
 }
 
 // String renders the finding in the canonical file:line:col format.
@@ -79,7 +70,7 @@ type Pass struct {
 
 	// Shared is per-driver-run cross-package state, keyed by analyzer.
 	// The same map is handed to every Run and Finish invocation of one
-	// lint run, letting global analyzers (lockorder) accumulate a
+	// lint run, letting global analyzers (inputflow) accumulate a
 	// module-wide view.
 	Shared map[string]any
 
@@ -95,26 +86,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// reportTrace records a finding carrying a whole-program call path.
-func (p *Pass) reportTrace(pos token.Pos, trace []TraceEntry, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Trace:    trace,
-	})
-}
-
 // All returns the full analyzer suite in reporting order. This slice is
-// the single registry: -list, the README analyzer count, and the docs
-// are all asserted against it, so adding an analyzer here is the whole
-// registration step.
+// the single registry: -list, the README analyzer count, and the docs'
+// ledger rows are all asserted against it, so adding an analyzer here
+// is the whole registration step.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Wallclock, RNGPurity, UnitSafety, MetricNames, FloatCmp,
-		Lockcheck, Lockorder, Goleak, Errflow,
-		MapOrder, PureCheck, HotAlloc,
-		DetClose, InputFlow, Exhaust,
+		Wallclock, UnitSafety, FloatCmp, Lockcheck, Errflow,
+		MapOrder, PureCheck, InputFlow, Exhaust,
 	}
 }
 

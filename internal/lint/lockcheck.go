@@ -44,11 +44,7 @@ func runLockcheck(p *Pass) {
 			if !ok {
 				continue
 			}
-			walkLockFlow(p, fn, lockHooks{
-				doubleLock: checker.doubleLock,
-				call:       checker.call,
-				access:     checker.access,
-			})
+			walkLockFlow(p, fn, checker)
 		}
 	}
 }

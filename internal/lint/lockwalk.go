@@ -4,16 +4,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
-// This file is the shared intraprocedural lock-flow walker behind
-// lockcheck and the call-graph summary's lock events (summary.go, read
-// by lockorder). It abstractly executes one function body in source
-// order, tracking which mutexes are held at every program point, and
-// invokes hooks at lock operations, calls, and struct-field accesses.
-// It stays a walker of its own because the held set is path-sensitive
-// (the joins below) and the summary walk is not.
+// This file is the intraprocedural lock-flow walker behind lockcheck.
+// It abstractly executes one function body in source order, tracking
+// which mutexes are held at every program point, and hands the held set
+// to the checker at re-locks, calls, and struct-field accesses. It is a
+// walker of its own, not part of the call-graph summary walk, because
+// the held set is path-sensitive (the joins below) and the summary walk
+// is not.
 //
 // The flow model is deliberately simple but branch-aware:
 //
@@ -42,7 +41,6 @@ import (
 // locked through in this function (e.g. "m.mu").
 type lockRef struct {
 	path   string
-	node   string     // type-level identity, e.g. "repro/internal/datamgr.Manager.mu"
 	field  *types.Var // mutex field or variable object (may be nil)
 	rlock  bool       // held via RLock
 	sticky bool       // deferred unlock or Locked-suffix seed
@@ -77,34 +75,10 @@ func intersect(a, b lockState) lockState {
 	return out
 }
 
-// heldList returns the held locks in deterministic (path) order.
-func heldList(st lockState) []*lockRef {
-	out := make([]*lockRef, 0, len(st))
-	for _, v := range st {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].path < out[j].path })
-	return out
-}
-
-// lockHooks are the analyzer callbacks.
-type lockHooks struct {
-	// lock fires on each Lock/RLock with the state held *before* it.
-	lock func(lk *lockRef, pos token.Pos, held []*lockRef)
-	// doubleLock fires when a path-identical lock is re-acquired.
-	doubleLock func(lk *lockRef, pos token.Pos)
-	// call fires on each resolvable function/method call. base is the
-	// receiver expression for method calls (nil otherwise); allocated
-	// reports that base is a local constructed in this function.
-	call func(callee *types.Func, base ast.Expr, allocated bool, pos token.Pos, held lockState)
-	// access fires on each selector that resolves to a struct field.
-	access func(sel *ast.SelectorExpr, base ast.Expr, field *types.Var, write bool, held lockState)
-}
-
 // lockWalker drives one function.
 type lockWalker struct {
-	p     *Pass
-	hooks lockHooks
+	p *Pass
+	c *lockChecker
 	// allocated holds local variables initialized from a composite
 	// literal or new() in this function: values still private to the
 	// function, whose fields need no lock before publication.
@@ -112,11 +86,11 @@ type lockWalker struct {
 }
 
 // walkLockFlow analyzes one declared function.
-func walkLockFlow(p *Pass, fn *ast.FuncDecl, hooks lockHooks) {
+func walkLockFlow(p *Pass, fn *ast.FuncDecl, c *lockChecker) {
 	if fn.Body == nil {
 		return
 	}
-	w := &lockWalker{p: p, hooks: hooks, allocated: collectAllocated(p, fn.Body)}
+	w := &lockWalker{p: p, c: c, allocated: collectAllocated(p, fn.Body)}
 	st := make(lockState)
 	seedLockedConvention(p, fn, st)
 	w.stmts(fn.Body.List, st)
@@ -138,25 +112,8 @@ func seedLockedConvention(p *Pass, fn *ast.FuncDecl, st lockState) {
 	}
 	for _, mf := range mutexFieldsOf(obj.Type()) {
 		key := recvName + "." + mf.Name()
-		st[key] = &lockRef{path: key, node: typeNode(obj.Type()) + "." + mf.Name(), field: mf, sticky: true}
+		st[key] = &lockRef{path: key, field: mf, sticky: true}
 	}
-}
-
-// typeNode renders the package-qualified name of the named type behind
-// t (dereferencing pointers), or "" if t is unnamed.
-func typeNode(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 func lockedSuffix(name string) bool {
@@ -415,8 +372,8 @@ func (w *lockWalker) expr(e ast.Expr, st lockState, write bool) {
 	case *ast.CallExpr:
 		w.call(e, st)
 	case *ast.SelectorExpr:
-		if field := w.fieldOf(e); field != nil && w.hooks.access != nil && !w.isAllocatedBase(e.X) {
-			w.hooks.access(e, ast.Unparen(e.X), field, write, st)
+		if field := w.fieldOf(e); field != nil && !w.isAllocatedBase(e.X) {
+			w.c.access(e, ast.Unparen(e.X), field, write, st)
 		}
 		w.expr(e.X, st, false)
 	case *ast.CompositeLit:
@@ -431,7 +388,7 @@ func (w *lockWalker) expr(e ast.Expr, st lockState, write bool) {
 		}
 	case *ast.FuncLit:
 		// Runs later, possibly on another goroutine: empty held set.
-		lw := &lockWalker{p: w.p, hooks: w.hooks, allocated: collectAllocated(w.p, e.Body)}
+		lw := &lockWalker{p: w.p, c: w.c, allocated: collectAllocated(w.p, e.Body)}
 		lw.stmts(e.Body.List, make(lockState))
 	case *ast.ParenExpr:
 		w.expr(e.X, st, write)
@@ -467,13 +424,13 @@ func (w *lockWalker) callAsync(call *ast.CallExpr, st lockState) {
 		w.expr(a, st, false)
 	}
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		lw := &lockWalker{p: w.p, hooks: w.hooks, allocated: collectAllocated(w.p, lit.Body)}
+		lw := &lockWalker{p: w.p, c: w.c, allocated: collectAllocated(w.p, lit.Body)}
 		lw.stmts(lit.Body.List, make(lockState))
 		return
 	}
 	w.expr(call.Fun, st, false)
-	if callee, base := w.calleeOf(call); callee != nil && w.hooks.call != nil {
-		w.hooks.call(callee, base, w.isAllocatedBase(base), call.Pos(), st)
+	if callee, base := w.calleeOf(call); callee != nil {
+		w.c.call(callee, base, w.isAllocatedBase(base), call.Pos(), st)
 	}
 }
 
@@ -488,13 +445,8 @@ func (w *lockWalker) call(call *ast.CallExpr, st lockState) {
 		switch op {
 		case opLock, opRLock:
 			if _, dup := st[lk.path]; dup {
-				if w.hooks.doubleLock != nil {
-					w.hooks.doubleLock(lk, call.Pos())
-				}
+				w.c.doubleLock(lk, call.Pos())
 			} else {
-				if w.hooks.lock != nil {
-					w.hooks.lock(lk, call.Pos(), heldList(st))
-				}
 				st[lk.path] = lk
 			}
 		case opUnlock:
@@ -506,8 +458,8 @@ func (w *lockWalker) call(call *ast.CallExpr, st lockState) {
 	for _, a := range call.Args {
 		w.expr(a, st, false)
 	}
-	if callee, base := w.calleeOf(call); callee != nil && w.hooks.call != nil {
-		w.hooks.call(callee, base, w.isAllocatedBase(base), call.Pos(), st)
+	if callee, base := w.calleeOf(call); callee != nil {
+		w.c.call(callee, base, w.isAllocatedBase(base), call.Pos(), st)
 	}
 }
 
@@ -558,29 +510,18 @@ func (w *lockWalker) mutexOp(call *ast.CallExpr, st lockState) (*lockRef, mutexO
 		return nil, opNone
 	}
 	var field *types.Var
-	path := exprPath(mx)
-	node := ""
 	switch mx := mx.(type) {
 	case *ast.SelectorExpr:
 		field = w.fieldOf(mx)
-		if owner := typeNode(w.p.Info.TypeOf(ast.Unparen(mx.X))); owner != "" {
-			node = owner + "." + mx.Sel.Name
-		}
 		// The chain below the mutex is a read (e.g. s.pool in
 		// s.pool.mu.Lock()).
 		w.expr(mx.X, st, false)
 	case *ast.Ident:
 		if v, ok := w.p.Info.Uses[mx].(*types.Var); ok {
 			field = v
-			if v.Pkg() != nil {
-				node = v.Pkg().Path() + "." + v.Name()
-			}
 		}
 	}
-	if node == "" {
-		node = w.p.Pkg.Path() + "." + path
-	}
-	return &lockRef{path: path, node: node, field: field, rlock: rlock}, kind
+	return &lockRef{path: exprPath(mx), field: field, rlock: rlock}, kind
 }
 
 // fieldOf resolves a selector to the struct field it reads, if any.

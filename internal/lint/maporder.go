@@ -4,9 +4,8 @@ package lint
 // when any of them reaches an order-sensitive sink — float accumulation
 // (the pre-PR-5 requiredIO bug), an unsorted slice that escapes, a
 // metric series interned mid-loop, or output formatting. The flow
-// analysis is the call-graph summary's (summary.go): the same sinks make
-// a function's effMapOrder for detclose and are purecheck's findings
-// inside silod:pure functions.
+// analysis is the call-graph summary's (summary.go): the same sinks are
+// purecheck's findings inside silod:pure functions.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "tracks values derived from map iteration and flags " +

@@ -224,7 +224,7 @@ func checkPureBody(p *Pass, fi *fnInfo) {
 // finishPureCheck judges the static callees of every pure function and
 // the silod:pure-requires markers once every package's annotations are
 // known. Builtins, conversions and calls through func values never
-// reach fnInfo.calls; address-taken references are not calls.
+// reach fnInfo.calls.
 func finishPureCheck(p *Pass) {
 	st, ok := p.Shared[callgraphKey].(*cgState)
 	if !ok {
@@ -249,7 +249,7 @@ func finishPureCheck(p *Pass) {
 			continue
 		}
 		for _, c := range fi.calls {
-			if c.callee == nil || c.ref || isPure(c.callee) {
+			if c.callee == nil || isPure(c.callee) {
 				continue
 			}
 			pkg := c.callee.Pkg()

@@ -10,21 +10,14 @@ import (
 )
 
 // This file builds the per-package call-graph fragments consumed by
-// callgraph.go: one fnInfo per declared function, recording direct
-// effects (with a witness site for -why traces), outgoing call edges,
-// taint flow observations for inputflow, map-order sinks for maporder,
-// the lock-flow events lockorder closes over, and the silod:pure
-// annotations purecheck judges. All AST work happens here, inside the
-// parallel per-package Run phase; finalize only joins fragments, so the
-// engine adds no sequential bottleneck to the driver.
+// callgraph.go: one fnInfo per declared function, recording outgoing
+// calls, taint flow observations for inputflow, map-order sinks for
+// maporder, and the silod:pure annotations purecheck judges. All AST
+// work happens here, in the per-package Run phase; finalize only joins
+// fragments and closes the parameter summaries.
 //
 // Annotation grammar (doc comments; see docs/static-analysis.md):
 //
-//	// silod:sim-root               — detclose proves no gated effect
-//	//                                is transitively reachable
-//	// silod:inject eff[,eff...]    — the named effects stop propagating
-//	//                                past this function: it is an
-//	//                                audited injection boundary
 //	// silod:validator              — passing a request value here
 //	//                                sanitizes all its fields below the
 //	//                                call site
@@ -81,37 +74,16 @@ type provKey struct {
 	field string
 }
 
-// parseCGFuncDoc extracts the call-graph annotations from a function
+// parseCGFuncDoc extracts the call-graph annotation from a function
 // doc comment. Grammar errors come back as (owner, message) pairs so
 // the analyzer that owns the annotation reports them.
-func parseCGFuncDoc(doc *ast.CommentGroup) (root bool, inject effect, validator bool, bad []cgBadAnn) {
+func parseCGFuncDoc(doc *ast.CommentGroup) (validator bool, bad []cgBadAnn) {
 	if doc == nil {
 		return
 	}
 	for _, c := range doc.List {
 		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 		switch {
-		case text == "silod:sim-root":
-			root = true
-		case strings.HasPrefix(text, "silod:sim-root"):
-			bad = append(bad, cgBadAnn{owner: "detclose", pos: c.Pos(),
-				msg: "silod:sim-root takes no operands (grammar: // silod:sim-root)"})
-		case strings.HasPrefix(text, "silod:inject"):
-			ops := strings.TrimSpace(strings.TrimPrefix(text, "silod:inject"))
-			if ops == "" {
-				bad = append(bad, cgBadAnn{owner: "detclose", pos: c.Pos(),
-					msg: fmt.Sprintf("silod:inject needs at least one effect (grammar: // silod:inject %s)", strings.Join(effectNames[:], "|"))})
-				continue
-			}
-			for _, op := range strings.Split(ops, ",") {
-				e, ok := effectByName(strings.TrimSpace(op))
-				if !ok {
-					bad = append(bad, cgBadAnn{owner: "detclose", pos: c.Pos(),
-						msg: fmt.Sprintf("silod:inject: unknown effect %q (one of %s)", strings.TrimSpace(op), strings.Join(effectNames[:], ", "))})
-					continue
-				}
-				inject |= e
-			}
 		case text == "silod:validator":
 			validator = true
 		case strings.HasPrefix(text, "silod:validator"):
@@ -167,7 +139,7 @@ func buildCGFragment(p *Pass) *cgFragment {
 	}
 	// Literals in package-level var initializers belong to no function;
 	// they are walked for their map-order sinks only.
-	initW := newSumWalker(p, &fnInfo{witness: make(map[effect]cgWitness)}, nil)
+	initW := newSumWalker(p, &fnInfo{}, nil)
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
@@ -218,7 +190,7 @@ func summarizeFunc(p *Pass, f *cgFragment, d *ast.FuncDecl) *fnInfo {
 	if !ok {
 		return nil
 	}
-	root, inject, validator, bad := parseCGFuncDoc(d.Doc)
+	validator, bad := parseCGFuncDoc(d.Doc)
 	pure, assume, requires, badOpts := parsePureDoc(d.Doc)
 	for _, opt := range badOpts {
 		bad = append(bad, cgBadAnn{owner: "purecheck",
@@ -234,9 +206,6 @@ func summarizeFunc(p *Pass, f *cgFragment, d *ast.FuncDecl) *fnInfo {
 	fi := &fnInfo{
 		fn:       fn,
 		decl:     d,
-		root:     root,
-		inject:   inject,
-		witness:  make(map[effect]cgWitness),
 		pure:     pure,
 		assume:   assume,
 		requires: requires,
@@ -247,28 +216,7 @@ func summarizeFunc(p *Pass, f *cgFragment, d *ast.FuncDecl) *fnInfo {
 	w := newSumWalker(p, fi, d.Body)
 	w.seedParams(d)
 	ast.Inspect(d.Body, w.visit)
-	walkLockFlow(p, d, lockHooks{
-		lock: func(lk *lockRef, pos token.Pos, held []*lockRef) {
-			fi.locks = append(fi.locks, lockSite{lock: lk.node, held: lockNodes(held), pos: pos})
-		},
-		call: func(_ *types.Func, _ ast.Expr, _ bool, pos token.Pos, held lockState) {
-			if h := lockNodes(heldList(held)); len(h) > 0 {
-				fi.locks = append(fi.locks, lockSite{held: h, pos: pos})
-			}
-		},
-	})
 	return fi
-}
-
-// lockNodes returns the type-level identities of the held locks.
-func lockNodes(held []*lockRef) []string {
-	var out []string
-	for _, lk := range held {
-		if lk.node != "" {
-			out = append(out, lk.node)
-		}
-	}
-	return out
 }
 
 // sumWalker carries the state of one function's summary walk.
@@ -279,22 +227,16 @@ type sumWalker struct {
 	loops  []*ast.RangeStmt // map-range loops around the current node, in fnBody
 	taint  map[types.Object][]cgProv
 	san    map[provKey]bool
-	called map[*ast.Ident]bool // idents that are the Fun of a call
 }
 
 func newSumWalker(p *Pass, fi *fnInfo, body *ast.BlockStmt) *sumWalker {
-	w := &sumWalker{
+	return &sumWalker{
 		p:      p,
 		fi:     fi,
 		fnBody: body,
 		taint:  make(map[types.Object][]cgProv),
 		san:    make(map[provKey]bool),
-		called: make(map[*ast.Ident]bool),
 	}
-	if body != nil {
-		w.collectCalledIdents(body)
-	}
-	return w
 }
 
 // addProv taints obj with pv unless an identical provenance is already
@@ -335,25 +277,6 @@ func (w *sumWalker) seedParams(fd *ast.FuncDecl) {
 	}
 }
 
-// collectCalledIdents marks the identifiers that appear as the called
-// operand of a CallExpr, so bare *types.Func references elsewhere are
-// recognized as address-taken edges.
-func (w *sumWalker) collectCalledIdents(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			w.called[fun] = true
-		case *ast.SelectorExpr:
-			w.called[fun.Sel] = true
-		}
-		return true
-	})
-}
-
 // namedStructOf returns the TypeName of a named struct type (through
 // one pointer level), or nil.
 func namedStructOf(t types.Type) *types.TypeName {
@@ -371,7 +294,7 @@ func namedStructOf(t types.Type) *types.TypeName {
 }
 
 // visit is the ast.Inspect callback of the walk: source order, function
-// literals included (their effects, flows and calls belong to the
+// literals included (their flows and calls belong to the
 // enclosing declaration; for map order they are functions of their own).
 func (w *sumWalker) visit(n ast.Node) bool {
 	switch n := n.(type) {
@@ -410,18 +333,8 @@ func (w *sumWalker) visit(n ast.Node) bool {
 	case *ast.CallExpr:
 		w.orderCall(n)
 		w.call(n)
-	case *ast.Ident:
-		w.bareFuncRef(n)
 	}
 	return true
-}
-
-// addEffect records a direct effect, keeping the first witness site.
-func (w *sumWalker) addEffect(e effect, what string, pos token.Pos) {
-	if w.fi.direct&e == 0 {
-		w.fi.direct |= e
-		w.fi.witness[e] = cgWitness{what: what, pos: pos}
-	}
 }
 
 // declare seeds taint for `var req T` locals of named struct types.
@@ -592,8 +505,8 @@ func (w *sumWalker) index(ix *ast.IndexExpr) {
 	w.recordSinks(w.mentions(ix.Index), sinkIndex, ix.Pos())
 }
 
-// call records effect witnesses, call-graph edges, argument flows, and
-// validator gates for one call expression.
+// call records the callee, argument flows, and validator gates
+// for one call expression.
 func (w *sumWalker) call(call *ast.CallExpr) {
 	if tv, ok := w.p.Info.Types[call.Fun]; ok && tv.IsType() {
 		return // conversion
@@ -643,23 +556,9 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 	}
 }
 
-// staticCall handles a call with a resolved concrete target: the
-// wallclock/RNG direct effects, the graph edge, argument flows, and
-// validator gates.
+// staticCall handles a call with a resolved concrete target: the call
+// edge, argument flows, and validator gates.
 func (w *sumWalker) staticCall(call *ast.CallExpr, fnObj *types.Func) {
-	if pkg := fnObj.Pkg(); pkg != nil {
-		sig, _ := fnObj.Type().(*types.Signature)
-		pkgLevel := sig == nil || sig.Recv() == nil
-		switch {
-		case pkg.Path() == "time" && pkgLevel:
-			if _, banned := wallclockBanned[fnObj.Name()]; banned {
-				w.addEffect(effWallclock, "time."+fnObj.Name(), call.Pos())
-			}
-		case strings.HasPrefix(pkg.Path(), "math/rand") && pkgLevel &&
-			!strings.HasPrefix(fnObj.Name(), "New"):
-			w.addEffect(effGlobalRNG, pkg.Path()+"."+fnObj.Name(), call.Pos())
-		}
-	}
 	w.fi.calls = append(w.fi.calls, cgCall{callee: fnObj, pos: call.Pos()})
 	w.argFlows(call, fnObj, nil, "")
 	for _, arg := range call.Args {
@@ -737,24 +636,6 @@ func (w *sumWalker) gateReceiver(e ast.Expr, callee *types.Func, pos token.Pos) 
 			return
 		}
 	}
-}
-
-// bareFuncRef adds an address-taken edge for a module function used as
-// a value (stored in a table, passed as a callback).
-func (w *sumWalker) bareFuncRef(id *ast.Ident) {
-	if w.called[id] {
-		return
-	}
-	fn, ok := w.p.Info.Uses[id].(*types.Func)
-	if !ok {
-		return
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-			return // interface method value: unresolved, like func values
-		}
-	}
-	w.fi.calls = append(w.fi.calls, cgCall{callee: fn, ref: true, pos: id.Pos()})
 }
 
 // recordSinks records one flow per unsanitized provenance.
@@ -864,12 +745,11 @@ func (w *sumWalker) orderTaint(lhs ast.Expr, loops []*ast.RangeStmt) {
 
 // orderSink records one map-order sink; a site is recorded once however
 // many loops reach it.
-func (w *sumWalker) orderSink(pos token.Pos, what, format string, args ...any) {
+func (w *sumWalker) orderSink(pos token.Pos, format string, args ...any) {
 	if n := len(w.fi.order); n > 0 && w.fi.order[n-1].pos == pos {
 		return
 	}
 	w.fi.order = append(w.fi.order, orderSink{pos: pos, msg: fmt.Sprintf(format, args...)})
-	w.addEffect(effMapOrder, what, pos)
 }
 
 // orderAssign propagates map-order taint through one assignment and
@@ -916,8 +796,7 @@ func (w *sumWalker) orderAssign(as *ast.AssignStmt) {
 		obj := w.objOf(rootIdent(lhs))
 		for _, l := range loops {
 			if declaredBefore(obj, l) && !sortedInFunc(w.p, w.fnBody, obj) {
-				w.orderSink(as.Pos(), "unsorted append to "+obj.Name(),
-					"appending map-iteration-derived values to %q without sorting it afterwards: the slice order is randomized per process; sort before it escapes", obj.Name())
+				w.orderSink(as.Pos(), "appending map-iteration-derived values to %q without sorting it afterwards: the slice order is randomized per process; sort before it escapes", obj.Name())
 			}
 		}
 	}
@@ -952,8 +831,7 @@ func (w *sumWalker) floatFold(lhs ast.Expr, loops []*ast.RangeStmt, pos token.Po
 	acc := w.objOf(rootIdent(lhs))
 	for _, l := range loops {
 		if declaredBefore(acc, l) {
-			w.orderSink(pos, "float accumulation into "+exprPath(lhs),
-				"float accumulation into %s in map iteration order: float addition is not associative, so the sum depends on per-process randomness; iterate sorted keys instead", exprPath(lhs))
+			w.orderSink(pos, "float accumulation into %s in map iteration order: float addition is not associative, so the sum depends on per-process randomness; iterate sorted keys instead", exprPath(lhs))
 			return
 		}
 	}
@@ -980,21 +858,18 @@ func (w *sumWalker) orderCall(call *ast.CallExpr) {
 		if id, ok := sel.X.(*ast.Ident); ok {
 			if path, isPkg := pkgNameOf(w.p.Info, id); isPkg && path == "fmt" &&
 				(strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")) {
-				w.orderSink(call.Pos(), "fmt."+name+" emission",
-					"map-iteration-derived value reaches fmt.%s: output line order depends on per-process randomness; collect, sort, then emit", name)
+				w.orderSink(call.Pos(), "map-iteration-derived value reaches fmt.%s: output line order depends on per-process randomness; collect, sort, then emit", name)
 				return
 			}
 		}
 		if name == "Reportf" || name == "Encode" {
-			w.orderSink(call.Pos(), name+" emission",
-				"map-iteration-derived value reaches %s in map iteration order: emission order depends on per-process randomness; collect, sort, then emit", name)
+			w.orderSink(call.Pos(), "map-iteration-derived value reaches %s in map iteration order: emission order depends on per-process randomness; collect, sort, then emit", name)
 			return
 		}
 	}
 	if name == "Counter" || name == "Gauge" || name == "Histogram" {
 		if recv := w.p.Info.TypeOf(sel.X); recv != nil && isMetricsRegistry(recv) {
-			w.orderSink(call.Pos(), "Registry."+name+" interning",
-				"interning a metric series (Registry.%s) inside a map-range loop: series creation order becomes random per process; intern eagerly outside the loop (the PR-4 convention)", name)
+			w.orderSink(call.Pos(), "interning a metric series (Registry.%s) inside a map-range loop: series creation order becomes random per process; intern eagerly outside the loop (the PR-4 convention)", name)
 		}
 	}
 }

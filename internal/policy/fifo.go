@@ -93,7 +93,6 @@ func (f *FIFO) Name() string { return "fifo+" + f.Storage.Name() }
 // so purity reduces to the allocator's — which is exactly what the
 // assume= clause delegates to the runtime vetting in pure.go.
 //
-// silod:hotpath
 // silod:pure assume=StorageAllocator,QueueAwareAllocator
 func (f *FIFO) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment {
 	// a points into f, so handing it to the StorageAllocator interface

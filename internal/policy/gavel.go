@@ -285,7 +285,6 @@ func (g *Gavel) orderKey(now unit.Time, j core.JobView) float64 {
 // over tops up running jobs by warm-up value. Quotas and grants are
 // written straight into a's maps.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) assign(c core.Cluster, jobs []core.JobView, a *core.Assignment) {
 	s.storage(c.Cache, c.RemoteIO, jobs)
@@ -318,7 +317,6 @@ func (s *MaxMinSolver) assign(c core.Cluster, jobs []core.JobView, a *core.Assig
 // instantaneous demand, then an unweighted water-fill over remaining
 // unmet demands.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) topUpRemoteIO(extra float64, a *core.Assignment) {
 	remaining := extra
@@ -367,7 +365,6 @@ func (s *MaxMinSolver) rankCmp(a, b int) int {
 // warm-data hysteresis), shared with the greedy allocator's investment
 // ordering, into s.ds[d].rank.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) effRank() {
 	for d := range s.ds {

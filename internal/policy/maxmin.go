@@ -159,7 +159,6 @@ func resetMap[K comparable, V any](m *map[K]V) map[K]V {
 // index resets the per-call workspace for jobs: job records, dataset
 // records and a zeroed result per job.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) index(jobs []core.JobView) {
 	s.jobs = jobs
@@ -206,7 +205,6 @@ func (s *MaxMinSolver) index(jobs []core.JobView) {
 // RNG, no map-order dependence). The returned map is the solver's own,
 // valid until its next call.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) Storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jobs []core.JobView) map[string]StorageAlloc {
 	s.storage(totalCache, totalIO, jobs)
@@ -219,7 +217,6 @@ func (s *MaxMinSolver) Storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jo
 
 // storage is Storage into s.res, by job index.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jobs []core.JobView) {
 	s.index(jobs)
@@ -292,7 +289,6 @@ func (s *MaxMinSolver) storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jo
 // sum order follows it), each with its members in round order. The
 // scan order starts as the identity.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) groupRound(active []int) {
 	round := resize(&s.round, len(active))
@@ -372,7 +368,7 @@ func (s *MaxMinSolver) scanCmp(ga, gb int) int {
 // SiloD's allocators so already-effective datasets win near-ties and
 // quotas stay stable as the job set churns.
 //
-// silod:hotpath — runs ~60 times per bisection on the round's scratch.
+// Runs ~60 times per bisection on the round's scratch.
 //
 // silod:pure
 func (s *MaxMinSolver) split(remCache, lambda float64) {
@@ -419,7 +415,6 @@ func (s *MaxMinSolver) split(remCache, lambda float64) {
 // order — and with it the feasibility verdict at the bisection
 // boundary — is deterministic.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) requiredIO() float64 {
 	var total float64
@@ -438,7 +433,6 @@ func (s *MaxMinSolver) requiredIO() float64 {
 
 // feasible reports whether targets at lambda fit both budgets.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) feasible(remCache, remIO, lambda float64) bool {
 	s.split(remCache, lambda)
@@ -448,7 +442,6 @@ func (s *MaxMinSolver) feasible(remCache, remIO, lambda float64) bool {
 // allocate fills s.alloc, by round position, with the cheapest
 // allocation giving every active job its target throughput at lambda.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) allocate(remCache, remIO, lambda float64) {
 	s.split(remCache, lambda)
@@ -471,7 +464,6 @@ func (s *MaxMinSolver) allocate(remCache, remIO, lambda float64) {
 // maxFeasibleLambda bisects on the normalized rate: 60 halvings of
 // [0, hi], each decided by one feasibility probe.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) maxFeasibleLambda(remCache, remIO float64) float64 {
 	// Upper bound: the largest f*/perfEqual ratio.
@@ -508,7 +500,6 @@ func (s *MaxMinSolver) dsCmp(a, b int) int {
 
 // sortDatasets returns every dataset index ordered by dsCmp.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) sortDatasets() []int {
 	order := resize(&s.dsOrder, len(s.ds))
@@ -524,7 +515,6 @@ func (s *MaxMinSolver) sortDatasets() []int {
 // while any job could use it. This cannot reduce any job's allocation,
 // so the max-min optimum is preserved.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) spendSlack(remCache, remIO float64) {
 	if remIO < 0 {
@@ -600,7 +590,6 @@ func (s *MaxMinSolver) spendSlack(remCache, remIO float64) {
 // folds the merged cache into each dataset's quota: charged once,
 // capped at its size.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) mergeSharedCache() {
 	for d := range s.ds {
@@ -645,7 +634,6 @@ func (s *MaxMinSolver) mergeSharedCache() {
 // It runs over the running jobs jobs[s.run[k]], whose dataset quotas
 // are s.runQuota[k], and fills s.grant by running position.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) bandwidth(cl core.Cluster, total unit.Bandwidth, jobs []core.JobView) {
 	bw := resize(&s.bw, len(s.run))
@@ -702,7 +690,6 @@ func (s *MaxMinSolver) bandwidth(cl core.Cluster, total unit.Bandwidth, jobs []c
 // needed is the bandwidth the running jobs need at normalized rate
 // lambda.
 //
-// silod:hotpath
 // silod:pure
 func (s *MaxMinSolver) needed(lambda float64) float64 {
 	var sum float64

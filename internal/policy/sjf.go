@@ -84,7 +84,6 @@ func sjfScore(c core.Cluster, j *core.JobView, enhanced bool) (score float64, wa
 // The Eq. 6/7 score never consults `now` (remaining duration comes
 // from RemainingBytes), which is what PureAssign's claim rests on.
 //
-// silod:hotpath
 // silod:pure assume=StorageAllocator
 func (s *SJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment {
 	// a points into s, so handing it to the StorageAllocator interface

@@ -103,7 +103,6 @@ func (*GreedyAllocator) Name() string { return "silod-greedy" }
 // function of (cluster, running views): allocatorPure's vetting of
 // GreedyAllocator rests on this annotation holding.
 //
-// silod:hotpath
 // silod:pure
 func (g *GreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment) {
 	idx := resetMap(&g.dsIndex)
@@ -189,7 +188,6 @@ func (g *GreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView
 // quotas (a Reset assignment, as every policy passes): the running
 // datasets' quotas are then exactly a's.
 //
-// silod:hotpath
 // silod:pure
 func (g *GreedyAllocator) AllocateStorageQueued(c core.Cluster, running, queued []core.JobView, a *core.Assignment) {
 	g.AllocateStorage(c, running, a)
@@ -277,7 +275,6 @@ type taxed struct {
 // reset sizes the workspace for n running jobs and returns the quota
 // and rank slices for the caller to fill.
 //
-// silod:hotpath
 // silod:pure
 func (w *ioScratch) reset(n int) (quota []unit.Bytes, rank []int) {
 	return resize(&w.quota, n), resize(&w.rank, n)
@@ -285,7 +282,6 @@ func (w *ioScratch) reset(n int) (quota []unit.Bytes, rank []int) {
 
 // write copies the grants into a.RemoteIO.
 //
-// silod:hotpath
 // silod:pure
 func (w *ioScratch) write(running []core.JobView, a *core.Assignment) {
 	for k := range running {
@@ -305,7 +301,6 @@ func (w *ioScratch) write(running []core.JobView, a *core.Assignment) {
 // (e.g. BERT's tiny demand) are never taxed, which keeps the makespan
 // tail intact.
 //
-// silod:hotpath
 // silod:pure
 func (w *ioScratch) priority(total unit.Bandwidth, running []core.JobView) {
 	// Stage 1: plain max-min fair share over demands.
@@ -401,7 +396,6 @@ func instantDemandAt(j *core.JobView, q unit.Bytes) float64 {
 // anyway. The allocation is revisited every scheduling round, so grants
 // shrink as caches warm.
 //
-// silod:hotpath
 // silod:pure
 func (w *ioScratch) fair(total unit.Bandwidth, running []core.JobView) {
 	n := len(running)
@@ -455,8 +449,6 @@ func NewQuiverAllocator(noise float64, seed int64) *QuiverAllocator {
 func (q *QuiverAllocator) Name() string { return "quiver" }
 
 // AllocateStorage implements StorageAllocator.
-//
-// silod:hotpath
 func (q *QuiverAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment) {
 	byKey := resetMap(&q.byKey)
 	groups := q.groups[:0]

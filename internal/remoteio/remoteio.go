@@ -74,8 +74,6 @@ func (l *Ledger) Resize(capacity unit.Bandwidth) map[string]unit.Bandwidth {
 // and so is a negative or non-finite one, which would make every later
 // check pass vacuously. A tiny tolerance absorbs floating-point
 // round-off from solvers.
-//
-// silod:hotpath
 func (l *Ledger) Set(jobID string, bw unit.Bandwidth) error {
 	if err := checkRate(jobID, bw); err != nil {
 		return err
@@ -125,8 +123,6 @@ func (l *Ledger) Get(jobID string) unit.Bandwidth {
 }
 
 // Remove forgets jobID's allocation.
-//
-// silod:hotpath
 func (l *Ledger) Remove(jobID string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -179,7 +175,6 @@ func fillCmp(a, b fillItem) int {
 // Jobs with no positive want, and every job when capacity is not
 // positive, get nothing. Whatever no want absorbs stays unallocated.
 //
-// silod:hotpath
 // silod:pure
 func (d *Divider) WaterFill(grant []float64, capacity float64, wants, weights []float64, ids []string) {
 	if capacity <= 0 {
@@ -220,7 +215,6 @@ func (d *Divider) WaterFill(grant []float64, capacity float64, wants, weights []
 // the policy left unallocated goes to jobs whose demand exceeds their
 // grant.
 //
-// silod:hotpath
 // silod:pure
 func (d *Divider) TopUp(grant []float64, capacity float64, wants []float64, ids []string) {
 	var allocated float64
@@ -250,7 +244,6 @@ func (d *Divider) TopUp(grant []float64, capacity float64, wants []float64, ids 
 // share idles, which is exactly the inefficiency SiloD's remote IO
 // management removes. Negative wants get nothing.
 //
-// silod:hotpath
 // silod:pure
 func EqualSplit(grant []float64, capacity float64, wants []float64) {
 	share := capacity / float64(len(wants))

@@ -172,7 +172,7 @@ func TestEdgeShares(t *testing.T) {
 	}
 }
 
-// TestDividerAllocatesNothing pins the silod:hotpath contract: a warm
+// TestDividerAllocatesNothing pins the no-allocation contract: a warm
 // Divider's water-fill, top-up and equal split allocate nothing.
 func TestDividerAllocatesNothing(t *testing.T) {
 	const n = 40

@@ -85,7 +85,7 @@ func newEngine(cfg Config, jobs []*jobRT) (engine, error) {
 // split applies instead (§2.1, §7.2). The result is scratch, valid
 // until the next call.
 //
-// silod:hotpath — called from jobRates and from every Che fixed-point
+// Called from jobRates and from every Che fixed-point
 // iteration; reuses the chassis's grant/demand scratch buffers.
 func (e *engine) remoteIOGrants(running []*jobRT, hits, floor []float64) []unit.Bandwidth {
 	fill := resize(&e.fillBuf, len(running))

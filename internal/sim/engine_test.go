@@ -95,7 +95,7 @@ func TestRemoteIOGrants(t *testing.T) {
 	}
 }
 
-// TestRemoteIOGrantsAllocatesNothing pins remoteIOGrants' silod:hotpath
+// TestRemoteIOGrantsAllocatesNothing pins remoteIOGrants' no-allocation
 // contract on its work-conserving path: one job holds a policy grant,
 // the leftover egress is topped up over two residual demands, and a
 // warm chassis allocates nothing.

@@ -291,7 +291,7 @@ func (s *fluidSim) applyQuota(r int, q unit.Bytes) {
 // end-to-end throughput under the current allocations. The returned
 // slices are scratch, valid until the next call.
 //
-// silod:hotpath — runs on every simulator event; all buffers are
+// Runs on every simulator event; all buffers are
 // sim-owned scratch grown via resize.
 func (s *fluidSim) jobRates(running []*jobRT) (hits []float64, rates []unit.Bandwidth) {
 	if s.rateMemoOK && s.rateGen == s.lastRateGen && samePtrs(running, s.lastRateJobs) {

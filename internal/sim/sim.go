@@ -183,7 +183,6 @@ func (r *Result) AvgFairness() float64 {
 }
 
 // Run executes the simulation for the given trace.
-// silod:sim-root
 func Run(cfg Config, jobs []workload.JobSpec) (*Result, error) {
 	c := cfg.withDefaults()
 	if err := c.Cluster.Validate(); err != nil {

@@ -111,7 +111,6 @@ type jobRun struct {
 // real clock: it emulates wall-time execution scaled by TimeScale, so
 // the wall-clock reads below are the audited boundary where real time
 // enters, not a determinism leak.
-// silod:inject wallclock
 func Run(cfg Config, specs []workload.JobSpec) (*Result, error) {
 	if cfg.TimeScale <= 0 {
 		return nil, fmt.Errorf("testbed: non-positive time scale %v", cfg.TimeScale)
