@@ -13,6 +13,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -254,11 +255,15 @@ func run(args []string, w *os.File) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "silodsim: cpuprofile:", err)
+			}
+		}()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			return err
 		}
-		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		defer func() {
@@ -267,9 +272,8 @@ func run(args []string, w *os.File) error {
 				fmt.Fprintln(os.Stderr, "silodsim: memprofile:", err)
 				return
 			}
-			defer f.Close()
 			runtime.GC() // settle live objects so the heap profile reflects retained memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := errors.Join(pprof.WriteHeapProfile(f), f.Close()); err != nil {
 				fmt.Fprintln(os.Stderr, "silodsim: memprofile:", err)
 			}
 		}()
@@ -307,12 +311,12 @@ func run(args []string, w *os.File) error {
 
 // runTrace simulates a trace file under one (scheduler, system) pair.
 func runTrace(w *os.File, path, scheduler, system, engine string, gpus int, cacheStr, remoteStr string, seed int64, csvDir, metricsOut, faultsPath string, fullResolve bool) error {
-	f, err := os.Open(path)
+	in, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	jobs, err := workload.ReadTrace(f)
+	defer in.Close()
+	jobs, err := workload.ReadTrace(in)
 	if err != nil {
 		return err
 	}

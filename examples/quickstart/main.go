@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/estimator"
@@ -19,6 +21,9 @@ import (
 	"repro/internal/unit"
 	"repro/internal/workload"
 )
+
+// stdout is where main prints; the golden test swaps it for a buffer.
+var stdout io.Writer = os.Stdout
 
 func main() {
 	// A ResNet-50 job training ImageNet-22k on one V100: its ideal
@@ -36,25 +41,25 @@ func main() {
 		DatasetSize:     im22k.Size,
 	}
 
-	fmt.Println("== SiloDPerf (Eq. 4): min(f*, b / (1 - c/d)) ==")
+	fmt.Fprintln(stdout, "== SiloDPerf (Eq. 4): min(f*, b / (1 - c/d)) ==")
 	for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		r := estimator.Resources{
 			Cache:    unit.Bytes(frac * float64(im22k.Size)),
 			RemoteIO: unit.MBpsOf(50),
 		}
-		fmt.Printf("  cache %3.0f%% of dataset, 50 MB/s remote -> %s (IO-bound: %v)\n",
+		fmt.Fprintf(stdout, "  cache %3.0f%% of dataset, 50 MB/s remote -> %s (IO-bound: %v)\n",
 			frac*100, profile.Perf(r), profile.IOBound(r))
 	}
 
-	fmt.Println("\n== Cache efficiency (Eq. 5): remote IO saved per GB of cache ==")
+	fmt.Fprintln(stdout, "\n== Cache efficiency (Eq. 5): remote IO saved per GB of cache ==")
 	for _, j := range workload.Figure6Jobs()[:4] {
-		fmt.Printf("  %-15s on %-12s: %.2f MB/s per GB\n",
+		fmt.Fprintf(stdout, "  %-15s on %-12s: %.2f MB/s per GB\n",
 			j.Model.Name, j.Dataset.Name, j.CacheEfficiency())
 	}
 
 	// One joint scheduling round: two jobs share a 2-GPU cluster with
 	// 1.4 TB cache and a 50 MB/s remote link (the Figure 4 setting).
-	fmt.Println("\n== One Gavel(max-min)+SiloD scheduling round ==")
+	fmt.Fprintln(stdout, "\n== One Gavel(max-min)+SiloD scheduling round ==")
 	cluster := core.Cluster{GPUs: 2, Cache: unit.TiB(1.4), RemoteIO: unit.MBpsOf(50)}
 	jobs := []core.JobView{
 		{
@@ -77,9 +82,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, j := range jobs {
-		fmt.Printf("  %s: %d GPUs, cache %v, remote IO %v\n",
-			j.ID, assignment.GPUs[j.ID],
-			assignment.CacheQuota[j.DatasetKey], assignment.RemoteIO[j.ID])
+	for i, j := range jobs {
+		fmt.Fprintf(stdout, "  %s: %d GPUs, cache %v, remote IO %v\n",
+			j.ID, assignment.GPUs[i],
+			assignment.CacheQuota[j.DatasetKey], assignment.RemoteIO[i])
 	}
 }

@@ -17,7 +17,7 @@ import (
 // states with one owner each:
 //
 //   - decided: what the last round allotted — SchedulerServer.quotas per
-//     dataset, schedJob.remoteIO per job — under s.mu, written only by
+//     dataset index, schedJob.remoteIO per job — under s.mu, written only by
 //     scheduleRound; Jobs, Annotations and the revival re-push read it.
 //   - acknowledged: what the data plane last accepted —
 //     roundScratch.booked per dataset, schedJob.bookedIO per job —
@@ -87,16 +87,8 @@ func (s *SchedulerServer) activeLocked(sc *roundScratch) {
 	sc.spare, sc.jobs = sc.jobs[:0], out
 }
 
-// sortedQuotasInto fills dst with m's entries in dataset order, reusing
-// dst's capacity.
-func sortedQuotasInto(dst []quotaPush, m map[string]unit.Bytes) []quotaPush {
-	dst = dst[:0]
-	for ds, q := range m {
-		dst = append(dst, quotaPush{ds, q})
-	}
-	slices.SortFunc(dst, func(a, b quotaPush) int { return strings.Compare(a.dataset, b.dataset) })
-	return dst
-}
+// byDataset orders push-list quotas by dataset name.
+func byDataset(a, b quotaPush) int { return strings.Compare(a.dataset, b.dataset) }
 
 // push sends the scratch's push lists to the data plane in list order,
 // decreases before raises: the remote-IO ledger rejects a rate that
@@ -160,7 +152,11 @@ func (s *SchedulerServer) repush() error {
 	sc := &s.round.sc
 	s.mu.Lock()
 	snap := s.snapshotLocked()
-	sc.quotas = sortedQuotasInto(sc.quotas, snap.Quotas)
+	sc.quotas = sc.quotas[:0]
+	for ds, q := range snap.Quotas {
+		sc.quotas = append(sc.quotas, quotaPush{ds, q})
+	}
+	slices.SortFunc(sc.quotas, byDataset)
 	s.activeLocked(sc)
 	for i := range sc.jobs {
 		sc.jobs[i].speed = snap.RemoteIO[sc.jobs[i].id]
@@ -184,7 +180,7 @@ func (s *SchedulerServer) snapshotLocked() Annotations {
 	for id, j := range s.active {
 		out.Jobs[id] = j.req.Dataset
 		out.RemoteIO[id] = j.remoteIO
-		out.Quotas[j.req.Dataset] = s.quotas[j.req.Dataset]
+		out.Quotas[j.req.Dataset] = s.quotas[j.ds]
 		// Submit registers every dataset at the default block size.
 		out.Datasets[j.req.Dataset] = datamgr.DatasetGeom{Size: j.req.DatasetSize, BlockSize: dataset.DefaultBlockSize}
 	}

@@ -75,17 +75,24 @@ func refSchedule(s *SchedulerServer) error {
 		s.mu.Unlock()
 		return err
 	}
+	gpus, speeds := grantsByID(a, sc.views)
+	decided := make(map[string]unit.Bytes)
 	clear(s.quotas)
 	for i := range sc.jobs {
 		p := &sc.jobs[i]
 		j := p.job
-		j.gpus = a.GPUs[p.id]
+		j.gpus = gpus[p.id]
 		j.running = j.gpus > 0
-		p.speed = a.RemoteIO[p.id]
+		p.speed = speeds[p.id]
 		j.remoteIO = p.speed
-		s.quotas[j.req.Dataset] = a.CacheQuota[j.req.Dataset]
+		decided[j.req.Dataset] = a.CacheQuota[j.req.Dataset]
+		s.quotas[j.ds] = decided[j.req.Dataset]
 	}
-	sc.quotas = sortedQuotasInto(sc.quotas, s.quotas)
+	sc.quotas = sc.quotas[:0]
+	for ds, q := range decided {
+		sc.quotas = append(sc.quotas, quotaPush{ds, q})
+	}
+	slices.SortFunc(sc.quotas, byDataset)
 	s.mu.Unlock()
 	for _, grow := range [2]bool{false, true} {
 		for _, p := range sc.quotas {
@@ -106,6 +113,17 @@ func refSchedule(s *SchedulerServer) error {
 		}
 	}
 	return nil
+}
+
+// grantsByID reads a's positional GPU and remote-IO grants over views
+// keyed by job ID, the form the reference round applies.
+func grantsByID(a core.Assignment, views []core.JobView) (map[string]int, map[string]unit.Bandwidth) {
+	gpus := make(map[string]int, len(views))
+	speeds := make(map[string]unit.Bandwidth, len(views))
+	for i := range views {
+		gpus[views[i].ID], speeds[views[i].ID] = a.GPUs[i], a.RemoteIO[i]
+	}
+	return gpus, speeds
 }
 
 // pushCall is one Table 3 call: "cache <dataset>" or "io <job>", and

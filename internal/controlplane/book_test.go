@@ -34,11 +34,12 @@ func (p *scriptPolicy) set(remote map[string]unit.Bandwidth) {
 func (p *scriptPolicy) Assign(_ core.Cluster, _ unit.Time, jobs []core.JobView) core.Assignment {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	a := core.NewAssignment()
-	for _, j := range jobs {
-		a.GPUs[j.ID] = 1
+	var a core.Assignment
+	a.Reset(len(jobs))
+	for i, j := range jobs {
+		a.GPUs[i] = 1
 		a.CacheQuota[j.DatasetKey] = unit.GiB(10)
-		a.RemoteIO[j.ID] = p.remote[j.ID]
+		a.RemoteIO[i] = p.remote[j.ID]
 	}
 	return a
 }

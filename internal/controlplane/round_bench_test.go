@@ -2,6 +2,8 @@ package controlplane
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -74,17 +76,20 @@ func benchJob(i int) SubmitJobRequest {
 // the policy solve and the data-plane push. In the cases without churn nothing changes between rounds, so
 // each one is a memo hit on an applied assignment: it builds the views,
 // compares them with the memo and returns before the apply and the
-// push. The churn case submits k jobs and completes k before each round
+// push. The churn cases submit k jobs and complete k before each round
 // (outside the timer), so every round merges the arrivals into the job
-// list, solves, applies and pushes what changed. The round scratch
-// makes allocs/op flat in the round count. The datamgr case pushes into a real data
-// manager, as silodd does.
+// list, solves, applies and pushes what changed; the larger one has the
+// benchmark's cp-churn scale (22 000 active jobs, 4 000 nodes, 2 000
+// arrivals and completions a round), the shape of docs/performance.md's
+// round budget. The round scratch makes allocs/op flat in the round
+// count. The datamgr case pushes into a real data manager, as silodd
+// does.
 func BenchmarkScheduleRound(b *testing.B) {
 	for _, size := range []struct {
 		jobs, nodes int
 		datamgr     bool
 		churn       int
-	}{{64, 8, false, 0}, {512, 64, false, 0}, {4000, 1000, true, 0}, {4000, 1000, false, 400}} {
+	}{{64, 8, false, 0}, {512, 64, false, 0}, {4000, 1000, true, 0}, {4000, 1000, false, 400}, {22000, 4000, false, 2000}} {
 		name := fmt.Sprintf("jobs%d_nodes%d", size.jobs, size.nodes)
 		if size.datamgr {
 			name += "_datamgr"
@@ -124,6 +129,53 @@ func BenchmarkScheduleRound(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestChurnRoundAllocatesNothing pins the churn round at zero heap
+// allocations: once warm-up rounds have grown every buffer a round
+// recycles (the job list, the views, the positional grants, the
+// policy's and the validator's scratch, the push lists), a round in
+// which k jobs arrive and k complete allocates nothing inside Schedule.
+// Submit and Progress run outside the count.
+func TestChurnRoundAllocatesNothing(t *testing.T) {
+	const jobs, nodes, churn, warm, rounds = 2000, 500, 200, 10, 20
+	s := benchScheduler(t, jobs, nodes, &sinkDataPlane{})
+	first, next := 0, jobs // the oldest live job, the next to submit
+	turn := func() {
+		for k := 0; k < churn; k++ {
+			if err := s.Progress(ProgressRequest{JobID: fmt.Sprintf("j%05d", first), Done: true}); err != nil {
+				t.Fatal(err)
+			}
+			first++
+			if err := s.Submit(benchJob(next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	for r := 0; r < warm; r++ {
+		turn()
+		if err := s.Schedule(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Collections stay off while rounds are counted: a collection's own
+	// bookkeeping now and then allocates, and that is the runtime's, not
+	// the round's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	for r := 0; r < rounds; r++ {
+		turn()
+		runtime.ReadMemStats(&before)
+		err := s.Schedule()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("round %d: %d allocations in Schedule, want 0", r, n)
+		}
 	}
 }
 

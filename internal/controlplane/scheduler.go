@@ -40,6 +40,7 @@ type schedJob struct {
 	cached    unit.Bytes       // guarded by SchedulerServer.mu
 	running   bool             // guarded by SchedulerServer.mu
 	done      bool             // guarded by SchedulerServer.mu
+	ds        int32            // immutable after Submit (dataset index, see datasetLocked; int32 fills the bools' padding)
 	gpus      int              // guarded by SchedulerServer.mu
 	remoteIO  unit.Bandwidth   // guarded by SchedulerServer.mu (decided; see book.go)
 	bookedIO  unit.Bandwidth   // only push touches it, under schedRound.mu (acknowledged)
@@ -81,7 +82,8 @@ type SchedulerServer struct {
 	jobs     map[string]*schedJob  // guarded by mu
 	active   map[string]*schedJob  // guarded by mu (attached and not done: the round's working set)
 	arrived  []jobPush             // guarded by mu (activated since the last activeLocked, unsorted)
-	quotas   map[string]unit.Bytes // guarded by mu (decided per-dataset cache quota; see book.go)
+	datasets map[string]int32      // guarded by mu (dataset name → index, numbered by first submit)
+	quotas   []unit.Bytes          // guarded by mu (decided cache quota by dataset index; see book.go)
 	requests map[string]string     // guarded by mu (submit request ID -> job ID)
 	nodes    map[string]*nodeState // guarded by mu
 	nodeIDs  []string              // guarded by mu (node names, kept sorted incrementally)
@@ -135,6 +137,7 @@ type roundScratch struct {
 	jobs   []jobPush
 	spare  []jobPush
 	booked map[string]unit.Bytes
+	seen   []bool // by dataset index: a dataset of this round's jobs
 	// applied: the last solve's assignment was applied and pushed in
 	// full, so a memo hit has nothing left to do. resend: a data-plane
 	// call failed since the last complete push, so the next push sends
@@ -164,7 +167,7 @@ func NewSchedulerServer(cluster core.Cluster, pol core.Policy, dp DataPlane, clo
 		dp:       dp,
 		jobs:     make(map[string]*schedJob),
 		active:   make(map[string]*schedJob),
-		quotas:   make(map[string]unit.Bytes),
+		datasets: make(map[string]int32),
 		requests: make(map[string]string),
 		nodes:    make(map[string]*nodeState),
 		liveness: DefaultNodeLivenessTimeout,
@@ -246,7 +249,7 @@ func (s *SchedulerServer) Submit(req SubmitJobRequest) error {
 		}
 		slo = s.tenants.ClassOf(req.Tenant)
 	}
-	s.jobs[req.JobID] = &schedJob{req: req, slo: slo, submitted: s.clock()}
+	s.jobs[req.JobID] = &schedJob{req: req, slo: slo, submitted: s.clock(), ds: s.datasetLocked(req.Dataset)}
 	if req.RequestID != "" {
 		s.requests[req.RequestID] = req.JobID
 	}
@@ -272,6 +275,19 @@ func (s *SchedulerServer) Submit(req SubmitJobRequest) error {
 	}
 	s.mu.Unlock()
 	return nil
+}
+
+// datasetLocked returns the dataset's index, numbering it on first
+// sight. A dataset keeps its index for the server's lifetime, as the
+// data plane keeps its registration. The caller holds s.mu.
+func (s *SchedulerServer) datasetLocked(name string) int32 {
+	d, ok := s.datasets[name]
+	if !ok {
+		d = int32(len(s.quotas))
+		s.datasets[name] = d
+		s.quotas = append(s.quotas, 0)
+	}
+	return d
 }
 
 // rollbackSubmit undoes a submit whose data-plane wiring failed: the
@@ -572,28 +588,37 @@ func (s *SchedulerServer) scheduleRound(ctx context.Context, sc *roundScratch) e
 		}
 	}
 	sc.applied = false
-	// Every active job gets an explicit entry — a job the policy dropped
-	// (preempted after a node loss) must release its data-plane
-	// allocation, not silently keep it.
+	// Every active job, and every dataset one of them uses, gets an
+	// explicit entry — a job the policy dropped (preempted after a node
+	// loss) must release its data-plane allocation, not silently keep
+	// it. a's grants are by position (sc.jobs[i] is views[i]).
 	var runningJobs, gpusAlloc int
 	clear(s.quotas)
+	sc.quotas = sc.quotas[:0]
+	seen := slices.Grow(sc.seen[:0], len(s.quotas))[:len(s.quotas)]
+	sc.seen = seen
+	clear(seen)
 	for i := range sc.jobs {
 		p := &sc.jobs[i]
 		j := p.job
-		j.gpus = a.GPUs[p.id]
+		j.gpus = a.GPUs[i]
 		if j.running && j.gpus <= 0 {
 			s.met.preemptions.Inc()
 		}
 		j.running = j.gpus > 0
-		p.speed = a.RemoteIO[p.id]
+		p.speed = a.RemoteIO[i]
 		j.remoteIO = p.speed
-		s.quotas[j.req.Dataset] = a.CacheQuota[j.req.Dataset]
+		if !seen[j.ds] {
+			seen[j.ds] = true
+			s.quotas[j.ds] = a.CacheQuota[j.req.Dataset]
+			sc.quotas = append(sc.quotas, quotaPush{j.req.Dataset, s.quotas[j.ds]})
+		}
 		if j.running {
 			runningJobs++
 			gpusAlloc += j.gpus
 		}
 	}
-	sc.quotas = sortedQuotasInto(sc.quotas, s.quotas)
+	slices.SortFunc(sc.quotas, byDataset)
 	s.met.roundDone(runningJobs, gpusAlloc, len(sc.jobs)-runningJobs)
 	s.mu.Unlock()
 	err = s.push(ctx, sc)
@@ -611,7 +636,7 @@ func (s *SchedulerServer) Jobs() []JobStatus {
 			SubmitJobRequest: j.req,
 			Running:          j.running,
 			GPUs:             j.gpus,
-			CacheQuota:       s.quotas[j.req.Dataset],
+			CacheQuota:       s.quotas[j.ds],
 			RemoteIO:         j.remoteIO,
 			AttainedBytes:    j.attained,
 			RemainingBytes:   remaining(j.req.TotalBytes, j.attained),

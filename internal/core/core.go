@@ -11,9 +11,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/estimator"
 	"repro/internal/tenant"
@@ -69,7 +72,7 @@ type JobView struct {
 	// up mid-epoch must not be evicted before it ever pays off.
 	CachedBytes unit.Bytes
 	// Tenant and SLO identify the job's owner and service tier. The
-	// canonical queue order (SortJobs) ranks by SLO first, so on
+	// canonical queue order (SortJobsInto) ranks by SLO first, so on
 	// capacity loss the re-solve sheds sheddable jobs before standard
 	// before critical — reverse-SLO preemption falls out of admission
 	// order. The zero SLO (standard) reproduces the flat pool exactly.
@@ -83,64 +86,49 @@ type JobView struct {
 	Irregular bool
 }
 
-// Assignment is the joint allocation a policy produces: which jobs run
-// (gang-granted GPUs), how much cache each dataset receives, and how
-// much remote IO each running job receives. Cache is allocated to
-// datasets, not jobs, so sharing jobs are charged once (§6).
+// Assignment is the joint allocation a policy produces for the views it
+// was given: which jobs run (gang-granted GPUs), how much cache each
+// cache key receives, and how much remote IO each running job receives.
+// GPU and remote-IO grants are positional: GPUs[i] and RemoteIO[i]
+// belong to jobs[i] of the views Assign received, both hold exactly
+// len(jobs) entries, and 0 means no grant. Cache goes to cache keys —
+// datasets, or CoorDL's per-job keys — not to jobs, so sharing jobs are
+// charged once (§6); an absent key means no quota.
 type Assignment struct {
-	GPUs       map[string]int
+	GPUs       []int
 	CacheQuota map[string]unit.Bytes
-	RemoteIO   map[string]unit.Bandwidth
+	RemoteIO   []unit.Bandwidth
 }
 
-// NewAssignment returns an empty assignment.
+// NewAssignment returns an empty assignment, sized for no jobs; Reset
+// sizes it for a view list.
 //
 // silod:pure
 func NewAssignment() Assignment {
-	return Assignment{
-		GPUs:       make(map[string]int),
-		CacheQuota: make(map[string]unit.Bytes),
-		RemoteIO:   make(map[string]unit.Bandwidth),
-	}
+	return Assignment{CacheQuota: make(map[string]unit.Bytes)}
 }
 
-// Reset clears the assignment's maps for reuse, allocating them on
-// first use. Policies call it to recycle one Assignment's maps across
-// scheduling rounds instead of reallocating; the returned value shares
-// the receiver's maps, so a recycled Assignment is valid only until the
-// policy's next Assign call.
+// Reset clears the assignment for reuse over n views: n zero GPU and
+// remote-IO grants, no quotas. Buffers are allocated on first use and
+// grown, never shrunk, after, so policies recycle one Assignment across
+// scheduling rounds; the returned value shares the receiver's buffers,
+// so a recycled Assignment is valid only until the next Assign call.
 //
 // silod:pure
-func (a *Assignment) Reset() Assignment {
-	if a.GPUs == nil {
+func (a *Assignment) Reset(n int) Assignment {
+	if a.CacheQuota == nil {
 		*a = NewAssignment()
-		return *a
 	}
-	clear(a.GPUs)
 	clear(a.CacheQuota)
+	a.GPUs = slices.Grow(a.GPUs[:0], n)[:n]
+	a.RemoteIO = slices.Grow(a.RemoteIO[:0], n)[:n]
+	clear(a.GPUs)
 	clear(a.RemoteIO)
 	return *a
 }
 
-// Merge folds other into a (keys in other win). Used to combine the
-// regular and irregular partitions.
-//
-// silod:pure
-func (a Assignment) Merge(other Assignment) Assignment {
-	for k, v := range other.GPUs {
-		a.GPUs[k] = v
-	}
-	for k, v := range other.CacheQuota {
-		a.CacheQuota[k] = v
-	}
-	for k, v := range other.RemoteIO {
-		a.RemoteIO[k] = v
-	}
-	return a
-}
-
 // Validate checks the assignment against the cluster and job list:
-// no oversubscription, no grants to unknown jobs, gang-or-nothing GPU
+// grants sized to the views, no oversubscription, gang-or-nothing GPU
 // grants. Policies are validated in tests and the simulator validates
 // at every rescheduling point, so allocation bugs fail loudly.
 //
@@ -150,68 +138,73 @@ func (a Assignment) Validate(c Cluster, jobs []JobView) error {
 	return a.ValidateWith(c, jobs, &scratch)
 }
 
-// ValidateScratch holds the map and key buffers Validate needs, so a
-// caller validating every scheduling round (Round) can recycle them
-// instead of allocating fresh ones per solve. The map holds each job's
-// position in the views, not a copy of the view: a map keeps values as
-// large as a JobView out of line, one allocation per insert. The zero
-// value is ready to use; contents are overwritten on every ValidateWith
-// call.
+// ValidateScratch holds the key buffer Validate's sorted cache walk
+// needs, so a caller validating every scheduling round (Round) can
+// recycle it instead of allocating a fresh one per solve. The zero value
+// is ready to use; contents are overwritten on every ValidateWith call.
 type ValidateScratch struct {
-	pos  map[string]int
 	keys []string
 }
 
-// ValidateWith is Validate with caller-owned scratch buffers. The
-// verdict — including error strings and the sorted-key float
-// accumulation order — is byte-identical to Validate's; only the
-// allocation behaviour differs.
-//
-// A total is first checked without sorting (capacityClears); only when
-// that cannot prove it within capacity does the sorted walk run, which
-// then decides and names the offending key.
+// ValidateWith is Validate with caller-owned scratch buffers; only the
+// allocation behaviour differs. GPU and remote-IO grants are checked in
+// view order, so of several bad grants the error names the one at the
+// lowest position. The cache total is first checked without sorting
+// (capacityClears); only when that cannot prove it within capacity does
+// the sorted walk run, which then decides and names the offending key.
 //
 // silod:pure
 func (a Assignment) ValidateWith(c Cluster, jobs []JobView, s *ValidateScratch) error {
-	if s.pos == nil {
-		s.pos = make(map[string]int, len(jobs))
-	} else {
-		clear(s.pos)
-	}
-	pos := s.pos
-	for i := range jobs {
-		pos[jobs[i].ID] = i
+	if len(a.GPUs) != len(jobs) || len(a.RemoteIO) != len(jobs) {
+		return fmt.Errorf("core: %d GPU and %d remote IO grants for %d jobs", len(a.GPUs), len(a.RemoteIO), len(jobs))
 	}
 	gpus := 0
-	for id, g := range a.GPUs {
-		i, ok := pos[id]
-		if !ok {
-			return fmt.Errorf("core: GPU grant to unknown job %q", id)
-		}
+	for i, g := range a.GPUs {
 		if g != 0 && g != jobs[i].NumGPUs {
-			return fmt.Errorf("core: job %s granted %d GPUs, gang needs %d", id, g, jobs[i].NumGPUs)
+			return fmt.Errorf("core: job %s granted %d GPUs, gang needs %d", jobs[i].ID, g, jobs[i].NumGPUs)
 		}
 		gpus += g
 	}
 	if gpus > c.GPUs {
 		return fmt.Errorf("core: %d GPUs granted, cluster has %d", gpus, c.GPUs)
 	}
-	if !capacityClears(a.CacheQuota, nil, float64(c.Cache)) {
-		if err := validateSorted(a.CacheQuota, "cache quota", "cache", nil, c.Cache, &s.keys); err != nil {
+	if !capacityClears(a.CacheQuota, float64(c.Cache)) {
+		if err := validateSorted(a.CacheQuota, c.Cache, &s.keys); err != nil {
 			return err
 		}
 	}
-	if !capacityClears(a.RemoteIO, pos, float64(c.RemoteIO)) {
-		return validateSorted(a.RemoteIO, "remote IO", "remote IO", pos, c.RemoteIO, &s.keys)
+	var io unit.Bandwidth
+	for i, bw := range a.RemoteIO {
+		if err := checkValue(bw, "remote IO", jobs[i].ID); err != nil {
+			return err
+		}
+		io += bw
+	}
+	if float64(io) > float64(c.RemoteIO)*(1+1e-9)+1 {
+		return fmt.Errorf("core: %v remote IO granted, cluster has %v", io, c.RemoteIO)
+	}
+	return nil
+}
+
+// checkValue rejects a negative or non-finite grant; item names the
+// resource and key its holder in the error.
+//
+// silod:pure
+func checkValue[V ~float64](v V, item, key string) error {
+	if v < 0 {
+		return fmt.Errorf("core: negative %s %v for %q", item, v, key)
+	}
+	if math.IsNaN(float64(v)) || math.IsInf(float64(v), 1) {
+		return fmt.Errorf("core: non-finite %s %v for %q", item, v, key)
 	}
 	return nil
 }
 
 // capacityClears reports, without depending on map order, that every
-// value of m is finite and non-negative, every key is in known (when
-// known is non-nil), and the values' float sum in any order — the
-// sorted one included — stays within Validate's bound capacity·(1+1e-9)+1.
-// False means only "not proven": the caller's sorted walk decides.
+// value of m is finite and non-negative and the values' float sum in any
+// order — the sorted one included — stays within Validate's bound
+// capacity·(1+1e-9)+1. False means only "not proven": the caller's
+// sorted walk decides.
 //
 // The proof: each value is split into its whole part and its fraction
 // rounded up to a multiple of 2⁻³², and both parts are summed in
@@ -223,17 +216,12 @@ func (a Assignment) ValidateWith(c Cluster, jobs []JobView, s *ValidateScratch) 
 // in any order.
 //
 // silod:pure
-func capacityClears[V ~float64](m map[string]V, known map[string]int, capacity float64) bool {
+func capacityClears[V ~float64](m map[string]V, capacity float64) bool {
 	var whole, frac uint64 // frac in units of 2⁻³²; n ≤ 2³¹ terms cannot overflow it
-	for key, v := range m {
+	for _, v := range m {
 		x := float64(v)
 		if !(x >= 0) || x >= 0x1p63 {
 			return false // negative, NaN, +Inf or too large to count exactly
-		}
-		if known != nil {
-			if _, ok := known[key]; !ok {
-				return false
-			}
 		}
 		w := math.Floor(x)
 		if whole > math.MaxUint64-uint64(w) {
@@ -246,45 +234,39 @@ func capacityClears[V ~float64](m map[string]V, known map[string]int, capacity f
 	return t+t*float64(8*len(m))*0x1p-53 < capacity*(1+1e-9)+1
 }
 
-// validateSorted checks m in sorted key order: float addition is not
-// associative, and Validate's totals and the key an error names must
-// not vary with per-process map order. item names one value in errors
-// and total their sum; with known non-nil every key must be in it.
+// validateSorted checks the cache quotas m in sorted key order: float
+// addition is not associative, and Validate's total and the key an
+// error names must not vary with per-process map order.
 //
 // silod:pure
-func validateSorted[V ~float64](m map[string]V, item, total string, known map[string]int, capacity V, keys *[]string) error {
+func validateSorted(m map[string]unit.Bytes, capacity unit.Bytes, keys *[]string) error {
 	sorted := (*keys)[:0]
 	for key := range m {
 		sorted = append(sorted, key)
 	}
 	sort.Strings(sorted)
 	*keys = sorted
-	var sum V
+	var sum unit.Bytes
 	for _, key := range sorted {
 		v := m[key]
-		if v < 0 {
-			return fmt.Errorf("core: negative %s %v for %q", item, v, key)
-		}
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 1) {
-			return fmt.Errorf("core: non-finite %s %v for %q", item, v, key)
-		}
-		if known != nil {
-			if _, ok := known[key]; !ok {
-				return fmt.Errorf("core: %s grant to unknown job %q", item, key)
-			}
+		if err := checkValue(v, "cache quota", key); err != nil {
+			return err
 		}
 		sum += v
 	}
 	if float64(sum) > float64(capacity)*(1+1e-9)+1 {
-		return fmt.Errorf("core: %v %s granted, cluster has %v", sum, total, capacity)
+		return fmt.Errorf("core: %v cache granted, cluster has %v", sum, capacity)
 	}
 	return nil
 }
 
 // Policy is a cluster scheduling policy. Implementations receive the
-// full job list (pending and running) and produce a fresh Assignment;
-// SiloD-enhanced policies consult estimator.JobProfile (SiloDPerf,
-// Eq. 4) while vanilla policies look only at IdealThroughput.
+// full job list (pending and running) and produce a fresh Assignment
+// whose GPU and remote-IO grants are indexed by position in that list:
+// a.GPUs[i] and a.RemoteIO[i] are jobs[i]'s, whatever order the policy
+// considers the jobs in. SiloD-enhanced policies consult
+// estimator.JobProfile (SiloDPerf, Eq. 4) while vanilla policies look
+// only at IdealThroughput.
 type Policy interface {
 	Name() string
 	Assign(c Cluster, now unit.Time, jobs []JobView) Assignment
@@ -447,16 +429,19 @@ func (f *Framework) Schedule(c Cluster, now unit.Time, jobs []JobView) (Assignme
 		return Assignment{}, fmt.Errorf("core: framework with nil policy")
 	}
 	var regular, irregular []JobView
-	for _, j := range jobs {
-		if j.Irregular {
-			irregular = append(irregular, j)
+	var regIdx, irrIdx []int // view positions of the partitions' members
+	for i := range jobs {
+		if jobs[i].Irregular {
+			irregular = append(irregular, jobs[i])
+			irrIdx = append(irrIdx, i)
 		} else {
-			regular = append(regular, j)
+			regular = append(regular, jobs[i])
+			regIdx = append(regIdx, i)
 		}
 	}
 	if len(irregular) == 0 {
-		a := f.Policy.Assign(c, now, regular)
-		if err := a.Validate(c, regular); err != nil {
+		a := f.Policy.Assign(c, now, jobs)
+		if err := a.Validate(c, jobs); err != nil {
 			return Assignment{}, fmt.Errorf("policy %s: %w", f.Policy.Name(), err)
 		}
 		return a, nil
@@ -490,7 +475,20 @@ func (f *Framework) Schedule(c Cluster, now unit.Time, jobs []JobView) (Assignme
 		Cache:    c.Cache - unit.Bytes(float64(c.Cache)*frac),
 		RemoteIO: c.RemoteIO - unit.Bandwidth(float64(c.RemoteIO)*frac),
 	}
-	return regAssign.Merge(equalShareFallback(irrCluster, irregular)), nil
+	irrAssign := equalShareFallback(irrCluster, irregular)
+	// Merge at the full view list's positions; the fallback's quotas
+	// win on a key both partitions fund.
+	a := Assignment{GPUs: make([]int, len(jobs)), CacheQuota: regAssign.CacheQuota, RemoteIO: make([]unit.Bandwidth, len(jobs))}
+	for k, i := range regIdx {
+		a.GPUs[i], a.RemoteIO[i] = regAssign.GPUs[k], regAssign.RemoteIO[k]
+	}
+	for k, i := range irrIdx {
+		a.GPUs[i], a.RemoteIO[i] = irrAssign.GPUs[k], irrAssign.RemoteIO[k]
+	}
+	for key, q := range irrAssign.CacheQuota {
+		a.CacheQuota[key] = q
+	}
+	return a, nil
 }
 
 // gpuDemand sums gang sizes.
@@ -510,30 +508,35 @@ func gpuDemand(jobs []JobView) int {
 //
 // silod:pure
 func equalShareFallback(c Cluster, jobs []JobView) Assignment {
-	a := NewAssignment()
-	sorted := append([]JobView(nil), jobs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Submit != sorted[j].Submit {
-			return sorted[i].Submit < sorted[j].Submit
-		}
-		return sorted[i].ID < sorted[j].ID
+	var a Assignment
+	a.Reset(len(jobs))
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(x, y int) int {
+		return cmp.Or(cmp.Compare(jobs[x].Submit, jobs[y].Submit), strings.Compare(jobs[x].ID, jobs[y].ID))
 	})
 	free := c.GPUs
-	var admitted []JobView
-	for _, j := range sorted {
-		if j.NumGPUs <= free {
-			a.GPUs[j.ID] = j.NumGPUs
-			free -= j.NumGPUs
-			admitted = append(admitted, j)
+	admitted := 0
+	for _, i := range order {
+		if jobs[i].NumGPUs <= free {
+			a.GPUs[i] = jobs[i].NumGPUs
+			free -= jobs[i].NumGPUs
+			admitted++
 		}
 	}
-	if len(admitted) == 0 {
+	if admitted == 0 {
 		return a
 	}
-	ioShare := unit.Bandwidth(float64(c.RemoteIO) / float64(len(admitted)))
-	cacheShare := unit.Bytes(float64(c.Cache) / float64(len(admitted)))
-	for _, j := range admitted {
-		a.RemoteIO[j.ID] = ioShare
+	ioShare := unit.Bandwidth(float64(c.RemoteIO) / float64(admitted))
+	cacheShare := unit.Bytes(float64(c.Cache) / float64(admitted))
+	for _, i := range order {
+		if a.GPUs[i] == 0 {
+			continue
+		}
+		j := &jobs[i]
+		a.RemoteIO[i] = ioShare
 		// Shared datasets accumulate the shares of their users, capped
 		// at the dataset size; the cap returns slack implicitly.
 		q := a.CacheQuota[j.DatasetKey] + cacheShare
@@ -545,21 +548,14 @@ func equalShareFallback(c Cluster, jobs []JobView) Assignment {
 	return a
 }
 
-// SortJobs orders jobs by SLO rank (critical before standard before
+// SortJobsInto orders jobs by SLO rank (critical before standard before
 // sheddable), then submit time, then ID — the canonical queue order
-// shared by every policy implementation. Ranking first means admission
-// under scarcity protects higher tiers, and on GPU loss the re-solve
-// drops sheddable jobs first. Single-class job sets (the untenanted
-// default) reduce to the original submit-then-ID order.
-//
-// silod:pure
-func SortJobs(jobs []JobView) []JobView {
-	return SortJobsInto(nil, jobs)
-}
-
-// SortJobsInto is SortJobs with a caller-owned destination buffer
-// (reused via dst[:0]); the returned slice aliases dst's backing array
-// when capacity allows. Order is byte-identical to SortJobs.
+// shared by every policy implementation — into a caller-owned
+// destination buffer (reused via dst[:0]); the returned slice aliases
+// dst's backing array when capacity allows. Ranking first means
+// admission under scarcity protects higher tiers, and on GPU loss the
+// re-solve drops sheddable jobs first. Single-class job sets (the
+// untenanted default) reduce to the original submit-then-ID order.
 //
 // silod:pure
 func SortJobsInto(dst []JobView, jobs []JobView) []JobView {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,40 +37,50 @@ func TestClusterValidate(t *testing.T) {
 	}
 }
 
+// sized returns an empty assignment over n views.
+func sized(n int) Assignment {
+	var a Assignment
+	a.Reset(n)
+	return a
+}
+
 func TestAssignmentValidate(t *testing.T) {
 	c := testCluster()
 	jobs := []JobView{
 		view("a", 2, "ds-a", unit.GiB(10), unit.MBpsOf(100)),
 		view("b", 4, "ds-b", unit.GiB(20), unit.MBpsOf(50)),
 	}
-	good := NewAssignment()
-	good.GPUs["a"] = 2
-	good.GPUs["b"] = 4
+	good := sized(len(jobs))
+	good.GPUs[0] = 2
+	good.GPUs[1] = 4
 	good.CacheQuota["ds-a"] = unit.GiB(10)
-	good.RemoteIO["a"] = unit.MBpsOf(60)
-	good.RemoteIO["b"] = unit.MBpsOf(40)
+	good.RemoteIO[0] = unit.MBpsOf(60)
+	good.RemoteIO[1] = unit.MBpsOf(40)
 	if err := good.Validate(c, jobs); err != nil {
 		t.Fatalf("good assignment rejected: %v", err)
 	}
 
 	cases := []struct {
 		name   string
-		mutate func(Assignment)
+		mutate func(*Assignment)
 		want   string
 	}{
-		{"unknown job", func(a Assignment) { a.GPUs["x"] = 1 }, "unknown job"},
-		{"partial gang", func(a Assignment) { a.GPUs["b"] = 2 }, "gang"},
-		{"gpu oversub", func(a Assignment) { a.GPUs["a"] = 2; a.GPUs["b"] = 4; a.GPUs["c"] = 0; _ = a }, ""},
-		{"cache oversub", func(a Assignment) { a.CacheQuota["ds-a"] = unit.GiB(200) }, "cache"},
-		{"negative cache", func(a Assignment) { a.CacheQuota["ds-a"] = -1 }, "negative"},
-		{"io oversub", func(a Assignment) { a.RemoteIO["a"] = unit.MBpsOf(200) }, "remote IO"},
-		{"negative io", func(a Assignment) { a.RemoteIO["a"] = -1 }, "negative"},
-		{"io unknown job", func(a Assignment) { a.RemoteIO["zz"] = 1 }, "unknown"},
+		// A grant to a job outside the views has no position: the
+		// length check is what rejects an extra grant.
+		{"extra GPU grant", func(a *Assignment) { a.GPUs = append(a.GPUs, 1) }, "3 GPU and 2 remote IO grants for 2 jobs"},
+		{"missing GPU grant", func(a *Assignment) { a.GPUs = a.GPUs[:1] }, "1 GPU and 2 remote IO grants for 2 jobs"},
+		{"partial gang", func(a *Assignment) { a.GPUs[1] = 2 }, "gang"},
+		{"gpu oversub", func(a *Assignment) { a.GPUs[0] = 2; a.GPUs[1] = 4 }, ""},
+		{"cache oversub", func(a *Assignment) { a.CacheQuota["ds-a"] = unit.GiB(200) }, "cache"},
+		{"negative cache", func(a *Assignment) { a.CacheQuota["ds-a"] = -1 }, "negative"},
+		{"io oversub", func(a *Assignment) { a.RemoteIO[0] = unit.MBpsOf(200) }, "remote IO"},
+		{"negative io", func(a *Assignment) { a.RemoteIO[0] = -1 }, "negative"},
+		{"extra io grant", func(a *Assignment) { a.RemoteIO = append(a.RemoteIO, 1) }, "2 GPU and 3 remote IO grants for 2 jobs"},
 	}
 	for _, tc := range cases {
-		a := NewAssignment()
-		a.GPUs["a"] = 2
-		tc.mutate(a)
+		a := sized(len(jobs))
+		a.GPUs[0] = 2
+		tc.mutate(&a)
 		err := a.Validate(c, jobs)
 		if tc.want == "" {
 			continue // mutation intentionally benign
@@ -82,6 +93,27 @@ func TestAssignmentValidate(t *testing.T) {
 	}
 }
 
+// TestValidateFirstErrorDeterministic: of two wrong-size gang grants,
+// Validate names the one at the lower view position, every time. With
+// grants kept in a map, whichever bad grant map order reached first
+// was named.
+func TestValidateFirstErrorDeterministic(t *testing.T) {
+	c := testCluster()
+	jobs := []JobView{
+		view("z-first", 4, "ds-a", unit.GiB(10), unit.MBpsOf(100)),
+		view("m-ok", 1, "ds-a", unit.GiB(10), unit.MBpsOf(100)),
+		view("a-second", 4, "ds-b", unit.GiB(20), unit.MBpsOf(50)),
+	}
+	a := sized(len(jobs))
+	a.GPUs[0], a.GPUs[1], a.GPUs[2] = 2, 1, 3
+	const want = "core: job z-first granted 2 GPUs, gang needs 4"
+	for k := 0; k < 100; k++ {
+		if err := a.Validate(c, jobs); err == nil || err.Error() != want {
+			t.Fatalf("run %d: err = %v, want %q", k, err, want)
+		}
+	}
+}
+
 // TestAssignmentValidateNonFinite: a NaN or +Inf cache quota or remote
 // IO grant is rejected by name. A NaN used to pass, because every
 // comparison with it is false and it made the sum NaN too.
@@ -90,13 +122,13 @@ func TestAssignmentValidateNonFinite(t *testing.T) {
 	c.Cache, c.RemoteIO = unit.Bytes(math.Inf(1)), unit.Bandwidth(math.Inf(1))
 	jobs := []JobView{view("a", 2, "ds-a", unit.GiB(10), unit.MBpsOf(100))}
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
-		a := NewAssignment()
+		a := sized(len(jobs))
 		a.CacheQuota["ds-a"] = unit.Bytes(bad)
 		if err := a.Validate(c, jobs); err == nil || !strings.Contains(err.Error(), "non-finite cache quota") {
 			t.Errorf("cache quota %v: err = %v", bad, err)
 		}
-		a = NewAssignment()
-		a.RemoteIO["a"] = unit.Bandwidth(bad)
+		a = sized(len(jobs))
+		a.RemoteIO[0] = unit.Bandwidth(bad)
 		if err := a.Validate(c, jobs); err == nil || !strings.Contains(err.Error(), "non-finite remote IO") {
 			t.Errorf("remote IO %v: err = %v", bad, err)
 		}
@@ -108,13 +140,13 @@ func TestAssignmentValidateNonFinite(t *testing.T) {
 func TestValidateWithAllocatesNothing(t *testing.T) {
 	c := Cluster{GPUs: 4096, Cache: unit.TiB(100), RemoteIO: unit.Gbps(100)}
 	var jobs []JobView
-	a := NewAssignment()
+	a := sized(500)
 	for i := 0; i < 500; i++ {
 		id := fmt.Sprintf("j%04d", i)
 		jobs = append(jobs, view(id, 1, fmt.Sprintf("ds%02d", i%40), unit.GiB(10), unit.MBpsOf(100)))
-		a.GPUs[id] = 1
+		a.GPUs[i] = 1
 		a.CacheQuota[jobs[i].DatasetKey] = unit.GiB(1)
-		a.RemoteIO[id] = unit.MBpsOf(1)
+		a.RemoteIO[i] = unit.MBpsOf(1)
 	}
 	var s ValidateScratch
 	var err error
@@ -126,23 +158,62 @@ func TestValidateWithAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestAssignmentMerge(t *testing.T) {
-	a := NewAssignment()
-	a.GPUs["x"] = 1
-	a.CacheQuota["d1"] = 10
-	b := NewAssignment()
-	b.GPUs["y"] = 2
-	b.CacheQuota["d1"] = 20
-	b.RemoteIO["y"] = 5
-	m := a.Merge(b)
-	if m.GPUs["x"] != 1 || m.GPUs["y"] != 2 {
-		t.Error("GPU merge")
+// TestAssignmentResetRecycles: Reset sizes the grants to the view count,
+// zeroed, and reuses the buffers it already has.
+func TestAssignmentResetRecycles(t *testing.T) {
+	var a Assignment
+	a.Reset(4)
+	a.GPUs[3], a.RemoteIO[3], a.CacheQuota["d"] = 2, 5, 7
+	gpus := &a.GPUs[0]
+	b := a.Reset(3)
+	if len(b.GPUs) != 3 || len(b.RemoteIO) != 3 || len(b.CacheQuota) != 0 {
+		t.Fatalf("Reset(3): %d GPUs, %d remote IO, %d quotas", len(b.GPUs), len(b.RemoteIO), len(b.CacheQuota))
 	}
-	if m.CacheQuota["d1"] != 20 {
-		t.Error("merge should prefer other's value")
+	if &b.GPUs[0] != gpus {
+		t.Error("Reset reallocated a buffer with room")
 	}
-	if m.RemoteIO["y"] != 5 {
-		t.Error("IO merge")
+	a.Reset(4)
+	if a.GPUs[3] != 0 || a.RemoteIO[3] != 0 {
+		t.Errorf("stale grant survived Reset: %d GPUs, %v remote IO", a.GPUs[3], a.RemoteIO[3])
+	}
+}
+
+// TestFrameworkMergesPartitionsByPosition: the regular and irregular
+// partitions are solved over their own view lists, and the merged
+// assignment puts each job's grants back at its position in the full
+// list; on a cache key both partitions fund, the fallback's quota wins.
+func TestFrameworkMergesPartitionsByPosition(t *testing.T) {
+	f := &Framework{Policy: equalPolicy{"eq"}}
+	jobs := []JobView{
+		view("irr-a", 1, "shared", unit.GiB(10), unit.MBpsOf(100)),
+		view("reg-a", 2, "shared", unit.GiB(10), unit.MBpsOf(100)),
+		view("irr-b", 4, "ds-i", unit.GiB(10), unit.MBpsOf(100)),
+		view("reg-b", 1, "ds-r", unit.GiB(10), unit.MBpsOf(100)),
+	}
+	jobs[0].Irregular, jobs[2].Irregular = true, true
+	c := testCluster()
+	a, err := f.Schedule(c, 0, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 2, 4, 1}; !slices.Equal(a.GPUs, want) {
+		t.Errorf("GPUs by position = %v, want %v", a.GPUs, want)
+	}
+	// Storage splits 3:5 between the partitions; the fallback gives each
+	// of its two jobs half of its share.
+	irrIO := unit.Bandwidth(float64(c.RemoteIO) - float64(c.RemoteIO)*3/8)
+	if a.RemoteIO[0] != irrIO/2 || a.RemoteIO[2] != irrIO/2 {
+		t.Errorf("irregular remote IO = %v, %v, want %v each", a.RemoteIO[0], a.RemoteIO[2], irrIO/2)
+	}
+	if a.RemoteIO[1] <= 0 || a.RemoteIO[3] <= 0 {
+		t.Errorf("regular remote IO = %v, %v, want positive", a.RemoteIO[1], a.RemoteIO[3])
+	}
+	irrCache := unit.Bytes(float64(c.Cache) - float64(c.Cache)*3/8)
+	if got, want := a.CacheQuota["shared"], min(irrCache/2, unit.GiB(10)); got != want {
+		t.Errorf("shared quota = %v, want the fallback's %v", got, want)
+	}
+	if err := a.Validate(c, jobs); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -152,23 +223,27 @@ type equalPolicy struct{ name string }
 func (p equalPolicy) Name() string { return p.name }
 
 func (p equalPolicy) Assign(c Cluster, now unit.Time, jobs []JobView) Assignment {
-	a := NewAssignment()
-	free := c.GPUs
-	for _, j := range SortJobs(jobs) {
+	a := sized(len(jobs))
+	pos := make(map[string]int, len(jobs))
+	for i := range jobs {
+		pos[jobs[i].ID] = i
+	}
+	free, n := c.GPUs, 0
+	for _, j := range SortJobsInto(nil, jobs) {
 		if j.NumGPUs <= free {
-			a.GPUs[j.ID] = j.NumGPUs
+			a.GPUs[pos[j.ID]] = j.NumGPUs
 			free -= j.NumGPUs
+			n++
 		}
 	}
-	n := len(a.GPUs)
 	if n == 0 {
 		return a
 	}
-	for _, j := range jobs {
-		if a.GPUs[j.ID] == 0 {
+	for i, j := range jobs {
+		if a.GPUs[i] == 0 {
 			continue
 		}
-		a.RemoteIO[j.ID] = unit.Bandwidth(float64(c.RemoteIO) / float64(n))
+		a.RemoteIO[i] = unit.Bandwidth(float64(c.RemoteIO) / float64(n))
 		q := a.CacheQuota[j.DatasetKey] + unit.Bytes(float64(c.Cache)/float64(n))
 		if q > j.DatasetSize {
 			q = j.DatasetSize
@@ -188,7 +263,7 @@ func TestFrameworkRegularOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.GPUs["a"] != 2 || a.GPUs["b"] != 2 {
+	if a.GPUs[0] != 2 || a.GPUs[1] != 2 {
 		t.Errorf("GPUs: %+v", a.GPUs)
 	}
 }
@@ -207,7 +282,7 @@ func TestFrameworkPartitionsIrregularJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.GPUs["reg"] != 4 || a.GPUs["irr"] != 2 {
+	if a.GPUs[0] != 4 || a.GPUs[1] != 2 {
 		t.Fatalf("GPUs: %+v", a.GPUs)
 	}
 	// Storage is split 4:2 between the partitions; the regular job's
@@ -216,7 +291,7 @@ func TestFrameworkPartitionsIrregularJobs(t *testing.T) {
 	if regCache > float64(c.Cache)*4.0/6.0+1 {
 		t.Errorf("regular partition overdrew cache: %v", a.CacheQuota["ds-r"])
 	}
-	if a.RemoteIO["irr"] <= 0 {
+	if a.RemoteIO[1] <= 0 {
 		t.Error("irregular job got no remote IO from the fallback")
 	}
 	if err := a.Validate(c, jobs); err != nil {
@@ -241,12 +316,12 @@ func TestSortJobs(t *testing.T) {
 		{ID: "a", Submit: 5},
 		{ID: "c", Submit: 1},
 	}
-	sorted := SortJobs(jobs)
+	sorted := SortJobsInto(nil, jobs)
 	if sorted[0].ID != "c" || sorted[1].ID != "a" || sorted[2].ID != "b" {
 		t.Errorf("order: %v %v %v", sorted[0].ID, sorted[1].ID, sorted[2].ID)
 	}
 	// Input untouched.
 	if jobs[0].ID != "b" {
-		t.Error("SortJobs mutated input")
+		t.Error("SortJobsInto mutated input")
 	}
 }

@@ -51,12 +51,14 @@ func NewRound(p Policy, fullResolve bool) *Round {
 // against both. reused reports a memo hit: the assignment is the one
 // the previous Solve returned and the policy was not called. An invalid
 // assignment comes back with the validation error and is never
-// memoized. The returned maps are valid until the next Solve.
+// memoized. The returned assignment's GPU and remote-IO grants are
+// indexed by position in views (a.GPUs[i] is views[i]'s), and its
+// buffers are valid until the next Solve.
 func (r *Round) Solve(c Cluster, now unit.Time, views []JobView) (a Assignment, reused bool, err error) {
 	if r.ok && c == r.c && ViewsEquivalent(views, r.views, r.ignore) {
 		return r.assign, true, nil
 	}
-	// Policies recycle their assignment's maps (Assignment.Reset), so
+	// Policies recycle their assignment's buffers (Assignment.Reset), so
 	// the memoized assignment dies with this call whether or not the
 	// new one replaces it.
 	r.ok = false

@@ -23,7 +23,7 @@ func (p *scriptPolicy) Assign(c Cluster, now unit.Time, jobs []JobView) Assignme
 	p.calls++
 	a := p.equalPolicy.Assign(c, now, jobs)
 	if p.invalid {
-		a.GPUs[jobs[0].ID] = jobs[0].NumGPUs + 1
+		a.GPUs[0] = jobs[0].NumGPUs + 1
 	}
 	return a
 }

@@ -1,18 +1,54 @@
 package core
 
-// The sorting ValidateWith that the unsorted capacity check replaced,
-// kept verbatim (up to the ref prefix) as an oracle: every verdict and
-// every error string must equal this one's.
+// The sorting, ID-keyed ValidateWith that the unsorted capacity check
+// and positional grants replaced, kept verbatim (up to the ref prefix
+// and the refAssignment it reads) as an oracle: every verdict and every
+// error string must equal this one's, on the assignment converted to
+// grants keyed by job ID.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/unit"
 )
+
+// refAssignment is Assignment with GPU and remote-IO grants keyed by
+// job ID, the form the reference reads.
+type refAssignment struct {
+	GPUs       map[string]int
+	CacheQuota map[string]unit.Bytes
+	RemoteIO   map[string]unit.Bandwidth
+}
+
+// positional converts r to an Assignment over jobs. A grant to an ID
+// outside jobs has no position; extra reports that one was found, and
+// each such grant becomes an extra slot past the views, which only the
+// length check can reject.
+func positional(r refAssignment, jobs []JobView) (a Assignment, extra bool) {
+	a.Reset(len(jobs))
+	known := make(map[string]bool, len(jobs))
+	for i := range jobs {
+		known[jobs[i].ID] = true
+		a.GPUs[i], a.RemoteIO[i] = r.GPUs[jobs[i].ID], r.RemoteIO[jobs[i].ID]
+	}
+	for id, g := range r.GPUs {
+		if !known[id] {
+			a.GPUs, extra = append(a.GPUs, g), true
+		}
+	}
+	for id, bw := range r.RemoteIO {
+		if !known[id] {
+			a.RemoteIO, extra = append(a.RemoteIO, bw), true
+		}
+	}
+	a.CacheQuota = r.CacheQuota
+	return a, extra
+}
 
 // refValidateScratch is the reference's scratch: the views' positions
 // and one key buffer per sorted walk.
@@ -26,7 +62,7 @@ type refValidateScratch struct {
 // verdict — including error strings and the sorted-key float
 // accumulation order — is byte-identical to Validate's; only the
 // allocation behaviour differs.
-func refValidateWith(a Assignment, c Cluster, jobs []JobView, s *refValidateScratch) error {
+func refValidateWith(a refAssignment, c Cluster, jobs []JobView, s *refValidateScratch) error {
 	if s.pos == nil {
 		s.pos = make(map[string]int, len(jobs))
 	} else {
@@ -102,40 +138,51 @@ func refValidateWith(a Assignment, c Cluster, jobs []JobView, s *refValidateScra
 // totals sit within a few ulps of the capacity bound, with NaN, ±Inf,
 // negative and oversized values and unknown job IDs mixed in, and
 // requires ValidateWith to agree with the sorting reference on every
-// verdict and every error string. Both the unsorted acceptance and the
-// sorted fallback must be exercised.
+// verdict and every error string. A grant to an unknown ID, which the
+// reference rejects by name, has no positional form: it becomes an
+// extra slot that the length check must reject instead. Both the
+// unsorted cache acceptance and the sorted fallback must be exercised.
 func TestValidateWithMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var s ValidateScratch
 	var refS refValidateScratch
-	accepted, fallback := 0, 0
+	accepted, fallback, unknown := 0, 0, 0
 	for trial := 0; trial < 20000; trial++ {
-		a, c, jobs := validateInstance(rng, trial)
-		want := refValidateWith(a, c, jobs, &refS)
+		r, c, jobs := validateInstance(rng, trial)
+		want := refValidateWith(r, c, jobs, &refS)
+		a, extra := positional(r, jobs)
 		got := a.ValidateWith(c, jobs, &s)
+		if extra {
+			unknown++
+			if want == nil || got == nil || !strings.Contains(got.Error(), fmt.Sprintf("grants for %d jobs", len(jobs))) {
+				t.Fatalf("trial %d: unknown-ID grant: ValidateWith = %v, reference %v", trial, got, want)
+			}
+			continue
+		}
 		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
 			t.Fatalf("trial %d: ValidateWith = %v, reference %v", trial, got, want)
 		}
-		if capacityClears(a.CacheQuota, nil, float64(c.Cache)) && capacityClears(a.RemoteIO, s.pos, float64(c.RemoteIO)) {
+		if capacityClears(a.CacheQuota, float64(c.Cache)) {
 			accepted++
 		} else {
 			fallback++
 		}
 	}
-	if accepted == 0 || fallback == 0 {
-		t.Fatalf("%d unsorted accepts, %d sorted fallbacks: both paths must run", accepted, fallback)
+	if accepted == 0 || fallback == 0 || unknown == 0 {
+		t.Fatalf("%d unsorted accepts, %d sorted fallbacks, %d unknown-ID trials: all must run", accepted, fallback, unknown)
 	}
 }
 
-// validateInstance draws one assignment over up to 40 jobs. Valid GPU
-// grants (one unknown ID at most, so the map-order GPU check names a
-// unique culprit), and cache quotas and remote-IO grants whose capacity
-// is set so the bound c·(1+1e-9)+1 lands within ±4 ulps of their sorted
-// total, or far from it.
-func validateInstance(rng *rand.Rand, trial int) (Assignment, Cluster, []JobView) {
+// validateInstance draws one ID-keyed assignment over up to 40 jobs,
+// whose IDs sort in view order. Valid GPU grants (one unknown ID at
+// most, so the map-order GPU check names a unique culprit), and cache
+// quotas and remote-IO grants whose capacity is set so the bound
+// c·(1+1e-9)+1 lands within ±4 ulps of their sorted total, or far from
+// it.
+func validateInstance(rng *rand.Rand, trial int) (refAssignment, Cluster, []JobView) {
 	n := rng.Intn(41)
 	jobs := make([]JobView, n)
-	a := NewAssignment()
+	a := refAssignment{GPUs: map[string]int{}, CacheQuota: map[string]unit.Bytes{}, RemoteIO: map[string]unit.Bandwidth{}}
 	gpus := 0
 	for i := range jobs {
 		jobs[i] = view(fmt.Sprintf("j%02d", i), 1+rng.Intn(8), fmt.Sprintf("ds%d", rng.Intn(8)), unit.GiB(10), unit.MBpsOf(100))

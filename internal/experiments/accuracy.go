@@ -25,11 +25,12 @@ type fixedPolicy struct {
 func (p *fixedPolicy) Name() string { return "fixed" }
 
 func (p *fixedPolicy) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment {
-	a := core.NewAssignment()
-	for _, j := range jobs {
-		a.GPUs[j.ID] = j.NumGPUs
+	var a core.Assignment
+	a.Reset(len(jobs))
+	for i, j := range jobs {
+		a.GPUs[i] = j.NumGPUs
 		a.CacheQuota[j.DatasetKey] = p.cache
-		a.RemoteIO[j.ID] = p.io
+		a.RemoteIO[i] = p.io
 	}
 	return a
 }

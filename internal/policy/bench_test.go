@@ -53,14 +53,15 @@ func BenchmarkGreedyAllocate(b *testing.B) {
 	c := core.Cluster{GPUs: 400, Cache: unit.TiB(100), RemoteIO: unit.GBpsOf(4)}
 	g := &GreedyAllocator{}
 	var a core.Assignment
+	running := positions(0, len(jobs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Reset()
+		a.Reset(len(jobs))
 		for j := range jobs {
-			a.GPUs[jobs[j].ID] = jobs[j].NumGPUs
+			a.GPUs[j] = jobs[j].NumGPUs
 		}
-		g.AllocateStorage(c, jobs, &a)
+		g.AllocateStorage(c, jobs, running, &a)
 	}
 }
 

@@ -9,32 +9,31 @@ import (
 	"repro/internal/unit"
 )
 
-// admitGangs grants GPUs to jobs in the given order, all-or-nothing per
-// gang, first-fit (a job too large for the remaining GPUs is skipped
-// rather than blocking the queue, as DL cluster schedulers do). Grants
-// are written into the provided map (only admitted jobs appear), so
-// policies can recycle one assignment's maps across rounds.
+// admitGangs grants GPUs to jobs[i] for i in the given order,
+// all-or-nothing per gang, first-fit (a job too large for the remaining
+// GPUs is skipped rather than blocking the queue, as DL cluster
+// schedulers do). Grants are written by view position into grants,
+// which arrives zeroed (a Reset assignment's GPUs).
 //
 // silod:pure
-func admitGangs(grants map[string]int, totalGPUs int, ordered []core.JobView) {
-	free := totalGPUs
-	for _, j := range ordered {
-		if j.NumGPUs <= free {
-			grants[j.ID] = j.NumGPUs
-			free -= j.NumGPUs
+func admitGangs(grants []int, free int, jobs []core.JobView, order []int) {
+	for _, i := range order {
+		if n := jobs[i].NumGPUs; n <= free {
+			grants[i] = n
+			free -= n
 		}
 	}
 }
 
-// admittedViewsInto filters jobs down to those with a GPU grant, into
-// dst (reused via dst[:0]).
+// grantedInto lists, in view order, the positions whose GPU grant is
+// (granted) or is not (!granted) positive, into dst (reused via dst[:0]).
 //
 // silod:pure
-func admittedViewsInto(dst []core.JobView, jobs []core.JobView, grants map[string]int) []core.JobView {
+func grantedInto(dst []int, grants []int, granted bool) []int {
 	out := dst[:0]
-	for _, j := range jobs {
-		if grants[j.ID] > 0 {
-			out = append(out, j)
+	for i, g := range grants {
+		if (g > 0) == granted {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -49,17 +48,17 @@ func admittedViewsInto(dst []core.JobView, jobs []core.JobView, grants map[strin
 type FIFO struct {
 	Storage StorageAllocator
 
-	// scratch's maps are recycled across Assign calls; each returned
+	// scratch's buffers are recycled across Assign calls; each returned
 	// Assignment is valid only until the next Assign. The buffers below
 	// are likewise per-call scratch.
-	scratch  core.Assignment
-	order    []queueKey // jobs in queue order
-	admitBuf []core.JobView
-	waitBuf  []core.JobView
+	scratch core.Assignment
+	order   []queueKey // jobs in queue order
+	running []int      // positions granted GPUs, in view order
+	waiting []int      // positions left queued, in view order
 }
 
-// queueKey is one job's queue-order key (core.SortJobs's order: SLO rank,
-// submit time, ID) and its index in the views.
+// queueKey is one job's queue-order key (core.SortJobsInto's order: SLO
+// rank, submit time, ID) and its index in the views.
 type queueKey struct {
 	slo    int
 	submit unit.Time
@@ -67,7 +66,7 @@ type queueKey struct {
 	i      int
 }
 
-// byQueue is core.SortJobs's comparator over queue keys: a strict
+// byQueue is core.SortJobsInto's comparator over queue keys: a strict
 // total order (IDs are unique), so the sort reaches the same unique
 // permutation without moving JobView structs.
 //
@@ -97,7 +96,7 @@ func (f *FIFO) Name() string { return "fifo+" + f.Storage.Name() }
 func (f *FIFO) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment {
 	// a points into f, so handing it to the StorageAllocator interface
 	// does not move a local Assignment to the heap on every call.
-	f.scratch.Reset()
+	f.scratch.Reset(len(jobs))
 	a := &f.scratch
 	order := f.order[:0]
 	for i := range jobs {
@@ -111,25 +110,18 @@ func (f *FIFO) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.A
 	for _, wasRunning := range [2]bool{true, false} {
 		for _, q := range order {
 			if j := &jobs[q.i]; j.Running == wasRunning && j.NumGPUs <= free {
-				a.GPUs[j.ID] = j.NumGPUs
+				a.GPUs[q.i] = j.NumGPUs
 				free -= j.NumGPUs
 			}
 		}
 	}
-	f.admitBuf = admittedViewsInto(f.admitBuf, jobs, a.GPUs)
-	running := f.admitBuf
+	f.running = grantedInto(f.running, a.GPUs, true)
 	if qa, ok := f.Storage.(QueueAwareAllocator); ok {
-		waiting := f.waitBuf[:0]
-		for i := range jobs {
-			if a.GPUs[jobs[i].ID] == 0 {
-				waiting = append(waiting, jobs[i])
-			}
-		}
-		f.waitBuf = waiting
-		qa.AllocateStorageQueued(c, running, waiting, a)
+		f.waiting = grantedInto(f.waiting, a.GPUs, false)
+		qa.AllocateStorageQueued(c, jobs, f.running, f.waiting, a)
 		return *a
 	}
-	f.Storage.AllocateStorage(c, running, a)
+	f.Storage.AllocateStorage(c, jobs, f.running, a)
 	return *a
 }
 

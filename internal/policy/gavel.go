@@ -39,7 +39,7 @@ type Gavel struct {
 	// ordering and storage program.
 	Objective GavelObjective
 
-	// scratch's maps are recycled across Assign calls; each returned
+	// scratch's buffers are recycled across Assign calls; each returned
 	// Assignment is valid only until the next Assign.
 	scratch core.Assignment
 	// solver is the enhanced storage side's workspace, kept across
@@ -54,8 +54,7 @@ type Gavel struct {
 	ordScore []float64
 	ordIdx   []int
 	ordJobs  []core.JobView // the views being ordered, for ordCmp
-	ordBuf   []core.JobView
-	admitBuf []core.JobView
+	running  []int          // positions granted GPUs, in view order
 }
 
 // GavelObjective enumerates the Gavel scheduling goals implemented here.
@@ -152,13 +151,12 @@ func (g *Gavel) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.
 	}
 	// a points into g, so handing it to the StorageAllocator interface
 	// does not move a local Assignment to the heap on every call.
-	g.scratch.Reset()
+	g.scratch.Reset(len(jobs))
 	a := &g.scratch
-	ordered := g.orderViews(jobs, func(j core.JobView) float64 { return g.orderKey(now, j) })
-	admitGangs(a.GPUs, c.GPUs, ordered)
+	admitGangs(a.GPUs, c.GPUs, jobs, g.orderViews(jobs, func(j core.JobView) float64 { return g.orderKey(now, j) }))
 	if !g.Enhanced {
-		g.admitBuf = admittedViewsInto(g.admitBuf, jobs, a.GPUs)
-		g.Storage.AllocateStorage(c, g.admitBuf, a)
+		g.running = grantedInto(g.running, a.GPUs, true)
+		g.Storage.AllocateStorage(c, jobs, g.running, a)
 		return *a
 	}
 	// Max-min and finish-time fairness both protect the worst job:
@@ -183,19 +181,18 @@ func (g *Gavel) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.
 //
 // silod:pure assume=StorageAllocator
 func (g *Gavel) assignThroughput(c core.Cluster, jobs []core.JobView) core.Assignment {
-	a := g.scratch.Reset()
-	ordered := g.orderViews(jobs, throughputKey(c, g.Enhanced, len(jobs)))
-	admitGangs(a.GPUs, c.GPUs, ordered)
-	g.admitBuf = admittedViewsInto(g.admitBuf, jobs, a.GPUs)
-	running := g.admitBuf
+	g.scratch.Reset(len(jobs))
+	a := &g.scratch
+	admitGangs(a.GPUs, c.GPUs, jobs, g.orderViews(jobs, throughputKey(c, g.Enhanced, len(jobs))))
+	g.running = grantedInto(g.running, a.GPUs, true)
 	if !g.Enhanced {
-		g.Storage.AllocateStorage(c, running, &a)
-		return a
+		g.Storage.AllocateStorage(c, jobs, g.running, a)
+		return *a
 	}
 	// Maximum aggregate throughput wants storage wherever it buys the
 	// most MB/s — exactly Algorithm 2's greedy.
-	g.greedy.AllocateStorage(c, running, &a)
-	return a
+	g.greedy.AllocateStorage(c, jobs, g.running, a)
+	return *a
 }
 
 // throughputKey is the TotalThroughput admission score (ascending =
@@ -226,16 +223,15 @@ func throughputKey(c core.Cluster, enhanced bool, njobs int) func(core.JobView) 
 	}
 }
 
-// orderViews returns jobs sorted ascending by (key, ID). The key is
-// evaluated once per job — not once per comparison — and the sort moves
-// an int permutation instead of JobView structs; because the comparator
-// is a strict total order (score ties fall to the unique job ID), the
-// sorted permutation is unique, so the result is byte-identical to
-// sorting the views directly with per-comparison key calls. The
-// returned slice is scratch, valid until the next orderViews call.
+// orderViews returns the positions of jobs sorted ascending by (key,
+// ID). The key is evaluated once per job — not once per comparison —
+// and the sort moves an int permutation; because the comparator is a
+// strict total order (score ties fall to the unique job ID), the order
+// is the unique one sorting the views with per-comparison key calls
+// reaches. The returned slice is scratch, valid until the next call.
 //
 // silod:pure
-func (g *Gavel) orderViews(jobs []core.JobView, key func(core.JobView) float64) []core.JobView {
+func (g *Gavel) orderViews(jobs []core.JobView, key func(core.JobView) float64) []int {
 	g.ordScore = g.ordScore[:0]
 	g.ordIdx = g.ordIdx[:0]
 	for i := range jobs {
@@ -245,11 +241,7 @@ func (g *Gavel) orderViews(jobs []core.JobView, key func(core.JobView) float64) 
 	g.ordJobs = jobs
 	slices.SortFunc(g.ordIdx, g.ordCmp)
 	g.ordJobs = nil
-	g.ordBuf = g.ordBuf[:0]
-	for _, i := range g.ordIdx {
-		g.ordBuf = append(g.ordBuf, jobs[i])
-	}
-	return g.ordBuf
+	return g.ordIdx
 }
 
 // ordCmp orders job indices by (score, ID), ascending.
@@ -282,8 +274,8 @@ func (g *Gavel) orderKey(now unit.Time, j core.JobView) float64 {
 // GPU grants a already holds. Cache goes across every active job (the
 // max-min storage program), remote IO across the running ones (the
 // bandwidth program against the planned quotas), and bandwidth left
-// over tops up running jobs by warm-up value. Quotas and grants are
-// written straight into a's maps.
+// over tops up running jobs by warm-up value. Quotas are written
+// straight into a's map, grants into its slices by view position.
 //
 // silod:pure
 func (s *MaxMinSolver) assign(c core.Cluster, jobs []core.JobView, a *core.Assignment) {
@@ -293,7 +285,7 @@ func (s *MaxMinSolver) assign(c core.Cluster, jobs []core.JobView, a *core.Assig
 	}
 	s.run, s.runQuota = s.run[:0], s.runQuota[:0]
 	for i := range jobs {
-		if a.GPUs[jobs[i].ID] > 0 {
+		if a.GPUs[i] > 0 {
 			s.run = append(s.run, i)
 			s.runQuota = append(s.runQuota, float64(s.ds[s.job[i].ds].quota))
 		}
@@ -305,10 +297,10 @@ func (s *MaxMinSolver) assign(c core.Cluster, jobs []core.JobView, a *core.Assig
 	}
 	if leftover > 0 {
 		s.effRank()
-		s.topUpRemoteIO(leftover, a)
+		s.topUpRemoteIO(leftover)
 	}
 	for k, i := range s.run {
-		a.RemoteIO[jobs[i].ID] = unit.Bandwidth(s.grant[k])
+		a.RemoteIO[i] = unit.Bandwidth(s.grant[k])
 	}
 }
 
@@ -318,7 +310,7 @@ func (s *MaxMinSolver) assign(c core.Cluster, jobs []core.JobView, a *core.Assig
 // unmet demands.
 //
 // silod:pure
-func (s *MaxMinSolver) topUpRemoteIO(extra float64, a *core.Assignment) {
+func (s *MaxMinSolver) topUpRemoteIO(extra float64) {
 	remaining := extra
 	order := resize(&s.runOrder, len(s.run))
 	for k := range order {
@@ -330,11 +322,12 @@ func (s *MaxMinSolver) topUpRemoteIO(extra float64, a *core.Assignment) {
 	for _, k := range order {
 		i := s.run[k]
 		want[k], ids[k] = 0, s.jobs[i].ID
-		gap := instantDemand(s.jobs[i], a) - s.grant[k]
+		quota := s.ds[s.job[i].ds].quota // what assign wrote to a.CacheQuota
+		gap := instantDemand(&s.jobs[i], quota) - s.grant[k]
 		if gap <= 1e-9 {
 			continue
 		}
-		if s.ds[s.job[i].ds].quota > s.jobs[i].EffectiveCached {
+		if quota > s.jobs[i].EffectiveCached {
 			give := min(gap, remaining)
 			s.grant[k] += give
 			remaining -= give

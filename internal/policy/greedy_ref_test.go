@@ -3,7 +3,8 @@ package policy
 // The map-based greedy path that the index-addressed workspaces replaced
 // — Algorithm 2 with its queue-aware extension, the two remote-IO
 // divisions, Quiver, and SJF's and FIFO's Assign — kept verbatim (up
-// to the ref prefix) as a bit-identity oracle: every grant and quota the
+// to the ref prefix and the ID-keyed refAssignment of refassign_test.go
+// it writes) as a bit-identity oracle: every grant and quota the
 // product computes must equal these to the last bit.
 
 import (
@@ -48,7 +49,7 @@ func (refGreedyAllocator) Name() string { return "silod-greedy" }
 // AllocateStorage implements StorageAllocator. Algorithm 2 is a pure
 // function of (cluster, running views): allocatorPure's vetting of
 // refGreedyAllocator rests on this annotation holding.
-func (g refGreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment) {
+func (g refGreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *refAssignment) {
 	type dgroup struct {
 		key        string
 		size       unit.Bytes
@@ -134,7 +135,7 @@ func (g refGreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobVi
 // normal allocation for running jobs, leftover cache goes to queued
 // jobs' datasets in cache-efficiency order so the data plane can
 // prefetch them with idle egress bandwidth.
-func (g refGreedyAllocator) AllocateStorageQueued(c core.Cluster, running, queued []core.JobView, a *core.Assignment) {
+func (g refGreedyAllocator) AllocateStorageQueued(c core.Cluster, running, queued []core.JobView, a *refAssignment) {
 	g.AllocateStorage(c, running, a)
 	if !g.PrefetchQueued || len(queued) == 0 {
 		return
@@ -205,7 +206,7 @@ func (g refGreedyAllocator) AllocateStorageQueued(c core.Cluster, running, queue
 // epochs quickly (Figure 11's near-ideal throughput); jobs already
 // fully served by fair share (e.g. BERT's tiny demand) are never taxed,
 // which keeps the makespan tail intact.
-func refAllocRemoteIOPriority(total unit.Bandwidth, running []core.JobView, a *core.Assignment,
+func refAllocRemoteIOPriority(total unit.Bandwidth, running []core.JobView, a *refAssignment,
 	less func(x, y core.JobView) bool) {
 	// Stage 1: plain max-min fair share over demands.
 	refAllocRemoteIOFair(total, running, a)
@@ -268,7 +269,7 @@ func refAllocRemoteIOPriority(total unit.Bandwidth, running []core.JobView, a *c
 
 // refInstantDemand is a job's current remote IO demand given the assigned
 // quota and its effective cache.
-func refInstantDemand(j core.JobView, a *core.Assignment) float64 {
+func refInstantDemand(j core.JobView, a *refAssignment) float64 {
 	q := a.CacheQuota[j.DatasetKey]
 	if q > j.EffectiveCached {
 		q = j.EffectiveCached
@@ -290,7 +291,7 @@ func refInstantDemand(j core.JobView, a *core.Assignment) float64 {
 // division is bit-identical to the unweighted water-fill. The
 // allocation is revisited every scheduling round, so grants shrink as
 // caches warm.
-func refAllocRemoteIOFair(total unit.Bandwidth, running []core.JobView, a *core.Assignment) {
+func refAllocRemoteIOFair(total unit.Bandwidth, running []core.JobView, a *refAssignment) {
 	type rec struct {
 		id     string
 		demand float64
@@ -370,7 +371,7 @@ func refNewQuiverAllocator(noise float64, seed int64) *refQuiverAllocator {
 func (q *refQuiverAllocator) Name() string { return "quiver" }
 
 // AllocateStorage implements StorageAllocator.
-func (q *refQuiverAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment) {
+func (q *refQuiverAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *refAssignment) {
 	if q.byKey == nil {
 		q.byKey = make(map[string]int)
 	} else {
@@ -448,12 +449,12 @@ func (q *refQuiverAllocator) AllocateStorage(c core.Cluster, running []core.JobV
 type refSJF struct {
 	Enhanced bool
 	// Storage is the baseline allocator used when Enhanced is false.
-	Storage StorageAllocator
+	Storage refStorageAllocator
 
 	// scratch's maps are recycled across Assign calls; each returned
 	// Assignment is valid only until the next Assign. The buffers below
 	// are likewise per-call scratch.
-	scratch  core.Assignment
+	scratch  refAssignment
 	items    []refSJFScored
 	ordBuf   []core.JobView
 	admitBuf []core.JobView
@@ -498,7 +499,7 @@ func refSJFScore(c core.Cluster, j core.JobView, enhanced bool) (score float64, 
 // granularity, as in Tiresias: the score order alone decides who runs.
 // The Eq. 6/7 score never consults `now` (remaining duration comes
 // from RemainingBytes), which is what PureAssign's claim rests on.
-func (s *refSJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment {
+func (s *refSJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) refAssignment {
 	a := s.scratch.Reset()
 	items := s.items[:0]
 	for _, j := range jobs {
@@ -517,9 +518,9 @@ func (s *refSJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core
 		ordered = append(ordered, it.view)
 	}
 	s.ordBuf = ordered
-	admitGangs(a.GPUs, c.GPUs, ordered)
+	refAdmitGangs(a.GPUs, c.GPUs, ordered)
 
-	s.admitBuf = admittedViewsInto(s.admitBuf, jobs, a.GPUs)
+	s.admitBuf = refAdmittedViewsInto(s.admitBuf, jobs, a.GPUs)
 	running := s.admitBuf
 	if !s.Enhanced {
 		s.Storage.AllocateStorage(c, running, &a)
@@ -575,12 +576,12 @@ func (s *refSJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core
 // baseline allocator it reproduces the paper's FIFO-on-Alluxio /
 // CoorDL / Quiver configurations.
 type refFIFO struct {
-	Storage StorageAllocator
+	Storage refStorageAllocator
 
 	// scratch's maps are recycled across Assign calls; each returned
 	// Assignment is valid only until the next Assign. The view buffers
 	// below are likewise per-call scratch.
-	scratch  core.Assignment
+	scratch  refAssignment
 	sortBuf  []core.JobView
 	ordBuf   []core.JobView
 	admitBuf []core.JobView
@@ -608,14 +609,14 @@ func refRunningFirstInto(dst []core.JobView, ordered []core.JobView) []core.JobV
 // claim rests on: admission order is a function of the views alone,
 // so purity reduces to the allocator's — which is exactly what the
 // assume= clause delegates to the runtime vetting in pure.go.
-func (f *refFIFO) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment {
+func (f *refFIFO) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) refAssignment {
 	a := f.scratch.Reset()
 	f.sortBuf = core.SortJobsInto(f.sortBuf, jobs)
 	f.ordBuf = refRunningFirstInto(f.ordBuf, f.sortBuf)
-	admitGangs(a.GPUs, c.GPUs, f.ordBuf)
-	f.admitBuf = admittedViewsInto(f.admitBuf, jobs, a.GPUs)
+	refAdmitGangs(a.GPUs, c.GPUs, f.ordBuf)
+	f.admitBuf = refAdmittedViewsInto(f.admitBuf, jobs, a.GPUs)
 	running := f.admitBuf
-	if qa, ok := f.Storage.(QueueAwareAllocator); ok {
+	if qa, ok := f.Storage.(refQueueAwareAllocator); ok {
 		var queued []core.JobView
 		for _, j := range jobs {
 			if a.GPUs[j.ID] == 0 {

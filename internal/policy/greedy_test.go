@@ -37,14 +37,6 @@ func greedyInstance(rng *rand.Rand, trial int) (core.Cluster, []core.JobView) {
 	return c, jobs
 }
 
-// sameAs requires got to equal the reference assignment want bit for
-// bit: the same GPU grants, and the same quota and grant keys with
-// identical float64 bits.
-func sameAs(want, got core.Assignment) error {
-	g, q, r := snapshotAssignment(want)
-	return sameAssignment(g, q, r, got)
-}
-
 // TestGreedyMatchesReference runs long-lived greedy-path policies and
 // allocators over 700 random instances and requires every GPU grant,
 // quota and remote-IO grant to equal the map-based reference
@@ -68,22 +60,22 @@ func TestGreedyMatchesReference(t *testing.T) {
 		refAllocs[i] = refGreedyAllocator{WholeDatasetsOnly: f.WholeDatasetsOnly, NoHysteresis: f.NoHysteresis,
 			PlainFairIO: f.PlainFairIO, PrefetchQueued: f.PrefetchQueued}
 	}
-	type assigner interface {
-		Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment
-	}
 	type pair struct {
-		name      string
-		got, want assigner
+		name string
+		got  core.Policy
+		want interface {
+			Assign(c core.Cluster, now unit.Time, jobs []core.JobView) refAssignment
+		}
 	}
 	policies := []pair{
 		{"sjf+silod", &SJF{Enhanced: true}, &refSJF{Enhanced: true}},
 		{"sjf+quiver", &SJF{Storage: NewQuiverAllocator(0.05, 3)}, &refSJF{Storage: refNewQuiverAllocator(0.05, 3)}},
-		{"sjf+coordl", &SJF{Storage: CoorDLAllocator{}}, &refSJF{Storage: CoorDLAllocator{}}},
+		{"sjf+coordl", &SJF{Storage: CoorDLAllocator{}}, &refSJF{Storage: refCoorDLAllocator{}}},
 		{"fifo+silod", &FIFO{Storage: &GreedyAllocator{}}, &refFIFO{Storage: refGreedyAllocator{}}},
 		{"fifo+silod-prefetch", &FIFO{Storage: &GreedyAllocator{PrefetchQueued: true}},
 			&refFIFO{Storage: refGreedyAllocator{PrefetchQueued: true}}},
 		{"fifo+quiver", &FIFO{Storage: NewQuiverAllocator(0.05, 5)}, &refFIFO{Storage: refNewQuiverAllocator(0.05, 5)}},
-		{"fifo+coordl", &FIFO{Storage: CoorDLAllocator{}}, &refFIFO{Storage: CoorDLAllocator{}}},
+		{"fifo+coordl", &FIFO{Storage: CoorDLAllocator{}}, &refFIFO{Storage: refCoorDLAllocator{}}},
 	}
 	for trial := 0; trial < 700; trial++ {
 		c, jobs := greedyInstance(rng, trial)
@@ -91,20 +83,21 @@ func TestGreedyMatchesReference(t *testing.T) {
 		if len(jobs) > 0 {
 			split = rng.Intn(len(jobs) + 1)
 		}
-		running, queued := jobs[:split], jobs[split:]
+		running, queued := positions(0, split), positions(split, len(jobs))
 		for i := range flags {
-			want := core.NewAssignment()
-			refAllocs[i].AllocateStorageQueued(c, running, queued, &want)
-			got := core.NewAssignment()
-			allocs[i].AllocateStorageQueued(c, running, queued, &got)
-			if err := sameAs(want, got); err != nil {
+			want := newRefAssignment()
+			refAllocs[i].AllocateStorageQueued(c, jobs[:split], jobs[split:], &want)
+			var got core.Assignment
+			got.Reset(len(jobs))
+			allocs[i].AllocateStorageQueued(c, jobs, running, queued, &got)
+			if err := sameAs(want, got, jobs); err != nil {
 				t.Fatalf("trial %d (%d running, %d queued) %+v: product vs reference: %v",
 					trial, len(running), len(queued), flags[i], err)
 			}
 		}
 		for _, p := range policies {
 			want := p.want.Assign(c, 0, jobs)
-			if err := sameAs(want, p.got.Assign(c, 0, jobs)); err != nil {
+			if err := sameAs(want, p.got.Assign(c, 0, jobs), jobs); err != nil {
 				t.Fatalf("trial %d (%d jobs) %s: product vs reference: %v", trial, len(jobs), p.name, err)
 			}
 		}

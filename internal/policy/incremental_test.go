@@ -2,8 +2,10 @@ package policy
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -95,9 +97,9 @@ func TestMaxMinSolverHistoryIndependent(t *testing.T) {
 			}
 		}
 		now := unit.Time(round) * unit.Time(unit.Minute)
-		ga, gc, gr := snapshotAssignment(longGavel.Assign(cl, now, views))
+		la := snapshotAssignment(longGavel.Assign(cl, now, views))
 		fa := (&Gavel{Enhanced: true}).Assign(cl, now, views)
-		if err := sameAssignment(ga, gc, gr, fa); err != nil {
+		if err := sameAssignment(la, fa); err != nil {
 			t.Fatalf("round %d (%d jobs): long-lived Gavel vs fresh: %v", round, len(views), err)
 		}
 		switch {
@@ -113,47 +115,30 @@ func TestMaxMinSolverHistoryIndependent(t *testing.T) {
 	}
 }
 
-// sameAssignment reports the first difference between a snapshot and
-// an Assignment, comparing every float bit for bit.
-func sameAssignment(g map[string]int, c map[string]unit.Bytes, r map[string]unit.Bandwidth, b core.Assignment) error {
-	if len(g) != len(b.GPUs) || len(c) != len(b.CacheQuota) || len(r) != len(b.RemoteIO) {
-		return fmt.Errorf("shapes differ: %d/%d/%d vs %d/%d/%d GPU/quota/IO entries",
-			len(g), len(c), len(r), len(b.GPUs), len(b.CacheQuota), len(b.RemoteIO))
+// sameAssignment reports the first difference between two assignments
+// over the same views, comparing every float bit for bit.
+func sameAssignment(want, got core.Assignment) error {
+	if len(want.GPUs) != len(got.GPUs) || len(want.RemoteIO) != len(got.RemoteIO) {
+		return fmt.Errorf("shapes differ: %d/%d vs %d/%d GPU/IO grants",
+			len(want.GPUs), len(want.RemoteIO), len(got.GPUs), len(got.RemoteIO))
 	}
-	for k, v := range g {
-		if w, ok := b.GPUs[k]; !ok || w != v {
-			return fmt.Errorf("GPUs[%s] %d vs %d", k, v, w)
+	for i, v := range want.GPUs {
+		if w := got.GPUs[i]; w != v {
+			return fmt.Errorf("GPUs[%d] %d vs %d", i, v, w)
 		}
 	}
-	for k, v := range c {
-		if w, ok := b.CacheQuota[k]; !ok || math.Float64bits(float64(w)) != math.Float64bits(float64(v)) {
-			return fmt.Errorf("CacheQuota[%s] %v vs %v", k, v, w)
+	for i, v := range want.RemoteIO {
+		if w := got.RemoteIO[i]; math.Float64bits(float64(w)) != math.Float64bits(float64(v)) {
+			return fmt.Errorf("RemoteIO[%d] %v vs %v", i, v, w)
 		}
 	}
-	for k, v := range r {
-		if w, ok := b.RemoteIO[k]; !ok || math.Float64bits(float64(w)) != math.Float64bits(float64(v)) {
-			return fmt.Errorf("RemoteIO[%s] %v vs %v", k, v, w)
-		}
-	}
-	return nil
+	return sameQuotas(want.CacheQuota, got.CacheQuota)
 }
 
-// snapshotAssignment deep-copies an Assignment's maps (policies recycle
-// them across Assign calls).
-func snapshotAssignment(a core.Assignment) (g map[string]int, c map[string]unit.Bytes, r map[string]unit.Bandwidth) {
-	g = make(map[string]int, len(a.GPUs))
-	for k, v := range a.GPUs {
-		g[k] = v
-	}
-	c = make(map[string]unit.Bytes, len(a.CacheQuota))
-	for k, v := range a.CacheQuota {
-		c[k] = v
-	}
-	r = make(map[string]unit.Bandwidth, len(a.RemoteIO))
-	for k, v := range a.RemoteIO {
-		r[k] = v
-	}
-	return g, c, r
+// snapshotAssignment deep-copies an Assignment (policies recycle its
+// buffers across Assign calls).
+func snapshotAssignment(a core.Assignment) core.Assignment {
+	return core.Assignment{GPUs: slices.Clone(a.GPUs), CacheQuota: maps.Clone(a.CacheQuota), RemoteIO: slices.Clone(a.RemoteIO)}
 }
 
 // TestIgnoredFieldsIrrelevant is the relevance fuzz behind every
@@ -226,28 +211,10 @@ func TestIgnoredFieldsIrrelevant(t *testing.T) {
 				if !core.ViewsEquivalent(base, mutated, ignored) {
 					t.Fatal("mutation escaped the ignored field set")
 				}
-				a := polA.Assign(cl, 0, base)
-				ag, ac, ar := snapshotAssignment(a)
+				a := snapshotAssignment(polA.Assign(cl, 0, base))
 				polB := b.fresh()
-				bAssign := polB.Assign(cl, 0, mutated)
-				bg, bc, br := snapshotAssignment(bAssign)
-				if len(ag) != len(bg) || len(ac) != len(bc) || len(ar) != len(br) {
-					t.Fatalf("trial %d: assignment shapes differ", trial)
-				}
-				for k, v := range ag {
-					if bg[k] != v {
-						t.Fatalf("trial %d: GPU grant %s: %d vs %d after ignored-field mutation", trial, k, v, bg[k])
-					}
-				}
-				for k, v := range ac {
-					if bc[k] != v {
-						t.Fatalf("trial %d: cache quota %s: %v vs %v after ignored-field mutation", trial, k, v, bc[k])
-					}
-				}
-				for k, v := range ar {
-					if br[k] != v {
-						t.Fatalf("trial %d: remote IO %s: %v vs %v after ignored-field mutation", trial, k, v, br[k])
-					}
+				if err := sameAssignment(a, polB.Assign(cl, 0, mutated)); err != nil {
+					t.Fatalf("trial %d: %v after ignored-field mutation", trial, err)
 				}
 			}
 		})

@@ -2,7 +2,8 @@ package policy
 
 // The map-based max-min solver and enhanced Gavel storage tail that
 // MaxMinSolver's index-addressed workspace replaced, kept verbatim (up
-// to the ref prefix) as a bit-identity oracle: every quota and grant the
+// to the ref prefix and the ID-keyed refAssignment of refassign_test.go
+// it writes) as a bit-identity oracle: every quota and grant the
 // product computes must equal these to the last bit.
 
 import (
@@ -528,14 +529,14 @@ func refDatasetQuotas(jobs []core.JobView, allocs map[string]StorageAlloc) map[s
 // refTopUpRemoteIO adds extra bandwidth on top of existing grants: first
 // warming jobs in priority order up to their instantaneous demand, then
 // a water-fill over remaining unmet demands.
-func refTopUpRemoteIO(extra unit.Bandwidth, running []core.JobView, a *core.Assignment,
+func refTopUpRemoteIO(extra unit.Bandwidth, running []core.JobView, a *refAssignment,
 	less func(x, y core.JobView) bool) {
 	remaining := float64(extra)
 	ordered := append([]core.JobView(nil), running...)
 	sort.Slice(ordered, func(i, j int) bool { return less(ordered[i], ordered[j]) })
 	unmet := make(map[string]float64)
 	for _, j := range ordered {
-		gap := instantDemand(j, a) - float64(a.RemoteIO[j.ID])
+		gap := refInstantDemand(j, a) - float64(a.RemoteIO[j.ID])
 		if gap <= 1e-9 {
 			continue
 		}
@@ -622,8 +623,8 @@ func refMaxMinEfficiencyRank(jobs []core.JobView) map[string]int {
 // refGavelAssign is Gavel.Assign for the deficit-ordered objectives
 // with Enhanced set, as the map-based code computed it: admission by a
 // per-comparison sort of the views, then the enhanced storage tail.
-func refGavelAssign(obj GavelObjective, c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment {
-	a := core.NewAssignment()
+func refGavelAssign(obj GavelObjective, c core.Cluster, now unit.Time, jobs []core.JobView) refAssignment {
+	a := newRefAssignment()
 	key := func(j core.JobView) float64 { return (&Gavel{Objective: obj}).orderKey(now, j) }
 	ordered := append([]core.JobView(nil), jobs...)
 	sort.Slice(ordered, func(x, y int) bool {
@@ -633,8 +634,8 @@ func refGavelAssign(obj GavelObjective, c core.Cluster, now unit.Time, jobs []co
 		}
 		return ordered[x].ID < ordered[y].ID
 	})
-	admitGangs(a.GPUs, c.GPUs, ordered)
-	running := admittedViewsInto(nil, jobs, a.GPUs)
+	refAdmitGangs(a.GPUs, c.GPUs, ordered)
+	running := refAdmittedViewsInto(nil, jobs, a.GPUs)
 	allocs := refStorage(c.Cache, c.RemoteIO, jobs)
 	a.CacheQuota = refDatasetQuotas(jobs, allocs)
 	grants := refBandwidth(c, c.RemoteIO, running, a.CacheQuota)

@@ -25,6 +25,37 @@ func cl8() core.Cluster {
 	return core.Cluster{GPUs: 8, Cache: unit.GiB(200), RemoteIO: unit.MBpsOf(200)}
 }
 
+// grantAll returns an assignment over jobs with every gang granted, and
+// the positions of jobs: what an allocator test hands AllocateStorage.
+func grantAll(jobs []core.JobView) (core.Assignment, []int) {
+	var a core.Assignment
+	a.Reset(len(jobs))
+	running := make([]int, len(jobs))
+	for i := range jobs {
+		a.GPUs[i] = jobs[i].NumGPUs
+		running[i] = i
+	}
+	return a, running
+}
+
+// gpusByID and ioByID read a's positional grants over jobs keyed by job
+// ID, for tests that name jobs rather than positions.
+func gpusByID(a core.Assignment, jobs []core.JobView) map[string]int {
+	out := make(map[string]int, len(jobs))
+	for i := range jobs {
+		out[jobs[i].ID] = a.GPUs[i]
+	}
+	return out
+}
+
+func ioByID(a core.Assignment, jobs []core.JobView) map[string]unit.Bandwidth {
+	out := make(map[string]unit.Bandwidth, len(jobs))
+	for i := range jobs {
+		out[jobs[i].ID] = a.RemoteIO[i]
+	}
+	return out
+}
+
 // TestGreedyAlgorithm2Ordering checks Algorithm 2: cache goes to
 // datasets in descending cache-efficiency order with partial caching.
 func TestGreedyAlgorithm2Ordering(t *testing.T) {
@@ -33,11 +64,8 @@ func TestGreedyAlgorithm2Ordering(t *testing.T) {
 		mkView("mid", 1, "medium", unit.GiB(100), unit.MBpsOf(100)), // 1.0
 		mkView("low", 1, "huge", unit.GiB(400), unit.MBpsOf(100)),   // 0.25
 	}
-	a := core.NewAssignment()
-	for i := range jobs {
-		a.GPUs[jobs[i].ID] = jobs[i].NumGPUs
-	}
-	new(GreedyAllocator).AllocateStorage(cl8(), jobs, &a)
+	a, running := grantAll(jobs)
+	new(GreedyAllocator).AllocateStorage(cl8(), jobs, running, &a)
 	if a.CacheQuota["small"] != unit.GiB(50) {
 		t.Errorf("small quota %v, want full", a.CacheQuota["small"])
 	}
@@ -60,14 +88,11 @@ func TestGreedySharedDatasetsChargedOnce(t *testing.T) {
 		mkView("a2", 1, "shared", unit.GiB(150), unit.MBpsOf(60)),
 		mkView("b", 1, "solo", unit.GiB(150), unit.MBpsOf(100)),
 	}
-	a := core.NewAssignment()
-	for i := range jobs {
-		a.GPUs[jobs[i].ID] = 1
-	}
+	a, running := grantAll(jobs)
 	// Cache fits only one dataset: shared (summed eff 0.8) must beat
 	// solo (0.67).
 	c := core.Cluster{GPUs: 8, Cache: unit.GiB(150), RemoteIO: unit.MBpsOf(200)}
-	new(GreedyAllocator).AllocateStorage(c, jobs, &a)
+	new(GreedyAllocator).AllocateStorage(c, jobs, running, &a)
 	if a.CacheQuota["shared"] != unit.GiB(150) {
 		t.Errorf("shared quota %v, want full (summed efficiency wins)", a.CacheQuota["shared"])
 	}
@@ -80,20 +105,18 @@ func TestGreedySharedDatasetsChargedOnce(t *testing.T) {
 // whose quota is not yet effective needs its full cold demand.
 func TestGreedyEffectiveAwareIO(t *testing.T) {
 	jobs := []core.JobView{mkView("a", 1, "ds", unit.GiB(100), unit.MBpsOf(100))}
-	a := core.NewAssignment()
-	a.GPUs["a"] = 1
-	new(GreedyAllocator).AllocateStorage(cl8(), jobs, &a)
+	a, running := grantAll(jobs)
+	new(GreedyAllocator).AllocateStorage(cl8(), jobs, running, &a)
 	// Quota is full but nothing is effective yet: demand is the full f*.
-	if got := a.RemoteIO["a"].MBpsValue(); math.Abs(got-100) > 1e-6 {
+	if got := a.RemoteIO[0].MBpsValue(); math.Abs(got-100) > 1e-6 {
 		t.Errorf("cold job granted %v, want full demand 100", got)
 	}
 	// Once effective, demand drops to zero.
 	jobs[0].EffectiveCached = unit.GiB(100)
 	jobs[0].CachedBytes = unit.GiB(100)
-	a2 := core.NewAssignment()
-	a2.GPUs["a"] = 1
-	new(GreedyAllocator).AllocateStorage(cl8(), jobs, &a2)
-	if got := a2.RemoteIO["a"].MBpsValue(); got > 1e-6 {
+	a2, _ := grantAll(jobs)
+	new(GreedyAllocator).AllocateStorage(cl8(), jobs, running, &a2)
+	if got := a2.RemoteIO[0].MBpsValue(); got > 1e-6 {
 		t.Errorf("warm job granted %v, want 0", got)
 	}
 }
@@ -104,15 +127,12 @@ func TestQuiverWholeDatasetOnly(t *testing.T) {
 		mkView("big", 1, "big", unit.GiB(180), unit.MBpsOf(300)),
 		mkView("small", 1, "small", unit.GiB(50), unit.MBpsOf(50)),
 	}
-	a := core.NewAssignment()
-	for i := range jobs {
-		a.GPUs[jobs[i].ID] = 1
-	}
+	a, running := grantAll(jobs)
 	// 100 GiB pool: big (benefit/cost 1.67) would be first but does
 	// not fit whole; Quiver skips it (no partial caching) and caches
 	// small instead.
 	c := core.Cluster{GPUs: 8, Cache: unit.GiB(100), RemoteIO: unit.MBpsOf(100)}
-	q.AllocateStorage(c, jobs, &a)
+	q.AllocateStorage(c, jobs, running, &a)
 	if a.CacheQuota["big"] != 0 {
 		t.Errorf("big quota %v, want 0 (no partial caching)", a.CacheQuota["big"])
 	}
@@ -120,8 +140,10 @@ func TestQuiverWholeDatasetOnly(t *testing.T) {
 		t.Errorf("small quota %v, want full", a.CacheQuota["small"])
 	}
 	// Quiver never sets remote IO (scheduler-oblivious).
-	if len(a.RemoteIO) != 0 {
-		t.Error("Quiver set remote IO allocations")
+	for i, bw := range a.RemoteIO {
+		if bw != 0 {
+			t.Errorf("Quiver set remote IO %v for %s", bw, jobs[i].ID)
+		}
 	}
 }
 
@@ -136,9 +158,9 @@ func TestQuiverHysteresisStabilizes(t *testing.T) {
 	c := core.Cluster{GPUs: 8, Cache: unit.GiB(100), RemoteIO: unit.MBpsOf(100)}
 	flips := 0
 	for round := 0; round < 200; round++ {
-		a := core.NewAssignment()
-		a.GPUs["a"], a.GPUs["b"] = 1, 1
-		q.AllocateStorage(c, mk(1.0), &a) // ds-a fully cached
+		jobs := mk(1.0) // ds-a fully cached
+		a, running := grantAll(jobs)
+		q.AllocateStorage(c, jobs, running, &a)
 		if a.CacheQuota["ds-a"] == 0 {
 			flips++
 		}
@@ -153,10 +175,9 @@ func TestCoorDLProportionalPrivateQuotas(t *testing.T) {
 		mkView("one", 1, "ds", unit.GiB(500), unit.MBpsOf(100)),
 		mkView("four", 4, "ds", unit.GiB(500), unit.MBpsOf(100)),
 	}
-	a := core.NewAssignment()
-	a.GPUs["one"], a.GPUs["four"] = 1, 4
+	a, running := grantAll(jobs)
 	c := core.Cluster{GPUs: 8, Cache: unit.GiB(800), RemoteIO: unit.MBpsOf(100)}
-	CoorDLAllocator{}.AllocateStorage(c, jobs, &a)
+	CoorDLAllocator{}.AllocateStorage(c, jobs, running, &a)
 	if got := a.CacheQuota[CoorDLKey("one")]; got != unit.GiB(100) {
 		t.Errorf("1-GPU quota %v, want 100GiB", got)
 	}
@@ -169,9 +190,8 @@ func TestCoorDLProportionalPrivateQuotas(t *testing.T) {
 	}
 	// Quota never exceeds the dataset.
 	small := []core.JobView{mkView("s", 4, "tiny", unit.GiB(10), unit.MBpsOf(10))}
-	a2 := core.NewAssignment()
-	a2.GPUs["s"] = 4
-	CoorDLAllocator{}.AllocateStorage(c, small, &a2)
+	a2, running2 := grantAll(small)
+	CoorDLAllocator{}.AllocateStorage(c, small, running2, &a2)
 	if got := a2.CacheQuota[CoorDLKey("s")]; got != unit.GiB(10) {
 		t.Errorf("quota %v exceeds dataset", got)
 	}
@@ -185,15 +205,15 @@ func TestFIFOOrderAndNonPreemption(t *testing.T) {
 	}
 	jobs[0].Submit = 100
 	jobs[1].Submit = 50
-	a := f.Assign(cl8(), 200, jobs)
-	if a.GPUs["early"] != 6 || a.GPUs["late"] != 0 {
-		t.Errorf("FIFO admitted %v", a.GPUs)
+	g := gpusByID(f.Assign(cl8(), 200, jobs), jobs)
+	if g["early"] != 6 || g["late"] != 0 {
+		t.Errorf("FIFO admitted %v", g)
 	}
 	// A running job is never preempted by an earlier-submitted arrival.
 	jobs[0].Running = true // late is running now
-	a = f.Assign(cl8(), 300, jobs)
-	if a.GPUs["late"] != 6 || a.GPUs["early"] != 0 {
-		t.Errorf("FIFO preempted a running job: %v", a.GPUs)
+	g = gpusByID(f.Assign(cl8(), 300, jobs), jobs)
+	if g["late"] != 6 || g["early"] != 0 {
+		t.Errorf("FIFO preempted a running job: %v", g)
 	}
 }
 
@@ -205,9 +225,9 @@ func TestFIFOFirstFitSkipsBlockedHead(t *testing.T) {
 		mkView("small", 2, "d3", unit.GiB(10), unit.MBpsOf(10)),
 	}
 	jobs[0].Submit, jobs[1].Submit, jobs[2].Submit = 1, 2, 3
-	a := f.Assign(cl8(), 10, jobs)
-	if a.GPUs["big"] != 6 || a.GPUs["huge"] != 0 || a.GPUs["small"] != 2 {
-		t.Errorf("first-fit: %v", a.GPUs)
+	g := gpusByID(f.Assign(cl8(), 10, jobs), jobs)
+	if g["big"] != 6 || g["huge"] != 0 || g["small"] != 2 {
+		t.Errorf("first-fit: %v", g)
 	}
 }
 
@@ -218,9 +238,10 @@ func TestSJFVanillaOrdersByIdealDuration(t *testing.T) {
 	short.RemainingBytes = unit.GiB(10)
 	long := mkView("long", 6, "d2", unit.GiB(10), unit.MBpsOf(100))
 	long.RemainingBytes = unit.GiB(100)
-	a := s.Assign(cl8(), 0, []core.JobView{long, short})
-	if a.GPUs["short"] != 6 || a.GPUs["long"] != 0 {
-		t.Errorf("SJF admitted %v", a.GPUs)
+	jobs := []core.JobView{long, short}
+	g := gpusByID(s.Assign(cl8(), 0, jobs), jobs)
+	if g["short"] != 6 || g["long"] != 0 {
+		t.Errorf("SJF admitted %v", g)
 	}
 }
 
@@ -238,14 +259,13 @@ func TestSJFEnhancedCorrectsIOBlindOrdering(t *testing.T) {
 	steady.RemainingBytes = unit.GiB(150)
 
 	vanilla := &SJF{Enhanced: false, Storage: AlluxioAllocator{}}
-	av := vanilla.Assign(c, 0, []core.JobView{ioBound, steady})
-	if av.GPUs["iobound"] != 6 {
-		t.Fatalf("vanilla SJF should pick the deceptively fast job: %v", av.GPUs)
+	jobs := []core.JobView{ioBound, steady}
+	if g := gpusByID(vanilla.Assign(c, 0, jobs), jobs); g["iobound"] != 6 {
+		t.Fatalf("vanilla SJF should pick the deceptively fast job: %v", g)
 	}
 	enhanced := &SJF{Enhanced: true}
-	ae := enhanced.Assign(c, 0, []core.JobView{ioBound, steady})
-	if ae.GPUs["steady"] != 6 {
-		t.Errorf("enhanced SJF still picked the IO-bound job: %v", ae.GPUs)
+	if g := gpusByID(enhanced.Assign(c, 0, jobs), jobs); g["steady"] != 6 {
+		t.Errorf("enhanced SJF still picked the IO-bound job: %v", g)
 	}
 }
 
@@ -257,9 +277,9 @@ func TestGavelDeficitOrdering(t *testing.T) {
 	served := mkView("served", 6, "d2", unit.GiB(10), unit.MBpsOf(100))
 	served.Submit = 0
 	served.AttainedBytes = unit.GiB(50)
-	a := g.Assign(cl8(), 1000, []core.JobView{served, starved})
-	if a.GPUs["starved"] != 6 {
-		t.Errorf("Gavel did not serve the most underserved job: %v", a.GPUs)
+	jobs := []core.JobView{served, starved}
+	if got := gpusByID(g.Assign(cl8(), 1000, jobs), jobs); got["starved"] != 6 {
+		t.Errorf("Gavel did not serve the most underserved job: %v", got)
 	}
 }
 
@@ -448,9 +468,9 @@ func TestGavelObjectiveOrdering(t *testing.T) {
 	cold := mkView("cold", 8, "dc", unit.GiB(100), unit.MBpsOf(200))
 
 	tp := &Gavel{Enhanced: true, Objective: TotalThroughput}
-	a := tp.Assign(c, 100, []core.JobView{cold, hot})
-	if a.GPUs["hot"] != 1 {
-		t.Errorf("throughput objective skipped the cache-hot efficient job: %v", a.GPUs)
+	jobs := []core.JobView{cold, hot}
+	if g := gpusByID(tp.Assign(c, 100, jobs), jobs); g["hot"] != 1 {
+		t.Errorf("throughput objective skipped the cache-hot efficient job: %v", g)
 	}
 
 	// Finish-time fairness: the job far beyond its ideal finish runs
@@ -464,9 +484,9 @@ func TestGavelObjectiveOrdering(t *testing.T) {
 	fine.AttainedBytes = unit.GiB(400)
 	fine.RemainingBytes = unit.GiB(100)
 	ftf := &Gavel{Enhanced: true, Objective: FinishTimeFairness}
-	a = ftf.Assign(c, 5000, []core.JobView{fine, wronged})
-	if a.GPUs["wronged"] != 6 {
-		t.Errorf("FTF objective did not serve the most wronged job: %v", a.GPUs)
+	jobs = []core.JobView{fine, wronged}
+	if g := gpusByID(ftf.Assign(c, 5000, jobs), jobs); g["wronged"] != 6 {
+		t.Errorf("FTF objective did not serve the most wronged job: %v", g)
 	}
 }
 
@@ -569,15 +589,17 @@ func TestMaxMinBandwidthProperties(t *testing.T) {
 // queued datasets only from leftover cache, in efficiency order.
 func TestGreedyQueuedPrefetchPlanning(t *testing.T) {
 	g := GreedyAllocator{PrefetchQueued: true}
-	running := []core.JobView{mkView("r", 1, "run-ds", unit.GiB(60), unit.MBpsOf(100))}
-	queued := []core.JobView{
+	jobs := []core.JobView{
+		mkView("r", 1, "run-ds", unit.GiB(60), unit.MBpsOf(100)),
 		mkView("q1", 1, "q-eff", unit.GiB(20), unit.MBpsOf(100)), // 5.0 MB/s/GB
 		mkView("q2", 1, "q-big", unit.GiB(100), unit.MBpsOf(50)), // 0.5
 	}
-	a := core.NewAssignment()
-	a.GPUs["r"] = 1
+	running, queued := []int{0}, []int{1, 2}
+	var a core.Assignment
+	a.Reset(len(jobs))
+	a.GPUs[0] = 1
 	c := core.Cluster{GPUs: 8, Cache: unit.GiB(100), RemoteIO: unit.MBpsOf(200)}
-	g.AllocateStorageQueued(c, running, queued, &a)
+	g.AllocateStorageQueued(c, jobs, running, queued, &a)
 	if a.CacheQuota["run-ds"] != unit.GiB(60) {
 		t.Fatalf("running dataset underfunded: %v", a.CacheQuota["run-ds"])
 	}
@@ -595,9 +617,10 @@ func TestGreedyQueuedPrefetchPlanning(t *testing.T) {
 		t.Errorf("prefetch planning oversubscribed cache: %v", sum)
 	}
 	// Without the flag, queued datasets receive nothing.
-	plain := core.NewAssignment()
-	plain.GPUs["r"] = 1
-	new(GreedyAllocator).AllocateStorageQueued(c, running, queued, &plain)
+	var plain core.Assignment
+	plain.Reset(len(jobs))
+	plain.GPUs[0] = 1
+	new(GreedyAllocator).AllocateStorageQueued(c, jobs, running, queued, &plain)
 	if _, ok := plain.CacheQuota["q-eff"]; ok {
 		t.Error("prefetch disabled but queued dataset funded")
 	}

@@ -26,20 +26,18 @@ type SJF struct {
 	// Storage is the baseline allocator used when Enhanced is false.
 	Storage StorageAllocator
 
-	// scratch's maps are recycled across Assign calls; each returned
+	// scratch's buffers are recycled across Assign calls; each returned
 	// Assignment is valid only until the next Assign. The buffers below
 	// are likewise per-call scratch.
-	scratch  core.Assignment
-	items    []ranked     // jobs by (score, ID), i the job index
-	want     []unit.Bytes // by job index: the score-minimizing cache
-	granted  []int        // by job index: GPUs admitted (0 = queued)
-	rankOf   []int        // by job index: position in score order
-	admitBuf []core.JobView
-	runIdx   []int // running position → job index
-	dsIndex  map[string]int
-	dsOf     []int        // by job index: dataset index, admitted jobs only
-	dsQuota  []unit.Bytes // by dataset index
-	io       ioScratch
+	scratch core.Assignment
+	items   []ranked     // jobs by (score, ID), i the job index
+	want    []unit.Bytes // by job index: the score-minimizing cache
+	rankOf  []int        // by job index: position in score order
+	runIdx  []int        // running position → job index
+	dsIndex map[string]int
+	dsOf    []int        // by job index: dataset index, admitted jobs only
+	dsQuota []unit.Bytes // by dataset index
+	io      ioScratch
 }
 
 // Name implements core.Policy.
@@ -88,7 +86,7 @@ func sjfScore(c core.Cluster, j *core.JobView, enhanced bool) (score float64, wa
 func (s *SJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.Assignment {
 	// a points into s, so handing it to the StorageAllocator interface
 	// does not move a local Assignment to the heap on every call.
-	s.scratch.Reset()
+	s.scratch.Reset(len(jobs))
 	a := &s.scratch
 	items := s.items[:0]
 	want := resize(&s.want, len(jobs))
@@ -101,29 +99,19 @@ func (s *SJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.As
 	s.items = items
 	// Admission in score order, all-or-nothing per gang, first-fit.
 	// rankOf[i] is job i's score rank, the remote-IO priority below.
-	granted := resize(&s.granted, len(jobs))
 	rankOf := resize(&s.rankOf, len(jobs))
-	clear(granted)
 	free := c.GPUs
 	for r, it := range items {
 		rankOf[it.i] = r
 		if n := jobs[it.i].NumGPUs; n <= free {
-			a.GPUs[it.id] = n
-			granted[it.i] = n
+			a.GPUs[it.i] = n
 			free -= n
 		}
 	}
-	running := s.admitBuf[:0]
-	runIdx := s.runIdx[:0]
-	for i := range jobs {
-		if granted[i] > 0 {
-			running = append(running, jobs[i])
-			runIdx = append(runIdx, i)
-		}
-	}
-	s.admitBuf, s.runIdx = running, runIdx
+	runIdx := grantedInto(s.runIdx, a.GPUs, true)
+	s.runIdx = runIdx
 	if !s.Enhanced {
-		s.Storage.AllocateStorage(c, running, a)
+		s.Storage.AllocateStorage(c, jobs, runIdx, a)
 		return *a
 	}
 
@@ -136,7 +124,7 @@ func (s *SJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.As
 	dsOf := resize(&s.dsOf, len(jobs))
 	quota := s.dsQuota[:0]
 	for i := range jobs {
-		if granted[i] == 0 {
+		if a.GPUs[i] == 0 {
 			continue
 		}
 		d, ok := idx[jobs[i].DatasetKey]
@@ -150,7 +138,7 @@ func (s *SJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.As
 	s.dsQuota = quota
 	remCache := c.Cache
 	for _, it := range items {
-		if granted[it.i] == 0 {
+		if a.GPUs[it.i] == 0 {
 			continue
 		}
 		j := &jobs[it.i]
@@ -173,13 +161,13 @@ func (s *SJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.As
 	// Remote IO in score order: the jobs SJF wants done first get their
 	// demand first, so their warm-up (and completion) is never gated on
 	// an equal split.
-	q, rank := s.io.reset(len(running))
+	q, rank := s.io.reset(len(runIdx))
 	for k, i := range runIdx {
 		q[k] = quota[dsOf[i]]
 		rank[k] = rankOf[i]
 	}
-	s.io.priority(c.RemoteIO, running)
-	s.io.write(running, a)
+	s.io.priority(c.RemoteIO, jobs, runIdx)
+	s.io.write(runIdx, a)
 	return *a
 }
 

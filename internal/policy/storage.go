@@ -13,20 +13,22 @@ import (
 // StorageAllocator decides cache quotas (and, for SiloD, remote IO) for
 // jobs that have already been granted GPUs. Baseline cache systems
 // implement this interface so they can be composed with any GPU policy;
-// they leave Assignment.RemoteIO empty, which the simulator interprets
-// as provider-controlled fair sharing (§7.2).
+// they leave every Assignment.RemoteIO grant zero, which the simulator
+// interprets as provider-controlled fair sharing (§7.2).
 type StorageAllocator interface {
 	Name() string
 	// AllocateStorage fills a.CacheQuota (and optionally a.RemoteIO)
-	// for the running jobs.
-	AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment)
+	// for the running jobs jobs[running[k]]: running holds positions
+	// into jobs, ascending, and a's grants are by the same positions.
+	AllocateStorage(c core.Cluster, jobs []core.JobView, running []int, a *core.Assignment)
 }
 
 // QueueAwareAllocator is the optional extension for allocators that
 // also plan cache for queued jobs (dataset prefetching); policies that
-// know their queue probe for it.
+// know their queue probe for it. queued holds positions into jobs, like
+// running.
 type QueueAwareAllocator interface {
-	AllocateStorageQueued(c core.Cluster, running, queued []core.JobView, a *core.Assignment)
+	AllocateStorageQueued(c core.Cluster, jobs []core.JobView, running, queued []int, a *core.Assignment)
 }
 
 // GreedyAllocator is Algorithm 2: datasets are cached in descending
@@ -104,12 +106,12 @@ func (*GreedyAllocator) Name() string { return "silod-greedy" }
 // GreedyAllocator rests on this annotation holding.
 //
 // silod:pure
-func (g *GreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment) {
+func (g *GreedyAllocator) AllocateStorage(c core.Cluster, jobs []core.JobView, running []int, a *core.Assignment) {
 	idx := resetMap(&g.dsIndex)
 	ds := g.ds[:0]
 	jobDS := resize(&g.jobDS, len(running))
-	for k := range running {
-		j := &running[k]
+	for k, i := range running {
+		j := &jobs[i]
 		d, ok := idx[j.DatasetKey]
 		if !ok {
 			d = len(ds)
@@ -174,9 +176,9 @@ func (g *GreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView
 		rank[k] = ds[d].rank
 	}
 	if g.PlainFairIO {
-		g.io.fair(c.RemoteIO, running)
+		g.io.fair(c.RemoteIO, jobs, running)
 	} else {
-		g.io.priority(c.RemoteIO, running)
+		g.io.priority(c.RemoteIO, jobs, running)
 	}
 	g.io.write(running, a)
 }
@@ -189,8 +191,8 @@ func (g *GreedyAllocator) AllocateStorage(c core.Cluster, running []core.JobView
 // datasets' quotas are then exactly a's.
 //
 // silod:pure
-func (g *GreedyAllocator) AllocateStorageQueued(c core.Cluster, running, queued []core.JobView, a *core.Assignment) {
-	g.AllocateStorage(c, running, a)
+func (g *GreedyAllocator) AllocateStorageQueued(c core.Cluster, jobs []core.JobView, running, queued []int, a *core.Assignment) {
+	g.AllocateStorage(c, jobs, running, a)
 	if !g.PrefetchQueued || len(queued) == 0 {
 		return
 	}
@@ -214,8 +216,8 @@ func (g *GreedyAllocator) AllocateStorageQueued(c core.Cluster, running, queued 
 	}
 	idx := g.dsIndex
 	nrun := len(ds)
-	for k := range queued {
-		j := &queued[k]
+	for _, i := range queued {
+		j := &jobs[i]
 		d, ok := idx[j.DatasetKey]
 		if ok && d < nrun {
 			continue // already funded for a running job
@@ -249,10 +251,11 @@ func (g *GreedyAllocator) AllocateStorageQueued(c core.Cluster, running, queued 
 }
 
 // ioScratch is the remote-IO division's workspace, addressed by running
-// position k: the caller fills quota (a.CacheQuota of the job's
-// dataset) and rank (its investment priority, lower first) through
-// reset, fair or priority computes grant, and write copies it into the
-// assignment. Its owner resets it on every call.
+// position k (the job jobs[running[k]]): the caller fills quota
+// (a.CacheQuota of the job's dataset) and rank (its investment
+// priority, lower first) through reset, fair or priority computes
+// grant, and write copies it into the assignment. Its owner resets it
+// on every call.
 type ioScratch struct {
 	quota  []unit.Bytes
 	rank   []int
@@ -280,12 +283,12 @@ func (w *ioScratch) reset(n int) (quota []unit.Bytes, rank []int) {
 	return resize(&w.quota, n), resize(&w.rank, n)
 }
 
-// write copies the grants into a.RemoteIO.
+// write copies the grants into a.RemoteIO at the running positions.
 //
 // silod:pure
-func (w *ioScratch) write(running []core.JobView, a *core.Assignment) {
-	for k := range running {
-		a.RemoteIO[running[k].ID] = unit.Bandwidth(w.grant[k])
+func (w *ioScratch) write(running []int, a *core.Assignment) {
+	for k, i := range running {
+		a.RemoteIO[i] = unit.Bandwidth(w.grant[k])
 	}
 }
 
@@ -302,16 +305,16 @@ func (w *ioScratch) write(running []core.JobView, a *core.Assignment) {
 // tail intact.
 //
 // silod:pure
-func (w *ioScratch) priority(total unit.Bandwidth, running []core.JobView) {
+func (w *ioScratch) priority(total unit.Bandwidth, jobs []core.JobView, running []int) {
 	// Stage 1: plain max-min fair share over demands.
-	w.fair(total, running)
+	w.fair(total, jobs, running)
 	grant := w.grant
 	// Identify warming jobs that remain below their demand.
 	warming := w.order[:0]
 	taxes := w.taxed[:0]
 	var pot float64
-	for k := range running {
-		j := &running[k]
+	for k, i := range running {
+		j := &jobs[i]
 		g := grant[k]
 		gap := w.demand[k] - g
 		if gap <= 1e-9 {
@@ -361,19 +364,11 @@ func (w *ioScratch) priority(total unit.Bandwidth, running []core.JobView) {
 	}
 }
 
-// instantDemand is a job's current remote IO demand given the assigned
-// quota and its effective cache.
+// instantDemand is a job's current remote IO demand given its dataset's
+// assigned quota q and its effective cache.
 //
 // silod:pure
-func instantDemand(j core.JobView, a *core.Assignment) float64 {
-	return instantDemandAt(&j, a.CacheQuota[j.DatasetKey])
-}
-
-// instantDemandAt is instantDemand with the job's quota q already
-// looked up.
-//
-// silod:pure
-func instantDemandAt(j *core.JobView, q unit.Bytes) float64 {
+func instantDemand(j *core.JobView, q unit.Bytes) float64 {
 	if q > j.EffectiveCached {
 		q = j.EffectiveCached
 	}
@@ -397,15 +392,15 @@ func instantDemandAt(j *core.JobView, q unit.Bytes) float64 {
 // shrink as caches warm.
 //
 // silod:pure
-func (w *ioScratch) fair(total unit.Bandwidth, running []core.JobView) {
+func (w *ioScratch) fair(total unit.Bandwidth, jobs []core.JobView, running []int) {
 	n := len(running)
 	demand := resize(&w.demand, n)
 	weight := resize(&w.weight, n)
 	ids := resize(&w.ids, n)
 	grant := resize(&w.grant, n)
-	for k := range running {
-		j := &running[k]
-		demand[k] = instantDemandAt(j, w.quota[k])
+	for k, i := range running {
+		j := &jobs[i]
+		demand[k] = instantDemand(j, w.quota[k])
 		weight[k] = j.SLO.Weight()
 		ids[k] = j.ID
 		grant[k] = 0
@@ -449,10 +444,11 @@ func NewQuiverAllocator(noise float64, seed int64) *QuiverAllocator {
 func (q *QuiverAllocator) Name() string { return "quiver" }
 
 // AllocateStorage implements StorageAllocator.
-func (q *QuiverAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment) {
+func (q *QuiverAllocator) AllocateStorage(c core.Cluster, jobs []core.JobView, running []int, a *core.Assignment) {
 	byKey := resetMap(&q.byKey)
 	groups := q.groups[:0]
-	for _, j := range running {
+	for _, i := range running {
+		j := &jobs[i]
 		gi, ok := byKey[j.DatasetKey]
 		if !ok {
 			gi = len(groups)
@@ -515,12 +511,13 @@ func (CoorDLAllocator) Name() string { return "coordl" }
 // AllocateStorage implements StorageAllocator.
 //
 // silod:pure
-func (CoorDLAllocator) AllocateStorage(c core.Cluster, running []core.JobView, a *core.Assignment) {
+func (CoorDLAllocator) AllocateStorage(c core.Cluster, jobs []core.JobView, running []int, a *core.Assignment) {
 	if c.GPUs <= 0 {
 		return
 	}
 	perGPU := float64(c.Cache) / float64(c.GPUs)
-	for _, j := range running {
+	for _, i := range running {
+		j := &jobs[i]
 		quota := unit.Bytes(perGPU * float64(j.NumGPUs))
 		if quota > j.DatasetSize {
 			quota = j.DatasetSize
@@ -550,4 +547,4 @@ func (AlluxioAllocator) Name() string { return "alluxio" }
 // AllocateStorage implements StorageAllocator.
 //
 // silod:pure
-func (AlluxioAllocator) AllocateStorage(core.Cluster, []core.JobView, *core.Assignment) {}
+func (AlluxioAllocator) AllocateStorage(core.Cluster, []core.JobView, []int, *core.Assignment) {}

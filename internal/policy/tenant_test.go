@@ -8,24 +8,23 @@ import (
 	"repro/internal/unit"
 )
 
-// stubPolicy returns a fixed assignment, letting the clamp be tested in
-// isolation from the real allocators.
+// stubPolicy returns a fixed assignment, written with grants keyed by
+// job ID, letting the clamp be tested in isolation from the real
+// allocators.
 type stubPolicy struct {
-	a core.Assignment
+	a refAssignment
 }
 
 func (s *stubPolicy) Name() string { return "stub" }
-func (s *stubPolicy) Assign(core.Cluster, unit.Time, []core.JobView) core.Assignment {
-	// Deep-copy so the clamp's in-place edits do not leak across calls.
-	out := core.NewAssignment()
-	for k, v := range s.a.GPUs {
-		out.GPUs[k] = v
+func (s *stubPolicy) Assign(_ core.Cluster, _ unit.Time, jobs []core.JobView) core.Assignment {
+	// A fresh copy, so the clamp's in-place edits do not leak across calls.
+	var out core.Assignment
+	out.Reset(len(jobs))
+	for i, j := range jobs {
+		out.GPUs[i], out.RemoteIO[i] = s.a.GPUs[j.ID], s.a.RemoteIO[j.ID]
 	}
 	for k, v := range s.a.CacheQuota {
 		out.CacheQuota[k] = v
-	}
-	for k, v := range s.a.RemoteIO {
-		out.RemoteIO[k] = v
 	}
 	return out
 }
@@ -55,20 +54,21 @@ func TestTenantClampGPURevokeOrder(t *testing.T) {
 		view("b", "g", tenant.Sheddable, 1, "ds-b", 100),
 		view("c", "g", tenant.Sheddable, 1, "ds-c", 200),
 	}
-	stub := &stubPolicy{a: core.Assignment{
+	stub := &stubPolicy{a: refAssignment{
 		GPUs:       map[string]int{"a": 1, "b": 1, "c": 1},
 		CacheQuota: map[string]unit.Bytes{},
 		RemoteIO:   map[string]unit.Bandwidth{"a": unit.MBpsOf(10), "b": unit.MBpsOf(10), "c": unit.MBpsOf(10)},
 	}}
 	p := &TenantPolicy{Inner: stub, Reg: reg}
 	a := p.Assign(core.Cluster{GPUs: 8}, 0, jobs)
-	if a.GPUs["a"] != 1 || a.GPUs["b"] != 1 {
-		t.Errorf("front-of-queue jobs lost GPUs: %+v", a.GPUs)
+	g := gpusByID(a, jobs)
+	if g["a"] != 1 || g["b"] != 1 {
+		t.Errorf("front-of-queue jobs lost GPUs: %+v", g)
 	}
-	if _, ok := a.GPUs["c"]; ok {
-		t.Errorf("latest job kept its grant over quota: %+v", a.GPUs)
+	if g["c"] != 0 {
+		t.Errorf("latest job kept its grant over quota: %+v", g)
 	}
-	if _, ok := a.RemoteIO["c"]; ok {
+	if ioByID(a, jobs)["c"] != 0 {
 		t.Error("revoked job kept its remote IO grant")
 	}
 }
@@ -81,18 +81,18 @@ func TestTenantClampGPUKeepsCritical(t *testing.T) {
 		view("late-crit", "m", tenant.Critical, 1, "ds1", 500),
 		view("early-shed", "m", tenant.Sheddable, 1, "ds2", 0),
 	}
-	stub := &stubPolicy{a: core.Assignment{
+	stub := &stubPolicy{a: refAssignment{
 		GPUs:       map[string]int{"late-crit": 1, "early-shed": 1},
 		CacheQuota: map[string]unit.Bytes{},
 		RemoteIO:   map[string]unit.Bandwidth{},
 	}}
 	p := &TenantPolicy{Inner: stub, Reg: reg}
-	a := p.Assign(core.Cluster{GPUs: 8}, 0, jobs)
-	if a.GPUs["late-crit"] != 1 {
-		t.Errorf("critical job revoked before sheddable: %+v", a.GPUs)
+	g := gpusByID(p.Assign(core.Cluster{GPUs: 8}, 0, jobs), jobs)
+	if g["late-crit"] != 1 {
+		t.Errorf("critical job revoked before sheddable: %+v", g)
 	}
-	if _, ok := a.GPUs["early-shed"]; ok {
-		t.Errorf("sheddable job survived quota pressure over critical: %+v", a.GPUs)
+	if g["early-shed"] != 0 {
+		t.Errorf("sheddable job survived quota pressure over critical: %+v", g)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestTenantClampCacheScaling(t *testing.T) {
 		view("c2", "capped", tenant.Standard, 1, "ds-y", 10),
 		view("f1", "free", tenant.Standard, 1, "ds-z", 20),
 	}
-	stub := &stubPolicy{a: core.Assignment{
+	stub := &stubPolicy{a: refAssignment{
 		GPUs: map[string]int{"c1": 1, "c2": 1, "f1": 1},
 		CacheQuota: map[string]unit.Bytes{
 			"ds-x": unit.GiB(150),
@@ -141,18 +141,18 @@ func TestTenantClampEgressScaling(t *testing.T) {
 		view("a", "g", tenant.Sheddable, 1, "ds-a", 0),
 		view("b", "g", tenant.Sheddable, 1, "ds-b", 10),
 	}
-	stub := &stubPolicy{a: core.Assignment{
+	stub := &stubPolicy{a: refAssignment{
 		GPUs:       map[string]int{"a": 1, "b": 1},
 		CacheQuota: map[string]unit.Bytes{},
 		RemoteIO:   map[string]unit.Bandwidth{"a": unit.MBpsOf(150), "b": unit.MBpsOf(50)},
 	}}
 	p := &TenantPolicy{Inner: stub, Reg: reg}
-	a := p.Assign(core.Cluster{GPUs: 8}, 0, jobs)
-	total := a.RemoteIO["a"] + a.RemoteIO["b"]
+	io := ioByID(p.Assign(core.Cluster{GPUs: 8}, 0, jobs), jobs)
+	total := io["a"] + io["b"]
 	if total > unit.MBpsOf(100) || total < unit.Bandwidth(float64(unit.MBpsOf(100))*0.999) {
 		t.Errorf("egress after clamp = %v, want ~100 MB/s", total)
 	}
-	if x, y := a.RemoteIO["a"], a.RemoteIO["b"]; x < 2*y || x > 4*y {
+	if x, y := io["a"], io["b"]; x < 2*y || x > 4*y {
 		t.Errorf("egress scale-down not proportional: %v vs %v", x, y)
 	}
 }
@@ -166,16 +166,17 @@ func TestTenantClampNoQuotaNoChange(t *testing.T) {
 		view("a", "open", tenant.Critical, 2, "ds-a", 0),
 		view("b", "", tenant.Standard, 2, "ds-b", 10),
 	}
-	orig := core.Assignment{
+	orig := refAssignment{
 		GPUs:       map[string]int{"a": 2, "b": 2},
 		CacheQuota: map[string]unit.Bytes{"ds-a": unit.GiB(10), "ds-b": unit.GiB(20)},
 		RemoteIO:   map[string]unit.Bandwidth{"a": unit.MBpsOf(30), "b": unit.MBpsOf(40)},
 	}
 	p := &TenantPolicy{Inner: &stubPolicy{a: orig}, Reg: reg}
 	a := p.Assign(core.Cluster{GPUs: 8}, 0, jobs)
+	gpus, io := gpusByID(a, jobs), ioByID(a, jobs)
 	for id, g := range orig.GPUs {
-		if a.GPUs[id] != g {
-			t.Errorf("GPUs[%s] changed: %d -> %d", id, g, a.GPUs[id])
+		if gpus[id] != g {
+			t.Errorf("GPUs[%s] changed: %d -> %d", id, g, gpus[id])
 		}
 	}
 	for ds, q := range orig.CacheQuota {
@@ -184,8 +185,8 @@ func TestTenantClampNoQuotaNoChange(t *testing.T) {
 		}
 	}
 	for id, bw := range orig.RemoteIO {
-		if a.RemoteIO[id] != bw {
-			t.Errorf("RemoteIO[%s] changed: %v -> %v", id, bw, a.RemoteIO[id])
+		if io[id] != bw {
+			t.Errorf("RemoteIO[%s] changed: %v -> %v", id, bw, io[id])
 		}
 	}
 

@@ -1,7 +1,7 @@
 package policy
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/tenant"
@@ -10,7 +10,7 @@ import (
 
 // TenantPolicy wraps an inner policy and clamps its Assignment to the
 // per-tenant quotas in a tenant registry. The inner policy already
-// favors protected tiers (SortJobs ranks by SLO, the greedy allocator
+// favors protected tiers (SortJobsInto ranks by SLO, the greedy allocator
 // weights cache efficiency by SLO class); the clamp adds the hard
 // ceilings: a tenant never holds more GPUs, attributed cache or remote
 // egress than its quota, no matter what the inner policy proposed.
@@ -68,10 +68,14 @@ func (p *TenantPolicy) Assign(c core.Cluster, now unit.Time, jobs []core.JobView
 //
 // silod:pure
 func (p *TenantPolicy) clamp(jobs []core.JobView, a *core.Assignment) {
-	ordered := core.SortJobs(jobs)
-	jobsOf := make(map[string][]core.JobView)
-	for _, j := range ordered {
-		jobsOf[j.Tenant] = append(jobsOf[j.Tenant], j)
+	ordered := make([]queueKey, len(jobs)) // canonical queue order, by view position
+	for i := range jobs {
+		ordered[i] = queueKey{jobs[i].SLO.Rank(), jobs[i].Submit, jobs[i].ID, i}
+	}
+	slices.SortFunc(ordered, byQueue)
+	jobsOf := make(map[string][]int)
+	for _, q := range ordered {
+		jobsOf[jobs[q.i].Tenant] = append(jobsOf[jobs[q.i].Tenant], q.i)
 	}
 
 	// GPUs: revoke over-quota grants from the back of the tenant's
@@ -82,15 +86,13 @@ func (p *TenantPolicy) clamp(jobs []core.JobView, a *core.Assignment) {
 		}
 		mine := jobsOf[t.ID]
 		held := 0
-		for _, j := range mine {
-			held += a.GPUs[j.ID]
+		for _, i := range mine {
+			held += a.GPUs[i]
 		}
-		for i := len(mine) - 1; i >= 0 && held > t.Quota.GPUs; i-- {
-			j := mine[i]
-			if g := a.GPUs[j.ID]; g > 0 {
-				held -= g
-				delete(a.GPUs, j.ID)
-				delete(a.RemoteIO, j.ID)
+		for k := len(mine) - 1; k >= 0 && held > t.Quota.GPUs; k-- {
+			if i := mine[k]; a.GPUs[i] > 0 {
+				held -= a.GPUs[i]
+				a.GPUs[i], a.RemoteIO[i] = 0, 0
 			}
 		}
 	}
@@ -101,8 +103,9 @@ func (p *TenantPolicy) clamp(jobs []core.JobView, a *core.Assignment) {
 	// datasets once. A tenant over its cache quota has all its datasets'
 	// quotas scaled down proportionally.
 	dsOwner := make(map[string]string)
-	for _, j := range ordered {
-		if a.GPUs[j.ID] <= 0 {
+	for _, q := range ordered {
+		j := &jobs[q.i]
+		if a.GPUs[q.i] <= 0 {
 			continue
 		}
 		if _, ok := a.CacheQuota[j.DatasetKey]; !ok {
@@ -124,7 +127,7 @@ func (p *TenantPolicy) clamp(jobs []core.JobView, a *core.Assignment) {
 		}
 		// Sum after sorting: ratio below divides by this float total, so
 		// its rounding must not depend on per-process map order.
-		sort.Strings(keys)
+		slices.Sort(keys)
 		var total unit.Bytes
 		for _, ds := range keys {
 			total += a.CacheQuota[ds]
@@ -146,17 +149,15 @@ func (p *TenantPolicy) clamp(jobs []core.JobView, a *core.Assignment) {
 		}
 		mine := jobsOf[t.ID]
 		var total unit.Bandwidth
-		for _, j := range mine {
-			total += a.RemoteIO[j.ID]
+		for _, i := range mine {
+			total += a.RemoteIO[i]
 		}
 		if total <= t.Quota.Egress {
 			continue
 		}
 		ratio := float64(t.Quota.Egress) / float64(total)
-		for _, j := range mine {
-			if bw, ok := a.RemoteIO[j.ID]; ok {
-				a.RemoteIO[j.ID] = unit.Bandwidth(float64(bw) * ratio)
-			}
+		for _, i := range mine {
+			a.RemoteIO[i] = unit.Bandwidth(float64(a.RemoteIO[i]) * ratio)
 		}
 	}
 }

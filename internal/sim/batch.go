@@ -245,8 +245,8 @@ func (s *batchSim) reschedule() {
 		}
 	}
 	s.applyRemoteIO(now, act, a)
-	for _, j := range act {
-		started, stopped := s.grantGPUs(now, j, a.GPUs[j.spec.ID])
+	for i, j := range act {
+		started, stopped := s.grantGPUs(now, j, a.GPUs[i])
 		if started {
 			s.kick(s.bjobs[j.spec.ID])
 		}

@@ -118,10 +118,11 @@ func (e *engine) remoteIOGrants(running []*jobRT, hits, floor []float64) []unit.
 }
 
 // applyRemoteIO copies the assignment's remote-IO allocations onto the
-// active jobs, recording each change on the timeline.
+// active jobs, whose views the assignment was solved over in act's
+// order, recording each change on the timeline.
 func (e *engine) applyRemoteIO(now unit.Time, act []*jobRT, a core.Assignment) {
-	for _, j := range act {
-		bw := a.RemoteIO[j.spec.ID]
+	for i, j := range act {
+		bw := a.RemoteIO[i]
 		if bw.Changed(j.remoteIO) {
 			e.met.tl.RecordAt(float64(now), metrics.EventIOAlloc, j.spec.ID, float64(bw), "bytes_per_sec")
 		}

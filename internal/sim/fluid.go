@@ -173,8 +173,8 @@ func (s *fluidSim) reschedule() error {
 	// cannot see when the policy ignores FieldRunning.
 	rateDirty := !reused
 	// GPUs: grant/revoke.
-	for _, j := range act {
-		started, stopped := s.grantGPUs(s.now, j, a.GPUs[j.spec.ID])
+	for i, j := range act {
+		started, stopped := s.grantGPUs(s.now, j, a.GPUs[i])
 		if started || stopped {
 			rateDirty = true
 		}

@@ -343,9 +343,11 @@ func newBedMetrics(cfg Config) bedMetrics {
 	}
 }
 
-// views builds the policy's job views from live counters.
-func (b *bed) views() []core.JobView {
+// views builds the policy's job views from live counters, and the
+// job each view stands for: the assignment's grants are by position.
+func (b *bed) views() ([]core.JobView, []*jobRun) {
 	out := make([]core.JobView, 0, len(b.jobs))
+	var of []*jobRun
 	for _, j := range b.jobs {
 		j.mu.Lock()
 		rem := j.remaining
@@ -388,8 +390,9 @@ func (b *bed) views() []core.JobView {
 			Submit:          0,
 			Running:         run,
 		})
+		of = append(of, j)
 	}
-	return out
+	return out, of
 }
 
 // round runs one allocation round and pushes it into the data manager.
@@ -400,7 +403,7 @@ func (b *bed) views() []core.JobView {
 func (b *bed) round() error {
 	now := unit.Time(time.Since(b.start).Seconds() * b.cfg.TimeScale)
 	b.applyFaults(now)
-	views := b.views()
+	views, viewJobs := b.views()
 	if len(views) == 0 {
 		return nil
 	}
@@ -440,7 +443,7 @@ func (b *bed) round() error {
 			want = minWant
 		}
 		wants[k], ids[k] = want, v.ID
-		if bw := a.RemoteIO[v.ID]; bw > 0 {
+		if bw := a.RemoteIO[k]; bw > 0 {
 			grants[k] = float64(bw)
 		}
 	}
@@ -453,32 +456,32 @@ func (b *bed) round() error {
 	// like controlplane's: applyFaults rescales the ledger behind the
 	// round's back, so only the manager knows what each job holds.
 	type update struct {
-		id     string
+		j      *jobRun
 		scaled unit.Bandwidth
 	}
 	var raises []update
 	for k, v := range views {
 		scaled := unit.Bandwidth(grants[k] * b.cfg.TimeScale)
 		if st, err := b.mgr.Stats(v.ID); err == nil && scaled > st.RemoteIO {
-			raises = append(raises, update{v.ID, scaled})
+			raises = append(raises, update{viewJobs[k], scaled})
 			continue
 		}
-		if err := b.pushRemoteIO(v.ID, scaled); err != nil {
+		if err := b.pushRemoteIO(viewJobs[k], scaled); err != nil {
 			return err
 		}
 	}
 	for _, u := range raises {
-		if err := b.pushRemoteIO(u.id, u.scaled); err != nil {
+		if err := b.pushRemoteIO(u.j, u.scaled); err != nil {
 			return err
 		}
 	}
 	// GPU starts (no preemption: once started, a job runs to finish).
-	for _, j := range b.jobs {
+	for k, j := range viewJobs {
 		j.mu.Lock()
-		if !j.finished && !j.running && a.GPUs[j.spec.ID] > 0 {
+		if !j.finished && !j.running && a.GPUs[k] > 0 {
 			j.running = true
 			b.met.tl.RecordAt(float64(now), metrics.EventSchedule, j.spec.ID,
-				float64(a.GPUs[j.spec.ID]), "gpus")
+				float64(a.GPUs[k]), "gpus")
 		}
 		j.mu.Unlock()
 	}
@@ -489,24 +492,18 @@ func (b *bed) round() error {
 // ID of a job that finished after the round took its views: runJob
 // marks the job finished, then detaches it. That push is moot, not a
 // protocol violation, so it is dropped; any other rejection is an error.
-func (b *bed) pushRemoteIO(id string, bw unit.Bandwidth) error {
-	err := b.mgr.AllocateRemoteIO(id, bw)
+func (b *bed) pushRemoteIO(j *jobRun, bw unit.Bandwidth) error {
+	err := b.mgr.AllocateRemoteIO(j.spec.ID, bw)
 	if err == nil {
 		return nil
 	}
-	for _, j := range b.jobs {
-		if j.spec.ID != id {
-			continue
-		}
-		j.mu.Lock()
-		finished := j.finished
-		j.mu.Unlock()
-		if finished {
-			return nil
-		}
-		break
+	j.mu.Lock()
+	finished := j.finished
+	j.mu.Unlock()
+	if finished {
+		return nil
 	}
-	return fmt.Errorf("testbed: allocate remote IO for %s: %w", id, err)
+	return fmt.Errorf("testbed: allocate remote IO for %s: %w", j.spec.ID, err)
 }
 
 // applyFaults drains fault events due by now and applies them to the
