@@ -34,6 +34,9 @@ func BenchmarkLRUPoolAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCheLRU solves one 200-stream instance cold (no hint) and
+// warm (a hint 0.1 % off τ, as the engine's previous solve gives) and
+// reports the occupancy sums each solve takes.
 func BenchmarkCheLRU(b *testing.B) {
 	streams := make([]FluidStream, 200)
 	rng := simrng.New(3)
@@ -43,9 +46,20 @@ func BenchmarkCheLRU(b *testing.B) {
 			Rate: unit.Bandwidth(rng.Uniform(2, 300)) * unit.MBps,
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CheLRUInto(nil, unit.TiB(24), streams)
+	var w CheWork
+	hits, tau := CheLRUInto(nil, unit.TiB(24), streams, 0, &w)
+	for _, bc := range []struct {
+		name string
+		hint float64
+	}{{"cold", 0}, {"warm", tau * 1.001}} {
+		b.Run(bc.name, func(b *testing.B) {
+			evals := 0
+			for i := 0; i < b.N; i++ {
+				hits, _ = CheLRUInto(hits, unit.TiB(24), streams, bc.hint, &w)
+				evals += w.evals
+			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+		})
 	}
 }
 

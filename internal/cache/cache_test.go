@@ -372,12 +372,18 @@ func TestPoolInvariantsProperty(t *testing.T) {
 }
 
 func TestCheLRUEverythingFits(t *testing.T) {
-	hits := CheLRUInto(nil, unit.GiB(10), cacheList{{unit.GiB(4), unit.MBpsOf(100)}, {unit.GiB(4), unit.MBpsOf(10)}}.streams())
+	hits := cheSolve(unit.GiB(10), cacheList{{unit.GiB(4), unit.MBpsOf(100)}, {unit.GiB(4), unit.MBpsOf(10)}}.streams())
 	for i, h := range hits {
 		if h != 1 {
 			t.Errorf("stream %d hit %v, want 1 when everything fits", i, h)
 		}
 	}
+}
+
+// cheSolve is a cold CheLRUInto into a fresh buffer.
+func cheSolve(capacity unit.Bytes, streams []FluidStream) []float64 {
+	hits, _ := CheLRUInto(nil, capacity, streams, 0, new(CheWork))
+	return hits
 }
 
 // cache1 keeps the test table compact.
@@ -399,14 +405,14 @@ func (c cacheList) streams() []FluidStream {
 func TestCheLRUSingleStreamMatchesExactAnalysis(t *testing.T) {
 	// One stream with d = 2C: the exact shuffled-epoch analysis gives
 	// hit = P(gap < (C/d)·T·...) = F(tau) with occupancy(tau) = C/d.
-	hits := CheLRUInto(nil, unit.GiB(1), cacheList{{unit.GiB(2), unit.MBpsOf(50)}}.streams())
+	hits := cheSolve(unit.GiB(1), cacheList{{unit.GiB(2), unit.MBpsOf(50)}}.streams())
 	if hits[0] < 0.08 || hits[0] > 0.25 {
 		t.Errorf("single-stream d=2C hit %v, want ~0.12-0.15", hits[0])
 	}
 }
 
 func TestCheLRUFavorsFastStreams(t *testing.T) {
-	hits := CheLRUInto(nil, unit.GiB(2), cacheList{
+	hits := cheSolve(unit.GiB(2), cacheList{
 		{unit.GiB(4), unit.MBpsOf(200)}, // fast: short re-access period
 		{unit.GiB(4), unit.MBpsOf(10)},  // slow
 	}.streams())
@@ -416,18 +422,18 @@ func TestCheLRUFavorsFastStreams(t *testing.T) {
 }
 
 func TestCheLRUEdgeCases(t *testing.T) {
-	if hits := CheLRUInto(nil, 0, cacheList{{unit.GiB(1), unit.MBpsOf(1)}}.streams()); hits[0] != 0 {
+	if hits := cheSolve(0, cacheList{{unit.GiB(1), unit.MBpsOf(1)}}.streams()); hits[0] != 0 {
 		t.Error("zero capacity should hit 0")
 	}
-	if hits := CheLRUInto(nil, unit.GiB(1), nil); len(hits) != 0 {
+	if hits := cheSolve(unit.GiB(1), nil); len(hits) != 0 {
 		t.Error("no streams")
 	}
-	hits := CheLRUInto(nil, unit.GiB(1), cacheList{{unit.GiB(2), 0}}.streams())
+	hits := cheSolve(unit.GiB(1), cacheList{{unit.GiB(2), 0}}.streams())
 	if hits[0] != 0 {
 		t.Error("idle stream should hit 0")
 	}
 	// Hits are always within [0,1].
-	hits = CheLRUInto(nil, unit.GiB(3), cacheList{
+	hits = cheSolve(unit.GiB(3), cacheList{
 		{unit.GiB(1), unit.MBpsOf(500)},
 		{unit.GiB(8), unit.MBpsOf(3)},
 		{unit.GiB(2), 0},

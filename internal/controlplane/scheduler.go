@@ -88,6 +88,11 @@ type SchedulerServer struct {
 	nodes    map[string]*nodeState // guarded by mu
 	nodeIDs  []string              // guarded by mu (node names, kept sorted incrementally)
 	liveness time.Duration         // guarded by mu (node liveness timeout)
+	// No live node can time out at or before expiry, so a round whose
+	// clock reads no later skips the liveness walk (see
+	// refreshLivenessLocked). The zero Time, which SetNodeLivenessTimeout
+	// restores, forces the next walk.
+	expiry time.Time // guarded by mu
 	// Effective-cluster cache: recomputed only when a node arrives,
 	// dies, revives or changes capacity, so the steady-state heartbeat
 	// storm of a large cluster costs O(1) per beat.
@@ -345,6 +350,7 @@ func (s *SchedulerServer) SetNodeLivenessTimeout(d time.Duration) {
 	}
 	s.mu.Lock()
 	s.liveness = d
+	s.expiry = time.Time{}
 	s.mu.Unlock()
 }
 
@@ -435,13 +441,27 @@ func (s *SchedulerServer) Tenants() []TenantStatus {
 }
 
 // refreshLivenessLocked expires nodes whose last heartbeat is older than
-// the liveness timeout. The caller holds s.mu.
+// the liveness timeout. It walks the nodes only once now is past
+// s.expiry, and the walk sets s.expiry to the earliest of now+liveness
+// and each node's lastSeen+liveness that it leaves live. Since the
+// clock never runs backwards, a node that heartbeats after the walk,
+// new, revived or already live, cannot expire before now+liveness, so
+// the bound holds until the next walk. The caller holds s.mu.
 func (s *SchedulerServer) refreshLivenessLocked(now time.Time) {
+	if !now.After(s.expiry) {
+		return
+	}
+	s.expiry = now.Add(s.liveness)
 	for _, n := range s.nodes {
-		if n.live && now.Sub(n.lastSeen) > s.liveness {
+		if !n.live {
+			continue
+		}
+		if now.Sub(n.lastSeen) > s.liveness {
 			n.live = false
 			s.effValid = false
 			s.met.nodeDeaths.Inc()
+		} else if e := n.lastSeen.Add(s.liveness); e.Before(s.expiry) {
+			s.expiry = e
 		}
 	}
 }

@@ -49,6 +49,8 @@ type fluidSim struct {
 	lruIdx     []int
 	streamsBuf []cache.FluidStream
 	cheHits    []float64
+	che        cache.CheWork
+	cheTau     float64 // the last Che solve's τ, the next one's Newton start
 
 	// LRU stream-layout memo: which jobs share a dataset key, the
 	// sorted key order, and each job's stream index depend only on the
@@ -386,7 +388,7 @@ func (s *fluidSim) lruHits(running []*jobRT, hits []float64) {
 			st.Size = j.spec.Dataset.Size
 			st.Rate += unit.Bandwidth(rates[i])
 		}
-		s.cheHits = cache.CheLRUInto(s.cheHits, s.eff.Cache, streams)
+		s.cheHits, s.cheTau = cache.CheLRUInto(s.cheHits, s.eff.Cache, streams, s.cheTau, &s.che)
 		for i, j := range running {
 			h := s.cheHits[idx[i]]
 			if s.lruUsers[i] == 1 && j.epochs == 0 {
