@@ -14,6 +14,7 @@ package controlplane
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/unit"
 )
@@ -166,17 +167,28 @@ type ErrorResponse struct {
 // They check what is knowable from the request alone; context-dependent
 // checks (cluster size, registered tenants) stay with the server.
 
+// positive reports whether x is finite and above zero: NaN and +Inf
+// are not, and JSON cannot carry them, but in-process callers can.
+//
+// silod:pure
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
+// nonNegative reports whether x is finite and at least zero.
+//
+// silod:pure
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
 // Validate rejects malformed dataset registrations.
 // silod:validator
 func (r *RegisterDatasetRequest) Validate() error {
 	if r.Name == "" {
 		return fmt.Errorf("controlplane: register needs a dataset name")
 	}
-	if r.Size <= 0 {
-		return fmt.Errorf("controlplane: dataset %s has non-positive size %v", r.Name, r.Size)
+	if !positive(float64(r.Size)) {
+		return fmt.Errorf("controlplane: dataset %s has size %v, want a finite positive size", r.Name, r.Size)
 	}
-	if r.BlockSize < 0 {
-		return fmt.Errorf("controlplane: dataset %s has negative block size %v", r.Name, r.BlockSize)
+	if !nonNegative(float64(r.BlockSize)) {
+		return fmt.Errorf("controlplane: dataset %s has block size %v, want finite and non-negative", r.Name, r.BlockSize)
 	}
 	return nil
 }
@@ -196,8 +208,8 @@ func (r *AllocateCacheRequest) Validate() error {
 	if r.Dataset == "" {
 		return fmt.Errorf("controlplane: cache allocation needs a dataset")
 	}
-	if r.Size < 0 {
-		return fmt.Errorf("controlplane: dataset %s allocated negative cache %v", r.Dataset, r.Size)
+	if !nonNegative(float64(r.Size)) {
+		return fmt.Errorf("controlplane: dataset %s allocated cache %v, want finite and non-negative", r.Dataset, r.Size)
 	}
 	return nil
 }
@@ -208,8 +220,8 @@ func (r *AllocateRemoteIORequest) Validate() error {
 	if r.JobID == "" {
 		return fmt.Errorf("controlplane: remote-IO allocation needs a job_id")
 	}
-	if r.Speed < 0 {
-		return fmt.Errorf("controlplane: job %s allocated negative remote IO %v", r.JobID, r.Speed)
+	if !nonNegative(float64(r.Speed)) {
+		return fmt.Errorf("controlplane: job %s allocated remote IO %v, want finite and non-negative", r.JobID, r.Speed)
 	}
 	return nil
 }
@@ -236,7 +248,7 @@ func (r *SubmitJobRequest) Validate() error {
 	if r.NumGPUs <= 0 {
 		return fmt.Errorf("controlplane: job %s requests %d GPUs", r.JobID, r.NumGPUs)
 	}
-	if r.DatasetSize <= 0 || r.IdealThroughput <= 0 || r.TotalBytes <= 0 {
+	if !positive(float64(r.DatasetSize)) || !positive(float64(r.IdealThroughput)) || !positive(float64(r.TotalBytes)) {
 		return fmt.Errorf("controlplane: job %s has incomplete profile", r.JobID)
 	}
 	return nil
@@ -248,8 +260,8 @@ func (r *HeartbeatRequest) Validate() error {
 	if r.Node == "" {
 		return fmt.Errorf("controlplane: heartbeat needs a node name")
 	}
-	if r.GPUs < 0 || r.Cache < 0 {
-		return fmt.Errorf("controlplane: node %s heartbeats negative capacity", r.Node)
+	if r.GPUs < 0 || !nonNegative(float64(r.Cache)) {
+		return fmt.Errorf("controlplane: node %s heartbeats a negative or non-finite capacity", r.Node)
 	}
 	return nil
 }
@@ -262,8 +274,8 @@ func (r *ProgressRequest) Validate() error {
 	if r.JobID == "" {
 		return fmt.Errorf("controlplane: progress needs a job_id")
 	}
-	if r.AttainedBytes < 0 || r.EffectiveCache < 0 || r.CachedBytes < 0 {
-		return fmt.Errorf("controlplane: job %s reports negative progress (attained %v, effective %v, cached %v)",
+	if !nonNegative(float64(r.AttainedBytes)) || !nonNegative(float64(r.EffectiveCache)) || !nonNegative(float64(r.CachedBytes)) {
+		return fmt.Errorf("controlplane: job %s reports negative or non-finite progress (attained %v, effective %v, cached %v)",
 			r.JobID, r.AttainedBytes, r.EffectiveCache, r.CachedBytes)
 	}
 	return nil

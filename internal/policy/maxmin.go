@@ -8,6 +8,7 @@
 package policy
 
 import (
+	"math"
 	"slices"
 	"strings"
 
@@ -58,10 +59,10 @@ type MaxMinSolver struct {
 	targets      []float64
 	alloc        []StorageAlloc
 	groups       []probeGroup
-	keys         []string  // group key, by group index
-	scores       []float64 // scan score at the current λ, by group index
+	keys         []string // group key, by group index
 	members      []int
-	order        []int // group indices in scan order; persists across a round's probes
+	scan         []scored // groups in scan order with their scores; persists across a round's probes
+	sorter       scoreSorter
 	unsat        []int
 
 	// The bandwidth program and Gavel's top-up, by running position k:
@@ -114,12 +115,12 @@ type roundJob struct {
 // member range are λ-invariant; rate and cache are recomputed per probe.
 type probeGroup struct {
 	size float64 // dataset size d (its first active member's)
-	eff  float64 // max effective-cached fraction among active members
 	// maxSize and hyst are the λ-invariant factors of the scan score
-	// rate/max(size,1)·(1+0.5·eff).
+	// rate/max(size,1)·(1+0.5·eff), eff the max cached fraction among
+	// the active members.
 	maxSize float64 // max(size, 1)
-	hyst    float64 // 1 + 0.5·eff
-	lo, hi  int     // members: MaxMinSolver.members[lo:hi]
+	hyst    float64 // 1 + 0.5·eff; eff itself while groupRound builds the group
+	lo, hi  int32   // members: MaxMinSolver.members[lo:hi]
 	rate    float64 // Σ targets of the members (per probe)
 	cache   float64 // cache granted to the group (per probe)
 }
@@ -309,18 +310,18 @@ func (s *MaxMinSolver) groupRound(active []int) {
 			s.keys = append(s.keys, ds.key)
 		}
 		gr := &s.groups[g]
-		if jb.frac > gr.eff {
-			gr.eff = jb.frac
+		if jb.frac > gr.hyst {
+			gr.hyst = jb.frac
 		}
 		gr.hi++ // member count until the offsets below
 		round[k] = roundJob{pe: jb.pe, fstar: jb.fstar, group: g}
 	}
-	off := 0
+	off := int32(0)
 	for g := range s.groups {
 		gr := &s.groups[g]
 		gr.lo, gr.hi, off = off, off, off+gr.hi
 		gr.maxSize = max(gr.size, 1)
-		gr.hyst = 1 + 0.5*gr.eff
+		gr.hyst = 1 + 0.5*gr.hyst
 	}
 	members := resize(&s.members, len(active))
 	for k := range round {
@@ -328,11 +329,10 @@ func (s *MaxMinSolver) groupRound(active []int) {
 		members[gr.hi] = k
 		gr.hi++
 	}
-	order := resize(&s.order, len(s.groups))
-	for g := range order {
-		order[g] = g
+	scan := resize(&s.scan, len(s.groups))
+	for g := range scan {
+		scan[g] = scored{idx: g}
 	}
-	resize(&s.scores, len(s.groups))
 }
 
 // byScore compares two entries by score, descending if desc, ties to
@@ -353,12 +353,125 @@ func byScore(ea, eb float64, ka, kb string, desc bool) int {
 	return 1
 }
 
-// scanCmp orders groups by scan score, descending, ties to the unique
-// group key: a strict total order, so the sorted permutation is unique.
+// scored is one entry of the probe's scan order: a group index and its
+// scan score.
+type scored struct {
+	score float64
+	idx   int
+}
+
+// scanBefore reports whether a scans strictly before b: byScore,
+// descending, with tie keys keys[idx], which it reads only on an exact
+// tie.
 //
 // silod:pure
-func (s *MaxMinSolver) scanCmp(ga, gb int) int {
-	return byScore(s.scores[ga], s.scores[gb], s.keys[ga], s.keys[gb], true)
+func scanBefore(a, b scored, keys []string) bool {
+	if a.score == b.score {
+		return keys[a.idx] < keys[b.idx]
+	}
+	return a.score > b.score
+}
+
+// scoreSorter sorts scored entries by scanBefore without a comparator
+// call per comparison. The zero value is ready to use; its buffers are
+// reused across calls.
+type scoreSorter struct {
+	packed []uint64
+}
+
+// maxPosBits caps the low bits a packed key gives to the entry's
+// position, which are bits taken from the score for the repair pass to
+// make up for.
+const maxPosBits = 16
+
+// sort sorts e by scanBefore. Each score maps to a uint64 whose order
+// is the descending score order, and the entry's position replaces its
+// low bits; one integer sort of those keys orders e up to the dropped
+// bits, the entries follow that permutation in place, and an insertion
+// pass with scanBefore repairs the near-ties the dropped bits merged.
+// scanBefore is a strict total order on non-NaN scores (the keys are
+// unique), so the sorted permutation is unique and this reaches the
+// one slices.SortFunc with byScore reaches. With a NaN score, or more
+// entries than maxPosBits can number, it sorts with slices.SortFunc
+// itself: from the same start it makes the same comparisons with the
+// same results, so even then nothing changes.
+//
+// silod:pure
+func (o *scoreSorter) sort(e []scored, keys []string) {
+	n := len(e)
+	if n < 2 {
+		return
+	}
+	posBits := 0 // ⌈log₂ n⌉: enough bits to number positions 0..n-1
+	for 1<<posBits < n {
+		posBits++
+	}
+	if posBits > maxPosBits {
+		sortScanFunc(e, keys)
+		return
+	}
+	mask := uint64(1)<<posBits - 1
+	packed := resize(&o.packed, n)
+	for k := range e {
+		x := e[k].score
+		if x != x {
+			sortScanFunc(e, keys)
+			return
+		}
+		if x == 0 {
+			x = 0 // -0 and +0 tie under byScore: one key for both
+		}
+		// A negative score's bits already rise as it falls; a
+		// non-negative one's magnitude bits are flipped to fall as it
+		// rises, below every negative score's.
+		u := math.Float64bits(x)
+		if u>>63 == 0 {
+			u = ^u &^ (1 << 63)
+		}
+		packed[k] = u&^mask | uint64(k)
+	}
+	slices.Sort(packed)
+	// Entry k takes the one at position packed[k]: follow each cycle
+	// of that permutation once, marking a slot done as it is filled.
+	const done = ^uint64(0)
+	for k := range packed {
+		packed[k] &= mask
+	}
+	for start := range e {
+		if packed[start] == done {
+			continue
+		}
+		x := e[start]
+		k := start
+		for {
+			from := int(packed[k])
+			packed[k] = done
+			if from == start {
+				e[k] = x
+				break
+			}
+			e[k] = e[from]
+			k = from
+		}
+	}
+	for k := 1; k < n; k++ {
+		x := e[k]
+		j := k
+		for j > 0 && scanBefore(x, e[j-1], keys) {
+			e[j] = e[j-1]
+			j--
+		}
+		e[j] = x
+	}
+}
+
+// sortScanFunc sorts e by byScore, descending, with slices.SortFunc.
+//
+// silod:pure
+func sortScanFunc(e []scored, keys []string) {
+	slices.SortFunc(e, func(a, b scored) int {
+		return byScore(a.score, b.score, keys[a.idx], keys[b.idx], true)
+	})
 }
 
 // split computes every job's target throughput min(lambda·perfEqual,
@@ -381,25 +494,37 @@ func (s *MaxMinSolver) split(remCache, lambda float64) {
 		s.targets[k] = t
 		groups[rj.group].rate += t
 	}
-	for g := range groups {
-		gr := &groups[g]
-		s.scores[g] = gr.rate / gr.maxSize * gr.hyst
+	scan, keys := s.scan, s.keys
+	for k := range scan {
+		gr := &groups[scan[k].idx]
+		scan[k].score = gr.rate / gr.maxSize * gr.hyst
 	}
-	// order persists across λ probes. scanCmp is a strict total order,
-	// so the sorted permutation is unique: if the previous probe's order
-	// is still sorted under the current scores (the common case once the
+	// scan persists across λ probes, and the order (score descending,
+	// ties to the unique group key) is strict and total, so the sorted
+	// permutation is unique: if the previous probe's order is still
+	// sorted under the current scores (the common case once the
 	// bisection narrows), it already IS the permutation any sort would
-	// produce, and the O(n log n) re-sort is skipped.
-	order := s.order
-	for k := 1; k < len(order); k++ {
-		if s.scanCmp(order[k], order[k-1]) < 0 {
-			slices.SortFunc(order, s.scanCmp)
+	// produce, and the re-sort is skipped.
+	for k := 1; k < len(scan); k++ {
+		if scanBefore(scan[k], scan[k-1], keys) {
+			s.sorter.sort(scan, keys)
 			break
 		}
 	}
+	// While a group strictly fits, min(size, cacheLeft) is its size:
+	// the prefix takes whole sizes, and min runs from the cut on.
 	cacheLeft := remCache
-	for _, g := range order {
-		gr := &groups[g]
+	k := 0
+	for ; k < len(scan); k++ {
+		gr := &groups[scan[k].idx]
+		if !(gr.size < cacheLeft) {
+			break
+		}
+		gr.cache = gr.size
+		cacheLeft -= gr.size
+	}
+	for _, e := range scan[k:] {
+		gr := &groups[e.idx]
 		give := min(gr.size, cacheLeft)
 		gr.cache = give
 		cacheLeft -= give

@@ -111,6 +111,55 @@ func TestGavelAssignMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGavelAssignMatchesReferenceAtScale is the reference comparison at
+// the Figure 12 trace's scale, where refInstance's 64 jobs never reach:
+// 150–400 jobs, most on a dataset of their own and some sharing, and a
+// cache that runs out part way down the scan order, so the probe
+// re-sorts a couple of hundred groups.
+func TestGavelAssignMatchesReferenceAtScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	gavels := map[GavelObjective]*Gavel{
+		MaxMinFairness:     {Enhanced: true, Objective: MaxMinFairness},
+		FinishTimeFairness: {Enhanced: true, Objective: FinishTimeFairness},
+	}
+	for trial := 0; trial < 24; trial++ {
+		n := 150 + rng.Intn(251)
+		shared := 1 + rng.Intn(12)
+		var total unit.Bytes
+		jobs := make([]core.JobView, n)
+		for i := range jobs {
+			key, size := fmt.Sprintf("solo-%03d", i), unit.GiB(float64(20+rng.Intn(1500)))
+			if rng.Intn(6) == 0 {
+				d := rng.Intn(shared)
+				key, size = fmt.Sprintf("shared-%02d", d), unit.GiB(float64(100+50*d))
+			}
+			total += size
+			j := mkView(fmt.Sprintf("job-%04d", rng.Intn(10000)*1000+i), []int{1, 2, 4, 8}[rng.Intn(4)], key,
+				size, unit.MBpsOf(float64(5+rng.Intn(600))))
+			if rng.Intn(3) == 0 {
+				j.CachedBytes = unit.Bytes(rng.Float64()) * size
+				j.EffectiveCached = unit.Bytes(rng.Float64()) * j.CachedBytes
+			}
+			j.AttainedBytes = unit.Bytes(rng.Float64()) * 5 * size
+			j.Submit = unit.Time(rng.Intn(43200))
+			j.Running = rng.Intn(2) == 0
+			jobs[i] = j
+		}
+		c := core.Cluster{
+			GPUs:     400,
+			Cache:    unit.Bytes(0.2+0.6*rng.Float64()) * total,
+			RemoteIO: unit.Gbps(float64(8 + rng.Intn(57))),
+		}
+		now := unit.Time(43200 + rng.Intn(7200))
+		for _, obj := range []GavelObjective{MaxMinFairness, FinishTimeFairness} {
+			want := refGavelAssign(obj, c, now, jobs)
+			if err := sameAs(want, gavels[obj].Assign(c, now, jobs), jobs); err != nil {
+				t.Fatalf("trial %d (%d jobs) %v: product vs reference: %v", trial, n, obj, err)
+			}
+		}
+	}
+}
+
 // lpMinIO is the cache side of Eq. 9 at fixed targets, solved without
 // the solver's greedy order: the least remote IO that any cache split
 // within budget leaves to fetch. The program is a fractional knapsack,

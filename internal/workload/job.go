@@ -120,10 +120,11 @@ func (j JobSpec) Validate() error {
 	if j.NumSteps <= 0 {
 		return fmt.Errorf("workload: job %s has %d steps", j.ID, j.NumSteps)
 	}
-	if j.Dataset.Size <= 0 {
-		return fmt.Errorf("workload: job %s has empty dataset", j.ID)
+	// Written so NaN fails too; +Inf is no size or rate either.
+	if !(j.Dataset.Size > 0) || math.IsInf(float64(j.Dataset.Size), 1) {
+		return fmt.Errorf("workload: job %s has empty or non-finite dataset size %v", j.ID, j.Dataset.Size)
 	}
-	if j.Model.IdealIOPerGPU <= 0 {
+	if !(j.Model.IdealIOPerGPU > 0) || math.IsInf(float64(j.Model.IdealIOPerGPU), 1) {
 		return fmt.Errorf("workload: job %s model %q has no ideal IO", j.ID, j.Model.Name)
 	}
 	if j.Curriculum != nil {

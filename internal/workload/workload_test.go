@@ -151,6 +151,14 @@ func TestJobSpecValidate(t *testing.T) {
 		{ID: "j", Model: m, Dataset: d, NumGPUs: 1, NumSteps: 1, // bad curriculum
 			Curriculum: &CurriculumSpec{StartingPercent: 0, Alpha: 2, StepSize: 10}},
 	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ds, mod := d, m
+		ds.Size = unit.Bytes(x)
+		mod.IdealIOPerGPU = unit.Bandwidth(x)
+		bad = append(bad,
+			JobSpec{ID: "j", Model: m, Dataset: ds, NumGPUs: 1, NumSteps: 1},  // non-finite dataset size
+			JobSpec{ID: "j", Model: mod, Dataset: d, NumGPUs: 1, NumSteps: 1}) // non-finite ideal IO
+	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
