@@ -115,12 +115,12 @@ type roundJob struct {
 // member range are λ-invariant; rate and cache are recomputed per probe.
 type probeGroup struct {
 	size float64 // dataset size d (its first active member's)
+	eff  float64 // max effective-cached fraction among active members
 	// maxSize and hyst are the λ-invariant factors of the scan score
-	// rate/max(size,1)·(1+0.5·eff), eff the max cached fraction among
-	// the active members.
+	// rate/max(size,1)·(1+0.5·eff).
 	maxSize float64 // max(size, 1)
-	hyst    float64 // 1 + 0.5·eff; eff itself while groupRound builds the group
-	lo, hi  int32   // members: MaxMinSolver.members[lo:hi]
+	hyst    float64 // 1 + 0.5·eff
+	lo, hi  int     // members: MaxMinSolver.members[lo:hi]
 	rate    float64 // Σ targets of the members (per probe)
 	cache   float64 // cache granted to the group (per probe)
 }
@@ -310,18 +310,18 @@ func (s *MaxMinSolver) groupRound(active []int) {
 			s.keys = append(s.keys, ds.key)
 		}
 		gr := &s.groups[g]
-		if jb.frac > gr.hyst {
-			gr.hyst = jb.frac
+		if jb.frac > gr.eff {
+			gr.eff = jb.frac
 		}
 		gr.hi++ // member count until the offsets below
 		round[k] = roundJob{pe: jb.pe, fstar: jb.fstar, group: g}
 	}
-	off := int32(0)
+	off := 0
 	for g := range s.groups {
 		gr := &s.groups[g]
 		gr.lo, gr.hi, off = off, off, off+gr.hi
 		gr.maxSize = max(gr.size, 1)
-		gr.hyst = 1 + 0.5*gr.hyst
+		gr.hyst = 1 + 0.5*gr.eff
 	}
 	members := resize(&s.members, len(active))
 	for k := range round {
@@ -377,24 +377,21 @@ func scanBefore(a, b scored, keys []string) bool {
 // reused across calls.
 type scoreSorter struct {
 	packed []uint64
+	from   []scored // e as it was before the sort
 }
-
-// maxPosBits caps the low bits a packed key gives to the entry's
-// position, which are bits taken from the score for the repair pass to
-// make up for.
-const maxPosBits = 16
 
 // sort sorts e by scanBefore. Each score maps to a uint64 whose order
 // is the descending score order, and the entry's position replaces its
-// low bits; one integer sort of those keys orders e up to the dropped
-// bits, the entries follow that permutation in place, and an insertion
-// pass with scanBefore repairs the near-ties the dropped bits merged.
-// scanBefore is a strict total order on non-NaN scores (the keys are
-// unique), so the sorted permutation is unique and this reaches the
-// one slices.SortFunc with byScore reaches. With a NaN score, or more
-// entries than maxPosBits can number, it sorts with slices.SortFunc
-// itself: from the same start it makes the same comparisons with the
-// same results, so even then nothing changes.
+// low ⌈log₂ n⌉ bits; one integer sort of those keys orders e up to the
+// dropped bits, and the entries follow that permutation. Entries whose
+// keys differ above the position bits are then in order; each run that
+// shares them (exact ties, and near-ties the dropped bits merged) is
+// sorted by byScore. scanBefore is a strict total order on non-NaN
+// scores (the keys are unique), so the sorted permutation is unique and
+// this reaches the one slices.SortFunc with byScore reaches. With a NaN
+// score it sorts with slices.SortFunc itself: from the same start it
+// makes the same comparisons with the same results, so even then
+// nothing changes.
 //
 // silod:pure
 func (o *scoreSorter) sort(e []scored, keys []string) {
@@ -405,10 +402,6 @@ func (o *scoreSorter) sort(e []scored, keys []string) {
 	posBits := 0 // ⌈log₂ n⌉: enough bits to number positions 0..n-1
 	for 1<<posBits < n {
 		posBits++
-	}
-	if posBits > maxPosBits {
-		sortScanFunc(e, keys)
-		return
 	}
 	mask := uint64(1)<<posBits - 1
 	packed := resize(&o.packed, n)
@@ -431,37 +424,20 @@ func (o *scoreSorter) sort(e []scored, keys []string) {
 		packed[k] = u&^mask | uint64(k)
 	}
 	slices.Sort(packed)
-	// Entry k takes the one at position packed[k]: follow each cycle
-	// of that permutation once, marking a slot done as it is filled.
-	const done = ^uint64(0)
-	for k := range packed {
-		packed[k] &= mask
+	from := resize(&o.from, n)
+	copy(from, e)
+	for k, p := range packed {
+		e[k] = from[p&mask]
 	}
-	for start := range e {
-		if packed[start] == done {
-			continue
+	for lo := 0; lo < n-1; {
+		hi := lo + 1
+		for hi < n && (packed[hi]^packed[lo])&^mask == 0 {
+			hi++
 		}
-		x := e[start]
-		k := start
-		for {
-			from := int(packed[k])
-			packed[k] = done
-			if from == start {
-				e[k] = x
-				break
-			}
-			e[k] = e[from]
-			k = from
+		if hi-lo > 1 {
+			sortScanFunc(e[lo:hi], keys)
 		}
-	}
-	for k := 1; k < n; k++ {
-		x := e[k]
-		j := k
-		for j > 0 && scanBefore(x, e[j-1], keys) {
-			e[j] = e[j-1]
-			j--
-		}
-		e[j] = x
+		lo = hi
 	}
 }
 

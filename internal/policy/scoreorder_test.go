@@ -93,8 +93,7 @@ func scoreEntries(rng *rand.Rand, scores []float64) ([]scored, []string) {
 
 // TestScoreOrderMatchesSortFunc: scoreSorter reaches the order
 // slices.SortFunc with byScore reaches from the same start, on ties,
-// near-ties, signed zeros, negative scores, infinities and NaN, at
-// every size up to and past what the position bits can number.
+// near-ties, signed zeros, negative scores, infinities and NaN.
 func TestScoreOrderMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var o scoreSorter
@@ -110,16 +109,6 @@ func TestScoreOrderMatchesSortFunc(t *testing.T) {
 				t.Fatalf("n=%d %s, sorted start: %v", n, fam.name, err)
 			}
 		}
-	}
-	// Past the position bits the sort is slices.SortFunc itself.
-	n := 1<<maxPosBits + 1
-	scores := make([]float64, n)
-	for i := range scores {
-		scores[i] = float64(rng.Intn(n / 4))
-	}
-	e, keys := scoreEntries(rng, scores)
-	if err := checkScoreOrder(&o, e, keys); err != nil {
-		t.Fatalf("n=%d: %v", n, err)
 	}
 }
 
@@ -143,4 +132,36 @@ func FuzzScoreOrder(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkScoreSort times scoreSorter against slices.SortFunc with
+// byScore from the same shuffled start, on spread-out scores and on
+// scores drawn from three values, where every run of exact ties is
+// left to the exact sort.
+func BenchmarkScoreSort(b *testing.B) {
+	for _, n := range []int{209, 1 << 16} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		scores := map[string][]float64{"spread": make([]float64, n), "ties": make([]float64, n)}
+		for i := 0; i < n; i++ {
+			scores["spread"][i] = rng.ExpFloat64()
+			scores["ties"][i] = float64(1 + rng.Intn(3))
+		}
+		for _, fam := range []string{"spread", "ties"} {
+			start, keys := scoreEntries(rng, scores[fam])
+			e := make([]scored, n)
+			var o scoreSorter
+			for _, sorter := range []string{"packed", "sortfunc"} {
+				b.Run(fmt.Sprintf("n=%d/%s/%s", n, fam, sorter), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						copy(e, start)
+						if sorter == "packed" {
+							o.sort(e, keys)
+						} else {
+							refScanOrder(e, keys)
+						}
+					}
+				})
+			}
+		}
+	}
 }
