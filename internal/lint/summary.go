@@ -557,8 +557,11 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 }
 
 // staticCall handles a call with a resolved concrete target: the call
-// edge, argument flows, and validator gates.
+// edge, argument flows, and validator gates. A method of an
+// instantiated generic type resolves to its declaration, which carries
+// the annotations and summaries.
 func (w *sumWalker) staticCall(call *ast.CallExpr, fnObj *types.Func) {
+	fnObj = fnObj.Origin()
 	w.fi.calls = append(w.fi.calls, cgCall{callee: fnObj, pos: call.Pos()})
 	w.argFlows(call, fnObj, nil, "")
 	for _, arg := range call.Args {

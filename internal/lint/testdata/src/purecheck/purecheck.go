@@ -69,6 +69,23 @@ func callsUnvetted(x float64) float64 {
 	return rawScore(x) // want `calls purecheck\.rawScore, which is not annotated`
 }
 
+// box is a generic type with one vetted method and one not.
+type box[T any] struct{ v T }
+
+// silod:pure
+func (b *box[T]) get() T { return b.v }
+
+func (b *box[T]) set(v T) { b.v = v }
+
+// callsGeneric calls methods of an instantiated generic type: each
+// resolves to its declaration and is judged by its annotation.
+//
+// silod:pure
+func callsGeneric(b *box[float64]) float64 {
+	b.set(1)       // want `calls purecheck\.set, which is not annotated`
+	return b.get() // ok: the declaration is annotated
+}
+
 // callsClock reaches outside the pure-stdlib allowlist.
 //
 // silod:pure

@@ -8,12 +8,12 @@
 package policy
 
 import (
-	"math"
 	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/keysort"
 	"repro/internal/remoteio"
 	"repro/internal/unit"
 )
@@ -62,8 +62,9 @@ type MaxMinSolver struct {
 	keys         []string // group key, by group index
 	members      []int
 	scan         []scored // groups in scan order with their scores; persists across a round's probes
-	sorter       scoreSorter
+	sorter       keysort.Sorter[scored]
 	unsat        []int
+	probes       int // feasibility probes run, over the solver's life
 
 	// The bandwidth program and Gavel's top-up, by running position k:
 	// run[k] is a job index, runQuota[k] its dataset's cache quota.
@@ -372,83 +373,10 @@ func scanBefore(a, b scored, keys []string) bool {
 	return a.score > b.score
 }
 
-// scoreSorter sorts scored entries by scanBefore without a comparator
-// call per comparison. The zero value is ready to use; its buffers are
-// reused across calls.
-type scoreSorter struct {
-	packed []uint64
-	from   []scored // e as it was before the sort
-}
-
-// sort sorts e by scanBefore. Each score maps to a uint64 whose order
-// is the descending score order, and the entry's position replaces its
-// low ⌈log₂ n⌉ bits; one integer sort of those keys orders e up to the
-// dropped bits, and the entries follow that permutation. Entries whose
-// keys differ above the position bits are then in order; each run that
-// shares them (exact ties, and near-ties the dropped bits merged) is
-// sorted by byScore. scanBefore is a strict total order on non-NaN
-// scores (the keys are unique), so the sorted permutation is unique and
-// this reaches the one slices.SortFunc with byScore reaches. With a NaN
-// score it sorts with slices.SortFunc itself: from the same start it
-// makes the same comparisons with the same results, so even then
-// nothing changes.
+// scanKey is a scan entry's prefix key: its score, descending.
 //
 // silod:pure
-func (o *scoreSorter) sort(e []scored, keys []string) {
-	n := len(e)
-	if n < 2 {
-		return
-	}
-	posBits := 0 // ⌈log₂ n⌉: enough bits to number positions 0..n-1
-	for 1<<posBits < n {
-		posBits++
-	}
-	mask := uint64(1)<<posBits - 1
-	packed := resize(&o.packed, n)
-	for k := range e {
-		x := e[k].score
-		if x != x {
-			sortScanFunc(e, keys)
-			return
-		}
-		if x == 0 {
-			x = 0 // -0 and +0 tie under byScore: one key for both
-		}
-		// A negative score's bits already rise as it falls; a
-		// non-negative one's magnitude bits are flipped to fall as it
-		// rises, below every negative score's.
-		u := math.Float64bits(x)
-		if u>>63 == 0 {
-			u = ^u &^ (1 << 63)
-		}
-		packed[k] = u&^mask | uint64(k)
-	}
-	slices.Sort(packed)
-	from := resize(&o.from, n)
-	copy(from, e)
-	for k, p := range packed {
-		e[k] = from[p&mask]
-	}
-	for lo := 0; lo < n-1; {
-		hi := lo + 1
-		for hi < n && (packed[hi]^packed[lo])&^mask == 0 {
-			hi++
-		}
-		if hi-lo > 1 {
-			sortScanFunc(e[lo:hi], keys)
-		}
-		lo = hi
-	}
-}
-
-// sortScanFunc sorts e by byScore, descending, with slices.SortFunc.
-//
-// silod:pure
-func sortScanFunc(e []scored, keys []string) {
-	slices.SortFunc(e, func(a, b scored) int {
-		return byScore(a.score, b.score, keys[a.idx], keys[b.idx], true)
-	})
-}
+func scanKey(e scored) (uint64, bool) { return keysort.Desc(e.score) }
 
 // split computes every job's target throughput min(lambda·perfEqual,
 // f*) and the greedy cache division at that lambda: cache goes to
@@ -483,7 +411,9 @@ func (s *MaxMinSolver) split(remCache, lambda float64) {
 	// produce, and the re-sort is skipped.
 	for k := 1; k < len(scan); k++ {
 		if scanBefore(scan[k], scan[k-1], keys) {
-			s.sorter.sort(scan, keys)
+			s.sorter.Sort(scan, scanKey, func(a, b scored) int {
+				return byScore(a.score, b.score, keys[a.idx], keys[b.idx], true)
+			})
 			break
 		}
 	}
@@ -536,6 +466,7 @@ func (s *MaxMinSolver) requiredIO() float64 {
 //
 // silod:pure
 func (s *MaxMinSolver) feasible(remCache, remIO, lambda float64) bool {
+	s.probes++
 	s.split(remCache, lambda)
 	return s.requiredIO() <= remIO*(1+1e-9)+1e-6
 }
@@ -562,8 +493,11 @@ func (s *MaxMinSolver) allocate(remCache, remIO, lambda float64) {
 	}
 }
 
-// maxFeasibleLambda bisects on the normalized rate: 60 halvings of
-// [0, hi], each decided by one feasibility probe.
+// maxFeasibleLambda bisects on the normalized rate: at most 60 halvings
+// of [0, hi], each decided by one feasibility probe. Once lo and hi are
+// adjacent floats the midpoint rounds to one of them, whose verdict is
+// known, so the bisection stops there: every remaining halving would
+// leave both ends as they are.
 //
 // silod:pure
 func (s *MaxMinSolver) maxFeasibleLambda(remCache, remIO float64) float64 {
@@ -583,6 +517,9 @@ func (s *MaxMinSolver) maxFeasibleLambda(remCache, remIO float64) float64 {
 	}
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
+		}
 		if s.feasible(remCache, remIO, mid) {
 			lo = mid
 		} else {

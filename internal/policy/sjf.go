@@ -2,9 +2,9 @@ package policy
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/core"
+	"repro/internal/keysort"
 	"repro/internal/unit"
 )
 
@@ -30,7 +30,8 @@ type SJF struct {
 	// Assignment is valid only until the next Assign. The buffers below
 	// are likewise per-call scratch.
 	scratch core.Assignment
-	items   []ranked     // jobs by (score, ID), i the job index
+	items   []ranked // jobs by (score, ID), i the job index
+	sorter  keysort.Sorter[ranked]
 	want    []unit.Bytes // by job index: the score-minimizing cache
 	rankOf  []int        // by job index: position in score order
 	runIdx  []int        // running position → job index
@@ -95,7 +96,7 @@ func (s *SJF) Assign(c core.Cluster, now unit.Time, jobs []core.JobView) core.As
 		items = append(items, ranked{sc, jobs[i].ID, i})
 		want[i] = w
 	}
-	slices.SortFunc(items, rankedAsc)
+	s.sorter.Sort(items, rankedAscKey, rankedAsc)
 	s.items = items
 	// Admission in score order, all-or-nothing per gang, first-fit.
 	// rankOf[i] is job i's score rank, the remote-IO priority below.

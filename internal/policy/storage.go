@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/keysort"
 	"repro/internal/remoteio"
 	"repro/internal/simrng"
 	"repro/internal/unit"
@@ -66,6 +67,7 @@ type GreedyAllocator struct {
 	ds      []greedyDataset
 	jobDS   []int    // running position → dataset index
 	order   []ranked // dataset indices in allocation order
+	sorter  keysort.Sorter[ranked]
 	io      ioScratch
 }
 
@@ -97,6 +99,14 @@ func rankedAsc(a, b ranked) int { return byScore(a.score, b.score, a.id, b.id, f
 
 // silod:pure
 func rankedDesc(a, b ranked) int { return byScore(a.score, b.score, a.id, b.id, true) }
+
+// rankedAscKey and rankedDescKey are their keysort prefix keys.
+//
+// silod:pure
+func rankedAscKey(r ranked) (uint64, bool) { return keysort.Asc(r.score) }
+
+// silod:pure
+func rankedDescKey(r ranked) (uint64, bool) { return keysort.Desc(r.score) }
 
 // Name implements StorageAllocator.
 func (*GreedyAllocator) Name() string { return "silod-greedy" }
@@ -145,7 +155,7 @@ func (g *GreedyAllocator) AllocateStorage(c core.Cluster, jobs []core.JobView, r
 	for d := range ds {
 		order = append(order, ranked{ds[d].eff * (1 + hyst*ds[d].cachedFrac), ds[d].key, d})
 	}
-	slices.SortFunc(order, rankedDesc)
+	g.sorter.Sort(order, rankedDescKey, rankedDesc)
 	g.order = order
 	totalCache := c.Cache
 	for r, o := range order {
@@ -264,6 +274,7 @@ type ioScratch struct {
 	ids    []string
 	grant  []float64
 	order  []ranked // the warming jobs
+	sorter keysort.Sorter[ranked]
 	taxed  []taxed
 	div    remoteio.Divider
 }
@@ -335,7 +346,7 @@ func (w *ioScratch) priority(total unit.Bandwidth, jobs []core.JobView, running 
 	if len(warming) == 0 || pot <= 0 {
 		return // nothing to invest in (or no one to fund it): keep fair share
 	}
-	slices.SortFunc(warming, rankedAsc)
+	w.sorter.Sort(warming, rankedAscKey, rankedAsc)
 	spent := 0.0
 	for _, o := range warming {
 		if pot <= 1e-9 {
@@ -425,6 +436,7 @@ type QuiverAllocator struct {
 	groups []quiverGroup
 	byKey  map[string]int
 	order  []ranked
+	sorter keysort.Sorter[ranked]
 }
 
 type quiverGroup struct {
@@ -483,7 +495,7 @@ func (q *QuiverAllocator) AllocateStorage(c core.Cluster, jobs []core.JobView, r
 	for gi := range groups {
 		order = append(order, ranked{groups[gi].benefit, groups[gi].key, gi})
 	}
-	slices.SortFunc(order, rankedDesc)
+	q.sorter.Sort(order, rankedDescKey, rankedDesc)
 	q.order = order
 	remaining := c.Cache
 	for _, o := range order {

@@ -10,11 +10,11 @@ package remoteio
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/keysort"
 	"repro/internal/unit"
 )
 
@@ -140,8 +140,9 @@ func (l *Ledger) Remove(jobID string) {
 // order and residual scratch across calls. A Divider must not be shared
 // between goroutines.
 type Divider struct {
-	order []fillItem
-	resid []float64
+	order  []fillItem
+	sorter keysort.Sorter[fillItem]
+	resid  []float64
 }
 
 // fillItem is one job in water-fill order: its normalized want, the
@@ -165,6 +166,11 @@ func fillCmp(a, b fillItem) int {
 	}
 	return strings.Compare(a.id, b.id)
 }
+
+// fillKey is fillCmp's prefix key: the normalized want, ascending.
+//
+// silod:pure
+func fillKey(a fillItem) (uint64, bool) { return keysort.Asc(a.key) }
 
 // WaterFill divides capacity over wants by weighted progressive filling
 // (max-min fairness) and adds job i's share to grant[i]. Jobs are
@@ -194,7 +200,7 @@ func (d *Divider) WaterFill(grant []float64, capacity float64, wants, weights []
 		wleft += w
 	}
 	d.order = order
-	slices.SortFunc(order, fillCmp)
+	d.sorter.Sort(order, fillKey, fillCmp)
 	remaining := capacity
 	for _, o := range order {
 		w := 1.0

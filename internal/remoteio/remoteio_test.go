@@ -3,6 +3,7 @@ package remoteio
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -192,6 +193,49 @@ func TestDividerAllocatesNothing(t *testing.T) {
 		EqualSplit(grant, 100, wants)
 	}); got != 0 {
 		t.Errorf("warm Divider: %v allocs/op, want 0", got)
+	}
+}
+
+// TestFillOrderMatchesSortFunc: the water-fill's integer-key sort
+// reaches the order slices.SortFunc with fillCmp reaches from the same
+// start, on exact ties, 1–4-ulp near-ties, ±0, ±Inf and NaN (where
+// fillCmp, sending NaN to the ID, is no strict weak order). policy's
+// TestScoreOrderMatchesSortFunc covers the same shape over more
+// families and the policy comparators.
+func TestFillOrderMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	families := []struct {
+		name string
+		draw func() float64
+	}{
+		{"ties", func() float64 { return float64(1 + rng.Intn(3)) }},
+		{"ulps", func() float64 {
+			x := 1e6 * float64(1+rng.Intn(4))
+			for u := rng.Intn(5); u > 0; u-- {
+				x = math.Nextafter(x, math.Inf(1))
+			}
+			return x
+		}},
+		{"special", func() float64 {
+			return []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1}[rng.Intn(6)]
+		}},
+	}
+	var d Divider
+	for _, n := range []int{0, 1, 2, 3, 12, 209, 5000} {
+		for _, fam := range families {
+			start := make([]fillItem, n)
+			for i, k := range rng.Perm(n) {
+				start[i] = fillItem{fam.draw(), fmt.Sprintf("job-%05d", k), i}
+			}
+			got, want := slices.Clone(start), slices.Clone(start)
+			d.sorter.Sort(got, fillKey, fillCmp)
+			slices.SortFunc(want, fillCmp)
+			for k := range want {
+				if got[k].i != want[k].i {
+					t.Fatalf("n=%d %s: position %d holds item %d, slices.SortFunc item %d", n, fam.name, k, got[k].i, want[k].i)
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,9 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -251,5 +254,64 @@ func TestChaosDeterminism(t *testing.T) {
 		if makespans[0] != makespans[1] {
 			t.Errorf("%v: makespans differ: %v vs %v", eng, makespans[0], makespans[1])
 		}
+	}
+}
+
+// TestRoundRunningListMatchesScan: the fluid loop integrates over the
+// running list reschedule builds once per round, not a fresh scan per
+// step. At every step that list must be the one runningJobs() scans
+// for, including the rounds after the fault schedule's crash and GPU
+// loss and restore, which change who runs between rounds. The trace is
+// silodtrace's 24-job, 4-hour default; the schedule is the one
+// docs/fault-injection.md shows. On 8 GPUs the GPU loss preempts.
+func TestRoundRunningListMatchesScan(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "faults", "testdata", "schedule.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := faults.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := workload.Generate(workload.DefaultTraceConfig(42, 24, 4*unit.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		kind policy.SchedulerKind
+		cs   policy.CacheSystem
+	}{{policy.FIFOKind, policy.SiloD}, {policy.SJFKind, policy.Alluxio}, {policy.GavelKind, policy.SiloD}} {
+		pol, err := policy.Build(tc.kind, tc.cs, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var steps, afterCrash int
+		check := func(s *fluidSim, running []*jobRT) {
+			steps++
+			if s.now.Elapsed() > 9000 {
+				afterCrash++
+			}
+			// runningJobs refills the buffer running aliases.
+			round := slices.Clone(running)
+			if fresh := s.runningJobs(); !samePtrs(round, fresh) {
+				t.Fatalf("%v×%v at t=%v: round's running list has %d jobs, a fresh scan %d",
+					tc.kind, tc.cs, s.now, len(round), len(fresh))
+			}
+		}
+		res, err := Run(Config{
+			Cluster:   core.Cluster{GPUs: 8, Cache: 4 * unit.TB, RemoteIO: unit.MBpsOf(400)},
+			Policy:    pol,
+			System:    tc.cs,
+			Seed:      7,
+			Faults:    sched,
+			stepCheck: check,
+		}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steps == 0 || afterCrash == 0 {
+			t.Fatalf("%v×%v: %d steps checked, %d after the crash", tc.kind, tc.cs, steps, afterCrash)
+		}
+		requireAllJobs(t, res, specs)
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -68,8 +67,9 @@ type fluidSim struct {
 	rankPos   []int
 	effSum    []float64
 
-	funded      []rankQuota // reschedule: the assignment's keys by rank
-	prefetchBuf []int       // ranks prefetching this step
+	funded      []bool       // by rank, for reschedule; all false between rounds
+	fundQuota   []unit.Bytes // by rank, for reschedule
+	prefetchBuf []int        // ranks prefetching this step
 	realizedBuf map[string]unit.Bandwidth
 
 	// Rate memo: jobRates is a deterministic function of inputs that
@@ -136,6 +136,8 @@ func (s *fluidSim) rankKeys(jobs []*jobRT) {
 	s.rankCount = make([]int, len(keys))
 	s.rankPos = make([]int, len(keys))
 	s.effSum = make([]float64, len(keys))
+	s.funded = make([]bool, len(keys))
+	s.fundQuota = make([]unit.Bytes, len(keys))
 }
 
 // ds returns the cache-key state for a job, bringing the key to life
@@ -149,9 +151,11 @@ func (s *fluidSim) ds(j *jobRT) *dsRT {
 	return d
 }
 
-// reschedule runs the policy over active jobs and applies the
-// assignment to the fluid state.
-func (s *fluidSim) reschedule() error {
+// reschedule runs the policy over active jobs, applies the assignment
+// to the fluid state and returns runningJobs(), built from act: nothing
+// changes running until the next round (a completion ends the round,
+// faults land before one), so the round's steps share the list.
+func (s *fluidSim) reschedule() ([]*jobRT, error) {
 	act := s.active(s.now)
 	views := resize(&s.viewsBuf, len(act))
 	for i, j := range act {
@@ -163,7 +167,7 @@ func (s *fluidSim) reschedule() error {
 	// Assignment validation enforces it against the same view.
 	a, reused, err := s.round.Solve(s.eff, s.now, views)
 	if err != nil {
-		return fmt.Errorf("sim: at t=%v policy %s produced invalid assignment: %w",
+		return nil, fmt.Errorf("sim: at t=%v policy %s produced invalid assignment: %w",
 			s.now, s.cfg.Policy.Name(), err)
 	}
 	s.met.reschedules.Inc()
@@ -189,28 +193,34 @@ func (s *fluidSim) reschedule() error {
 			j.effCached = minBytes(s.ds(j).cached, j.spec.Dataset.Size)
 		}
 	}
+	running := s.runBuf[:0]
+	for _, j := range act {
+		if j.running {
+			running = append(running, j)
+		}
+	}
+	s.runBuf = running
 	// Cache quotas (quota-based systems only; LRU manages itself).
 	// Apply in sorted key order: quota changes land on the event
 	// timeline, and map-iteration order would leak into the dump.
 	// Funded keys unknown to the run name no dataset and change nothing.
 	if !s.cfg.System.UsesLRU() {
-		funded := s.funded[:0]
+		funded, quota := s.funded, s.fundQuota
 		for key, q := range a.CacheQuota {
 			if r, ok := s.rankOf[key]; ok {
-				funded = append(funded, rankQuota{r, q})
+				funded[r], quota[r] = true, q
 			}
 		}
-		slices.SortFunc(funded, func(x, y rankQuota) int { return cmp.Compare(x.rank, y.rank) })
-		s.funded = funded
-		for _, fq := range funded {
-			s.applyQuota(fq.rank, fq.quota)
+		for r, f := range funded {
+			if f {
+				s.applyQuota(r, quota[r])
+			}
 		}
 		// Live keys not mentioned lose their allocation: the data
 		// manager evicts datasets the scheduler no longer funds.
-		f := 0
-		for r := range s.datasets {
-			if f < len(funded) && funded[f].rank == r {
-				f++
+		for r, f := range funded {
+			if f {
+				funded[r] = false
 			} else if s.datasets[r].live {
 				s.applyQuota(r, 0)
 			}
@@ -221,7 +231,7 @@ func (s *fluidSim) reschedule() error {
 		s.rateGen++
 	}
 	s.faultPreempt = false
-	return nil
+	return running, nil
 }
 
 // cacheResized implements faultReactor: after a loss, contents and
@@ -249,12 +259,6 @@ func (s *fluidSim) halt(j *jobRT, lostEpoch bool) {
 	if lostEpoch {
 		j.rollbackEpoch()
 	}
-}
-
-// rankQuota is one funded key of an assignment, by rank.
-type rankQuota struct {
-	rank  int
-	quota unit.Bytes
 }
 
 // applyQuota sets the quota of the key ranked r, evicting
@@ -497,7 +501,8 @@ func (s *fluidSim) loop() error {
 		// Decision point: land due faults, then (re)schedule against
 		// whatever capacity survives.
 		s.res.Events += s.drainFaults(s.now, s)
-		if err := s.reschedule(); err != nil {
+		running, err := s.reschedule()
+		if err != nil {
 			return err
 		}
 		s.res.Events++
@@ -517,7 +522,9 @@ func (s *fluidSim) loop() error {
 		// Integrate until the horizon, handling completions and epoch
 		// boundaries as they occur.
 		for s.now < horizon {
-			running := s.runningJobs()
+			if s.cfg.stepCheck != nil {
+				s.cfg.stepCheck(s, running)
+			}
 			hits, rates := s.jobRates(running)
 			s.sample(running, hits, rates, false)
 			if len(running) == 0 {

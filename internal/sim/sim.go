@@ -115,6 +115,10 @@ type Config struct {
 	// schedule, preempt, cache_alloc, io_alloc, epoch, complete) stamped
 	// with simulated time.
 	Timeline *metrics.Timeline
+
+	// stepCheck, when set, sees the fluid engine's running list at
+	// every integration step; tests check the list with it.
+	stepCheck func(s *fluidSim, running []*jobRT)
 }
 
 func (c *Config) withDefaults() Config {
