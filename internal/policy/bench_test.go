@@ -35,7 +35,9 @@ func benchJobs(n int) []core.JobView {
 // holds it: after the first call the workspace is warm and a solve
 // allocates nothing. The cache is a tenth of a TiB per job, small
 // enough that neither size fits every dataset at the first λ, so each
-// call bisects; probes/op counts its feasibility probes.
+// call bisects. probes/op counts the bisections' feasibility verdicts,
+// splits/op the full splits (allocate's included) and evals/op the
+// demand sums evaluated.
 func BenchmarkMaxMinStorage(b *testing.B) {
 	for _, n := range []int{200, 1000} {
 		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
@@ -43,13 +45,15 @@ func BenchmarkMaxMinStorage(b *testing.B) {
 			var s MaxMinSolver
 			cache := unit.TiB(float64(n) / 10)
 			s.Storage(cache, unit.GBpsOf(4), jobs)
-			probes := s.probes
+			probes, splits, evals := s.probes, s.splits, s.evals
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Storage(cache, unit.GBpsOf(4), jobs)
 			}
 			b.ReportMetric(float64(s.probes-probes)/float64(b.N), "probes/op")
+			b.ReportMetric(float64(s.splits-splits)/float64(b.N), "splits/op")
+			b.ReportMetric(float64(s.evals-evals)/float64(b.N), "evals/op")
 		})
 	}
 }

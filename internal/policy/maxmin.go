@@ -8,6 +8,7 @@
 package policy
 
 import (
+	"math"
 	"slices"
 	"strings"
 
@@ -51,26 +52,31 @@ type MaxMinSolver struct {
 	ds      []mmDataset
 	dsOrder []int // scratch permutation for sortDatasets
 
-	// One filling round: active (and next) hold job indices; the probe's
-	// state is by round position k, its groups by group index (first
-	// encounter over the round's jobs), members CSR-style in round order.
+	// One filling round: active (and next) hold job indices, alloc is by
+	// round position k, groups by group index (first encounter over the
+	// round's jobs). members holds the round's jobs grouped CSR-style,
+	// each group's in round order; memberPos[m] is members[m]'s k.
 	active, next []int
-	round        []roundJob
-	targets      []float64
 	alloc        []StorageAlloc
 	groups       []probeGroup
 	keys         []string // group key, by group index
-	members      []int
+	members      []rateJob
+	memberPos    []int
 	scan         []scored // groups in scan order with their scores; persists across a round's probes
 	sorter       keysort.Sorter[scored]
+	sLo, sHi     []float64 // by group index: the scores at the bisection's feasible and infeasible ends
 	unsat        []int
-	probes       int // feasibility probes run, over the solver's life
+
+	// Work counters over the solver's life: feasibility verdicts the
+	// bisections took, full splits run (allocate's included), and
+	// demand sums evaluated.
+	probes, splits, evals int
 
 	// The bandwidth program and Gavel's top-up, by running position k:
 	// run[k] is a job index, runQuota[k] its dataset's cache quota.
 	run      []int
 	runQuota []float64
-	bw       []bwJob
+	bw       []rateJob
 	grant    []float64
 	want     []float64
 	runIDs   []string
@@ -106,14 +112,8 @@ type mmDataset struct {
 	rank      int        // effRank: position in warm-up value order
 }
 
-// roundJob is one active job of a filling round.
-type roundJob struct {
-	pe, fstar float64
-	group     int
-}
-
 // probeGroup is one dataset group of a filling round. Size, eff and the
-// member range are λ-invariant; rate and cache are recomputed per probe.
+// member range are λ-invariant; rate and cache are recomputed per split.
 type probeGroup struct {
 	size float64 // dataset size d (its first active member's)
 	eff  float64 // max effective-cached fraction among active members
@@ -122,14 +122,39 @@ type probeGroup struct {
 	maxSize float64 // max(size, 1)
 	hyst    float64 // 1 + 0.5·eff
 	lo, hi  int     // members: MaxMinSolver.members[lo:hi]
-	rate    float64 // Σ targets of the members (per probe)
-	cache   float64 // cache granted to the group (per probe)
+	rate    float64 // Σ targets of the members (per split)
+	cache   float64 // cache granted to the group (per split)
 }
 
-// bwJob is one running job of the bandwidth program.
-type bwJob struct {
-	pe, fstar float64
-	miss      float64 // 1 - min(quota, effective)/max(d, 1), clamped at 0
+// rateJob is one job of a demand sum: a max-min program's job at
+// normalized rate λ runs at target(λ) and fetches the fraction miss of
+// what it reads from remote storage.
+type rateJob struct {
+	pe    float64 // SiloDPerf under the equal division, bytes/s
+	fstar float64 // f*, bytes/s
+	// The storage program's: its group's 1 - cache/max(d, 1) at the last
+	// split; the bandwidth program's: 1 - min(quota, effective)/max(d, 1).
+	// Clamped at 0 either way.
+	miss float64
+}
+
+// target is the job's throughput at normalized rate lambda:
+// min(λ·pe, f*).
+//
+// silod:pure
+func (j *rateJob) target(lambda float64) float64 { return min(lambda*j.pe, j.fstar) }
+
+// demand is the remote IO jobs need at normalized rate lambda, Σ
+// target·miss summed in slice order: the one evaluation both max-min
+// bisections make.
+//
+// silod:pure
+func demand(jobs []rateJob, lambda float64) float64 {
+	var sum float64
+	for i := range jobs {
+		sum += jobs[i].target(lambda) * jobs[i].miss
+	}
+	return sum
 }
 
 // resize returns a length-n slice backed by *buf, reallocating only when
@@ -253,7 +278,7 @@ func (s *MaxMinSolver) storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jo
 	for len(active) > 0 {
 		s.groupRound(active)
 		lambda := s.maxFeasibleLambda(remCache, remIO)
-		s.allocate(remCache, remIO, lambda)
+		s.allocate(remCache, lambda)
 		// Jobs capped at f* under this lambda are saturated: freeze them.
 		next = next[:0]
 		frozeAny := false
@@ -286,21 +311,18 @@ func (s *MaxMinSolver) storage(totalCache unit.Bytes, totalIO unit.Bandwidth, jo
 }
 
 // groupRound builds one filling round's probe state from the job
-// indices in active: the per-position rates' inputs, and the dataset
-// groups in first-encounter order over the active jobs (requiredIO's
-// sum order follows it), each with its members in round order. The
-// scan order starts as the identity.
+// indices in active: the dataset groups in first-encounter order over
+// the active jobs (the demand sum's order follows it), each with its
+// members in round order. The scan order starts as the identity.
 //
 // silod:pure
 func (s *MaxMinSolver) groupRound(active []int) {
-	round := resize(&s.round, len(active))
-	resize(&s.targets, len(active))
 	resize(&s.alloc, len(active))
 	for d := range s.ds {
 		s.ds[d].group = -1
 	}
 	s.groups, s.keys = s.groups[:0], s.keys[:0]
-	for k, i := range active {
+	for _, i := range active {
 		jb := &s.job[i]
 		ds := &s.ds[jb.ds]
 		g := ds.group
@@ -315,7 +337,6 @@ func (s *MaxMinSolver) groupRound(active []int) {
 			gr.eff = jb.frac
 		}
 		gr.hi++ // member count until the offsets below
-		round[k] = roundJob{pe: jb.pe, fstar: jb.fstar, group: g}
 	}
 	off := 0
 	for g := range s.groups {
@@ -325,15 +346,20 @@ func (s *MaxMinSolver) groupRound(active []int) {
 		gr.hyst = 1 + 0.5*gr.eff
 	}
 	members := resize(&s.members, len(active))
-	for k := range round {
-		gr := &s.groups[round[k].group]
-		members[gr.hi] = k
+	pos := resize(&s.memberPos, len(active))
+	for k, i := range active {
+		jb := &s.job[i]
+		gr := &s.groups[s.ds[jb.ds].group]
+		members[gr.hi] = rateJob{pe: jb.pe, fstar: jb.fstar}
+		pos[gr.hi] = k
 		gr.hi++
 	}
 	scan := resize(&s.scan, len(s.groups))
 	for g := range scan {
 		scan[g] = scored{idx: g}
 	}
+	resize(&s.sLo, len(s.groups))
+	resize(&s.sHi, len(s.groups))
 }
 
 // byScore compares two entries by score, descending if desc, ties to
@@ -378,25 +404,28 @@ func scanBefore(a, b scored, keys []string) bool {
 // silod:pure
 func scanKey(e scored) (uint64, bool) { return keysort.Desc(e.score) }
 
-// split computes every job's target throughput min(lambda·perfEqual,
-// f*) and the greedy cache division at that lambda: cache goes to
-// dataset groups in decreasing order of bandwidth-saved-per-byte
+// split computes every group's rate, the sum of its members'
+// target(λ), and the greedy cache division at that lambda: cache goes
+// to dataset groups in decreasing order of bandwidth-saved-per-byte
 // (g.rate/g.size), with the warm-data hysteresis used throughout
 // SiloD's allocators so already-effective datasets win near-ties and
-// quotas stay stable as the job set churns.
+// quotas stay stable as the job set churns. It leaves each member's
+// miss fraction in s.members.
 //
-// Runs ~60 times per bisection on the round's scratch.
+// A bisection runs it for each verdict until the scan order is pinned
+// (maxFeasibleLambda), and allocate runs it once per filling round.
 //
 // silod:pure
 func (s *MaxMinSolver) split(remCache, lambda float64) {
-	groups := s.groups
+	s.splits++
+	groups, members := s.groups, s.members
 	for g := range groups {
-		groups[g].rate = 0
-	}
-	for k, rj := range s.round {
-		t := min(lambda*rj.pe, rj.fstar)
-		s.targets[k] = t
-		groups[rj.group].rate += t
+		gr := &groups[g]
+		var rate float64
+		for m := gr.lo; m < gr.hi; m++ {
+			rate += members[m].target(lambda)
+		}
+		gr.rate = rate
 	}
 	scan, keys := s.scan, s.keys
 	for k := range scan {
@@ -435,98 +464,309 @@ func (s *MaxMinSolver) split(remCache, lambda float64) {
 		gr.cache = give
 		cacheLeft -= give
 	}
-}
-
-// requiredIO sums the bandwidth the split at the current targets needs:
-// t_j · (1 - c/d) per job, the steady-state demand at the planned cache
-// (Eq. 2). Warm-up transients are the bandwidth program's concern
-// (Bandwidth sizes actual grants effective-aware); the cache
-// program plans the steady state, as the paper's formulation does.
-// Groups are scanned in first-encounter order so the float accumulation
-// order — and with it the feasibility verdict at the bisection
-// boundary — is deterministic.
-//
-// silod:pure
-func (s *MaxMinSolver) requiredIO() float64 {
-	var total float64
-	for g := range s.groups {
-		gr := &s.groups[g]
+	for g := range groups {
+		gr := &groups[g]
 		miss := 1 - gr.cache/gr.maxSize
 		if miss < 0 {
 			miss = 0
 		}
-		for _, k := range s.members[gr.lo:gr.hi] {
-			total += s.targets[k] * miss
+		for m := gr.lo; m < gr.hi; m++ {
+			members[m].miss = miss
 		}
 	}
-	return total
 }
 
-// feasible reports whether targets at lambda fit both budgets.
+// probe splits the cache at lambda and returns the remote IO that split
+// needs: t_j · (1 - c/d) per job, the steady-state demand at the
+// planned cache (Eq. 2). Warm-up transients are the bandwidth program's
+// concern (Bandwidth sizes actual grants effective-aware); the cache
+// program plans the steady state, as the paper's formulation does. The
+// sum runs over the groups in first-encounter order, so the float
+// accumulation order — and with it the feasibility verdict at the
+// bisection boundary — is deterministic.
 //
 // silod:pure
-func (s *MaxMinSolver) feasible(remCache, remIO, lambda float64) bool {
-	s.probes++
+func (s *MaxMinSolver) probe(remCache, lambda float64) float64 {
 	s.split(remCache, lambda)
-	return s.requiredIO() <= remIO*(1+1e-9)+1e-6
+	s.evals++
+	return demand(s.members, lambda)
 }
 
 // allocate fills s.alloc, by round position, with the cheapest
 // allocation giving every active job its target throughput at lambda.
 //
 // silod:pure
-func (s *MaxMinSolver) allocate(remCache, remIO, lambda float64) {
+func (s *MaxMinSolver) allocate(remCache, lambda float64) {
 	s.split(remCache, lambda)
 	for g := range s.groups {
 		gr := &s.groups[g]
-		miss := 1 - gr.cache/gr.maxSize
-		if miss < 0 {
-			miss = 0
-		}
-		for _, k := range s.members[gr.lo:gr.hi] {
-			s.alloc[k] = StorageAlloc{
-				Cache:    unit.Bytes(gr.cache / float64(gr.hi-gr.lo)), // provisional split; merged later
-				RemoteIO: unit.Bandwidth(s.targets[k] * miss),
-				Perf:     unit.Bandwidth(s.targets[k]),
-			}
+		cache := unit.Bytes(gr.cache / float64(gr.hi-gr.lo)) // provisional split; merged later
+		for m := gr.lo; m < gr.hi; m++ {
+			j := &s.members[m]
+			t := j.target(lambda)
+			s.alloc[s.memberPos[m]] = StorageAlloc{Cache: cache, RemoteIO: unit.Bandwidth(t * j.miss), Perf: unit.Bandwidth(t)}
 		}
 	}
 }
 
+// bisection is one max-min bisection on the normalized rate λ: lo is
+// the feasible end (the starting 0 is never probed), hi the infeasible
+// one, and left the halvings still to run of the 60 that start from
+// [0, hi]. Once (lo+hi)/2 rounds to lo or hi, every further halving
+// would re-test an end whose verdict is known and leave both ends as
+// they are, so the bisection is over there too.
+type bisection struct {
+	lo, hi float64
+	left   int
+}
+
+// mid returns the next point to decide, false once the bisection is
+// over.
+//
+// silod:pure
+func (b *bisection) mid() (float64, bool) {
+	mid := (b.lo + b.hi) / 2
+	return mid, b.left > 0 && mid != b.lo && mid != b.hi
+}
+
+// set records mid's verdict.
+//
+// silod:pure
+func (b *bisection) set(mid float64, feasible bool) {
+	b.left--
+	if feasible {
+		b.lo = mid
+	} else {
+		b.hi = mid
+	}
+}
+
+// finiteNonneg reports whether x is finite and ≥ 0 (−0 included).
+//
+// silod:pure
+func finiteNonneg(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
 // maxFeasibleLambda bisects on the normalized rate: at most 60 halvings
-// of [0, hi], each decided by one feasibility probe. Once lo and hi are
-// adjacent floats the midpoint rounds to one of them, whose verdict is
-// known, so the bisection stops there: every remaining halving would
-// leave both ends as they are.
+// of [0, hi] after a probe at hi, stopped once lo and hi are adjacent
+// floats. A verdict is a full probe (split, then the demand sum) until
+// the scan order is pinned (probeToPin); from then on every split the
+// bisection would make is the same, so settle takes the remaining
+// verdicts from the demand sum alone. The verdicts are the full probes'
+// in every case, so λ is too, bit for bit. One call splits at most 61
+// times and evaluates the demand sum at most 61 + maxGuesses times.
 //
 // silod:pure
 func (s *MaxMinSolver) maxFeasibleLambda(remCache, remIO float64) float64 {
-	// Upper bound: the largest f*/perfEqual ratio.
+	limit := remIO*(1+1e-9) + 1e-6
+	b, rLo, rHi, pinned := s.probeToPin(remCache, limit)
+	if pinned {
+		return s.settle(&b, s.members, limit, rLo, rHi, true)
+	}
+	return b.lo
+}
+
+// probeToPin runs maxFeasibleLambda's bisection by full probes until it
+// is over, or until the scan order is pinned with halvings left; rLo
+// and rHi are the demands at the bisection's ends. The bisection starts
+// from [0, hi], hi the largest f*/perfEqual ratio, and is over at once
+// (with lo = hi) when hi is feasible or (with lo = 0) when hi <= 0.
+//
+// silod:pure
+func (s *MaxMinSolver) probeToPin(remCache, limit float64) (b bisection, rLo, rHi float64, pinned bool) {
 	hi := 0.0
-	for _, rj := range s.round {
-		if r := rj.fstar / rj.pe; r > hi {
+	mono := true // every pe and f* finite and ≥ 0: pinned's premise
+	for m := range s.members {
+		j := &s.members[m]
+		if r := j.fstar / j.pe; r > hi {
 			hi = r
 		}
+		mono = mono && finiteNonneg(j.pe) && finiteNonneg(j.fstar)
 	}
 	if hi <= 0 {
-		return 0
+		return b, 0, 0, false
 	}
-	lo := 0.0
-	if s.feasible(remCache, remIO, hi) {
-		return hi
+	s.probes++
+	if rHi = s.probe(remCache, hi); rHi <= limit {
+		return bisection{lo: hi, hi: hi}, 0, rHi, false
 	}
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if mid == lo || mid == hi {
-			break
+	b = bisection{hi: hi, left: 60}
+	clear(s.sLo) // the scores at λ = 0, given pinned's premise
+	s.keepScores(s.sHi)
+	for {
+		mid, ok := b.mid()
+		if !ok {
+			return b, rLo, rHi, false
 		}
-		if s.feasible(remCache, remIO, mid) {
-			lo = mid
+		if mono && s.pinned() {
+			return b, rLo, rHi, true
+		}
+		s.probes++
+		r := s.probe(remCache, mid)
+		feasible := r <= limit
+		b.set(mid, feasible)
+		if feasible {
+			rLo = r
+			s.keepScores(s.sLo)
 		} else {
-			hi = mid
+			rHi = r
+			s.keepScores(s.sHi)
 		}
 	}
-	return lo
+}
+
+// keepScores copies the last split's scores into dst, by group index.
+//
+// silod:pure
+func (s *MaxMinSolver) keepScores(dst []float64) {
+	for _, e := range s.scan {
+		dst[e.idx] = e.score
+	}
+}
+
+// pinned reports whether the scan order is the sorted order at every λ
+// of the bracket [lo, hi], given each group's score at lo in s.sLo and
+// at hi in s.sHi, and whether the demand sum of the last split is
+// float-monotone in λ.
+//
+// The premise is that every pe and f* of the round is finite and ≥ 0.
+// Then each score is a float-monotone function of λ: fl(min(fl(λ·pe),
+// f*)) is monotone, a float sum of monotone terms is monotone, and
+// dividing by maxSize ≥ 1 and multiplying by hyst ≥ 1 keeps it so. A
+// NaN or infinite size or hysteresis shows as a non-finite score at hi,
+// which refuses the pin; so does one at lo, and with finite scores the
+// score at λ = 0 is ±0, as s.sLo holds until a probe succeeds. At every
+// λ of the bracket each group's score therefore lies in [sLo, sHi],
+// and an adjacent pair a before b with sLo[a] > sHi[b], or sLo[a] ==
+// sHi[b] and key[a] < key[b], keeps a first. When every adjacent pair
+// of the last probe's order does, that order is the unique sorted one
+// throughout, and every split inside the bracket makes the last one's
+// cache division, which depends only on the order, the sizes and
+// remCache. The demand sum at λ is then demand(s.members, λ) with the
+// misses the last split left: each target is monotone and each miss a
+// fixed finite number ≥ 0, so the sum is float-monotone (it may reach
+// +Inf, never NaN).
+//
+// silod:pure
+func (s *MaxMinSolver) pinned() bool {
+	scan, keys, sLo, sHi := s.scan, s.keys, s.sLo, s.sHi
+	for k := 1; k < len(scan); k++ {
+		a, b := scan[k-1].idx, scan[k].idx
+		if la, hb := sLo[a], sHi[b]; !(la > hb || la == hb && keys[a] < keys[b]) {
+			return false
+		}
+	}
+	for g := range sHi {
+		if !finiteNonneg(sLo[g]) || !finiteNonneg(sHi[g]) {
+			return false
+		}
+	}
+	for m := range s.members {
+		if !finiteNonneg(s.members[m].miss) {
+			return false
+		}
+	}
+	return true
+}
+
+// maxGuesses bounds the guesses one settle makes.
+const maxGuesses = 8
+
+// settle runs the rest of b, deciding each midpoint by demand(jobs, λ)
+// <= limit; rLo and rHi are the demands at b's ends. That is the plain
+// bisection when mono is false: every midpoint is evaluated.
+//
+// With mono the demand is float-monotone in λ, so the verdicts have a
+// threshold λ†: feasible exactly at λ <= λ†. settle keeps a bracket
+// of points whose verdicts it knows, and a midpoint at or below its
+// feasible end, or at or above its infeasible end, is decided by that
+// comparison alone. A midpoint inside the bracket first gets guesses
+// (bracket.guess), while fewer than maxGuesses were made, until their
+// verdicts decide it; a midpoint still inside is evaluated. So every
+// verdict is the one evaluating the midpoint gives, and settle
+// evaluates the demand at most maxGuesses times more than the plain
+// bisection would.
+//
+// silod:pure
+func (s *MaxMinSolver) settle(b *bisection, jobs []rateJob, limit, rLo, rHi float64, mono bool) float64 {
+	k := bracket{a: b.lo, z: b.hi, fa: rLo - limit, fz: rHi - limit}
+	guesses := 0
+	for {
+		mid, ok := b.mid()
+		if !ok {
+			return b.lo
+		}
+		s.probes++
+		for mono && k.a < mid && mid < k.z && guesses < maxGuesses {
+			x, ok := k.guess()
+			if !ok {
+				break
+			}
+			guesses++
+			s.evals++
+			k.set(x, demand(jobs, x), limit)
+		}
+		var feasible bool
+		switch {
+		case mono && mid <= k.a:
+			feasible = true
+		case mono && mid >= k.z:
+			feasible = false
+		default:
+			s.evals++
+			feasible = k.set(mid, demand(jobs, mid), limit)
+		}
+		b.set(mid, feasible)
+	}
+}
+
+// bracket is what settle knows of the threshold: a is feasible (or the
+// bisection's starting lo, never probed), z is infeasible, 0 <= a < z,
+// and fa and fz are their demands less the limit, as the Illinois
+// variant of regula falsi weights them.
+type bracket struct {
+	a, z, fa, fz float64
+	moved        int // the end the last verdict moved: -1 a, +1 z, 0 neither yet
+}
+
+// set records the demand r at x and returns x's verdict. When an end
+// moves twice running, the other end's weight halves (Illinois), so
+// the guesses cannot keep landing on one side of the threshold.
+//
+// silod:pure
+func (k *bracket) set(x, r, limit float64) bool {
+	feasible := r <= limit
+	if feasible {
+		if k.moved < 0 {
+			k.fz /= 2
+		}
+		k.a, k.fa, k.moved = x, r-limit, -1
+	} else {
+		if k.moved > 0 {
+			k.fa /= 2
+		}
+		k.z, k.fz, k.moved = x, r-limit, 1
+	}
+	return feasible
+}
+
+// guess returns a float strictly inside (a, z), or false if there is
+// none. While more than four float64 bit patterns lie between the ends
+// it is where the weighted line through the ends meets the limit (a
+// secant guess); closer in, and when the line gives no number, it is
+// the midpoint in bit patterns, which for floats ≥ 0 are in the floats'
+// order.
+//
+// silod:pure
+func (k *bracket) guess() (float64, bool) {
+	lo, hi := math.Float64bits(k.a), math.Float64bits(k.z)
+	if hi-lo < 2 {
+		return 0, false
+	}
+	x := lo + (hi-lo)/2
+	if g := k.a + (k.z-k.a)*(k.fa/(k.fa-k.fz)); hi-lo > 4 && g == g {
+		x = math.Float64bits(min(max(g, k.a), k.z))
+	}
+	return math.Float64frombits(min(max(x, lo+1), hi-1)), true
 }
 
 // dsCmp orders datasets by score, descending, ties to the unique key.
@@ -666,8 +906,10 @@ func (s *MaxMinSolver) mergeSharedCache() {
 // against the *effective* cache (warming datasets need their full
 // current demand to hit the target now), which also satisfies the
 // planned-quota objective since q >= effective. The required bandwidth
-// is monotone in the normalized rate λ, so bisection is exact; leftover
-// bandwidth (from jobs capped at f*) should be spent by the caller.
+// is monotone in the normalized rate λ, so bisection is exact, and
+// with every input finite and ≥ 0 it is float-monotone too, so settle
+// needs few evaluations; leftover bandwidth (from jobs capped at f*)
+// should be spent by the caller.
 //
 // It runs over the running jobs jobs[s.run[k]], whose dataset quotas
 // are s.runQuota[k], and fills s.grant by running position.
@@ -685,6 +927,7 @@ func (s *MaxMinSolver) bandwidth(cl core.Cluster, total unit.Bandwidth, jobs []c
 		RemoteIO: unit.Bandwidth(float64(cl.RemoteIO) / n),
 	}
 	hi := 0.0
+	mono := true // demand float-monotone in λ: every pe, f* and miss finite and ≥ 0
 	for k, i := range s.run {
 		j := &jobs[i]
 		fstar := float64(j.Profile.IdealThroughput)
@@ -700,39 +943,20 @@ func (s *MaxMinSolver) bandwidth(cl core.Cluster, total unit.Bandwidth, jobs []c
 		if m < 0 {
 			m = 0
 		}
-		bw[k] = bwJob{pe: p, fstar: fstar, miss: m}
+		bw[k] = rateJob{pe: p, fstar: fstar, miss: m}
 		if r := fstar / p; r > hi {
 			hi = r
 		}
+		mono = mono && finiteNonneg(p) && finiteNonneg(fstar) && finiteNonneg(m)
 	}
 	budget := float64(total)
-	lo := 0.0
-	if s.needed(hi) <= budget {
-		lo = hi
-	} else {
-		h := hi
-		for k := 0; k < 60; k++ {
-			mid := (lo + h) / 2
-			if s.needed(mid) <= budget {
-				lo = mid
-			} else {
-				h = mid
-			}
-		}
+	lo := hi
+	s.probes++
+	s.evals++
+	if r := demand(bw, hi); !(r <= budget) {
+		lo = s.settle(&bisection{hi: hi, left: 60}, bw, budget, 0, r, mono)
 	}
 	for k := range bw {
-		grant[k] = min(lo*bw[k].pe, bw[k].fstar) * bw[k].miss
+		grant[k] = bw[k].target(lo) * bw[k].miss
 	}
-}
-
-// needed is the bandwidth the running jobs need at normalized rate
-// lambda.
-//
-// silod:pure
-func (s *MaxMinSolver) needed(lambda float64) float64 {
-	var sum float64
-	for _, b := range s.bw {
-		sum += min(lambda*b.pe, b.fstar) * b.miss
-	}
-	return sum
 }
