@@ -172,65 +172,12 @@ func genLambdaCase(rng *rand.Rand, family int) lambdaCase {
 	return c
 }
 
-// plain is the bisection the solver ran before it pinned anything: 60
-// halvings of [0, hi], each a full probe, on s's own split and demand
-// sum.
-func (c lambdaCase) plain(s *MaxMinSolver) float64 {
-	c.setup(s)
-	hi := 0.0
-	for _, j := range s.members {
-		if r := j.fstar / j.pe; r > hi {
-			hi = r
-		}
-	}
-	limit := c.remIO*(1+1e-9) + 1e-6
-	if hi <= 0 {
-		return 0
-	}
-	if s.probe(c.remCache, hi) <= limit {
-		return hi
-	}
-	lo := 0.0
-	for i := 0; i < 60; i++ {
-		if mid := (lo + hi) / 2; s.probe(c.remCache, mid) <= limit {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// extreme reports whether any input of c is NaN, infinite or of the
-// largest magnitude.
-func (c lambdaCase) extreme() bool {
-	x := []float64{c.remCache, c.remIO}
-	for k, v := range c.views {
-		x = append(x, c.pe[k], float64(v.Profile.IdealThroughput), float64(v.DatasetSize), float64(v.CachedBytes))
-	}
-	for _, v := range x {
-		if !(math.Abs(v) < math.MaxFloat64) {
-			return true
-		}
-	}
-	return false
-}
-
 // checkLambda compares the product's bisection on c with the
-// reference, bit for bit, and holds it to its evaluation bound. The
-// reference computes min with math.Min, the solver with the builtin
-// min, and the two differ when one operand is NaN and the other −Inf;
-// so on extreme inputs the plain bisection over the solver's own
-// arithmetic stands in for the reference where the two disagree.
-// pinned reports whether the bisection took the pinned path.
+// reference, bit for bit, on every round, and holds it to its
+// evaluation bound. pinned reports whether the bisection took the
+// pinned path.
 func checkLambda(s *MaxMinSolver, c lambdaCase) (pinned bool, err error) {
 	want := c.reference()
-	if plain := c.plain(s); math.Float64bits(plain) != math.Float64bits(want) {
-		if !c.extreme() {
-			return false, fmt.Errorf("plain bisection %v, reference %v", plain, want)
-		}
-		want = plain
-	}
 	c.setup(s)
 	probes, splits, evals := s.probes, s.splits, s.evals
 	got := s.maxFeasibleLambda(c.remCache, c.remIO)

@@ -446,19 +446,8 @@ func (s *MaxMinSolver) split(remCache, lambda float64) {
 			break
 		}
 	}
-	// While a group strictly fits, min(size, cacheLeft) is its size:
-	// the prefix takes whole sizes, and min runs from the cut on.
 	cacheLeft := remCache
-	k := 0
-	for ; k < len(scan); k++ {
-		gr := &groups[scan[k].idx]
-		if !(gr.size < cacheLeft) {
-			break
-		}
-		gr.cache = gr.size
-		cacheLeft -= gr.size
-	}
-	for _, e := range scan[k:] {
+	for _, e := range scan {
 		gr := &groups[e.idx]
 		give := min(gr.size, cacheLeft)
 		gr.cache = give

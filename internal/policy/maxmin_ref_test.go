@@ -185,13 +185,17 @@ func refNewLambdaProbe(jobs []refStorageJob) *refLambdaProbe {
 // (g.rate/g.size), with the warm-data hysteresis used throughout
 // SiloD's allocators so already-effective datasets win near-ties and
 // quotas stay stable as the job set churns.
-// is probe-owned scratch.
+//
+// Both mins are the builtin min, as in the solver, not math.Min: the
+// solver's NaN rule is the contract. The two differ only when one
+// operand is NaN and the other −Inf (math.Min gives −Inf, min gives
+// NaN), and a round carrying such a pair must get the solver's λ.
 func (p *refLambdaProbe) split(remCache, lambda float64) {
 	for gi := range p.groups {
 		p.groups[gi].rate = 0
 	}
 	for i, sj := range p.jobs {
-		t := math.Min(lambda*sj.perfEqual, float64(sj.view.Profile.IdealThroughput))
+		t := min(lambda*sj.perfEqual, float64(sj.view.Profile.IdealThroughput))
 		p.targets[i] = t
 		p.groups[p.groupOf[i]].rate += t
 	}
@@ -234,7 +238,7 @@ func (p *refLambdaProbe) split(remCache, lambda float64) {
 	cacheLeft := remCache
 	for _, gi := range order {
 		g := &p.groups[gi]
-		give := math.Min(g.size, cacheLeft)
+		give := min(g.size, cacheLeft)
 		g.cache = give
 		cacheLeft -= give
 	}

@@ -274,7 +274,6 @@ type ioScratch struct {
 	ids    []string
 	grant  []float64
 	order  []ranked // the warming jobs
-	sorter keysort.Sorter[ranked]
 	taxed  []taxed
 	div    remoteio.Divider
 }
@@ -346,7 +345,7 @@ func (w *ioScratch) priority(total unit.Bandwidth, jobs []core.JobView, running 
 	if len(warming) == 0 || pot <= 0 {
 		return // nothing to invest in (or no one to fund it): keep fair share
 	}
-	w.sorter.Sort(warming, rankedAscKey, rankedAsc)
+	slices.SortFunc(warming, rankedAsc)
 	spent := 0.0
 	for _, o := range warming {
 		if pot <= 1e-9 {
@@ -436,7 +435,6 @@ type QuiverAllocator struct {
 	groups []quiverGroup
 	byKey  map[string]int
 	order  []ranked
-	sorter keysort.Sorter[ranked]
 }
 
 type quiverGroup struct {
@@ -495,7 +493,7 @@ func (q *QuiverAllocator) AllocateStorage(c core.Cluster, jobs []core.JobView, r
 	for gi := range groups {
 		order = append(order, ranked{groups[gi].benefit, groups[gi].key, gi})
 	}
-	q.sorter.Sort(order, rankedDescKey, rankedDesc)
+	slices.SortFunc(order, rankedDesc)
 	q.order = order
 	remaining := c.Cache
 	for _, o := range order {
