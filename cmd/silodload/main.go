@@ -5,41 +5,39 @@
 //
 //	silodload -seed 42 -jobs 400 -mean-iat 5ms -cv 2 -out load.json
 //
-// With no -addr the generator self-hosts: it boots an in-process
-// scheduler (FIFO on SiloD, queued-submission mode, bounded admission
-// queue) on a loopback listener and drives rounds itself, so one
-// binary measures the whole drain-shed-recover loop. Point -addr at a
-// running silodd scheduler to load an external deployment instead
-// (round latencies are then unavailable and reported as zero).
+// With no -addr the generator self-hosts: it boots silodd's serving
+// stack in process (controlplane.NewDaemon: FIFO on SiloD, the three
+// loadgen tenants, a bounded admission queue) on loopback and reads its
+// round latencies off the round loop, so one binary measures the whole
+// drain-shed-recover loop. Point -addr at a running silodd scheduler to
+// load an external deployment instead (round latencies are then
+// unavailable and reported as zero).
 package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/admission"
 	"repro/internal/controlplane"
 	"repro/internal/core"
-	"repro/internal/datamgr"
 	"repro/internal/loadgen"
 	"repro/internal/policy"
-	"repro/internal/simrng"
 	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/unit"
 )
 
 func main() {
+	log.SetPrefix("silodload: ")
+	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "silodload:", err)
 		os.Exit(1)
@@ -91,12 +89,12 @@ func run(args []string) error {
 	gpus := fs.Int("gpus", 8, "self-host: cluster GPUs")
 	cacheStr := fs.String("cache", "100GB", "self-host: cluster cache")
 	remoteStr := fs.String("remote", "200MB", "self-host: remote IO bandwidth")
-	interval := fs.Duration("interval", 25*time.Millisecond, "self-host: round period")
+	interval := fs.Duration("interval", 25*time.Millisecond, "self-host: round period (0 = 1s)")
 	batch := fs.Int("batch", 8, "self-host: submissions drained per round")
 	capacity := fs.Int("capacity", 64, "self-host: admission queue capacity")
 	highWater := fs.Int("high-water", 12, "self-host: sheddable-tier watermark")
 	stdWater := fs.Int("std-water", 24, "self-host: standard-tier watermark")
-	drainWait := fs.Duration("drain-wait", 5*time.Second, "self-host: max wait for the backlog to drain")
+	drainWait := fs.Duration("drain-wait", 5*time.Second, "self-host: max wait for the backlog to drain, and the graceful-drain deadline")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -121,7 +119,11 @@ func run(args []string) error {
 
 	rep := benchReport{Spec: spec, Tiers: map[string]tierReport{}}
 	base := *addr
-	var host *selfHost
+	var host *controlplane.Daemon
+	// The round loop's callback appends here; Shutdown waits for the
+	// loop to exit, so both are final once it returns.
+	var roundSecs []float64
+	roundFails := 0
 	if base == "" {
 		cacheBytes, err := unit.ParseBytes(*cacheStr)
 		if err != nil {
@@ -131,21 +133,35 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		host, err = startSelfHost(selfHostConfig{
-			Cluster:  core.Cluster{GPUs: *gpus, Cache: cacheBytes, RemoteIO: remoteBW},
-			Seed:     *seed,
-			Interval: *interval,
-			Batch:    *batch,
-			Queue:    admission.Config{Capacity: *capacity, HighWater: *highWater, StandardWater: *stdWater},
+		reg := tenant.NewRegistry()
+		for _, tn := range loadgen.Tenants() {
+			if err := reg.Register(tn); err != nil {
+				return err
+			}
+		}
+		host, err = controlplane.NewDaemon(controlplane.DaemonConfig{
+			Cluster:   core.Cluster{GPUs: *gpus, Cache: cacheBytes, RemoteIO: remoteBW},
+			Scheduler: policy.FIFOKind,
+			System:    policy.SiloD,
+			Seed:      *seed,
+			DMAddr:    "127.0.0.1:0",
+			SchedAddr: "127.0.0.1:0",
+			Interval:  *interval,
+			Drain:     *drainWait,
+			Queue:     admission.Config{Capacity: *capacity, HighWater: *highWater, StandardWater: *stdWater},
+			Batch:     *batch,
+			Tenants:   reg,
+		}, time.Now, func(d time.Duration, err error) {
+			roundSecs = append(roundSecs, d.Seconds())
+			if err != nil {
+				roundFails++
+			}
 		})
 		if err != nil {
 			return err
 		}
-		defer host.stop()
-		base = host.url
+		base = "http://" + host.SchedAddr().String()
 		rep.SelfHosted = true
-		log.Printf("silodload: self-hosted scheduler at %s (%d GPUs, round every %v, batch %d)",
-			base, *gpus, *interval, *batch)
 	}
 
 	report, submitSecs, transportErrs := replay(base, plan)
@@ -153,13 +169,12 @@ func run(args []string) error {
 	rep.TransportErrors = transportErrs
 
 	if host != nil {
-		host.awaitDrain(*drainWait)
-		host.stop() // freeze round stats before reading them
-		rep.Rounds, rep.RoundErrors = host.rec.counts()
-		rounds := host.rec.durations()
-		rep.RoundP50Millis = stats.Percentile(rounds, 50) * 1000
-		rep.RoundP99Millis = stats.Percentile(rounds, 99) * 1000
-		rep.FinalQueueDepth = host.queue.Depth()
+		awaitDrain(host, *drainWait)
+		host.Shutdown()
+		rep.Rounds, rep.RoundErrors = len(roundSecs), roundFails
+		rep.RoundP50Millis = stats.Percentile(roundSecs, 50) * 1000
+		rep.RoundP99Millis = stats.Percentile(roundSecs, 99) * 1000
+		rep.FinalQueueDepth = host.QueueDepth()
 	}
 
 	total := report.Total()
@@ -185,7 +200,7 @@ func run(args []string) error {
 		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
 			return err
 		}
-		log.Printf("silodload: wrote %s", *out)
+		log.Printf("wrote %s", *out)
 	}
 	return nil
 }
@@ -255,160 +270,19 @@ func postSubmit(hc *http.Client, base string, a loadgen.Arrival) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		return resp.StatusCode, resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
 	}
-	if err := resp.Body.Close(); err != nil {
-		return resp.StatusCode, err
-	}
-	return resp.StatusCode, nil
-}
-
-// roundRecorder collects per-round wall durations from the self-host
-// round loop.
-type roundRecorder struct {
-	mu    sync.Mutex
-	secs  []float64 // guarded by mu
-	fails int       // guarded by mu
-}
-
-func (r *roundRecorder) add(sec float64, failed bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.secs = append(r.secs, sec)
-	if failed {
-		r.fails++
-	}
-}
-
-func (r *roundRecorder) counts() (rounds, fails int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.secs), r.fails
-}
-
-func (r *roundRecorder) durations() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]float64, len(r.secs))
-	copy(out, r.secs)
-	return out
-}
-
-type selfHostConfig struct {
-	Cluster  core.Cluster
-	Seed     int64
-	Interval time.Duration
-	Batch    int
-	Queue    admission.Config
-}
-
-// selfHost is an in-process scheduler stack: one HTTP listener, one
-// round-loop goroutine, a bounded admission queue.
-type selfHost struct {
-	url      string
-	queue    *admission.Queue
-	srv      *http.Server
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	doneCh   chan struct{}
-	errCh    chan error
-	rec      *roundRecorder
-}
-
-// startSelfHost boots the in-process stack on a loopback listener.
-func startSelfHost(cfg selfHostConfig) (*selfHost, error) {
-	pol, err := policy.Build(policy.FIFOKind, policy.SiloD, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	mgr := datamgr.New(cfg.Cluster.Cache, cfg.Cluster.RemoteIO, cfg.Seed, nil)
-	sched, err := controlplane.NewSchedulerServer(cfg.Cluster, pol, controlplane.LocalDataPlane{Mgr: mgr}, time.Now)
-	if err != nil {
-		return nil, err
-	}
-	reg := tenant.NewRegistry()
-	for _, tn := range loadgen.Tenants() {
-		if err := reg.Register(tn); err != nil {
-			return nil, err
-		}
-	}
-	sched.ConfigureTenants(reg)
-	q, err := admission.New(cfg.Queue, sched.Registry(), simrng.New(cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	sched.ConfigureAdmission(q)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	h := &selfHost{
-		url:   "http://" + ln.Addr().String(),
-		queue: q,
-		srv: &http.Server{
-			Handler:           sched,
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       10 * time.Second,
-			WriteTimeout:      10 * time.Second,
-		},
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
-		errCh:  make(chan error, 1),
-		rec:    &roundRecorder{},
-	}
-	go serveListener(h.srv, ln, h.errCh)
-	go roundLoop(sched, controlplane.ServeConfig{Batch: cfg.Batch, RoundDeadline: cfg.Interval},
-		cfg.Interval, h.stopCh, h.doneCh, h.rec)
-	return h, nil
-}
-
-// serveListener runs the HTTP server until stop() closes it; the exit
-// error lands in errc for anyone who cares.
-func serveListener(srv *http.Server, ln net.Listener, errc chan<- error) {
-	errc <- srv.Serve(ln)
-}
-
-// roundLoop is the self-host scheduler goroutine: one RunRound per
-// tick, timed, until stop closes.
-func roundLoop(s *controlplane.SchedulerServer, cfg controlplane.ServeConfig,
-	interval time.Duration, stop <-chan struct{}, done chan<- struct{}, rec *roundRecorder) {
-	defer close(done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			st := time.Now()
-			err := s.RunRound(context.Background(), cfg)
-			rec.add(time.Since(st).Seconds(), err != nil)
-		}
-	}
+	return resp.StatusCode, err
 }
 
 // awaitDrain polls until the admission backlog is empty or the
 // deadline passes, so the report reflects a fully-drained run when the
 // scheduler can keep up.
-func (h *selfHost) awaitDrain(max time.Duration) {
+func awaitDrain(d *controlplane.Daemon, max time.Duration) {
 	deadline := time.Now().Add(max)
-	for h.queue.Depth() > 0 && time.Now().Before(deadline) {
+	for d.QueueDepth() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// stop tears the stack down: the round loop first, then the listener.
-// Idempotent — run() calls it eagerly to freeze round stats before
-// reporting, and the deferred call mops up on error paths.
-func (h *selfHost) stop() {
-	h.stopOnce.Do(func() {
-		close(h.stopCh)
-		<-h.doneCh
-		if err := h.srv.Close(); err != nil {
-			log.Printf("silodload: closing listener: %v", err)
-		}
-		<-h.errCh
-	})
 }

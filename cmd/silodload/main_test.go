@@ -2,9 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/loadgen"
 )
 
 // TestSelfHostSmoke replays a small storm against the self-hosted
@@ -82,5 +86,22 @@ func TestFlagValidation(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// A response body cut short is a transport error, even though closing
+// it succeeds.
+func TestPostSubmitTruncatedBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", "100")
+		w.WriteHeader(http.StatusAccepted)
+		if _, err := w.Write([]byte(`{"status":`)); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer srv.Close()
+	status, err := postSubmit(srv.Client(), srv.URL, loadgen.Arrival{JobID: "j"})
+	if err == nil {
+		t.Fatalf("truncated body: status %d, nil error", status)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // ServeConfig tunes the round loop.
 type ServeConfig struct {
 	// Interval is the round period for the real-time ticker (ignored
-	// when Ticks is set; 0 defaults to one second).
+	// when Ticks is set; 0 = no ticker, rounds on demand).
 	Interval time.Duration
 	// Batch bounds how many queued submissions one round drains
 	// (0 = drain everything).
@@ -135,35 +135,29 @@ func (s *SchedulerServer) RunRound(ctx context.Context, cfg ServeConfig) error {
 // Serve runs rounds until stop closes — the daemon's single scheduler
 // goroutine. Submissions, heartbeats and progress reports never run
 // rounds themselves; they enqueue or mutate state in O(1) and this
-// loop picks the work up on the next tick.
-func (s *SchedulerServer) Serve(cfg ServeConfig, stop <-chan struct{}, onErr func(error)) {
+// loop picks the work up on the next tick. onRound (may be nil) gets
+// each round's duration on the injected clock and its error. With no
+// Ticks and no positive Interval the loop runs no round: rounds are on
+// demand (POST /v1/schedule) and Serve only waits for stop.
+func (s *SchedulerServer) Serve(cfg ServeConfig, stop <-chan struct{}, onRound func(time.Duration, error)) {
 	ticks := cfg.Ticks
-	if ticks == nil {
-		c, cancel := realTicks(cfg.Interval)
-		defer cancel()
-		ticks = c
+	if ticks == nil && cfg.Interval > 0 {
+		t := time.NewTicker(cfg.Interval)
+		defer t.Stop()
+		ticks = t.C
 	}
 	for {
 		select {
 		case <-stop:
 			return
 		case <-ticks:
-			if err := s.RunRound(context.Background(), cfg); err != nil && onErr != nil {
-				onErr(err)
+			start := s.clock()
+			err := s.RunRound(context.Background(), cfg)
+			if onRound != nil {
+				onRound(s.clock().Sub(start), err)
 			}
 		}
 	}
-}
-
-// realTicks wraps a real-time ticker for the daemon edge. Simulations
-// and tests inject ServeConfig.Ticks instead, so virtual-time runs
-// never touch this boundary.
-func realTicks(d time.Duration) (<-chan time.Time, func()) {
-	if d <= 0 {
-		d = time.Second
-	}
-	t := time.NewTicker(d)
-	return t.C, t.Stop
 }
 
 // retryAfterHeader formats a Retry-After hint as whole seconds

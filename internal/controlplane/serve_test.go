@@ -172,6 +172,72 @@ func TestServeLoopInjectedTicks(t *testing.T) {
 	}
 }
 
+// TestServeReportsEachRound: Serve hands onRound one call per tick,
+// with the round's span on the injected clock and the round's error.
+func TestServeReportsEachRound(t *testing.T) {
+	vc := newVClock()
+	s, pol, plane, _ := bookStack(t, vc.now)
+	type round struct {
+		dur time.Duration
+		err error
+	}
+	got := make(chan round, 4)
+	ticks := make(chan time.Time)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Serve(ServeConfig{Ticks: ticks}, stop, func(d time.Duration, err error) { got <- round{d, err} })
+	}()
+
+	// Each push takes 5ms of virtual time.
+	plane.setHook(func(string) error { vc.advance(5 * time.Millisecond); return nil })
+	pol.set(map[string]unit.Bandwidth{"a": unit.MBpsOf(80), "b": unit.MBpsOf(20)})
+	ticks <- time.Unix(1, 0)
+	r := <-got
+	pushes := len(plane.take())
+	if r.err != nil || pushes == 0 || r.dur != time.Duration(pushes)*5*time.Millisecond {
+		t.Errorf("round 1: (%v, %v) after %d pushes, want (%v, nil)", r.dur, r.err, pushes, time.Duration(pushes)*5*time.Millisecond)
+	}
+
+	refused := errors.New("push refused")
+	plane.setHook(func(string) error { return refused })
+	pol.set(map[string]unit.Bandwidth{"a": unit.MBpsOf(20), "b": unit.MBpsOf(80)})
+	ticks <- time.Unix(2, 0)
+	if r := <-got; !errors.Is(r.err, refused) || r.dur != 0 {
+		t.Errorf("round 2: (%v, %v), want (0s, %v)", r.dur, r.err, refused)
+	}
+	close(stop)
+	<-done
+	if n := len(got); n != 0 {
+		t.Errorf("%d callbacks after two ticks, want 2", 2+n)
+	}
+}
+
+// TestServeOnDemandRunsNoRound: with no Interval and no Ticks, Serve
+// starts no ticker and runs no round; it only waits for stop. The wait
+// outlasts a one-second default period.
+func TestServeOnDemandRunsNoRound(t *testing.T) {
+	s, _ := newServeStack(t, admission.Config{Capacity: 8})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	calls := make(chan struct{}, 1)
+	go func() {
+		defer close(done)
+		s.Serve(ServeConfig{}, stop, func(time.Duration, error) { calls <- struct{}{} })
+	}()
+	select {
+	case <-calls:
+		t.Error("on-demand Serve ran a round")
+	case <-time.After(1200 * time.Millisecond):
+	}
+	close(stop)
+	<-done
+	if got := s.Registry().Snapshot().CounterValue("silod_sched_rounds_total", nil); got != 0 {
+		t.Errorf("rounds = %v, want 0", got)
+	}
+}
+
 // TestRoundWatchdog: rounds slower than the deadline (on the injected
 // clock) increment the overrun counter; fast rounds do not.
 func TestRoundWatchdog(t *testing.T) {

@@ -69,27 +69,22 @@ func ParseBytes(s string) (Bytes, error) {
 		{"TB", TB}, {"TiB", TB}, {"GB", GB}, {"GiB", GB},
 		{"MB", MB}, {"MiB", MB}, {"KB", KB}, {"KiB", KB}, {"B", 1},
 	}
+	num, mul := s, Bytes(1)
 	for _, u := range units {
 		if strings.HasSuffix(s, u.suffix) {
-			num := strings.TrimSpace(strings.TrimSuffix(s, u.suffix))
-			v, err := strconv.ParseFloat(num, 64)
-			if err != nil {
-				return 0, fmt.Errorf("unit: parse %q: %v", s, err)
-			}
-			if v < 0 {
-				return 0, fmt.Errorf("unit: negative byte size %q", s)
-			}
-			return Bytes(v) * u.mul, nil
+			num, mul = strings.TrimSpace(strings.TrimSuffix(s, u.suffix)), u.mul
+			break
 		}
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(num, 64)
 	if err != nil {
 		return 0, fmt.Errorf("unit: parse %q: %v", s, err)
 	}
-	if v < 0 {
-		return 0, fmt.Errorf("unit: negative byte size %q", s)
+	b := Bytes(v) * mul
+	if v < 0 || math.IsNaN(v) || math.IsInf(float64(b), 0) {
+		return 0, fmt.Errorf("unit: byte size %q is not finite and >= 0", s)
 	}
-	return Bytes(v), nil
+	return b, nil
 }
 
 // Bandwidth is a data rate in bytes per second.

@@ -62,9 +62,26 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("ParseBytes(%q) = %v, want %v", c.in, float64(got), float64(c.want))
 		}
 	}
-	for _, bad := range []string{"", "abc", "-3GB", "GB", "12XB"} {
+	for _, bad := range []string{"", "abc", "-3GB", "GB", "12XB",
+		"NaN", "NaNGB", "Inf", "InfTB", "+Inf", "-Inf", "infinity", "1e308TB"} {
 		if _, err := ParseBytes(bad); err == nil {
 			t.Errorf("ParseBytes(%q) accepted", bad)
+		}
+	}
+}
+
+// ParseBandwidth takes a byte size per second and rejects what
+// ParseBytes rejects, non-finite rates included.
+func TestParseBandwidth(t *testing.T) {
+	for in, want := range map[string]Bandwidth{"400MB/s": MBpsOf(400), "1GB": GBpsOf(1), " 2KB/s ": 2 * KBps} {
+		got, err := ParseBandwidth(in)
+		if err != nil || math.Abs(float64(got-want)) > 1e-6 {
+			t.Errorf("ParseBandwidth(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "-1MB/s", "NaN", "NaNMB/s", "Inf/s", "InfGB"} {
+		if _, err := ParseBandwidth(bad); err == nil {
+			t.Errorf("ParseBandwidth(%q) accepted", bad)
 		}
 	}
 }
